@@ -1,4 +1,4 @@
-"""Parse an expression, differentiate it with dual numbers, and check the
+"""Parse an expression, differentiate it in forward mode, and check the
 gradient against central differences.
 
 Run: python3 demos/expressions_and_gradients.py
@@ -22,7 +22,7 @@ x = np.array([0.3, -0.4])
 print(f"f({x})      = {f.value(x):.6f}")
 print(f"grad f({x}) = {f.grad(x)}")
 
-# forward-mode dual numbers vs central differences at 100 seeded points
+# compiled forward-mode gradients vs central differences at 100 seeded points
 rep = validate_grad(f, seed=0, count=100)
 print(f"gradient check: worst deviation {rep.max_abs_deviation:.2e} "
       f"over {rep.points_checked} points (tolerance 1e-6: "

@@ -152,34 +152,30 @@ def cmd_check(args) -> int:
     skipped = sum(c["skipped"] for c in report.counts.values())
     out = build_report(args, report.to_json(),
                        echo_config(args, f, cfg, sampler), skipped)
-    csv_rows = None
-    if args.csv:
-        csv_rows = _per_pair_rows(f, cfg, sampler)
+    csv_rows = _csv_rows(report, cfg.tol) if args.csv else None
     write_outputs(out, args, csv_rows)
     return EXIT_VIOLATIONS if report.total_violations > 0 else EXIT_OK
 
 
-def _per_pair_rows(f, cfg, sampler):
-    pairs = srch.sample_pairs(sampler)
-    X, Y = pairs[:, 0], pairs[:, 1]
+def _csv_rows(report, tol: float):
+    """Rows (pair_index, condition, margin, status) for the pairs the
+    report counted; pair_index is the pair's position in the sampler."""
+    p = report.per_pair
+
+    def row(i, name, margin, ok, vacuous=False):
+        if not ok:
+            return [i, name, "", "skipped"]
+        if vacuous:
+            return [i, name, "", "vacuous"]
+        return [i, name, repr(float(margin)),
+                "violated" if margin < -tol else "holds"]
+
     rows = []
-    m, _, ok_a = cond.batch_margin_a_worst(f, X, Y, cfg)
-    r = cond.batch_margins_bc(f, X, Y, cfg)
-    for i in range(pairs.shape[0]):
-        if not ok_a[i]:
-            rows.append([i, "a", "", "skipped"])
-        else:
-            st = "violated" if m[i] < -cfg.tol else "holds"
-            rows.append([i, "a", repr(float(m[i])), st])
-        for name, premise in (("b", r["premise_b"]), ("c", r["premise_c"])):
-            if not r["ok"][i]:
-                rows.append([i, name, "", "skipped"])
-            elif not premise[i]:
-                rows.append([i, name, "", "vacuous"])
-            else:
-                mg = float(r["margin"][i])
-                st = "violated" if mg < -cfg.tol else "holds"
-                rows.append([i, name, repr(mg), st])
+    for k, i in enumerate(p["index"].tolist()):
+        rows.append(row(i, "a", p["a_margin"][k], p["a_ok"][k]))
+        for name in ("b", "c"):
+            rows.append(row(i, name, p["bc_margin"][k], p["bc_ok"][k],
+                            p[f"{name}_vacuous"][k]))
     return rows
 
 

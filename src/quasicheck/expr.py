@@ -10,16 +10,20 @@ Grammar (highest precedence first):
 Functions: sin, cos, exp, log, sqrt, abs, min, max, pow. Variables are
 written x1..xn (1-based). No implicit multiplication.
 
-Evaluation supports plain values and forward-mode dual numbers, giving
-exact directional derivatives <grad f(x), d>. Nondifferentiable points of
-abs/min/max (exact ties) propagate the first branch's derivative and set
-a flag.
+`compile_expr` lowers an AST once to straight-line numpy code. One pass
+of it gives the value, forward-mode tangents for every seed direction at
+once (the full gradient, or <grad f(x), d>) and a nondifferentiability
+mask; the same program serves batch evaluation, where invalid points give
+NaN, and strict evaluation, which raises EvalError at the first failing
+node. Nondifferentiable points of abs/min/max (exact ties) propagate the
+first branch's derivative and set a flag.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +37,8 @@ __all__ = [
     "Call",
     "parse",
     "pretty_print",
+    "compile_expr",
+    "Program",
     "eval_expr",
     "eval_dual",
     "eval_batch",
@@ -283,25 +289,8 @@ def parse(source: str, dimension: int) -> Node:
     return node
 
 
-def max_var_index(e: Node) -> int:
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Unary):
-        return max_var_index(e.child)
-    if isinstance(e, Binary):
-        return max(max_var_index(e.left), max_var_index(e.right))
-    return max((max_var_index(a) for a in e.args), default=0)
-
-
 # ---------------------------------------------------------------------------
 # Pretty printer
-
-
-def _fmt_const(v: float) -> str:
-    s = repr(float(v))
-    return s
 
 
 def pretty_print(e: Node) -> str:
@@ -311,7 +300,7 @@ def pretty_print(e: Node) -> str:
     negative constants; negation is a Unary node).
     """
     if isinstance(e, Const):
-        return _fmt_const(e.value)
+        return repr(float(e.value))
     if isinstance(e, Var):
         return f"x{e.index}"
     if isinstance(e, Unary):
@@ -324,7 +313,66 @@ def pretty_print(e: Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation to straight-line numpy code
+#
+# One temporary per node, in left-first post-order. Values of a batch have
+# shape (..., 1) and those of one point are scalars, so both broadcast
+# against tangents (..., m); x_j's tangent is row j of the seed S (n, m).
+# Derivatives mirror the dual-number rules term for term; constant
+# subtrees carry no tangent and no flag. Strict checks precede the node
+# they guard. The source holds only numbers and generated names.
+
+_MESSAGES = ("division by zero", "log of non-positive value",
+             "sqrt of negative value", "pow requires positive base",
+             "zero raised to a negative power",
+             "non-integer power of non-positive base")
+
+
+def _fail(kind: int, pos: int):
+    raise EvalError(_MESSAGES[kind], pos)
+
+
+_NAMESPACE = {
+    "_fail": _fail, "_any": np.any, "_F": np.float64, "_full": np.full,
+    "_moveaxis": np.moveaxis, "inf": np.inf, "nan": np.nan, "sin": np.sin,
+    "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+    "absolute": np.absolute, "minimum": np.minimum, "maximum": np.maximum,
+    "power": np.power, "where": np.where,
+}
+
+# op: (value, tangent, check, tangent terms, tie test). Templates see the
+# operand values a, b and tangents ta, tb (0.0 when zero), this value v,
+# w = a with non-positive entries as NaN, and k, pk for k * a^(k-1). Terms
+# whose tangent is zero are dropped; the rest fill the tangent's {}. A
+# check is (index into _MESSAGES, failing condition). Ties of abs/min/max
+# keep the first branch's derivative and set the flag.
+_TA = [("", "{ta}")]
+_POW = ("power({w}, {bx})", "{v} * ({})")
+_POW_TERMS = [("", "{tb} * log({w})"), (" + ", "{b} * {ta} / {w}")]
+_RULES = {
+    "neg": ("-{a}", "-{}"),
+    "+": ("{a} + {b}", "{}", None, [("", "{ta}"), (" + ", "{tb}")]),
+    "-": ("{a} - {b}", "{}", None, [("", "{ta}"), (" - ", "{tb}")]),
+    "*": ("{a} * {b}", "{}", None, [("", "{ta} * {b}"), (" + ", "{a} * {tb}")]),
+    "/": ("{a} / {b}", "({}) / ({b} * {b})", (0, "{b} == 0"),
+          [("", "{ta} * {b}"), (" - ", "{a} * {tb}")]),
+    "^0": ("power({a}, 0.0)", None, None, []),
+    "^+": ("power({a}, {k})", "{k} * {pk} * {}"),
+    "^-": ("power({a}, {k})", "{k} * {pk} * {}", (4, "{a} == 0")),
+    "^": _POW + ((5, "{a} <= 0"), _POW_TERMS),
+    "pow": _POW + ((3, "{a} <= 0"), _POW_TERMS),
+    "sin": ("sin({a})", "cos({a}) * {}"),
+    "cos": ("cos({a})", "-sin({a}) * {}"),
+    "exp": ("exp({a})", "{v} * {}"),
+    "log": ("log({a})", "{} / {a}", (1, "{a} <= 0")),
+    "sqrt": ("sqrt({a})", "{} / (2.0 * {v})", (2, "{a} < 0")),
+    "abs": ("absolute({a})", "where({a} >= 0, {ta}, -{ta})", None, _TA, "{a} == 0"),
+    "min": ("minimum({a}, {b})", "where({a} <= {b}, {ta}, {tb})", None,
+            _TA + [("", "{tb}")], "{a} == {b}"),
+    "max": ("maximum({a}, {b})", "where({a} >= {b}, {ta}, {tb})", None,
+            _TA + [("", "{tb}")], "{a} == {b}"),
+}
+
 
 def _int_exponent(node: Node) -> int | None:
     """Constant integer exponent (possibly negated), else None."""
@@ -337,121 +385,154 @@ def _int_exponent(node: Node) -> int | None:
     return None
 
 
-def _eval(e: Node, x: np.ndarray, strict: bool):
-    """Evaluate over an (..., n) point array. strict=True raises EvalError
-    on domain violations; strict=False lets NaN/inf propagate."""
-    if isinstance(e, Const):
-        return np.broadcast_to(np.float64(e.value), x.shape[:-1]).copy() if x.ndim > 1 else np.float64(e.value)
-    if isinstance(e, Var):
-        return x[..., e.index - 1]
-    if isinstance(e, Unary):
-        return -_eval(e.child, x, strict)
-    if isinstance(e, Binary):
-        a = _eval(e.left, x, strict)
-        if e.op == "^":
-            return _power(e, a, e.right, x, strict)
-        b = _eval(e.right, x, strict)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if strict and np.any(b == 0):
-                raise EvalError("division by zero", e.pos)
-            return a / b
-        raise TypeError(e.op)
-    if isinstance(e, Call):
-        args = [_eval(a, x, strict) for a in e.args]
-        return _call(e, args, strict)
-    raise TypeError(type(e))
+@dataclass
+class _Slot:
+    v: str                 # value: temporary name or numeric literal
+    t: str | None = None   # tangent name; None means identically zero
+    f: str | None = None   # nondifferentiability flag name
+    var: bool = False      # depends on x
 
 
-def _call(e: Call, args, strict: bool):
-    a = args[0]
-    if e.name == "sin":
-        return np.sin(a)
-    if e.name == "cos":
-        return np.cos(a)
-    if e.name == "exp":
-        return np.exp(a)
-    if e.name == "log":
-        if strict and np.any(a <= 0):
-            raise EvalError("log of non-positive value", e.pos)
-        return np.log(a)
-    if e.name == "sqrt":
-        if strict and np.any(a < 0):
-            raise EvalError("sqrt of negative value", e.pos)
-        return np.sqrt(a)
-    if e.name == "abs":
-        return np.abs(a)
-    b = args[1]
-    if e.name == "min":
-        return np.minimum(a, b)
-    if e.name == "max":
-        return np.maximum(a, b)
-    if e.name == "pow":
-        if strict and np.any(a <= 0):
-            raise EvalError("pow requires positive base", e.pos)
-        with np.errstate(invalid="ignore"):
-            return np.power(np.where(a > 0, a, np.nan), b)
-    raise TypeError(e.name)
+class _Lowering:
+    """Collects (dual_only, line) pairs; the value program skips dual lines."""
+
+    def __init__(self):
+        self.lines: list[tuple[bool, str]] = []
+        self.temps: set[str] = set()
+        self.variables: set[int] = set()
+        self.partial = False   # has a domain-restricted operation
+
+    def new(self, prefix: str, dual_expr: str | None = None) -> str:
+        """A fresh temporary; with `dual_expr`, assigned in the dual program."""
+        name = f"{prefix}{len(self.temps) + 1}"
+        self.temps.add(name)
+        if dual_expr is not None:
+            self.lines.append((True, f"{name} = {dual_expr}"))
+        return name
+
+    def lower(self, e: Node) -> _Slot:
+        if isinstance(e, Const):
+            lit = repr(float(e.value))
+            return _Slot(f"({lit})" if lit.startswith("-") else lit)
+        if isinstance(e, Var):
+            self.variables.add(e.index)
+            return _Slot(f"x{e.index}", f"s{e.index}", None, True)
+        if isinstance(e, Unary):
+            return self.node(e, "neg", [self.lower(e.child)])
+        if isinstance(e, Call):
+            return self.node(e, e.name, [self.lower(a) for a in e.args])
+        k = _int_exponent(e.right) if e.op == "^" else None
+        if k is None:
+            return self.node(e, e.op, [self.lower(e.left), self.lower(e.right)])
+        a = self.lower(e.left)
+        # x^1 is exact, so k * x^(k-1) needs no power call when k == 2
+        pk = a.v if k == 2 else f"power({a.v}, {float(k - 1)!r})"
+        op = "^0" if k == 0 else "^+" if k > 0 else "^-"
+        return self.node(e, op, [a], k=repr(float(k)), pk=pk)
+
+    def node(self, e: Node, op: str, ops: list[_Slot], **fmt) -> _Slot:
+        var = any(s.var for s in ops)
+        if not var:   # constant subtree: numpy scalar semantics
+            ops = [_Slot(s.v if s.v in self.temps else f"_F({s.v})") for s in ops]
+        rule = _RULES[op]   # fill in the defaults of a short rule
+        value, tangent, check, terms, tie = rule + (None, _TA, None)[len(rule) - 2:]
+        a, b = (ops + [_Slot("")])[:2]
+        out = _Slot(self.new("v"), None, None, var)
+        fmt.update(a=a.v, b=b.v, v=out.v, ta=a.t or "0.0", tb=b.t or "0.0")
+        lines = self.lines
+        if check:
+            self.partial = True
+            lines.append((False, f"if strict and _any({check[1].format(**fmt)}): "
+                                 f"_fail({check[0]}, {e.pos})"))
+        if "{w}" in value:
+            fmt["w"] = w = self.new("w")
+            lines.append((False, f"{w} = where({a.v} > 0, {a.v}, nan)"))
+            # numpy's power takes a shortcut for some scalar exponents; a
+            # constant exponent is spread over the batch like a variable one
+            fmt["bx"] = b.v if b.var else f"_full({w}.shape, {b.v})"
+        lines.append((False, f"{out.v} = {value.format(**fmt)}"))
+        terms = [(sep, t) for sep, t in terms if (a.t if "{ta}" in t else b.t)]
+        if terms:
+            body = "".join(sep + t for sep, t in terms).format(**fmt)
+            body = "0.0" + body if terms[0][0] == " - " else body.removeprefix(" + ")
+            out.t = tangent.format(body, **fmt)
+            if not out.t.isidentifier():
+                out.t = self.new("t", out.t)
+        flags = [f for f in (a.f, b.f) if f]
+        if tie and var:
+            flags.append(self.new("f", tie.format(**fmt)))
+        if len(flags) > 1:
+            flags = [self.new("f", " | ".join(flags))]
+        out.f = flags[0] if flags else None
+        # release each operand temporary at its last use, which was here
+        kept = {out.v, out.t, out.f}
+        for dual, names in ((False, [s.v for s in ops] + [fmt.get("w")]),
+                            (True, [n for s in ops for n in (s.t, s.f)])):
+            names = [n for n in names if n in self.temps and n not in kept]
+            if names:
+                lines.append((dual, f"del {', '.join(names)}"))
+        return out
 
 
-def _power(node: Binary, base_val, exp_node: Node, x, strict: bool):
-    """`^` with the restriction: non-integer exponents need a positive base."""
-    k = _int_exponent(exp_node)
-    if k is not None:
-        if k < 0 and strict and np.any(base_val == 0):
-            raise EvalError("zero raised to a negative power", node.pos)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.power(base_val, float(k))
-    e_val = _eval(exp_node, x, strict)
-    if strict and np.any(base_val <= 0):
-        raise EvalError("non-integer power of non-positive base", node.pos)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe = np.where(base_val > 0, base_val, np.nan)
-        return np.power(safe, e_val)
+@dataclass(frozen=True, eq=False)
+class Program:
+    """An expression compiled for points in R^n. value(X, strict) gives f;
+    dual(X, S, strict) gives (values, tangents broadcastable to
+    X.shape[:-1] + (m,) or None when zero, tie flags or None)."""
+
+    n: int
+    source: str
+    kinks: bool     # abs/min/max of x: the flag can be set
+    partial: bool   # some operation is restricted to a domain
+    value: Callable
+    dual: Callable
+    seed: np.ndarray   # identity seed for full gradients
 
 
-def _power_dual(node: Binary, base_val, base_der, x, strict: bool, d):
-    """Dual-number `^`: constant integer exponent uses the power rule,
-    anything else requires a positive base."""
-    exp_node = node.right
-    k = _int_exponent(exp_node)
-    if k is not None:
-        if k < 0 and strict and np.any(base_val == 0):
-            raise EvalError("zero raised to a negative power", node.pos)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.power(base_val, float(k))
-            if k == 0:
-                der = np.zeros_like(np.asarray(base_der, dtype=float))
-            else:
-                der = float(k) * np.power(base_val, float(k - 1)) * base_der
-            return val, der
-    e_val, e_der, _ = _eval_dual_node(exp_node, x, strict, d)
-    if strict and np.any(base_val <= 0):
-        raise EvalError("non-integer power of non-positive base", node.pos)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe = np.where(base_val > 0, base_val, np.nan)
-        val = np.power(safe, e_val)
-        der = val * (e_der * np.log(safe) + e_val * base_der / safe)
-        return val, der
+def compile_expr(e: Node, n: int) -> Program:
+    """Lower `e` once to straight-line numpy code over points in R^n."""
+    L = _Lowering()
+    root = L.lower(e)
+    if max(L.variables, default=0) > n:
+        raise ValueError("expression references a variable beyond the dimension")
+    shape = "X.shape[:-1]"
+    ret = f"{root.v}.reshape({shape})" if root.var else f"_full({shape}, {root.v})"
+    flags = f"{root.f}.reshape({shape})" if root.f else "None"
+    views = ["V = X if X.ndim == 1 else _moveaxis(X, -1, 0)[..., None]"] \
+        + [f"x{j} = V[{j - 1}]" for j in sorted(L.variables)]
+    seeds = [f"s{j} = S[{j - 1}]" for j in sorted(L.variables)]
+    value = views + [text for dual, text in L.lines if not dual] + [f"return {ret}"]
+    dual = views + seeds + [text for _, text in L.lines] \
+        + [f"return {ret}, {root.t}, {flags}"]
+    source = "".join(f"def {name}:\n" + "".join(f"    {t}\n" for t in body)
+                     for name, body in (("value(X, strict)", value),
+                                        ("dual(X, S, strict)", dual)))
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<quasicheck expression>", "exec"), namespace)
+    return Program(n, source, root.f is not None, L.partial, namespace["value"],
+                   namespace["dual"], np.eye(n))
 
 
-def eval_expr(e: Node, x) -> float:
+def _program(e, n: int) -> Program:
+    if not isinstance(e, Program):
+        return compile_expr(e, n)
+    if e.n != n:
+        raise ValueError(f"program compiled for dimension {e.n}, got {n}")
+    return e
+
+
+def eval_expr(e, x) -> float:
     """Strict scalar evaluation; raises EvalError with the node position."""
     x = np.asarray(x, dtype=float)
-    val = _eval(e, x, strict=True)
-    return float(val)
-
-
-def eval_batch(e: Node, X: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over (..., n) points; invalid points yield NaN."""
     with np.errstate(all="ignore"):
-        out = _eval(e, np.asarray(X, dtype=float), strict=False)
-    return np.asarray(out, dtype=float)
+        return float(_program(e, x.shape[-1]).value(x, True))
+
+
+def eval_batch(e, X: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation over (..., n) points; invalid points yield NaN."""
+    X = np.asarray(X, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.asarray(_program(e, X.shape[-1]).value(X, False))
 
 
 @dataclass(frozen=True)
@@ -461,116 +542,34 @@ class DualResult:
     nondiff: bool
 
 
-def _eval_dual_node(e: Node, x: np.ndarray, strict: bool, d):
-    """Returns (value, deriv, nondiff_flag) arrays; `d` is the direction,
-    broadcastable against x."""
-    if isinstance(e, Const):
-        z = np.zeros(np.shape(x)[:-1])
-        return np.full_like(z, e.value, dtype=float), z, np.zeros_like(z, dtype=bool)
-    if isinstance(e, Var):
-        val = np.asarray(x[..., e.index - 1], dtype=float)
-        der = np.broadcast_to(np.asarray(d)[..., e.index - 1], val.shape).astype(float)
-        return val, der, np.zeros_like(val, dtype=bool)
-    if isinstance(e, Unary):
-        v, dv, fl = _eval_dual_node(e.child, x, strict, d)
-        return -v, -dv, fl
-    if isinstance(e, Binary):
-        if e.op == "^":
-            av, ad, afl = _eval_dual_node(e.left, x, strict, d)
-            val, der = _power_dual(e, av, ad, x, strict, d)
-            return val, der, afl
-        av, ad, afl = _eval_dual_node(e.left, x, strict, d)
-        bv, bd, bfl = _eval_dual_node(e.right, x, strict, d)
-        fl = afl | bfl
-        if e.op == "+":
-            return av + bv, ad + bd, fl
-        if e.op == "-":
-            return av - bv, ad - bd, fl
-        if e.op == "*":
-            return av * bv, ad * bv + av * bd, fl
-        if e.op == "/":
-            if strict and np.any(bv == 0):
-                raise EvalError("division by zero", e.pos)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return av / bv, (ad * bv - av * bd) / (bv * bv), fl
-        raise TypeError(e.op)
-    if isinstance(e, Call):
-        av, ad, afl = _eval_dual_node(e.args[0], x, strict, d)
-        if e.name == "sin":
-            return np.sin(av), np.cos(av) * ad, afl
-        if e.name == "cos":
-            return np.cos(av), -np.sin(av) * ad, afl
-        if e.name == "exp":
-            ev = np.exp(av)
-            return ev, ev * ad, afl
-        if e.name == "log":
-            if strict and np.any(av <= 0):
-                raise EvalError("log of non-positive value", e.pos)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.log(av), ad / av, afl
-        if e.name == "sqrt":
-            if strict and np.any(av < 0):
-                raise EvalError("sqrt of negative value", e.pos)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sv = np.sqrt(av)
-                return sv, ad / (2.0 * sv), afl
-        if e.name == "abs":
-            # tie at 0: keep the +branch derivative and flag
-            tie = av == 0
-            der = np.where(av >= 0, ad, -ad)
-            return np.abs(av), der, afl | tie
-        bv, bd, bfl = _eval_dual_node(e.args[1], x, strict, d)
-        fl = afl | bfl
-        if e.name == "min":
-            tie = av == bv
-            pick_a = av <= bv
-            return np.minimum(av, bv), np.where(pick_a, ad, bd), fl | tie
-        if e.name == "max":
-            tie = av == bv
-            pick_a = av >= bv
-            return np.maximum(av, bv), np.where(pick_a, ad, bd), fl | tie
-        if e.name == "pow":
-            if strict and np.any(av <= 0):
-                raise EvalError("pow requires positive base", e.pos)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                safe = np.where(av > 0, av, np.nan)
-                val = np.power(safe, bv)
-                der = val * (bd * np.log(safe) + bv * ad / safe)
-            return val, der, fl
-        raise TypeError(e.name)
-    raise TypeError(type(e))
-
-
-def eval_dual(e: Node, x, d) -> DualResult:
+def eval_dual(e, x, d) -> DualResult:
     """Value and directional derivative <grad f(x), d> at a point, strict."""
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if x.shape != d.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {d.shape}")
-    val, der, flag = _eval_dual_node(e, x, strict=True, d=d)
-    return DualResult(float(val), float(der), bool(flag))
-
-
-def eval_dual_batch(e: Node, X: np.ndarray, d: np.ndarray):
-    """Vectorized dual evaluation: (values, derivs, nondiff_mask)."""
-    X = np.asarray(X, dtype=float)
     with np.errstate(all="ignore"):
-        val, der, flag = _eval_dual_node(e, X, strict=False, d=np.asarray(d, dtype=float))
-    return np.asarray(val, dtype=float), np.asarray(der, dtype=float), np.asarray(flag, dtype=bool)
+        val, der, flag = _program(e, x.shape[-1]).dual(x, d[:, None], True)
+    return DualResult(float(val), 0.0 if der is None else float(der[0]),
+                      flag is not None and bool(flag))
 
 
-def grad_batch(e: Node, X: np.ndarray, dimension: int):
-    """Gradient at each row of X via `dimension` dual passes.
+def grad_batch(e, X: np.ndarray, dimension: int):
+    """Gradient at each row of X in one pass of the compiled program.
 
     Returns (grads, nondiff_mask); grads has shape X.shape, mask X.shape[:-1].
+    Rows whose value is not finite (outside the domain) are NaN.
     """
     X = np.asarray(X, dtype=float)
-    grads = np.empty_like(X)
-    mask = np.zeros(X.shape[:-1], dtype=bool)
-    for i in range(dimension):
-        d = np.zeros(dimension)
-        d[i] = 1.0
-        _, der, flag = eval_dual_batch(e, X, d)
-        grads[..., i] = der
-        mask |= flag
-    return grads, mask
+    prog = _program(e, dimension)
+    if X.shape[-1:] != (dimension,):
+        raise ValueError(f"points of shape {X.shape} for dimension {dimension}")
+    with np.errstate(all="ignore"):
+        val, grads, mask = prog.dual(X, prog.seed, False)
+        if grads is None:
+            grads = np.zeros(X.shape)
+        elif grads.shape != X.shape or grads.base is not None:
+            grads = np.broadcast_to(grads, X.shape).copy()   # a seed row
+        if prog.partial:
+            grads[~np.isfinite(val)] = np.nan
+    return grads, np.zeros(X.shape[:-1], dtype=bool) if mask is None else mask

@@ -123,25 +123,27 @@ class ScalarField:
 
 
 def make_field_from_expr(e, n: int, box: DomainBox, name: str = "expr") -> ScalarField:
-    """Field whose gradient comes from n forward-mode dual passes.
+    """Field backed by the expression compiled once: each evaluation is one
+    pass of straight-line numpy code, and the gradient comes from the same
+    pass in forward mode with vector tangents.
 
-    Nondifferentiable points (abs/min/max ties) yield NaN gradients so
-    downstream sampling counts them as skipped.
+    Nondifferentiable points (abs/min/max ties) and points outside the
+    expression's domain yield NaN gradients so downstream sampling counts
+    them as skipped.
     """
     if isinstance(e, str):
         e = ex.parse(e, n)
-    if ex.max_var_index(e) > n:
-        raise ValueError("expression references a variable beyond the dimension")
     if box.dim != n:
         raise ValueError("box dimension does not match the field dimension")
+    prog = ex.compile_expr(e, n)
 
     def fn(X):
-        return ex.eval_batch(e, X)
+        return ex.eval_batch(prog, X)
 
     def grad_fn(X):
-        g, mask = ex.grad_batch(e, X, n)
-        if np.any(mask):
-            g = np.where(mask[..., None], np.nan, g)
+        g, mask = ex.grad_batch(prog, X, n)
+        if prog.kinks:
+            g[mask] = np.nan
         return g
 
     f = ScalarField(name=name, dim=n, fn=fn, grad_fn=grad_fn, domain=box)

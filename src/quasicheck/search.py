@@ -304,6 +304,10 @@ class HarnessReport:
     counts: dict            # condition -> {holds, violated, vacuous, skipped}
     worst: dict             # condition -> {"margin": float, "witness": {...}}
     theorem_tension: bool   # (b)/(c) violations without any (a) violation
+    # per counted pair, not part of the JSON report: "index" (position in
+    # the sampler's stream), "a_margin", "a_ok", "bc_margin", "b_vacuous",
+    # "c_vacuous", "bc_ok"
+    per_pair: dict = dc_field(repr=False, compare=False)
 
     @property
     def total_violations(self) -> int:
@@ -394,8 +398,12 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
 
     tension = (counts["a"]["violated"] == 0
                and (counts["b"]["violated"] > 0 or counts["c"]["violated"] > 0))
+    per_pair = {"index": np.flatnonzero(keep), "a_margin": a_margin,
+                "a_ok": a_ok, "bc_margin": bc["margin"], "b_vacuous": b_vac,
+                "c_vacuous": c_vac, "bc_ok": bc_ok}
     return HarnessReport(sample_count=N, sigma=cfg.sigma, seed=sampler.seed,
-                         counts=counts, worst=worst, theorem_tension=tension)
+                         counts=counts, worst=worst, theorem_tension=tension,
+                         per_pair=per_pair)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -124,6 +125,26 @@ def test_csv_output(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "pair_index,condition,margin,status"
     assert len(lines) == 1 + 50 * 3
+
+
+def test_csv_rows_match_counted_pairs(tmp_path):
+    # the inf-norm min_sep filter drops some sampled pairs; the CSV lists
+    # exactly the pairs the report counted, by their sampler index
+    csv_path = tmp_path / "margins.csv"
+    code, rep = run(["check", "--fn", "sqnorm", "--dim", "2", "--norm", "inf",
+                     "--min-sep", "0.5", "--pairs", "2000", "--seed", "3",
+                     "--csv", str(csv_path)], tmp_path)
+    assert code == EXIT_OK
+    payload = rep["payload"]
+    assert payload["sample_count"] < 2000
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    indices = {int(r["pair_index"]) for r in rows}
+    assert len(indices) == payload["sample_count"]
+    assert max(indices) < 2000
+    for name, counts in payload["counts"].items():
+        statuses = [r["status"] for r in rows if r["condition"] == name]
+        assert {s: statuses.count(s) for s in counts} == counts
 
 
 def test_config_file_defaults_and_override(tmp_path):

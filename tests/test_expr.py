@@ -1,4 +1,8 @@
+import io
+import keyword
 import math
+import re
+import tokenize
 
 import numpy as np
 import pytest
@@ -134,10 +138,29 @@ def test_eval_domain_errors():
         eval_expr(parse("pow(x1, 0.5)", 1), [-1.0])
 
 
-def test_eval_error_position():
-    with pytest.raises(EvalError) as err:
-        eval_expr(parse("1 + log(x1)", 1), [0.0])
-    assert err.value.pos == 4
+# (source, point, message, offset of the failing node); the last case has
+# two failing nodes and the first one in left-first post-order is reported
+STRICT_ERRORS = [
+    ("1 + 1/x1", [0.0], "division by zero", 5),
+    ("1 + log(x1)", [0.0], "log of non-positive value", 4),
+    ("1 + sqrt(x1)", [-1.0], "sqrt of negative value", 4),
+    ("1 + pow(x1, 0.5)", [0.0], "pow requires positive base", 4),
+    ("1 + x1^-2", [0.0], "zero raised to a negative power", 6),
+    ("1 + x1^0.5", [-1.0], "non-integer power of non-positive base", 6),
+    ("1 + x1^log(x1)", [-1.0], "log of non-positive value", 7),
+    ("log(x1) + 1/x1", [0.0], "log of non-positive value", 0),
+]
+
+
+@pytest.mark.parametrize("source,x,message,pos", STRICT_ERRORS,
+                         ids=[s for s, _, _, _ in STRICT_ERRORS])
+def test_eval_error_position(source, x, message, pos):
+    e = parse(source, 1)
+    for evaluate in (lambda: eval_expr(e, x),
+                     lambda: eval_dual(e, np.array(x), np.ones(1))):
+        with pytest.raises(EvalError) as err:
+            evaluate()
+        assert (err.value.message, err.value.pos) == (message, pos)
 
 
 def test_power_rules():
@@ -169,6 +192,10 @@ def test_dual_nondiff_flags():
     assert not r.nondiff and r.deriv == 1.0
     r = eval_dual(parse("abs(x1)", 1), np.array([-3.0]), np.array([1.0]))
     assert r.deriv == -1.0
+    # a kink inside a general exponent flags the power
+    r = eval_dual(parse("x1^abs(x2)", 2), np.array([2.0, 0.0]),
+                  np.array([0.0, 1.0]))
+    assert r.value == 1.0 and r.nondiff
 
 
 def test_dual_general_power_includes_exponent_derivative():
@@ -229,3 +256,16 @@ def test_grad_batch(rng):
     assert not mask.any()
     assert np.allclose(G[:, 0], 2 * X[:, 0])
     assert np.allclose(G[:, 1], 3.0)
+    # outside the domain the value is NaN, and so is the gradient
+    G, mask = ex.grad_batch(parse("log(x1)", 1), np.array([[-1.0], [2.0]]), 1)
+    assert np.isnan(G[0, 0]) and G[1, 0] == 0.5 and not mask.any()
+
+
+def test_compiled_source_holds_only_numbers_and_generated_names():
+    e = parse("pow(x1, 2.5) + 1e-3*abs(x2 - 7) / log(x1) - min(x1, 1e300)^3", 2)
+    source = ex.compile_expr(e, 2).source
+    names = {tok.string for tok in tokenize.generate_tokens(
+        io.StringIO(source).readline) if tok.type == tokenize.NAME}
+    allowed = set(ex._NAMESPACE) | set(keyword.kwlist) | {
+        "value", "dual", "X", "S", "V", "strict", "ndim", "shape", "reshape"}
+    assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxs]\d+", n)} == set()

@@ -44,6 +44,13 @@ def test_expr_field_nondiff_gradient_is_skipped():
     assert np.isnan(G[1, 0])
     with pytest.raises(EvaluationError):
         f.grad([0.0])
+    # the kink of abs(x2) sits in the exponent of a general power
+    h = make_field_from_expr("x1^abs(x2)", 2,
+                             DomainBox(np.array([1.0, -1.0]), np.array([3.0, 1.0])))
+    G = h.grads(np.array([[2.0, 0.0], [2.0, 0.5]]))
+    assert np.all(np.isnan(G[0])) and np.all(np.isfinite(G[1]))
+    with pytest.raises(EvaluationError):
+        h.grad([2.0, 0.0])
 
 
 def test_fd_grad_quadratic_near_exact():
