@@ -18,7 +18,6 @@ from .field import (DomainBox, GradReport, ScalarField, catalog,
 from .search import (FalsificationResult, HarnessReport, Sampler,
                      SearchBudget, falsify, implication_harness,
                      open_question_search, sample_pairs)
-from .vecmath import inner, pnorm, segment_point
 
 __all__ = [
     "__version__",
@@ -32,5 +31,4 @@ __all__ = [
     "Sampler", "SearchBudget", "FalsificationResult", "HarnessReport",
     "sample_pairs", "falsify", "implication_harness", "open_question_search",
     "ExprFamily", "shipped_families", "family_by_name",
-    "inner", "pnorm", "segment_point",
 ]

@@ -148,7 +148,7 @@ def cmd_check(args) -> int:
     f = resolve_field(args)
     cfg = make_config(args)
     sampler = make_sampler(args, f.domain)
-    report = srch.implication_harness(f, cfg, sampler, chunks=args.threads)
+    report = srch.implication_harness(f, cfg, sampler)
     skipped = sum(c["skipped"] for c in report.counts.values())
     out = build_report(args, report.to_json(),
                        echo_config(args, f, cfg, sampler), skipped)
@@ -168,7 +168,7 @@ def _csv_rows(report, tol: float):
         if vacuous:
             return [i, name, "", "vacuous"]
         return [i, name, repr(float(margin)),
-                "violated" if margin < -tol else "holds"]
+                "violated" if cond.is_violated(margin, tol) else "holds"]
 
     rows = []
     for k, i in enumerate(p["index"].tolist()):
@@ -187,7 +187,7 @@ def cmd_sigma(args) -> int:
     payload = {"sigma_star_raw": raw, "sigma_star": max(0.0, raw)}
     out = build_report(args, payload, echo_config(args, f, cfg, sampler))
     write_outputs(out, args)
-    return EXIT_VIOLATIONS if raw < -cfg.tol else EXIT_OK
+    return EXIT_VIOLATIONS if cond.is_violated(raw, cfg.tol) else EXIT_OK
 
 
 def cmd_falsify(args) -> int:
@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     _add_check_args(p)
     _add_sampler_args(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="evaluation partitions (results are identical)")
     p.add_argument("--csv", help="write per-sample margin rows")
     p.set_defaults(func=cmd_check, **common)
 

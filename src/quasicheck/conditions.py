@@ -11,8 +11,16 @@ violated at the witness):
 
 sigma = 0 recovers plain quasiconvexity (the Arrow-Enthoven condition for
 (b)). sigma_star_* estimate the largest sigma for which (a) holds on the
-examined pairs. Margins are raw; classification applies the tolerance
-only when building verdicts.
+examined pairs.
+
+Each formula is written once, in a kernel over arrays of pairs:
+`segment_margins` yields the (a) margins of chunks of pairs, at a shared
+lambda grid or at one lambda per pair, and `batch_margins_bc` gives the
+pairings, both premises and the shared (b)/(c) conclusion margin. The
+per-pair worst (a) margin and sigma* reduce over the kernel's chunks; the
+scalar checks `margin_a`, `check_b`, `check_c` and `sigma_star_segment`
+run the kernels on a batch of one. Margins are raw; `is_violated` is the
+one rule that applies the tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .field import ScalarField
-from .vecmath import as_vec, inner, pnorm, pnorm_batch, segment_point
+from .vecmath import as_vec, pnorm_batch
 
 __all__ = [
     "CheckConfig",
@@ -34,7 +42,11 @@ __all__ = [
     "VIOLATED",
     "VACUOUS",
     "SKIPPED",
+    "is_violated",
+    "segment_margins",
     "margin_a",
+    "batch_margin_a_worst",
+    "batch_margins_bc",
     "check_b",
     "check_c",
     "sigma_star_segment",
@@ -42,6 +54,9 @@ __all__ = [
     "check_lemma",
     "default_lambda_grid",
 ]
+
+# points per field evaluation in segment_margins: the chunks bound memory
+SEGMENT_CHUNK = 1 << 16
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -115,17 +130,62 @@ class Verdict:
         return out
 
 
+def is_violated(margin, tol):
+    """The violation rule, elementwise: a margin is violated iff it lies
+    below -tol (NaN never is)."""
+    return np.less(margin, -tol)
+
+
 def _classify(margin: float, tol: float) -> str:
-    return VIOLATED if margin < -tol else HOLDS
+    return VIOLATED if is_violated(margin, tol) else HOLDS
 
 
-def _sep(x, y, cfg: CheckConfig) -> float:
-    return pnorm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
-                 cfg.penalty_norm)
+def _checked_pair(x, y, cfg: CheckConfig):
+    """x and y as vectors, rejecting a pair closer than min_sep."""
+    x = as_vec(x)
+    y = as_vec(y)
+    d = float(pnorm_batch(x - y, cfg.penalty_norm))
+    if d < cfg.min_sep:
+        raise ValueError(f"||x-y|| = {d} below min_sep {cfg.min_sep}")
+    return x, y
 
 
 # ---------------------------------------------------------------------------
 # Condition (a): the defining segment inequality
+
+
+def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2):
+    """Condition-(a) margins of the pairs (X[i], Y[i]), chunk by chunk:
+
+        max{f(x), f(y)} - (sigma/2)*lam*(1-lam)*||x-y||^2 - f(y + lam*(x-y))
+
+    `lams` has shape (L, 1) for a grid shared by all pairs or (1, N) for
+    one lambda per pair. Each chunk evaluates f once, on the points laid
+    out (L + 2, k, n): x, y, then one segment point per lambda. Yields
+    (rows, margins (L, k), ||x-y|| (k,)) per chunk of k pairs; a margin is
+    NaN where an evaluation failed.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    L = lams.shape[0]
+    step = max(1, SEGMENT_CHUNK // (L + 2))
+    for lo in range(0, X.shape[0], step):
+        rows = slice(lo, lo + step)
+        x, y = X[rows], Y[rows]
+        lam = lams if lams.shape[1] == 1 else lams[:, rows]
+        with np.errstate(all="ignore"):
+            diff = x - y
+            P = np.empty((L + 2,) + x.shape)
+            P[0], P[1] = x, y
+            np.multiply(lam[..., None], diff, out=P[2:])
+            P[2:] += y
+            v = f.values(P)
+            d = pnorm_batch(diff, penalty_norm)
+            m = np.maximum(v[0], v[1]) - 0.5 * sigma * lam * (1.0 - lam) * d * d - v[2:]
+            finite = np.isfinite(v)
+            if not finite.all():
+                m[~(finite[0] & finite[1] & finite[2:])] = np.nan
+        yield rows, m, d   # outside errstate: the consumer runs between chunks
 
 
 def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
@@ -134,78 +194,128 @@ def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
     Nonnegative iff the defining inequality holds at (x, y, lam).
     Returns NaN when an evaluation fails (skipped sample).
     """
-    x = as_vec(x)
-    y = as_vec(y)
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    d = _sep(x, y, cfg)
-    if d < cfg.min_sep:
-        raise ValueError(f"||x-y|| = {d} below min_sep {cfg.min_sep}")
-    z = segment_point(x, y, lam)
-    vals = f.values(np.stack([x, y, z]))
-    if not np.all(np.isfinite(vals)):
-        return math.nan
-    fx, fy, fz = map(float, vals)
-    return max(fx, fy) - 0.5 * cfg.sigma * lam * (1.0 - lam) * d * d - fz
+    x, y = _checked_pair(x, y, cfg)
+    (_, m, _), = segment_margins(f, x[None], y[None], np.array([[lam]], dtype=float),
+                                 cfg.sigma, cfg.penalty_norm)
+    return float(m[0, 0])
+
+
+def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
+                         cfg: CheckConfig):
+    """Per-pair worst condition-(a) margin over the lambda grid.
+
+    Returns (worst_margin, worst_lam, ok_mask); rows with any failed
+    evaluation have ok_mask False and NaN margin. Ties go to the first
+    lambda of the grid.
+    """
+    lams = np.asarray(cfg.lambda_grid)[:, None]
+    worst = np.empty(len(X))
+    worst_lam = np.empty(len(X))
+    for rows, m, _ in segment_margins(f, X, Y, lams, cfg.sigma, cfg.penalty_norm):
+        i = np.argmin(m, axis=0)   # a NaN column gives its first NaN
+        worst[rows] = np.take_along_axis(m, i[None], axis=0)[0]
+        worst_lam[rows] = lams[i, 0]
+    return worst, worst_lam, ~np.isnan(worst)
 
 
 # ---------------------------------------------------------------------------
 # Conditions (b) and (c): first-order gradient implications
 
 
+def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
+                     cfg: CheckConfig, premise_tol: float | None = None):
+    """Margins and premise masks for conditions (b) and (c) on pair rows.
+
+    (b): premise f(x) <= f(y) + premise_tol; (c): premise
+    <grad f(x), y-x> > -(sigma/2)*||x-y||^2 + premise_tol. Both share the
+    conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. premise_tol
+    defaults to cfg.tol (0 makes the premises exact; adversarial search
+    uses that so reported violations are genuine and not artifacts of
+    premise rounding room).
+
+    Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
+    premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
+    finite), ok_c (both gradients finite) and ok (both).
+    """
+    pt = cfg.tol if premise_tol is None else premise_tol
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    fX = f.values(X)
+    fY = f.values(Y)
+    gX = f.grads(X)
+    gY = f.grads(Y)
+    gx_ok = np.all(np.isfinite(gX), axis=-1)
+    gy_ok = np.all(np.isfinite(gY), axis=-1)
+    ok_b = np.isfinite(fX) & np.isfinite(fY) & gy_ok
+    with np.errstate(all="ignore"):
+        d = pnorm_batch(X - Y, cfg.penalty_norm)
+        pairing_x = np.sum(gX * (Y - X), axis=-1)
+        pairing_y = np.sum(gY * (X - Y), axis=-1)
+        threshold = -0.5 * cfg.sigma * d * d
+        margin = threshold - pairing_y
+        premise_b = fX <= fY + pt
+        premise_c = pairing_x > threshold + pt
+    return {
+        "fx": fX, "fy": fY,
+        "pairing_x": pairing_x, "pairing_y": pairing_y,
+        "margin": margin,
+        "premise_b": premise_b, "premise_c": premise_c,
+        "ok_b": ok_b, "ok_c": gx_ok & gy_ok, "ok": ok_b & gx_ok,
+        "sep": d,
+    }
+
+
+def _check_bc(f: ScalarField, x, y, cfg: CheckConfig, premise_tol, name: str,
+              witness_keys: tuple) -> Verdict:
+    """Condition `name` ('b' or 'c') at one pair, as a batch of one."""
+    x, y = _checked_pair(x, y, cfg)
+    r = batch_margins_bc(f, x[None], y[None], cfg, premise_tol)
+    if not r[f"ok_{name}"][0]:
+        return Verdict(SKIPPED, math.nan)
+    w = Witness(x=x, y=y, **{k: float(r[k][0]) for k in witness_keys})
+    if not r[f"premise_{name}"][0]:
+        return Verdict(VACUOUS, math.nan, w)
+    margin = float(r["margin"][0])
+    return Verdict(_classify(margin, cfg.tol), margin, w)
+
+
 def check_b(f: ScalarField, x, y, cfg: CheckConfig,
             premise_tol: float | None = None) -> Verdict:
-    """Premise f(x) <= f(y); conclusion margin
-    -(sigma/2)*||x-y||^2 - <grad f(y), x-y> >= 0.
-
-    premise_tol overrides the premise slack (0 makes the premise exact;
-    adversarial search uses that so reported violations are genuine and
-    not artifacts of premise rounding room).
-    """
-    x = as_vec(x)
-    y = as_vec(y)
-    d = _sep(x, y, cfg)
-    if d < cfg.min_sep:
-        raise ValueError(f"||x-y|| = {d} below min_sep {cfg.min_sep}")
-    try:
-        fx = f.value(x)
-        fy = f.value(y)
-        gy = f.grad(y)
-    except ArithmeticError:
-        return Verdict(SKIPPED, math.nan)
-    pt = cfg.tol if premise_tol is None else premise_tol
-    w = Witness(x=x, y=y, fx=fx, fy=fy, pairing_y=inner(gy, x - y))
-    if fx > fy + pt:
-        return Verdict(VACUOUS, math.nan, w)
-    margin = -0.5 * cfg.sigma * d * d - w.pairing_y
-    return Verdict(_classify(margin, cfg.tol), margin, w)
+    """Condition (b) at one pair (see batch_margins_bc): premise
+    f(x) <= f(y); conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>."""
+    return _check_bc(f, x, y, cfg, premise_tol, "b", ("fx", "fy", "pairing_y"))
 
 
 def check_c(f: ScalarField, x, y, cfg: CheckConfig,
             premise_tol: float | None = None) -> Verdict:
-    """Premise <grad f(x), y-x> > -(sigma/2)*||x-y||^2, enforced strictly
-    as "> +tol"; conclusion margin as in check_b."""
-    x = as_vec(x)
-    y = as_vec(y)
-    d = _sep(x, y, cfg)
-    if d < cfg.min_sep:
-        raise ValueError(f"||x-y|| = {d} below min_sep {cfg.min_sep}")
-    try:
-        gx = f.grad(x)
-        gy = f.grad(y)
-    except ArithmeticError:
-        return Verdict(SKIPPED, math.nan)
-    pt = cfg.tol if premise_tol is None else premise_tol
-    threshold = -0.5 * cfg.sigma * d * d
-    w = Witness(x=x, y=y, pairing_x=inner(gx, y - x), pairing_y=inner(gy, x - y))
-    if not w.pairing_x > threshold + pt:
-        return Verdict(VACUOUS, math.nan, w)
-    margin = threshold - w.pairing_y
-    return Verdict(_classify(margin, cfg.tol), margin, w)
+    """Condition (c) at one pair: premise <grad f(x), y-x> >
+    -(sigma/2)*||x-y||^2, enforced strictly as "> +tol"; conclusion margin
+    as in check_b."""
+    return _check_bc(f, x, y, cfg, premise_tol, "c", ("pairing_x", "pairing_y"))
 
 
 # ---------------------------------------------------------------------------
 # sigma* estimation
+
+
+def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig, failure: str) -> float:
+    """min over pairs and the lambda grid of
+    2 * (max{f(x),f(y)} - f(segment)) / (lam*(1-lam)*||x-y||^2), the
+    sigma = 0 margin scaled; raises ArithmeticError(failure) when no
+    sample evaluates."""
+    lams = np.asarray(cfg.lambda_grid)[:, None]
+    best = math.inf
+    for _, m, d in segment_margins(f, X, Y, lams, 0.0, cfg.penalty_norm):
+        with np.errstate(all="ignore"):
+            ratio = 2.0 * m / (lams * (1.0 - lams) * d * d)
+        ratio = ratio[np.isfinite(ratio)]
+        if ratio.size:
+            best = min(best, float(np.min(ratio)))
+    if not math.isfinite(best):
+        raise ArithmeticError(failure)
+    return best
 
 
 def sigma_star_segment(f: ScalarField, x, y, cfg: CheckConfig) -> float:
@@ -214,25 +324,13 @@ def sigma_star_segment(f: ScalarField, x, y, cfg: CheckConfig) -> float:
 
     Negative values mean f is not even quasiconvex on this segment.
     """
-    x = as_vec(x)
-    y = as_vec(y)
+    x, y = _checked_pair(x, y, cfg)
     # canonical pair order makes the result bitwise swap-invariant
     # (the default lambda grid is symmetric about 1/2)
     if tuple(y) < tuple(x):
         x, y = y, x
-    d = _sep(x, y, cfg)
-    if d < cfg.min_sep:
-        raise ValueError(f"||x-y|| = {d} below min_sep {cfg.min_sep}")
-    lams = np.asarray(cfg.lambda_grid)
-    Z = y + lams[:, None] * (x - y)
-    vals = f.values(np.vstack([x[None], y[None], Z]))
-    fx, fy = vals[0], vals[1]
-    fz = vals[2:]
-    ok = np.isfinite(fz)
-    if np.isnan(fx) or np.isnan(fy) or not np.any(ok):
-        raise ArithmeticError("all lambda samples failed on this segment")
-    ratio = 2.0 * (np.maximum(fx, fy) - fz[ok]) / (lams[ok] * (1.0 - lams[ok]) * d * d)
-    return float(np.min(ratio))
+    return _sigma_star(f, x[None], y[None], cfg,
+                       "all lambda samples failed on this segment")
 
 
 def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
@@ -249,87 +347,11 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
     if P.size == 0:
         raise ValueError("sampler produced no pairs")
     X, Y = P[:, 0, :], P[:, 1, :]
-    d = pnorm_batch(X - Y, cfg.penalty_norm)
-    keep = d >= cfg.min_sep
+    keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
     if not np.any(keep):
         raise ValueError("no pair passed the min_sep filter")
-    X, Y, d = X[keep], Y[keep], d[keep]
-    fX = f.values(X)
-    fY = f.values(Y)
-    fmax = np.maximum(fX, fY)
-    lams = np.asarray(cfg.lambda_grid)
-    best = math.inf
-    for lam in lams:
-        fz = f.values(Y + lam * (X - Y))
-        ratio = 2.0 * (fmax - fz) / (lam * (1.0 - lam) * d * d)
-        ratio = ratio[np.isfinite(ratio)]
-        if ratio.size:
-            best = min(best, float(np.min(ratio)))
-    if not math.isfinite(best):
-        raise ArithmeticError("every sampled segment failed to evaluate")
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Vectorized margin kernels (used by the harness; same formulas as above)
-
-
-def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                         cfg: CheckConfig):
-    """Per-pair worst condition-(a) margin over the lambda grid.
-
-    Returns (worst_margin, worst_lam, ok_mask); rows with any failed
-    evaluation have ok_mask False and NaN margin.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    d = pnorm_batch(X - Y, cfg.penalty_norm)
-    fX = f.values(X)
-    fY = f.values(Y)
-    fmax = np.maximum(fX, fY)
-    worst = np.full(X.shape[0], np.inf)
-    worst_lam = np.zeros(X.shape[0])
-    ok = np.isfinite(fX) & np.isfinite(fY)
-    for lam in cfg.lambda_grid:
-        fz = f.values(Y + lam * (X - Y))
-        ok &= np.isfinite(fz)
-        m = fmax - 0.5 * cfg.sigma * lam * (1.0 - lam) * d * d - fz
-        better = m < worst
-        worst = np.where(better, m, worst)
-        worst_lam = np.where(better, lam, worst_lam)
-    worst = np.where(ok, worst, np.nan)
-    return worst, worst_lam, ok
-
-
-def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                     cfg: CheckConfig):
-    """Margins and premise masks for conditions (b) and (c) on pair rows.
-
-    Returns a dict with keys fx, fy, pairing_x, pairing_y, margin (shared
-    conclusion margin), premise_b, premise_c, ok.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    d = pnorm_batch(X - Y, cfg.penalty_norm)
-    fX = f.values(X)
-    fY = f.values(Y)
-    gX = f.grads(X)
-    gY = f.grads(Y)
-    ok = (np.isfinite(fX) & np.isfinite(fY)
-          & np.all(np.isfinite(gX), axis=-1) & np.all(np.isfinite(gY), axis=-1))
-    pairing_x = np.sum(gX * (Y - X), axis=-1)
-    pairing_y = np.sum(gY * (X - Y), axis=-1)
-    threshold = -0.5 * cfg.sigma * d * d
-    margin = threshold - pairing_y
-    premise_b = fX <= fY + cfg.tol
-    premise_c = pairing_x > threshold + cfg.tol
-    return {
-        "fx": fX, "fy": fY,
-        "pairing_x": pairing_x, "pairing_y": pairing_y,
-        "margin": margin,
-        "premise_b": premise_b, "premise_c": premise_c,
-        "ok": ok, "sep": d,
-    }
+    return _sigma_star(f, X[keep], Y[keep], cfg,
+                       "every sampled segment failed to evaluate")
 
 
 # ---------------------------------------------------------------------------

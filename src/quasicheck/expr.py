@@ -239,7 +239,10 @@ class _Parser:
         if t is None:
             raise ParseError("unexpected end of input", self.end)
         if t.kind == "number":
-            return Const(float(t.text), t.pos)
+            value = float(t.text)
+            if not np.isfinite(value):
+                raise ParseError(f"number {t.text} overflows to infinity", t.pos)
+            return Const(value, t.pos)
         if t.kind == "paren" and t.text == "(":
             node = self.parse_expr()
             nxt = self.peek()
@@ -315,9 +318,9 @@ def pretty_print(e: Node) -> str:
 # ---------------------------------------------------------------------------
 # Compilation to straight-line numpy code
 #
-# One temporary per node, in left-first post-order. Values of a batch have
-# shape (..., 1) and those of one point are scalars, so both broadcast
-# against tangents (..., m); x_j's tangent is row j of the seed S (n, m).
+# One temporary per node, in left-first post-order. Values have shape
+# (..., 1), one point being a batch of one, so they broadcast against
+# tangents (..., m); x_j's tangent is row j of the seed S (n, m).
 # Derivatives mirror the dual-number rules term for term; constant
 # subtrees carry no tangent and no flag. Strict checks precede the node
 # they guard. The source holds only numbers and generated names.
@@ -334,6 +337,7 @@ def _fail(kind: int, pos: int):
 
 _NAMESPACE = {
     "_fail": _fail, "_any": np.any, "_F": np.float64, "_full": np.full,
+    "_copy": np.copy,
     "_moveaxis": np.moveaxis, "inf": np.inf, "nan": np.nan, "sin": np.sin,
     "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "absolute": np.absolute, "minimum": np.minimum, "maximum": np.maximum,
@@ -447,9 +451,10 @@ class _Lowering:
         if "{w}" in value:
             fmt["w"] = w = self.new("w")
             lines.append((False, f"{w} = where({a.v} > 0, {a.v}, nan)"))
-            # numpy's power takes a shortcut for some scalar exponents; a
-            # constant exponent is spread over the batch like a variable one
-            fmt["bx"] = b.v if b.var else f"_full({w}.shape, {b.v})"
+            # numpy's power takes a shortcut for exponents -1, 0.5 and 2 when
+            # the exponent's stride is 0 (a constant, or x_j at one point);
+            # a fresh array makes every shape round alike
+            fmt["bx"] = f"_copy({b.v})" if b.var else f"_full({w}.shape, {b.v})"
         lines.append((False, f"{out.v} = {value.format(**fmt)}"))
         terms = [(sep, t) for sep, t in terms if (a.t if "{ta}" in t else b.t)]
         if terms:
@@ -498,7 +503,7 @@ def compile_expr(e: Node, n: int) -> Program:
     shape = "X.shape[:-1]"
     ret = f"{root.v}.reshape({shape})" if root.var else f"_full({shape}, {root.v})"
     flags = f"{root.f}.reshape({shape})" if root.f else "None"
-    views = ["V = X if X.ndim == 1 else _moveaxis(X, -1, 0)[..., None]"] \
+    views = ["V = _moveaxis(X, -1, 0)[..., None]"] \
         + [f"x{j} = V[{j - 1}]" for j in sorted(L.variables)]
     seeds = [f"s{j} = S[{j - 1}]" for j in sorted(L.variables)]
     value = views + [text for dual, text in L.lines if not dual] + [f"return {ret}"]
@@ -522,7 +527,8 @@ def _program(e, n: int) -> Program:
 
 
 def eval_expr(e, x) -> float:
-    """Strict scalar evaluation; raises EvalError with the node position."""
+    """Strict evaluation at one point, run as a batch of one; raises
+    EvalError with the node position."""
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         return float(_program(e, x.shape[-1]).value(x, True))

@@ -98,8 +98,9 @@ class ScalarField:
     known_status: str = UNKNOWN
 
     def value(self, x) -> float:
+        """f at one point, evaluated as a batch of one."""
         x = as_vec(x)
-        v = float(np.asarray(self.fn(x)))
+        v = float(self.values(x[None])[0])
         if not np.isfinite(v):
             raise EvaluationError(f"{self.name}: non-finite value at {x.tolist()}")
         return v
@@ -110,8 +111,9 @@ class ScalarField:
             return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
 
     def grad(self, x) -> np.ndarray:
+        """grad f at one point, evaluated as a batch of one."""
         x = as_vec(x)
-        g = np.asarray(self.grad_fn(x), dtype=float)
+        g = self.grads(x[None])[0]
         if not np.all(np.isfinite(g)):
             raise EvaluationError(f"{self.name}: non-finite gradient at {x.tolist()}")
         return g

@@ -2,10 +2,12 @@
 harness.
 
 Determinism contract: pair i is a pure function of (seed, i, strategy,
-domain) via counter-based Philox streams, so serial and partitioned runs
-produce identical output. Falsification is derivative-free compass search
-on the negated margin with a geometric step schedule, so with a fixed
-seed a larger budget can only extend the same trajectory.
+domain) via counter-based Philox streams, and every kernel computes each
+pair's margins on its own, so a report does not depend on how the kernels
+chunk the pairs. Falsification is derivative-free compass search on the
+margin with a geometric step schedule, so with a fixed seed a larger
+budget can only extend the same trajectory; each sweep's polls are scored
+as one kernel batch without changing that trajectory.
 """
 
 from __future__ import annotations
@@ -173,10 +175,11 @@ class FalsificationResult:
 
 
 class _MarginObjective:
-    """Margin as a function of the packed search variables.
+    """Margins of rows of packed search variables: x (n) then y (n), plus
+    lambda for target 'a'. A batch of rows is scored by one kernel call.
 
-    Vacuous/skipped evaluations map to +inf so the search moves off them.
-    Variables: x (n) then y (n), plus lambda for target 'a'.
+    Vacuous, skipped and below-min_sep rows score +inf so the search moves
+    off them.
     """
 
     def __init__(self, f: ScalarField, target: str, cfg: CheckConfig):
@@ -185,7 +188,6 @@ class _MarginObjective:
         self.f = f
         self.target = target
         self.cfg = cfg
-        self.evals = 0
         n = f.dim
         self.nvars = 2 * n + (1 if target == "a" else 0)
         lo, hi = f.domain.lower, f.domain.upper
@@ -195,37 +197,50 @@ class _MarginObjective:
         else:
             self.lower = np.concatenate([lo, lo])
             self.upper = np.concatenate([hi, hi])
+        # the sweep order: coordinate, sign and bounds of each poll
+        self.coord = np.repeat(np.arange(self.nvars), 2)
+        self.sign = np.tile([1.0, -1.0], self.nvars)
+        self.poll_lower = self.lower[self.coord]
+        self.poll_upper = self.upper[self.coord]
 
-    def split(self, z: np.ndarray):
+    def split(self, Z: np.ndarray):
         n = self.f.dim
-        x, y = z[:n], z[n:2 * n]
-        lam = float(z[2 * n]) if self.target == "a" else None
-        return x, y, lam
+        lam = Z[..., 2 * n] if self.target == "a" else None
+        return Z[..., :n], Z[..., n:2 * n], lam
 
-    def __call__(self, z: np.ndarray) -> float:
-        self.evals += 1
-        x, y, lam = self.split(z)
+    def __call__(self, Z: np.ndarray) -> np.ndarray:
+        X, Y, lam = self.split(Z)
         cfg = self.cfg
-        try:
-            if self.target == "a":
-                m = cond.margin_a(self.f, x, y, lam, cfg)
-                return m if math.isfinite(m) else math.inf
-            # premise at tolerance 0: violations found here are genuine,
-            # not artifacts of the reporting premise slack
-            v = cond.check_b(self.f, x, y, cfg, premise_tol=0.0) \
-                if self.target == "b" \
-                else cond.check_c(self.f, x, y, cfg, premise_tol=0.0)
-        except ValueError:  # below min_sep
-            return math.inf
-        if v.status in (cond.VACUOUS, cond.SKIPPED):
-            return math.inf
-        return v.margin
+        if self.target == "a":
+            return np.concatenate([
+                np.where((d >= cfg.min_sep) & np.isfinite(m[0]), m[0], math.inf)
+                for _, m, d in cond.segment_margins(self.f, X, Y, lam[None],
+                                                    cfg.sigma, cfg.penalty_norm)])
+        # premise at tolerance 0: violations found here are genuine,
+        # not artifacts of the reporting premise slack
+        r = cond.batch_margins_bc(self.f, X, Y, cfg, premise_tol=0.0)
+        t = self.target
+        active = (r["sep"] >= cfg.min_sep) & r[f"ok_{t}"] & r[f"premise_{t}"]
+        return np.where(active, r["margin"], math.inf)
+
+    def polls(self, z: np.ndarray, step: np.ndarray, j: int, limit: int):
+        """The first `limit` compass poll points of coordinates j.. in sweep
+        order (+step, then -step, each clipped to the box), dropping
+        clipped no-moves. Returns (points, coordinate of each point)."""
+        coord = self.coord[2 * j:]
+        moved = np.minimum(np.maximum(z[coord] + self.sign[2 * j:] * step[coord],
+                                      self.poll_lower[2 * j:]), self.poll_upper[2 * j:])
+        keep = moved != z[coord]
+        coord = coord[keep]
+        Z = np.repeat(z[None], coord.size, axis=0)
+        Z[np.arange(coord.size), coord] = moved[keep]
+        return Z[:limit], coord[:limit]
 
     def witness_at(self, z: np.ndarray) -> Witness:
         x, y, lam = self.split(z)
         f = self.f
         if self.target == "a":
-            return Witness(x=x.copy(), y=y.copy(), lam=lam,
+            return Witness(x=x.copy(), y=y.copy(), lam=float(lam),
                            fx=f.value(x), fy=f.value(y))
         v = cond.check_b(f, x, y, self.cfg) if self.target == "b" \
             else cond.check_c(f, x, y, self.cfg)
@@ -237,37 +252,47 @@ def falsify(f: ScalarField, target: str, cfg: CheckConfig,
     """Multi-start compass search minimizing the signed margin of one
     condition; a negative best margin is a confirmed violation witness.
     Never claims nonexistence: it reports the best found within budget.
+
+    A sweep polls each coordinate in turn, +step before -step, and moves
+    to the first point that improves; the next coordinate is polled from
+    there. The remaining polls of a sweep are scored as one batch; after a
+    hit the rest is re-issued from the accepted point, and evaluations are
+    charged only up to the hit, so the trajectory is that of polling one
+    point at a time.
     """
     obj = _MarginObjective(f, target, cfg)
     span = obj.upper - obj.lower
+    evals = 0
     best_val = math.inf
     best_z = None
 
     restart = 0
-    while obj.evals < budget.max_evals:
+    while evals < budget.max_evals:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
         z = obj.lower + rng.random(obj.nvars) * span
-        val = obj(z)
+        val = float(obj(z[None])[0])
+        evals += 1
         step = budget.init_step_frac * span.copy()
         iters = 0
-        while obj.evals < budget.max_evals and iters < budget.max_iters:
+        while evals < budget.max_evals and iters < budget.max_iters:
             iters += 1
             improved = False
-            for j in range(obj.nvars):
-                for sgn in (+1.0, -1.0):
-                    if obj.evals >= budget.max_evals:
-                        break
-                    zt = z.copy()
-                    zt[j] = min(max(zt[j] + sgn * step[j], obj.lower[j]),
-                                obj.upper[j])
-                    if zt[j] == z[j]:
-                        continue
-                    vt = obj(zt)
-                    if vt < val:
-                        z, val = zt, vt
-                        improved = True
-                        break
+            j = 0
+            while j < obj.nvars and evals < budget.max_evals:
+                Z, coord = obj.polls(z, step, j, budget.max_evals - evals)
+                if not coord.size:
+                    break
+                vals = obj(Z)
+                hit = np.flatnonzero(vals < val)
+                if not hit.size:
+                    evals += coord.size
+                    break
+                i = int(hit[0])
+                evals += i + 1
+                z, val = Z[i], float(vals[i])
+                improved = True
+                j = int(coord[i]) + 1
             if not improved:
                 step *= budget.step_decay
                 if np.max(step) < budget.min_step:
@@ -276,7 +301,7 @@ def falsify(f: ScalarField, target: str, cfg: CheckConfig,
             best_val = val
             best_z = z
         restart += 1
-        if restart >= budget.restarts and obj.evals >= budget.max_evals // 2:
+        if restart >= budget.restarts and evals >= budget.max_evals // 2:
             break
         if restart >= 4 * budget.restarts:
             break
@@ -284,11 +309,11 @@ def falsify(f: ScalarField, target: str, cfg: CheckConfig,
     witness = None
     if best_z is not None and math.isfinite(best_val):
         witness = obj.witness_at(best_z)
-    found = best_val < -cfg.tol if math.isfinite(best_val) else False
+    found = math.isfinite(best_val) and bool(cond.is_violated(best_val, cfg.tol))
     return FalsificationResult(
         target=target, sigma=cfg.sigma,
         best_margin=best_val if math.isfinite(best_val) else math.nan,
-        witness=witness, evaluations=obj.evals, violation_found=found,
+        witness=witness, evaluations=evals, violation_found=found,
     )
 
 
@@ -326,56 +351,32 @@ class HarnessReport:
 
 
 def _tally(margins, vacuous, ok, tol):
-    n = margins.shape[0]
-    skipped = int(np.sum(~ok))
-    vac = int(np.sum(vacuous & ok))
     active = ok & ~vacuous
-    violated = int(np.sum(active & (margins < -tol)))
-    holds = int(np.sum(active & (margins >= -tol)))
-    assert holds + violated + vac + skipped == n
-    return {"holds": holds, "violated": violated, "vacuous": vac,
-            "skipped": skipped}
+    violated = active & cond.is_violated(margins, tol)
+    return {"holds": int(np.sum(active & ~violated)),
+            "violated": int(np.sum(violated)),
+            "vacuous": int(np.sum(vacuous & ok)),
+            "skipped": int(np.sum(~ok))}
 
 
 def implication_harness(f: ScalarField, cfg: CheckConfig,
-                        sampler: Sampler, chunks: int = 1) -> HarnessReport:
-    """Evaluate (a) over pairs x lambda grid, (b) and (c) over pairs.
-
-    `chunks` only partitions the evaluation (stand-in for worker count);
-    the report is identical for any value.
-    """
+                        sampler: Sampler) -> HarnessReport:
+    """Evaluate (a) over pairs x lambda grid, (b) and (c) over pairs."""
     pairs = sample_pairs(sampler)
     d = pnorm_batch(pairs[:, 0] - pairs[:, 1], cfg.penalty_norm)
     keep = d >= cfg.min_sep
     pairs = pairs[keep]
     N = pairs.shape[0]
-    bounds = np.linspace(0, N, max(1, chunks) + 1).astype(int)
-
-    a_margin = np.empty(N)
-    a_lam = np.empty(N)
-    a_ok = np.empty(N, dtype=bool)
-    bc = {k: np.empty(N) for k in ("margin", "pairing_x")}
-    b_vac = np.empty(N, dtype=bool)
-    c_vac = np.empty(N, dtype=bool)
-    bc_ok = np.empty(N, dtype=bool)
-
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        X, Y = pairs[lo:hi, 0], pairs[lo:hi, 1]
-        m, lam, ok = cond.batch_margin_a_worst(f, X, Y, cfg)
-        a_margin[lo:hi], a_lam[lo:hi], a_ok[lo:hi] = m, lam, ok
-        r = cond.batch_margins_bc(f, X, Y, cfg)
-        bc["margin"][lo:hi] = r["margin"]
-        bc["pairing_x"][lo:hi] = r["pairing_x"]
-        b_vac[lo:hi] = ~r["premise_b"]
-        c_vac[lo:hi] = ~r["premise_c"]
-        bc_ok[lo:hi] = r["ok"]
+    X, Y = pairs[:, 0], pairs[:, 1]
+    a_margin, a_lam, a_ok = cond.batch_margin_a_worst(f, X, Y, cfg)
+    r = cond.batch_margins_bc(f, X, Y, cfg)
+    bc_margin, bc_ok = r["margin"], r["ok"]
+    b_vac, c_vac = ~r["premise_b"], ~r["premise_c"]
 
     counts = {
         "a": _tally(a_margin, np.zeros(N, dtype=bool), a_ok, cfg.tol),
-        "b": _tally(bc["margin"], b_vac, bc_ok, cfg.tol),
-        "c": _tally(bc["margin"], c_vac, bc_ok, cfg.tol),
+        "b": _tally(bc_margin, b_vac, bc_ok, cfg.tol),
+        "c": _tally(bc_margin, c_vac, bc_ok, cfg.tol),
     }
 
     worst = {}
@@ -389,17 +390,17 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
     for name, vac in (("b", b_vac), ("c", c_vac)):
         active = bc_ok & ~vac
         if np.any(active):
-            masked = np.where(active, bc["margin"], np.nan)
+            masked = np.where(active, bc_margin, np.nan)
             i = int(np.nanargmin(masked))
             worst[name] = {
-                "margin": float(bc["margin"][i]),
+                "margin": float(bc_margin[i]),
                 "witness": Witness(x=pairs[i, 0], y=pairs[i, 1]).to_json(),
             }
 
     tension = (counts["a"]["violated"] == 0
                and (counts["b"]["violated"] > 0 or counts["c"]["violated"] > 0))
     per_pair = {"index": np.flatnonzero(keep), "a_margin": a_margin,
-                "a_ok": a_ok, "bc_margin": bc["margin"], "b_vacuous": b_vac,
+                "a_ok": a_ok, "bc_margin": bc_margin, "b_vacuous": b_vac,
                 "c_vacuous": c_vac, "bc_ok": bc_ok}
     return HarnessReport(sample_count=N, sigma=cfg.sigma, seed=sampler.seed,
                          counts=counts, worst=worst, theorem_tension=tension,
@@ -453,7 +454,7 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     for k, theta in enumerate(thetas):
         f = family.build(theta)
         res_c = falsify(f, "c", cfg, per_theta, seed=seed + 1000 + k)
-        if res_c.violation_found and res_c.best_margin < -cfg.tol:
+        if res_c.violation_found:
             continue  # member visibly fails (c); not interesting for (c)=>(a)
         res_a = falsify(f, "a", cfg, per_theta, seed=seed + 2000 + k)
         if not (math.isfinite(res_a.best_margin)

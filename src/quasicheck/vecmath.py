@@ -1,8 +1,8 @@
 """Finite-dimensional real vector operations.
 
-Vectors are 1-D numpy float arrays with finite entries. The pairing is
-always the dot product; the norm used in penalty terms is selectable
-(p in {1, 2, inf}).
+Vectors are 1-D numpy float arrays with finite entries; a batch of them
+is an (..., n) array. The pairing is always the dot product; the norm
+used in penalty terms is selectable (p in {1, 2, inf}).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["as_vec", "inner", "pnorm", "segment_point"]
+__all__ = ["as_vec", "pnorm_batch"]
 
 
 def as_vec(a) -> np.ndarray:
@@ -24,56 +24,20 @@ def as_vec(a) -> np.ndarray:
     return v
 
 
-def inner(a, b) -> float:
-    """Dot product <a, b>. Dimensions must match."""
-    a = as_vec(a)
-    b = as_vec(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(a, b))
-
-
-def pnorm(a, p=2) -> float:
-    """||a||_p for p in {1, 2, inf} ('inf' and math.inf both accepted)."""
-    a = as_vec(a)
-    if p == 1:
-        return float(np.sum(np.abs(a)))
-    if p == 2:
-        m = float(np.max(np.abs(a)))
-        if m == 0.0:
-            return 0.0
-        # scale to dodge under/overflow of the squares
-        return m * float(np.sqrt(np.sum((a / m) ** 2)))
-    if p in ("inf", math.inf, np.inf):
-        return float(np.max(np.abs(a)))
-    raise ValueError(f"unsupported norm selector: {p!r}")
-
-
 def pnorm_batch(A: np.ndarray, p=2) -> np.ndarray:
-    """Row-wise p-norm of an (..., n) array."""
+    """Row-wise p-norm of an (..., n) array ('inf' and math.inf both
+    select the max norm)."""
     if p == 1:
         return np.sum(np.abs(A), axis=-1)
     if p == 2:
-        return np.sqrt(np.sum(A * A, axis=-1))
+        d = np.sqrt(np.sum(A * A, axis=-1))
+        odd = (d < 1e-150) | (d > 1e150)
+        if odd.any():   # squares under- or overflowed: rescale by the largest entry
+            with np.errstate(invalid="ignore"):
+                m = np.max(np.abs(A), axis=-1, keepdims=True)
+                scaled = m[..., 0] * np.sqrt(np.sum((A / m) ** 2, axis=-1))
+                d = np.where(odd & (m[..., 0] > 0) & (m[..., 0] < np.inf), scaled, d)
+        return d
     if p in ("inf", math.inf, np.inf):
         return np.max(np.abs(A), axis=-1)
     raise ValueError(f"unsupported norm selector: {p!r}")
-
-
-def segment_point(x, y, lam: float) -> np.ndarray:
-    """The point lam*x + (1-lam)*y, computed as y + lam*(x - y).
-
-    The y + lam*(x - y) form is exact at lam = 0 and symmetric with
-    segment_point(y, x, 1-lam) up to rounding.
-    """
-    x = as_vec(x)
-    y = as_vec(y)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if lam == 0.0:
-        return y.copy()
-    if lam == 1.0:
-        return x.copy()
-    return y + lam * (x - y)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 from conftest import random_ast, random_smooth_expr
 
+from quasicheck import conditions
 from quasicheck import expr as ex
 from quasicheck.cli import main
 from quasicheck.conditions import (CheckConfig, check_lemma_refined, margin_a,
@@ -184,19 +185,21 @@ def test_criterion_07_lemma_checker():
            f"mutated margin {mutated:+.1f} flips to violated: {mutation_ok}")
 
 
-def test_criterion_08_determinism_across_threads(tmp_path):
+def test_criterion_08_determinism_across_chunkings(tmp_path, monkeypatch):
+    # the same seed gives the same report however the (a) kernel chunks
+    # the pairs; 20000 pairs straddle a chunk edge at every size below
     reports = []
-    for threads in (1, 4):
-        out = tmp_path / f"t{threads}.json"
+    for chunk in (65 * 3, 65 * 999, 1 << 16):
+        monkeypatch.setattr(conditions, "SEGMENT_CHUNK", chunk)
+        out = tmp_path / f"c{chunk}.json"
         code = main(["check", "--fn", "sqnorm", "--dim", "2", "--sigma", "2",
-                     "--pairs", "20000", "--seed", "17",
-                     "--threads", str(threads), "--out", str(out)])
+                     "--pairs", "20000", "--seed", "17", "--out", str(out)])
         assert code == 0
         rep = json.loads(out.read_text())
         rep.pop("timestamp")
         reports.append(json.dumps(rep, sort_keys=True))
-    ok = reports[0] == reports[1]
-    report(8, "determinism across thread counts", ok,
+    ok = all(r == reports[0] for r in reports)
+    report(8, "determinism across chunk sizes", ok,
            f"{len(reports[0])} payload bytes identical")
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ def test_usage_errors(tmp_path):
     assert main(["check", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
     assert main(["check", "--fn", "sqnorm", "--expr", "x1", "--box", "0:1",
                  "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
+
+
+def test_overflowing_literal_is_a_usage_error(tmp_path):
+    code, rep = run(["check", "--expr", "x1 + 1e999", "--dim", "1",
+                     "--box", "0:1", "--pairs", "100"], tmp_path)
+    assert code == EXIT_USAGE and rep is None
+
+
+def test_overflowing_field_emits_no_warning(tmp_path):
+    # exp(1000*x1) overflows to inf on most of the box; those samples are
+    # skipped without numpy warnings leaking out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(["check", "--expr", "exp(1000*x1)", "--dim", "1",
+                         "--box", "0:1"], tmp_path)
+    assert code == EXIT_OK
+    assert rep["skipped_samples"] > 0
 
 
 def test_report_round_trip_reproducible(tmp_path):

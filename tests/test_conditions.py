@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from quasicheck.conditions import (HOLDS, VACUOUS, VIOLATED, CheckConfig,
-                                   batch_margin_a_worst, batch_margins_bc,
+from quasicheck import conditions
+from quasicheck.conditions import (HOLDS, SKIPPED, VACUOUS, VIOLATED,
+                                   CheckConfig, batch_margin_a_worst,
+                                   batch_margins_bc,
                                    check_b, check_c, check_lemma,
                                    check_lemma_refined, default_lambda_grid,
-                                   margin_a, sigma_star_estimate,
+                                   is_violated, margin_a, sigma_star_estimate,
                                    sigma_star_segment)
 from quasicheck.field import DomainBox, catalog_field, make_field_from_expr
 from quasicheck.search import Sampler
@@ -148,6 +150,17 @@ def test_witness_reproducibility():
     assert abs(again.margin - v.margin) <= 1e-12
 
 
+def test_skipped_needs_only_the_evaluations_a_check_uses():
+    # abs(x1) has no gradient at 0: (b) at x = 0 needs only grad f(y),
+    # (c) needs both gradients
+    f = make_field_from_expr("abs(x1)", 1, DomainBox.cube(-1, 1, 1))
+    vb = check_b(f, [0.0], [0.5], cfg())
+    assert vb.status == HOLDS and vb.margin == 0.5
+    assert check_c(f, [0.0], [0.5], cfg()).status == SKIPPED
+    assert check_b(f, [0.5], [0.0], cfg()).status == SKIPPED
+    assert check_c(f, [0.5], [0.0], cfg()).status == SKIPPED
+
+
 def test_min_sep_enforced():
     with pytest.raises(ValueError):
         check_b(SQ1, [0.5], [0.5 + 1e-9], cfg())
@@ -232,35 +245,120 @@ def test_sigma_star_estimate_no_pairs():
 
 
 # ---------------------------------------------------------------------------
-# batch kernels agree with the scalar path
+# batch kernels against closed forms
 
 
-def test_batch_kernels_match_scalar(rng):
+def _sq_margins(X, Y, lam, sigma):
+    # sqnorm: f(x) = |x|^2, grad f(x) = 2x
+    d2 = np.sum((X - Y) ** 2, axis=-1)
+    Z = Y + np.asarray(lam)[..., None] * (X - Y)
+    fx, fy = np.sum(X * X, axis=-1), np.sum(Y * Y, axis=-1)
+    seg = np.maximum(fx, fy) - 0.5 * sigma * lam * (1 - lam) * d2 - np.sum(Z * Z, axis=-1)
+    px = 2 * np.sum(X * (Y - X), axis=-1)
+    py = 2 * np.sum(Y * (X - Y), axis=-1)
+    return seg, fx, fy, px, py, d2
+
+
+def _affine_margins(X, Y, lam, sigma):
+    # affine: f(x) = <c, x> with c = (1, 2), grad f = c
+    c = np.array([1.0, 2.0])
+    d2 = np.sum((X - Y) ** 2, axis=-1)
+    fx, fy = X @ c, Y @ c
+    seg = (np.maximum(fx, fy) - 0.5 * sigma * lam * (1 - lam) * d2
+           - (lam * fx + (1 - lam) * fy))
+    return seg, fx, fy, (Y - X) @ c, (X - Y) @ c, d2
+
+
+def test_batch_kernels_match_closed_form(rng):
+    for name, oracle in (("sqnorm", _sq_margins), ("affine", _affine_margins)):
+        _match_closed_form(catalog_field(name, 2), oracle, rng)
+
+
+def _match_closed_form(f, oracle, rng):
     c = cfg(sigma=1.0)
-    X = rng.uniform(-1, 1, size=(50, 2))
-    Y = rng.uniform(-1, 1, size=(50, 2))
+    X = rng.uniform(-1, 1, size=(300, 2))
+    Y = rng.uniform(-1, 1, size=(300, 2))
     keep = np.linalg.norm(X - Y, axis=1) >= 1e-3
     X, Y = X[keep], Y[keep]
-    worst, worst_lam, ok = batch_margin_a_worst(SQ2, X, Y, c)
+    lams = np.array(c.lambda_grid)
+    seg = np.stack([oracle(X, Y, lam, c.sigma)[0] for lam in lams])
+    worst, worst_lam, ok = batch_margin_a_worst(f, X, Y, c)
     assert ok.all()
-    for i in range(X.shape[0]):
-        direct = min(margin_a(SQ2, X[i], Y[i], lam, c)
-                     for lam in c.lambda_grid)
-        assert worst[i] == pytest.approx(direct, abs=1e-12)
-    r = batch_margins_bc(SQ2, X, Y, c)
-    for i in range(X.shape[0]):
-        vb = check_b(SQ2, X[i], Y[i], c)
-        if vb.status == VACUOUS:
-            assert not r["premise_b"][i]
-        else:
-            assert r["premise_b"][i]
-            assert r["margin"][i] == pytest.approx(vb.margin, abs=1e-12)
-        vc = check_c(SQ2, X[i], Y[i], c)
-        if vc.status == VACUOUS:
-            assert not r["premise_c"][i]
-        else:
-            assert r["premise_c"][i]
-            assert r["margin"][i] == pytest.approx(vc.margin, abs=1e-12)
+    np.testing.assert_allclose(worst, seg.min(axis=0), rtol=0, atol=1e-12)
+    # the reported lambda attains the worst margin
+    at_lam = oracle(X, Y, worst_lam, c.sigma)[0]
+    np.testing.assert_allclose(at_lam, worst, rtol=0, atol=1e-12)
+
+    _, fx, fy, px, py, d2 = oracle(X, Y, 0.5, c.sigma)
+    r = batch_margins_bc(f, X, Y, c)
+    assert r["ok"].all() and r["ok_b"].all() and r["ok_c"].all()
+    np.testing.assert_allclose(r["sep"] ** 2, d2, rtol=1e-14)
+    for key, want in (("fx", fx), ("fy", fy), ("pairing_x", px),
+                      ("pairing_y", py), ("margin", -0.5 * c.sigma * d2 - py)):
+        np.testing.assert_allclose(r[key], want, rtol=0, atol=1e-12, err_msg=key)
+    # premises, away from their boundaries where rounding decides
+    slack_b = fy + c.tol - fx
+    slack_c = px - (-0.5 * c.sigma * d2 + c.tol)
+    clear = np.abs(slack_b) > 1e-9
+    assert np.array_equal(r["premise_b"][clear], slack_b[clear] >= 0)
+    clear = np.abs(slack_c) > 1e-9
+    assert np.array_equal(r["premise_c"][clear], slack_c[clear] > 0)
+    # premise_tol = 0 makes the premises exact and leaves the margin alone
+    r0 = batch_margins_bc(f, X, Y, c, premise_tol=0.0)
+    clear = np.abs(fy - fx) > 1e-12
+    assert np.array_equal(r0["premise_b"][clear], (fx <= fy)[clear])
+    assert np.array_equal(r0["margin"], r["margin"])
+
+
+def test_scalar_checks_are_batches_of_one(rng):
+    # the scalar API returns exactly the kernel's row, bit for bit
+    f = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
+                             DomainBox.cube(-1, 1, 2))
+    c = cfg(sigma=0.3)
+    X = rng.uniform(-1, 1, size=(40, 2))
+    Y = rng.uniform(-1, 1, size=(40, 2))
+    worst, worst_lam, _ = batch_margin_a_worst(f, X, Y, c)
+    r = batch_margins_bc(f, X, Y, c)
+    for i in range(len(X)):
+        assert margin_a(f, X[i], Y[i], worst_lam[i], c) == worst[i]
+        vb, vc = check_b(f, X[i], Y[i], c), check_c(f, X[i], Y[i], c)
+        assert vb.witness.pairing_y == r["pairing_y"][i]
+        assert vc.witness.pairing_x == r["pairing_x"][i]
+        assert (vb.status == VACUOUS) == (not r["premise_b"][i])
+        assert (vc.status == VACUOUS) == (not r["premise_c"][i])
+        for v in (vb, vc):
+            if v.status != VACUOUS:
+                assert v.margin == r["margin"][i]
+
+
+def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
+    f = catalog_field("sqnorm", 3)
+    c = cfg(sigma=0.5)
+    X = rng.uniform(-1, 1, size=(250, 3))
+    Y = rng.uniform(-1, 1, size=(250, 3))
+    pairs = np.stack([X, Y], axis=1)
+    lam = rng.uniform(0.01, 0.99, size=(1, 250))   # one lambda per pair
+    runs = []
+    # 65 points per chunk is one pair per chunk at the 63-point grid;
+    # 65 * 7 puts a chunk edge inside the 250 pairs
+    for chunk in (65, 65 * 7, 65 * 249, 1 << 16):
+        monkeypatch.setattr(conditions, "SEGMENT_CHUNK", chunk)
+        per_pair = np.concatenate([m[0] for _, m, _ in conditions.segment_margins(
+            f, X, Y, lam, c.sigma, c.penalty_norm)])
+        runs.append((*batch_margin_a_worst(f, X, Y, c),
+                     sigma_star_estimate(f, pairs, c), per_pair))
+    for i in range(len(X)):
+        assert margin_a(f, X[i], Y[i], lam[0, i], c) == runs[0][-1][i]
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            assert np.array_equal(a, b)
+
+
+def test_is_violated_is_the_one_rule():
+    m = np.array([-1.0, -1e-9, -2e-9, 0.0, np.nan, -np.inf, np.inf])
+    assert is_violated(m, 1e-9).tolist() == [True, False, True, False,
+                                             False, True, False]
+    assert bool(is_violated(-0.5, 0.1)) and not bool(is_violated(-0.05, 0.1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from quasicheck import expr as ex
 from quasicheck.expr import (Binary, Call, Const, EvalError, ParseError,
                              Unary, Var, ast_equal, eval_dual, eval_expr,
                              parse, pretty_print)
+from quasicheck.field import DomainBox, make_field_from_expr
 from conftest import random_ast, random_smooth_expr
 
 
@@ -76,6 +77,7 @@ MALFORMED_CORPUS = [
     ("@", 1, 0),
     ("pow(2,)", 1, 6),
     ("min(1 2)", 1, 6),
+    ("x1 + 1e999", 1, 5),
 ]
 
 
@@ -241,6 +243,22 @@ def test_batch_eval_matches_scalar(rng):
     batch = ex.eval_batch(e, X)
     for i, x in enumerate(X):
         assert batch[i] == pytest.approx(eval_expr(e, x), rel=1e-15, abs=1e-15)
+
+
+def test_one_point_is_a_batch_of_one():
+    # numpy's power has a shortcut for a scalar exponent of -1; one point
+    # must not take it when a batch does not
+    e = parse("(2.0011/x2)^x3", 3)
+    f = make_field_from_expr(e, 3, DomainBox.cube(-2, 2, 3))
+    x = np.array([1.0, 1.0, -1.0])
+    X = np.array([x, [0.5, 1.5, 0.3]])
+    batch = ex.eval_batch(e, X)[0]
+    assert batch == 0.4997251511668582
+    for one in (eval_expr(e, x), ex.eval_batch(e, x), f.value(x),
+                eval_dual(e, x, np.ones(3)).value):
+        assert one == batch
+    assert np.array_equal(f.grad(x), f.grads(X)[0])
+    assert np.array_equal(ex.grad_batch(e, x, 3)[0], f.grads(X)[0])
 
 
 def test_batch_eval_nan_for_invalid():

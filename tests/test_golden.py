@@ -26,7 +26,7 @@ GOLDEN = {
     "falsify_c_expr": (
         ["falsify", "--expr", EXPR, "--dim", "2", "--box=-1:1",
          "--target", "c", "--budget", "2000", "--seed", "7"],
-        "9e40a73804269ef2291bb3f4e16789d1f9bbd6a8957498a05757b235c4431fb1",
+        "4b7e4342a74b852f8dfb5979b8d6977f3c687073467c6ee3cc92a0fb37803769",
     ),
     "falsify_a_pow_abs": (
         ["falsify", "--expr", POW_ABS, "--dim", "2", "--box=-1:1",

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from quasicheck.conditions import CheckConfig, check_b, margin_a
+from quasicheck import conditions as cond
+from quasicheck.conditions import CheckConfig, check_b, check_c, margin_a
 from quasicheck.families import family_by_name, shipped_families
-from quasicheck.field import DomainBox, catalog, catalog_field
+from quasicheck.field import (DomainBox, catalog, catalog_field,
+                              make_field_from_expr)
 from quasicheck.search import (FalsificationResult, Sampler, SearchBudget,
                                falsify, implication_harness,
                                open_question_search, sample_pairs)
@@ -199,13 +201,44 @@ def test_harness_const_degenerate():
     assert rep.counts["c"]["vacuous"] == rep.sample_count
 
 
-def test_harness_chunks_identical():
+def test_harness_chunks_identical(monkeypatch):
+    # the (a) kernel's chunk size only partitions the work; a chunk holds
+    # SEGMENT_CHUNK // 65 pairs (63 lambdas + x + y), so the sizes below
+    # put one pair in each chunk, or leave a partial last chunk of 5000
     f = catalog_field("sqnorm", 2)
     cfg = CheckConfig(sigma=2.0)
     s = Sampler("uniform_box", 13, 5000, f.domain)
-    a = implication_harness(f, cfg, s, chunks=1)
-    b = implication_harness(f, cfg, s, chunks=7)
-    assert a.to_json() == b.to_json()
+    reports = []
+    for chunk in (65, 65 * 7, 65 * 1001, 1 << 16):
+        monkeypatch.setattr(cond, "SEGMENT_CHUNK", chunk)
+        reports.append(implication_harness(f, cfg, s))
+    for rep in reports[1:]:
+        assert rep.to_json() == reports[0].to_json()
+        for key, arr in reports[0].per_pair.items():
+            assert np.array_equal(rep.per_pair[key], arr), key
+
+
+def test_falsify_witness_rechecks_bitwise():
+    # a witness from the search re-checks to the same margin, bit for bit
+    f = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
+                             DomainBox.cube(-1, 1, 2))
+    cfg = CheckConfig(sigma=0.25)
+    for seed in (7, 11):
+        res = falsify(f, "a", cfg, SearchBudget(max_evals=2000), seed=seed)
+        w = res.witness
+        assert margin_a(f, w.x, w.y, w.lam, cfg) == res.best_margin
+        # the witness's values are one-point field values
+        assert (w.fx, w.fy) == (f.value(w.x), f.value(w.y))
+        res = falsify(f, "c", cfg, SearchBudget(max_evals=2000), seed=seed)
+        w = res.witness
+        v = check_c(f, w.x, w.y, cfg, premise_tol=0.0)
+        assert v.margin == res.best_margin
+        assert (v.witness.pairing_x, v.witness.pairing_y) == (w.pairing_x,
+                                                              w.pairing_y)
+    g = catalog_field("cubic_minus_x", 1)
+    res = falsify(g, "b", CheckConfig(), SearchBudget(max_evals=3000), seed=3)
+    assert check_b(g, res.witness.x, res.witness.y,
+                   CheckConfig()).margin == res.best_margin
 
 
 # ---------------------------------------------------------------------------
