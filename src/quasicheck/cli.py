@@ -347,7 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_config_file(args, argv):
-    """--config gives defaults; explicit flags override."""
+    """--config gives defaults; explicit flags override, in any spelling
+    argparse accepts (`--budget 3000`, `--budget=3000`). A file value must
+    be a JSON string or number; it is converted and checked as the flag's
+    text would be."""
     if not args.config:
         return args
     try:
@@ -357,22 +360,37 @@ def apply_config_file(args, argv):
         raise UsageError(f"cannot read config file: {e}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    # argparse has no public accessor for a parser's options
+    ap = build_parser()
+    sub, = (a.choices[args.command] for a in ap._actions
+            if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    defaults = {}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"unknown config key {key!r}")
-        flag = "--" + key.replace("_", "-")
-        if flag not in argv:  # flags override file values
-            setattr(args, attr, value)
-    return args
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config key {key!r}: expected a string or a "
+                             f"number, got {value!r}")
+        text = value if isinstance(value, str) else repr(value)
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            raise UsageError(f"config key {key!r}: invalid value {text!r}")
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config key {key!r}: {text!r} is not one of "
+                             f"{list(action.choices)}")
+        defaults[action.dest] = value
+    sub.set_defaults(**defaults)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        args = apply_config_file(args, argv if argv is not None
-                                 else sys.argv[1:])
+        args = apply_config_file(ap.parse_args(argv), argv)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -240,31 +240,40 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     finite), ok_c (both gradients finite) and ok (both).
     """
     pt = cfg.tol if premise_tol is None else premise_tol
+    return _margins_bc(f, X, Y, cfg, pt, values=True)
+
+
+def _margins_bc(f: ScalarField, X, Y, cfg: CheckConfig, pt: float,
+                values: bool):
+    """`batch_margins_bc` at premise tolerance pt. Without `values` it skips
+    f(x), f(y) and the keys that need them (fx, fy, premise_b, ok_b, ok),
+    which leaves all that condition (c) needs."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    fX = f.values(X)
-    fY = f.values(Y)
+    r = {}
+    if values:
+        fX = r["fx"] = f.values(X)
+        fY = r["fy"] = f.values(Y)
     gX = f.grads(X)
     gY = f.grads(Y)
     gx_ok = np.all(np.isfinite(gX), axis=-1)
     gy_ok = np.all(np.isfinite(gY), axis=-1)
-    ok_b = np.isfinite(fX) & np.isfinite(fY) & gy_ok
+    if values:
+        ok_b = np.isfinite(fX) & np.isfinite(fY) & gy_ok
     with np.errstate(all="ignore"):
         d = pnorm_batch(X - Y, cfg.penalty_norm)
         pairing_x = np.sum(gX * (Y - X), axis=-1)
         pairing_y = np.sum(gY * (X - Y), axis=-1)
         threshold = -0.5 * cfg.sigma * d * d
         margin = threshold - pairing_y
-        premise_b = fX <= fY + pt
+        if values:
+            r["premise_b"] = fX <= fY + pt
         premise_c = pairing_x > threshold + pt
-    return {
-        "fx": fX, "fy": fY,
-        "pairing_x": pairing_x, "pairing_y": pairing_y,
-        "margin": margin,
-        "premise_b": premise_b, "premise_c": premise_c,
-        "ok_b": ok_b, "ok_c": gx_ok & gy_ok, "ok": ok_b & gx_ok,
-        "sep": d,
-    }
+    r.update(pairing_x=pairing_x, pairing_y=pairing_y, margin=margin,
+             premise_c=premise_c, ok_c=gx_ok & gy_ok, sep=d)
+    if values:
+        r.update(ok_b=ok_b, ok=ok_b & gx_ok)
+    return r
 
 
 def _check_bc(f: ScalarField, x, y, cfg: CheckConfig, premise_tol, name: str,

@@ -6,8 +6,10 @@ domain) via counter-based Philox streams, and every kernel computes each
 pair's margins on its own, so a report does not depend on how the kernels
 chunk the pairs. Falsification is derivative-free compass search on the
 margin with a geometric step schedule, so with a fixed seed a larger
-budget can only extend the same trajectory; each sweep's polls are scored
-as one kernel batch without changing that trajectory.
+budget can only extend the same trajectory. Its restarts run in lockstep
+waves: one kernel call scores the pending polls of every live restart,
+and the evaluations are then charged as if the restarts had run one
+after another, so the result is that of the sequential search.
 """
 
 from __future__ import annotations
@@ -217,16 +219,20 @@ class _MarginObjective:
                 for _, m, d in cond.segment_margins(self.f, X, Y, lam[None],
                                                     cfg.sigma, cfg.penalty_norm)])
         # premise at tolerance 0: violations found here are genuine,
-        # not artifacts of the reporting premise slack
-        r = cond.batch_margins_bc(self.f, X, Y, cfg, premise_tol=0.0)
+        # not artifacts of the reporting premise slack; (c) needs only
+        # the gradients
         t = self.target
+        if t == "c":
+            r = cond._margins_bc(self.f, X, Y, cfg, 0.0, values=False)
+        else:
+            r = cond.batch_margins_bc(self.f, X, Y, cfg, premise_tol=0.0)
         active = (r["sep"] >= cfg.min_sep) & r[f"ok_{t}"] & r[f"premise_{t}"]
         return np.where(active, r["margin"], math.inf)
 
-    def polls(self, z: np.ndarray, step: np.ndarray, j: int, limit: int):
-        """The first `limit` compass poll points of coordinates j.. in sweep
-        order (+step, then -step, each clipped to the box), dropping
-        clipped no-moves. Returns (points, coordinate of each point)."""
+    def polls(self, z: np.ndarray, step: np.ndarray, j: int):
+        """The compass poll points of coordinates j.. in sweep order
+        (+step, then -step, each clipped to the box), dropping clipped
+        no-moves. Returns (points, coordinate of each point)."""
         coord = self.coord[2 * j:]
         moved = np.minimum(np.maximum(z[coord] + self.sign[2 * j:] * step[coord],
                                       self.poll_lower[2 * j:]), self.poll_upper[2 * j:])
@@ -234,7 +240,7 @@ class _MarginObjective:
         coord = coord[keep]
         Z = np.repeat(z[None], coord.size, axis=0)
         Z[np.arange(coord.size), coord] = moved[keep]
-        return Z[:limit], coord[:limit]
+        return Z, coord
 
     def witness_at(self, z: np.ndarray) -> Witness:
         x, y, lam = self.split(z)
@@ -247,64 +253,144 @@ class _MarginObjective:
         return v.witness
 
 
+def _compass(obj: _MarginObjective, budget: SearchBudget, z: np.ndarray,
+             path: list):
+    """One restart's compass search from z, as a generator.
+
+    It yields (points, evaluations so far) for each batch it needs scored
+    and is sent the points' margins. A sweep polls each coordinate in
+    turn, +step before -step, and moves to the first point that improves;
+    the next coordinate is polled from there. The rest of a sweep is one
+    batch: after a hit it is re-issued from the accepted point, and
+    evaluations are charged only up to the hit, so the trajectory is that
+    of polling one point at a time. A reply may hold the margins of only
+    a prefix of the batch (the restart's cap is reached within it), and
+    only that prefix is charged. Each accepted point is appended to `path`
+    as (evaluations up to and including it, margin, point). Returns the
+    evaluations made.
+    """
+    used = 1
+    val = float((yield z[None], 0)[0])
+    path.append((used, val, z))
+    step = budget.init_step_frac * (obj.upper - obj.lower)
+    for _ in range(budget.max_iters):
+        improved = False
+        j = 0
+        while j < obj.nvars:
+            Z, coord = obj.polls(z, step, j)
+            if not coord.size:
+                break
+            vals = yield Z, used
+            hit = np.flatnonzero(vals < val)
+            if not hit.size:
+                used += vals.size
+                break
+            i = int(hit[0])
+            used += i + 1
+            z, val = Z[i], float(vals[i])
+            path.append((used, val, z))
+            improved = True
+            j = int(coord[i]) + 1
+        if not improved:
+            step = step * budget.step_decay
+            if np.max(step) < budget.min_step:
+                break
+    return used
+
+
+def _wave(obj: _MarginObjective, budget: SearchBudget, seed: int,
+          restarts: range, room: int):
+    """Run the compass searches of `restarts` in lockstep and return
+    (evaluations, path) for each (see `_compass`).
+
+    Each round scores the pending polls of every live restart in one
+    objective call. A restart's cap is `room` less what the restarts
+    before it in the wave have used so far; it can only shrink, and a
+    restart stops once it has used its cap. Every search therefore runs
+    at least as far as the sequential accounting in `falsify` can charge
+    it, and none runs past what it could be charged when it was polled.
+    """
+    span = obj.upper - obj.lower
+    paths = [[] for _ in restarts]
+    runs = []
+    for r, path in zip(restarts, paths):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        runs.append(_compass(obj, budget, obj.lower + rng.random(obj.nvars) * span,
+                             path))
+    used = [0] * len(runs)
+    pending = [None] * len(runs)
+
+    def advance(k, vals):
+        try:
+            pending[k], used[k] = runs[k].send(vals)
+        except StopIteration as stop:
+            pending[k], used[k] = None, stop.value
+
+    for k in range(len(runs)):
+        advance(k, None)
+    while True:
+        batch, spent = [], 0
+        for k, Z in enumerate(pending):
+            if Z is not None:
+                take = room - spent - used[k]
+                if take > 0:
+                    batch.append((k, Z[:take]))
+                else:
+                    runs[k].close()
+                    pending[k] = None
+            spent += used[k]
+        if not batch:
+            return list(zip(used, paths))
+        vals = obj(np.concatenate([Z for _, Z in batch]))
+        lo = 0
+        for k, Z in batch:
+            advance(k, vals[lo:lo + len(Z)])
+            lo += len(Z)
+
+
 def falsify(f: ScalarField, target: str, cfg: CheckConfig,
             budget: SearchBudget, seed: int) -> FalsificationResult:
     """Multi-start compass search minimizing the signed margin of one
     condition; a negative best margin is a confirmed violation witness.
     Never claims nonexistence: it reports the best found within budget.
 
-    A sweep polls each coordinate in turn, +step before -step, and moves
-    to the first point that improves; the next coordinate is polled from
-    there. The remaining polls of a sweep are scored as one batch; after a
-    hit the rest is re-issued from the accepted point, and evaluations are
-    charged only up to the hit, so the trajectory is that of polling one
-    point at a time.
+    The result is that of running the restarts one after another, each
+    a compass search (`_compass`) from a seeded random point, capped by
+    the evaluations left, and stopping after a restart once at least
+    `budget.restarts` have run and half the budget is spent, or once
+    4 * `budget.restarts` have run. The restarts run in lockstep waves of
+    `budget.restarts` (`_wave`), one objective call scoring the pending
+    polls of every live restart, and the sequential accounting is then
+    replayed in restart order: a capped restart's trajectory is a prefix
+    of its uncapped one, so with C evaluations left a restart is charged
+    min(its evaluations, C) and ends at its last point accepted within C.
+    Waves after the first are speculative; the replay discards the
+    restarts the stopping rule excludes.
     """
     obj = _MarginObjective(f, target, cfg)
-    span = obj.upper - obj.lower
     evals = 0
     best_val = math.inf
     best_z = None
 
-    restart = 0
-    while evals < budget.max_evals:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
-        z = obj.lower + rng.random(obj.nvars) * span
-        val = float(obj(z[None])[0])
-        evals += 1
-        step = budget.init_step_frac * span.copy()
-        iters = 0
-        while evals < budget.max_evals and iters < budget.max_iters:
-            iters += 1
-            improved = False
-            j = 0
-            while j < obj.nvars and evals < budget.max_evals:
-                Z, coord = obj.polls(z, step, j, budget.max_evals - evals)
-                if not coord.size:
-                    break
-                vals = obj(Z)
-                hit = np.flatnonzero(vals < val)
-                if not hit.size:
-                    evals += coord.size
-                    break
-                i = int(hit[0])
-                evals += i + 1
-                z, val = Z[i], float(vals[i])
-                improved = True
-                j = int(coord[i]) + 1
-            if not improved:
-                step *= budget.step_decay
-                if np.max(step) < budget.min_step:
-                    break
-        if val < best_val:
-            best_val = val
-            best_z = z
-        restart += 1
-        if restart >= budget.restarts and evals >= budget.max_evals // 2:
+    stop = False
+    for start in range(0, 4 * budget.restarts, budget.restarts):
+        if stop:
             break
-        if restart >= 4 * budget.restarts:
-            break
+        wave = range(start, start + budget.restarts)
+        for r, (used, path) in zip(wave, _wave(obj, budget, seed, wave,
+                                                budget.max_evals - evals)):
+            room = budget.max_evals - evals
+            evals += min(used, room)
+            val, z = next((v, z) for n, v, z in reversed(path) if n <= room)
+            if val < best_val:
+                best_val = val
+                best_z = z
+            stop = (evals >= budget.max_evals
+                    or (r + 1 >= budget.restarts
+                        and evals >= budget.max_evals // 2))
+            if stop:
+                break
 
     witness = None
     if best_z is not None and math.isfinite(best_val):

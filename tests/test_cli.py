@@ -175,16 +175,37 @@ def test_config_file_defaults_and_override(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["config"]["field"]["name"] == "sqnorm"
     assert rep["config"]["sampler"]["count"] == 500
-    # explicit flag beats the file value
-    code = main(["check", "--config", str(cfg), "--pairs", "100",
-                 "--out", str(out)])
-    rep = json.loads(out.read_text())
-    assert rep["config"]["sampler"]["count"] == 100
+    # an explicit flag beats the file value, in either spelling
+    for flag in (["--pairs", "100"], ["--pairs=100"]):
+        code = main(["check", "--config", str(cfg), *flag, "--out", str(out)])
+        rep = json.loads(out.read_text())
+        assert rep["config"]["sampler"]["count"] == 100
+    cfg.write_text(json.dumps({"budget": 50}))
+    for flag in (["--budget", "3000"], ["--budget=3000"]):
+        code, rep = run(["falsify", "--fn", "sin", "--config", str(cfg), *flag],
+                        tmp_path)
+        assert rep["config"]["budget"]["max_evals"] == 3000
+    # a file value is converted as the flag's text would be
+    cfg.write_text(json.dumps({"budget": "50", "sigma": 1}))
+    code, rep = run(["falsify", "--fn", "sin", "--config", str(cfg)], tmp_path)
+    assert rep["config"]["budget"]["max_evals"] == 50
+    assert rep["config"]["check"]["sigma"] == 1.0
 
 
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"frobnicate": 1}))
+    for data in ({"frobnicate": 1}, {"func": 1}):
+        cfg.write_text(json.dumps(data))
+        assert main(["check", "--fn", "sqnorm", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("data", [
+    {"pairs": "abc"}, {"pairs": 1.5}, {"pairs": True}, {"pairs": None},
+    {"sigma": [1]}, {"norm": 3}, {"strategy": "bogus"}])
+def test_config_file_mistyped_value_is_a_usage_error(tmp_path, data):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(data))
     assert main(["check", "--fn", "sqnorm", "--config", str(cfg),
                  "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from quasicheck import conditions as cond
 from quasicheck.conditions import CheckConfig, check_b, check_c, margin_a
 from quasicheck.families import family_by_name, shipped_families
-from quasicheck.field import (DomainBox, catalog, catalog_field,
+from quasicheck.field import (DomainBox, ScalarField, catalog, catalog_field,
                               make_field_from_expr)
 from quasicheck.search import (FalsificationResult, Sampler, SearchBudget,
-                               falsify, implication_harness,
+                               _MarginObjective, falsify, implication_harness,
                                open_question_search, sample_pairs)
 
 BOX2 = DomainBox.cube(-1, 1, 2)
@@ -136,6 +137,150 @@ def test_falsify_bad_target():
     with pytest.raises(ValueError):
         falsify(catalog_field("sin", 1), "z", CheckConfig(),
                 SearchBudget(), seed=1)
+
+
+def _sequential_falsify(f, target, cfg, budget, seed):
+    """Reference for `falsify`: the restarts run one after another, each
+    capped by the evaluations left, and each sweep's remaining polls are
+    scored as one batch. Returns the result and the number of restarts
+    run."""
+    obj = _MarginObjective(f, target, cfg)
+    span = obj.upper - obj.lower
+    evals = 0
+    best_val = math.inf
+    best_z = None
+    restart = 0
+    while evals < budget.max_evals:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
+        z = obj.lower + rng.random(obj.nvars) * span
+        val = float(obj(z[None])[0])
+        evals += 1
+        step = budget.init_step_frac * span.copy()
+        iters = 0
+        while evals < budget.max_evals and iters < budget.max_iters:
+            iters += 1
+            improved = False
+            j = 0
+            while j < obj.nvars and evals < budget.max_evals:
+                Z, coord = obj.polls(z, step, j)
+                limit = budget.max_evals - evals
+                Z, coord = Z[:limit], coord[:limit]
+                if not coord.size:
+                    break
+                vals = obj(Z)
+                hit = np.flatnonzero(vals < val)
+                if not hit.size:
+                    evals += coord.size
+                    break
+                i = int(hit[0])
+                evals += i + 1
+                z, val = Z[i], float(vals[i])
+                improved = True
+                j = int(coord[i]) + 1
+            if not improved:
+                step *= budget.step_decay
+                if np.max(step) < budget.min_step:
+                    break
+        if val < best_val:
+            best_val = val
+            best_z = z
+        restart += 1
+        if restart >= budget.restarts and evals >= budget.max_evals // 2:
+            break
+        if restart >= 4 * budget.restarts:
+            break
+    witness = None
+    if best_z is not None and math.isfinite(best_val):
+        witness = obj.witness_at(best_z)
+    found = math.isfinite(best_val) and bool(cond.is_violated(best_val, cfg.tol))
+    return FalsificationResult(
+        target=target, sigma=cfg.sigma,
+        best_margin=best_val if math.isfinite(best_val) else math.nan,
+        witness=witness, evaluations=evals, violation_found=found,
+    ), restart
+
+
+def _assert_same_result(res, ref):
+    # to_json floats round-trip exactly, so equal JSON means equal bits
+    assert json.dumps(res.to_json()) == json.dumps(ref.to_json())
+    assert res.evaluations == ref.evaluations
+    assert (res.witness is None) == (ref.witness is None)
+    if ref.witness is not None:
+        assert res.witness.x.tobytes() == ref.witness.x.tobytes()
+        assert res.witness.y.tobytes() == ref.witness.y.tobytes()
+
+
+EXPR_FIELD = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
+                                  DomainBox.cube(-1, 1, 2))
+
+
+@pytest.mark.parametrize("max_evals", [50, 300, 3000])
+@pytest.mark.parametrize("restarts", [1, 3, 8])
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+def test_falsify_matches_sequential_restarts(target, restarts, max_evals):
+    # budgets of 50 and 300 run out inside a restart and inside a wave
+    cfg = CheckConfig(sigma=0.25)
+    budget = SearchBudget(max_evals=max_evals, restarts=restarts)
+    for seed in (4, 9):
+        res = falsify(EXPR_FIELD, target, cfg, budget, seed=seed)
+        ref, _ = _sequential_falsify(EXPR_FIELD, target, cfg, budget, seed)
+        _assert_same_result(res, ref)
+        assert res.evaluations <= max_evals
+
+
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+def test_falsify_short_restarts_match_sequential(target):
+    # with a few sweeps per restart, restarts before the one the budget
+    # cuts keep running after it has stopped, so its path reaches past its
+    # charge and its final point must be read off at the charge
+    cfg = CheckConfig(sigma=0.25)
+    for max_evals in (40, 60, 80, 100, 150):
+        for max_iters in (4, 6):
+            budget = SearchBudget(max_evals=max_evals, restarts=4,
+                                  max_iters=max_iters)
+            for seed in range(5):
+                res = falsify(EXPR_FIELD, target, cfg, budget, seed=seed)
+                ref, _ = _sequential_falsify(EXPR_FIELD, target, cfg, budget,
+                                             seed)
+                _assert_same_result(res, ref)
+
+
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+def test_falsify_stopping_rules_match_sequential(target):
+    f = catalog_field("cubic_minus_x", 1)
+    cfg = CheckConfig()
+    # short restarts: 4 * restarts of them spend under half the budget
+    capped = SearchBudget(max_evals=100_000, restarts=2, max_iters=3)
+    res = falsify(f, target, cfg, capped, seed=6)
+    ref, ran = _sequential_falsify(f, target, cfg, capped, 6)
+    _assert_same_result(res, ref)
+    assert ran == 4 * capped.restarts
+    assert ref.evaluations < capped.max_evals // 2
+    # half the budget is spent in a later, speculative wave
+    half = SearchBudget(max_evals=150, restarts=3, max_iters=3)
+    res = falsify(f, target, cfg, half, seed=6)
+    ref, ran = _sequential_falsify(f, target, cfg, half, 6)
+    _assert_same_result(res, ref)
+    assert half.restarts < ran < 4 * half.restarts
+    assert half.max_evals // 2 <= ref.evaluations < half.max_evals
+
+
+def test_falsify_c_evaluates_no_values():
+    # condition (c) needs only the gradients; the two values calls left
+    # (x, then y) are the witness re-check
+    calls = []
+    g = catalog_field("cubic_minus_x", 1)
+
+    def fn(X):
+        calls.append(len(X))
+        return g.fn(X)
+
+    f = ScalarField(name="counted", dim=1, fn=fn, grad_fn=g.grad_fn,
+                    domain=g.domain)
+    res = falsify(f, "c", CheckConfig(), SearchBudget(max_evals=2000), seed=3)
+    assert res.violation_found
+    assert calls == [1, 1]
 
 
 # ---------------------------------------------------------------------------
