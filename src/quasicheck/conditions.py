@@ -58,6 +58,12 @@ __all__ = [
 # points per field evaluation in segment_margins: the chunks bound memory
 SEGMENT_CHUNK = 1 << 16
 
+
+def segment_chunk(L: int) -> int:
+    """Pairs per chunk of `segment_margins` at L lambdas per pair."""
+    return max(1, SEGMENT_CHUNK // (L + 2))
+
+
 HOLDS = "holds"
 VIOLATED = "violated"
 VACUOUS = "vacuous"
@@ -168,7 +174,7 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     L = lams.shape[0]
-    step = max(1, SEGMENT_CHUNK // (L + 2))
+    step = segment_chunk(L)
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, lo + step)
         x, y = X[rows], Y[rows]

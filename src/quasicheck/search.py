@@ -6,10 +6,12 @@ domain) via counter-based Philox streams, and every kernel computes each
 pair's margins on its own, so a report does not depend on how the kernels
 chunk the pairs. Falsification is derivative-free compass search on the
 margin with a geometric step schedule, so with a fixed seed a larger
-budget can only extend the same trajectory. Its restarts run in lockstep
-waves: one kernel call scores the pending polls of every live restart,
-and the evaluations are then charged as if the restarts had run one
-after another, so the result is that of the sequential search.
+budget can only extend the same trajectory. One lockstep engine runs many
+independent searches at once (the restarts of one `falsify`, or every
+member of a family in `open_question_search`): each round one objective
+call scores the pending polls of every live restart of every search, and
+each search's evaluations are then charged as if its restarts had run one
+after another, so every result is that of the sequential search.
 """
 
 from __future__ import annotations
@@ -176,75 +178,124 @@ class FalsificationResult:
         }
 
 
+def _stacked(fields, groups) -> ScalarField:
+    """One field over consecutive row groups: along the row axis (-2),
+    rows start..stop-1 of each (member, start, stop) in `groups` are
+    evaluated by fields[member]'s fn and grad_fn (row by row, so each
+    member's rows get the values and gradients they get alone)."""
+
+    def fn(X):
+        return np.concatenate([fields[m].fn(X[..., a:b, :]) for m, a, b in groups],
+                              axis=-1)
+
+    def grad_fn(X):
+        return np.concatenate([fields[m].grad_fn(X[..., a:b, :])
+                               for m, a, b in groups], axis=-2)
+
+    f = fields[0]
+    return ScalarField(name="members", dim=f.dim, fn=fn, grad_fn=grad_fn,
+                       domain=f.domain)
+
+
 class _MarginObjective:
     """Margins of rows of packed search variables: x (n) then y (n), plus
-    lambda for target 'a'. A batch of rows is scored by one kernel call.
+    lambda for target 'a', on one field or on several members that share
+    dim and domain. One kernel call scores a batch of rows, whichever
+    members they belong to.
 
     Vacuous, skipped and below-min_sep rows score +inf so the search moves
     off them.
     """
 
-    def __init__(self, f: ScalarField, target: str, cfg: CheckConfig):
+    def __init__(self, f, target: str, cfg: CheckConfig):
         if target not in ("a", "b", "c"):
             raise ValueError(f"target must be one of a, b, c; got {target!r}")
-        self.f = f
+        self.fields = [f] if isinstance(f, ScalarField) else list(f)
+        f = self.fields[0]
+        lo, hi = f.domain.lower, f.domain.upper
+        for g in self.fields[1:]:
+            if not (g.dim == f.dim and np.array_equal(g.domain.lower, lo)
+                    and np.array_equal(g.domain.upper, hi)):
+                raise ValueError(f"members must share dim and domain: "
+                                 f"{g.name} differs from {f.name}")
         self.target = target
         self.cfg = cfg
-        n = f.dim
+        n = self.n = f.dim
         self.nvars = 2 * n + (1 if target == "a" else 0)
-        lo, hi = f.domain.lower, f.domain.upper
         if target == "a":
             self.lower = np.concatenate([lo, lo, [1e-6]])
             self.upper = np.concatenate([hi, hi, [1.0 - 1e-6]])
         else:
             self.lower = np.concatenate([lo, lo])
             self.upper = np.concatenate([hi, hi])
-        # the sweep order: coordinate, sign and bounds of each poll
+        # the sweep order: coordinate, sign, bounds and index of each poll
         self.coord = np.repeat(np.arange(self.nvars), 2)
         self.sign = np.tile([1.0, -1.0], self.nvars)
         self.poll_lower = self.lower[self.coord]
         self.poll_upper = self.upper[self.coord]
+        self.poll_index = np.arange(2 * self.nvars)
 
     def split(self, Z: np.ndarray):
-        n = self.f.dim
+        n = self.n
         lam = Z[..., 2 * n] if self.target == "a" else None
         return Z[..., :n], Z[..., n:2 * n], lam
 
-    def __call__(self, Z: np.ndarray) -> np.ndarray:
+    def __call__(self, Z: np.ndarray, groups=None) -> np.ndarray:
+        """Margins of the rows Z. `groups` lists (member, start, stop): rows
+        start..stop-1 belong to that member, and one kernel call scores
+        the rows of all members (`_stacked`), per kernel chunk for target
+        'a'. By default every row belongs to the first member."""
+        if groups is None:
+            return self._margins(self.fields[0], Z)
+        block = cond.segment_chunk(1) if self.target == "a" else len(Z)
+        out = []
+        for lo in range(0, len(Z), block):
+            hi = lo + block
+            part = [(m, max(a, lo) - lo, min(b, hi) - lo)
+                    for m, a, b in groups if a < hi and b > lo]
+            out.append(self._margins(_stacked(self.fields, part), Z[lo:hi]))
+        return np.concatenate(out)
+
+    def _margins(self, f: ScalarField, Z: np.ndarray) -> np.ndarray:
         X, Y, lam = self.split(Z)
         cfg = self.cfg
         if self.target == "a":
             return np.concatenate([
                 np.where((d >= cfg.min_sep) & np.isfinite(m[0]), m[0], math.inf)
-                for _, m, d in cond.segment_margins(self.f, X, Y, lam[None],
+                for _, m, d in cond.segment_margins(f, X, Y, lam[None],
                                                     cfg.sigma, cfg.penalty_norm)])
         # premise at tolerance 0: violations found here are genuine,
         # not artifacts of the reporting premise slack; (c) needs only
         # the gradients
         t = self.target
         if t == "c":
-            r = cond._margins_bc(self.f, X, Y, cfg, 0.0, values=False)
+            r = cond._margins_bc(f, X, Y, cfg, 0.0, values=False)
         else:
-            r = cond.batch_margins_bc(self.f, X, Y, cfg, premise_tol=0.0)
+            r = cond.batch_margins_bc(f, X, Y, cfg, premise_tol=0.0)
         active = (r["sep"] >= cfg.min_sep) & r[f"ok_{t}"] & r[f"premise_{t}"]
         return np.where(active, r["margin"], math.inf)
 
-    def polls(self, z: np.ndarray, step: np.ndarray, j: int):
-        """The compass poll points of coordinates j.. in sweep order
-        (+step, then -step, each clipped to the box), dropping clipped
-        no-moves. Returns (points, coordinate of each point)."""
-        coord = self.coord[2 * j:]
-        moved = np.minimum(np.maximum(z[coord] + self.sign[2 * j:] * step[coord],
-                                      self.poll_lower[2 * j:]), self.poll_upper[2 * j:])
-        keep = moved != z[coord]
-        coord = coord[keep]
-        Z = np.repeat(z[None], coord.size, axis=0)
-        Z[np.arange(coord.size), coord] = moved[keep]
-        return Z, coord
+    def poll_points(self, Z: np.ndarray, step: np.ndarray, j: np.ndarray):
+        """The compass polls of the points Z (one per row) in sweep order:
+        for each coordinate +step, then -step, clipped to the box. Returns
+        the polls as points, shape (rows, 2 * nvars, nvars), and the
+        pending mask: polls of coordinates j.. (j per row) that move."""
+        zc = Z[:, self.coord]
+        moved = np.minimum(np.maximum(zc + self.sign * step[:, self.coord],
+                                      self.poll_lower), self.poll_upper)
+        points = np.repeat(Z[:, None, :], self.coord.size, axis=1)
+        points[:, self.poll_index, self.coord] = moved
+        return points, (moved != zc) & (self.poll_index >= 2 * j[:, None])
 
-    def witness_at(self, z: np.ndarray) -> Witness:
+    def polls(self, z: np.ndarray, step: np.ndarray, j: int):
+        """The pending polls of one point from coordinate j (see
+        `poll_points`). Returns (points, coordinate of each point)."""
+        points, pending = self.poll_points(z[None], step[None], np.array([j]))
+        return points[0, pending[0]], self.coord[pending[0]]
+
+    def witness_at(self, z: np.ndarray, member: int = 0) -> Witness:
         x, y, lam = self.split(z)
-        f = self.f
+        f = self.fields[member]
         if self.target == "a":
             return Witness(x=x.copy(), y=y.copy(), lam=float(lam),
                            fx=f.value(x), fy=f.value(y))
@@ -253,100 +304,191 @@ class _MarginObjective:
         return v.witness
 
 
-def _compass(obj: _MarginObjective, budget: SearchBudget, z: np.ndarray,
-             path: list):
-    """One restart's compass search from z, as a generator.
+def _falsify_many(fields, target: str, cfg: CheckConfig, budget: SearchBudget,
+                  seeds) -> list[FalsificationResult]:
+    """`falsify(fields[s], target, cfg, budget, seeds[s])` for every s, all
+    searches run by one lockstep compass engine.
 
-    It yields (points, evaluations so far) for each batch it needs scored
-    and is sent the points' margins. A sweep polls each coordinate in
-    turn, +step before -step, and moves to the first point that improves;
-    the next coordinate is polled from there. The rest of a sweep is one
-    batch: after a hit it is re-issued from the accepted point, and
-    evaluations are charged only up to the hit, so the trajectory is that
-    of polling one point at a time. A reply may hold the margins of only
-    a prefix of the batch (the restart's cap is reached within it), and
-    only that prefix is charged. Each accepted point is appended to `path`
-    as (evaluations up to and including it, margin, point). Returns the
-    evaluations made.
+    Slot s*R + k (R = budget.restarts) holds restart k of the current wave
+    of search s: its point, margin, step vector, sweep coordinate j,
+    improved flag, sweep count, evaluations and live flag. Each round
+    scores the pending polls of every live slot in one objective call (a
+    slot of a wave just opened polls its start point), then applies the
+    compass rules to all slots at once. A slot's cap is the room its
+    search had when the wave opened less what the slots before it in the
+    wave have used so far: it only shrinks, and a slot closes once it has
+    used it, so each restart runs at least as far as the replay can charge
+    it. In waves after the first a slot also closes once the slots before
+    it have used what its search needs to reach half its budget: the
+    replay stops before it. When a search's wave has no live slot left,
+    its restarts are replayed in order (see `falsify`) and its next wave
+    opens unless a stopping rule ends the search.
     """
-    used = 1
-    val = float((yield z[None], 0)[0])
-    path.append((used, val, z))
-    step = budget.init_step_frac * (obj.upper - obj.lower)
-    for _ in range(budget.max_iters):
-        improved = False
-        j = 0
-        while j < obj.nvars:
-            Z, coord = obj.polls(z, step, j)
-            if not coord.size:
-                break
-            vals = yield Z, used
-            hit = np.flatnonzero(vals < val)
-            if not hit.size:
-                used += vals.size
-                break
-            i = int(hit[0])
-            used += i + 1
-            z, val = Z[i], float(vals[i])
-            path.append((used, val, z))
-            improved = True
-            j = int(coord[i]) + 1
-        if not improved:
-            step = step * budget.step_decay
-            if np.max(step) < budget.min_step:
-                break
-    return used
-
-
-def _wave(obj: _MarginObjective, budget: SearchBudget, seed: int,
-          restarts: range, room: int):
-    """Run the compass searches of `restarts` in lockstep and return
-    (evaluations, path) for each (see `_compass`).
-
-    Each round scores the pending polls of every live restart in one
-    objective call. A restart's cap is `room` less what the restarts
-    before it in the wave have used so far; it can only shrink, and a
-    restart stops once it has used its cap. Every search therefore runs
-    at least as far as the sequential accounting in `falsify` can charge
-    it, and none runs past what it could be charged when it was polled.
-    """
+    if not len(fields):
+        return []
+    obj = _MarginObjective(fields, target, cfg)
+    S, R, nv = len(fields), budget.restarts, obj.nvars
+    N = S * R
     span = obj.upper - obj.lower
-    paths = [[] for _ in restarts]
-    runs = []
-    for r, path in zip(restarts, paths):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        runs.append(_compass(obj, budget, obj.lower + rng.random(obj.nvars) * span,
-                             path))
-    used = [0] * len(runs)
-    pending = [None] * len(runs)
+    step0 = budget.init_step_frac * span
+    half = budget.max_evals // 2
+    everyone = np.arange(N)
 
-    def advance(k, vals):
-        try:
-            pending[k], used[k] = runs[k].send(vals)
-        except StopIteration as stop:
-            pending[k], used[k] = None, stop.value
+    Z = np.zeros((N, nv))
+    val = np.empty(N)
+    step = np.zeros((N, nv))
+    j = np.zeros(N, dtype=np.int64)
+    sweeps = np.zeros(N, dtype=np.int64)
+    used = np.zeros(N, dtype=np.int64)
+    improved = np.zeros(N, dtype=bool)
+    live = np.zeros(N, dtype=bool)
+    fresh = np.zeros(N, dtype=bool)      # start point not scored yet
+    # each slot's polls, see obj.poll_points; a fresh slot polls its start
+    cand, pending = obj.poll_points(Z, step, j)
 
-    for k in range(len(runs)):
-        advance(k, None)
+    evals = [0] * S
+    wave = [-1] * S
+    best_val = [math.inf] * S
+    best_z = [None] * S
+    running = np.ones(S, dtype=bool)
+    room = np.zeros(S, dtype=np.int64)       # evaluations left at wave open
+    # a slot closes once the slots before it in its wave have used this many
+    discard = np.zeros(S, dtype=np.int64)
+    opened = np.zeros(S, dtype=np.int64)     # round the wave opened in
+    # accepted points of round base + i: (slots, evaluations, margins, points)
+    history = []
+    base = 0
+
+    def open_wave(s):
+        nonlocal scored_fresh
+        w = wave[s] = wave[s] + 1
+        sl = slice(s * R, s * R + R)
+        Z[sl] = obj.lower + np.array([
+            np.random.default_rng(np.random.SeedSequence(
+                entropy=seeds[s], spawn_key=(r,))).random(nv)
+            for r in range(w * R, w * R + R)]) * span
+        step[sl] = step0
+        j[sl] = sweeps[sl] = used[sl] = 0
+        improved[sl] = False
+        live[sl] = fresh[sl] = scored_fresh = True
+        cand[sl, 0] = Z[sl]
+        pending[sl] = False
+        pending[sl, 0] = True
+        room[s] = budget.max_evals - evals[s]
+        # the first wave keeps every restart its cap allows
+        discard[s] = half - evals[s] if w else room[s]
+        opened[s] = base + len(history)
+
+    def accepted_at(s, i, limit):
+        """Slot i's last accepted point within `limit` evaluations."""
+        for slots, n, v, z in reversed(history[opened[s] - base:]):
+            k = ((slots == i) & (n <= limit)).nonzero()[0]
+            if k.size:
+                return v[k[-1]], z[k[-1]]
+
+    def replay(s):
+        w = wave[s]
+        for k in range(R):
+            i = s * R + k
+            left = budget.max_evals - evals[s]
+            n = int(used[i])
+            evals[s] += min(n, left)
+            v, z = (val[i], Z[i]) if n <= left else accepted_at(s, i, left)
+            if v < best_val[s]:
+                best_val[s], best_z[s] = float(v), z.copy()
+            if (evals[s] >= budget.max_evals
+                    or (w * R + k + 1 >= R and evals[s] >= half)):
+                running[s] = False
+                return
+        if w == 3:   # 4 * restarts restarts have run
+            running[s] = False
+        else:
+            open_wave(s)
+
+    def end_sweep(E):
+        """End the sweeps of the live slots in mask E: decay the step where
+        the sweep found nothing, close on min_step and max_iters, else
+        start the next sweep."""
+        np.multiply(step, budget.step_decay, out=step, where=(E & ~improved)[:, None])
+        sweeps[E] += 1
+        live[E] = (improved | (step.max(axis=1) >= budget.min_step))[E] \
+            & (sweeps[E] < budget.max_iters)
+        improved[E] = False
+        j[E] = 0
+
+    scored_fresh = False     # a wave opened since the last round
+    for s in range(S):
+        open_wave(s)
     while True:
-        batch, spent = [], 0
-        for k, Z in enumerate(pending):
-            if Z is not None:
-                take = room - spent - used[k]
-                if take > 0:
-                    batch.append((k, Z[:take]))
-                else:
-                    runs[k].close()
-                    pending[k] = None
-            spent += used[k]
-        if not batch:
-            return list(zip(used, paths))
-        vals = obj(np.concatenate([Z for _, Z in batch]))
-        lo = 0
-        for k, Z in batch:
-            advance(k, vals[lo:lo + len(Z)])
-            lo += len(Z)
+        U = used.reshape(S, R)
+        incl = U.cumsum(axis=1)
+        take = room[:, None] - incl
+        live &= ((take > 0) & (incl - U < discard[:, None])).ravel()
+        ended = (running & ~live.reshape(S, R).any(axis=1)).nonzero()[0]
+        if ended.size:
+            for s in ended:
+                replay(s)
+            if not running.any():
+                break
+            drop = int(opened[running].min()) - base
+            del history[:drop]
+            base += drop
+            take = room[:, None] - used.reshape(S, R).cumsum(axis=1)
+        # one objective call scores every live slot's pending polls, each
+        # slot's cut to its cap
+        cs = pending.cumsum(axis=1)
+        polls = pending & live[:, None] & (cs <= take.reshape(N, 1))
+        rows = cand[polls]
+        if S == 1:
+            vals = obj(rows)
+        else:
+            per = polls.sum(axis=1).reshape(S, R).sum(axis=1)
+            vals = obj(rows, [(s, b - n, b) for s, (n, b)
+                              in enumerate(zip(per, per.cumsum())) if n])
+        # the first improving poll of each slot is accepted and charged up
+        # to (a start point is always accepted); a slot without one is
+        # charged its polls
+        V = np.full(polls.shape, math.inf)
+        V[polls] = vals
+        hit = V < val[:, None]
+        first = hit.argmax(axis=1)
+        has = hit[everyone, first]
+        if scored_fresh:
+            has |= fresh
+        used += np.where(has, cs[everyone, first], polls.sum(axis=1))
+        acc = has.nonzero()[0]
+        fa = first[acc]
+        za, va = cand[acc, fa], V[acc, fa]
+        Z[acc] = za
+        val[acc] = va
+        j[acc] = fa // 2 + 1
+        improved[acc] = True
+        history.append((acc, used[acc], va, za))
+        if scored_fresh:
+            F = fresh.nonzero()[0]
+            j[F] = 0
+            improved[F] = fresh[F] = scored_fresh = False
+        # a sweep ends without a hit or after a hit on the last coordinate;
+        # it also ends where every poll left in it is a clipped no-move
+        end_sweep(live & (~has | (j == nv)))
+        cand, pending = obj.poll_points(Z, step, j)
+        E = live & ~pending.any(axis=1)
+        while E.any():
+            end_sweep(E)
+            E &= live
+            cand[E], pending[E] = obj.poll_points(Z[E], step[E], j[E])
+            E &= ~pending.any(axis=1)
+
+    results = []
+    for s in range(S):
+        v, z = best_val[s], best_z[s]
+        finite = math.isfinite(v)
+        results.append(FalsificationResult(
+            target=target, sigma=cfg.sigma, best_margin=v if finite else math.nan,
+            witness=obj.witness_at(z, s) if z is not None and finite else None,
+            evaluations=evals[s],
+            violation_found=finite and bool(cond.is_violated(v, cfg.tol))))
+    return results
 
 
 def falsify(f: ScalarField, target: str, cfg: CheckConfig,
@@ -355,52 +497,24 @@ def falsify(f: ScalarField, target: str, cfg: CheckConfig,
     condition; a negative best margin is a confirmed violation witness.
     Never claims nonexistence: it reports the best found within budget.
 
-    The result is that of running the restarts one after another, each
-    a compass search (`_compass`) from a seeded random point, capped by
-    the evaluations left, and stopping after a restart once at least
-    `budget.restarts` have run and half the budget is spent, or once
-    4 * `budget.restarts` have run. The restarts run in lockstep waves of
-    `budget.restarts` (`_wave`), one objective call scoring the pending
-    polls of every live restart, and the sequential accounting is then
-    replayed in restart order: a capped restart's trajectory is a prefix
-    of its uncapped one, so with C evaluations left a restart is charged
-    min(its evaluations, C) and ends at its last point accepted within C.
-    Waves after the first are speculative; the replay discards the
-    restarts the stopping rule excludes.
+    The result is that of running the restarts one after another, each a
+    compass search from a seeded random point, capped by the evaluations
+    left, and stopping after a restart once at least `budget.restarts`
+    have run and half the budget is spent, or once 4 * `budget.restarts`
+    have run. A sweep polls each coordinate in turn, +step before -step,
+    and moves to the first point that improves; the next coordinate is
+    polled from there, and a sweep without a move decays the step. The
+    search runs on the lockstep engine (`_falsify_many`): the restarts run
+    in waves of `budget.restarts`, each round scoring the remaining sweep
+    polls of every live restart in one objective call and charging each
+    restart only up to its first hit, and the sequential accounting is
+    then replayed in restart order. A capped restart's trajectory is a
+    prefix of its uncapped one, so with C evaluations left a restart is
+    charged min(its evaluations, C) and ends at its last point accepted
+    within C. Waves after the first are speculative; the replay discards
+    the restarts the stopping rules exclude.
     """
-    obj = _MarginObjective(f, target, cfg)
-    evals = 0
-    best_val = math.inf
-    best_z = None
-
-    stop = False
-    for start in range(0, 4 * budget.restarts, budget.restarts):
-        if stop:
-            break
-        wave = range(start, start + budget.restarts)
-        for r, (used, path) in zip(wave, _wave(obj, budget, seed, wave,
-                                                budget.max_evals - evals)):
-            room = budget.max_evals - evals
-            evals += min(used, room)
-            val, z = next((v, z) for n, v, z in reversed(path) if n <= room)
-            if val < best_val:
-                best_val = val
-                best_z = z
-            stop = (evals >= budget.max_evals
-                    or (r + 1 >= budget.restarts
-                        and evals >= budget.max_evals // 2))
-            if stop:
-                break
-
-    witness = None
-    if best_z is not None and math.isfinite(best_val):
-        witness = obj.witness_at(best_z)
-    found = math.isfinite(best_val) and bool(cond.is_violated(best_val, cfg.tol))
-    return FalsificationResult(
-        target=target, sigma=cfg.sigma,
-        best_margin=best_val if math.isfinite(best_val) else math.nan,
-        witness=witness, evaluations=evals, violation_found=found,
-    )
+    return _falsify_many([f], target, cfg, budget, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +637,13 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     """Search a parametrized family for a member where condition (c) shows
     no violation but the defining segment inequality (a) does.
 
-    For each sampled parameter vector: falsify (c); only if nothing is
-    found, falsify (a); an (a)-violation of depth <= -10*tol makes the
-    member a candidate, kept only if it survives a re-verification of (c)
-    with a 10x budget. Candidates are evidence, never proofs.
+    Three engine calls (`_falsify_many`) cover every sampled parameter
+    vector: falsify (c) on all members; falsify (a) on the members where
+    (c) found no violation; and re-verify (c) with a 10x budget on the
+    members whose (a) violation reaches depth <= -10*tol. A member whose
+    (c) stays violation-free and whose (a) witness re-checks at that depth
+    is a candidate. Each member keeps the seeds and budgets it would get
+    searched on its own. Candidates are evidence, never proofs.
     """
     if param_samples < 1:
         raise ValueError("param_samples must be >= 1")
@@ -536,29 +653,33 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     thetas = box.lower + rng.random((param_samples, box.dim)) * box.widths
     per_theta = replace(budget,
                         max_evals=max(200, budget.max_evals // (2 * param_samples)))
+    fields = [family.build(theta) for theta in thetas]
+
+    def phase(ks, target, b, offset):
+        return _falsify_many([fields[k] for k in ks], target, cfg, b,
+                             [seed + offset + k for k in ks])
+
+    ks = range(param_samples)
+    # members that visibly fail (c) are not interesting for (c)=>(a)
+    ks = [k for k, r in zip(ks, phase(ks, "c", per_theta, 1000))
+          if not r.violation_found]
+    res_a = dict(zip(ks, phase(ks, "a", per_theta, 2000)))
+    ks = [k for k in ks if math.isfinite(res_a[k].best_margin)
+          and res_a[k].best_margin <= -10.0 * cfg.tol]
+    # re-verify: (c) must stay violation-free under a 10x budget
+    big = replace(per_theta, max_evals=10 * per_theta.max_evals,
+                  restarts=2 * per_theta.restarts)
     candidates = []
-    for k, theta in enumerate(thetas):
-        f = family.build(theta)
-        res_c = falsify(f, "c", cfg, per_theta, seed=seed + 1000 + k)
-        if res_c.violation_found:
-            continue  # member visibly fails (c); not interesting for (c)=>(a)
-        res_a = falsify(f, "a", cfg, per_theta, seed=seed + 2000 + k)
-        if not (math.isfinite(res_a.best_margin)
-                and res_a.best_margin <= -10.0 * cfg.tol):
-            continue
-        # re-verify: (c) must stay violation-free under a 10x budget
-        big = replace(per_theta, max_evals=10 * per_theta.max_evals,
-                      restarts=2 * per_theta.restarts)
-        res_c2 = falsify(f, "c", cfg, big, seed=seed + 3000 + k)
+    for k, res_c2 in zip(ks, phase(ks, "c", big, 3000)):
         if res_c2.violation_found:
             continue
-        confirm = cond.margin_a(f, res_a.witness.x, res_a.witness.y,
-                                res_a.witness.lam, cfg)
+        w = res_a[k].witness
+        confirm = cond.margin_a(fields[k], w.x, w.y, w.lam, cfg)
         if not (math.isfinite(confirm) and confirm <= -10.0 * cfg.tol):
             continue
         candidates.append(Candidate(
-            params=theta, family=family.name,
-            a_margin=res_a.best_margin, a_witness=res_a.witness,
+            params=thetas[k], family=family.name,
+            a_margin=res_a[k].best_margin, a_witness=w,
             c_best_margin=res_c2.best_margin, reverified=True,
         ))
     candidates.sort(key=lambda c: c.a_margin)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from quasicheck.conditions import CheckConfig, check_b, check_c, margin_a
 from quasicheck.families import family_by_name, shipped_families
 from quasicheck.field import (DomainBox, ScalarField, catalog, catalog_field,
                               make_field_from_expr)
-from quasicheck.search import (FalsificationResult, Sampler, SearchBudget,
-                               _MarginObjective, falsify, implication_harness,
+from quasicheck.search import (Candidate, FalsificationResult, Sampler,
+                               SearchBudget, _falsify_many, _MarginObjective,
+                               falsify, implication_harness,
                                open_question_search, sample_pairs)
 
 BOX2 = DomainBox.cube(-1, 1, 2)
@@ -266,6 +268,34 @@ def test_falsify_stopping_rules_match_sequential(target):
     assert half.max_evals // 2 <= ref.evaluations < half.max_evals
 
 
+@pytest.mark.parametrize("target, max_evals", [("a", 184), ("b", 142),
+                                               ("c", 138)])
+def test_falsify_scores_only_start_points_of_discarded_restarts(
+        monkeypatch, target, max_evals):
+    # the first wave of 6 short restarts uses max_evals // 2 - 1
+    # evaluations, so the second wave ends on the max_evals // 2 rule after
+    # its first restart; the other five restarts of that wave are discarded
+    # by the replay and must stop after their start point
+    f = catalog_field("cubic_minus_x", 1)
+    budget = SearchBudget(max_evals=max_evals, restarts=6, max_iters=3)
+    rows = []
+    score = _MarginObjective.__call__
+
+    def counted(self, Z, *groups):
+        rows.append(len(Z))
+        return score(self, Z, *groups)
+
+    monkeypatch.setattr(_MarginObjective, "__call__", counted)
+    ref, ran = _sequential_falsify(f, target, CheckConfig(), budget, 6)
+    assert ran == budget.restarts + 1
+    sequential = sum(rows)
+    rows.clear()
+    _assert_same_result(falsify(f, target, CheckConfig(), budget, seed=6), ref)
+    # no restart is capped, so the searches the replay keeps score the
+    # rows they score one after another
+    assert sum(rows) == sequential + budget.restarts - 1
+
+
 def test_falsify_c_evaluates_no_values():
     # condition (c) needs only the gradients; the two values calls left
     # (x, then y) are the witness re-check
@@ -388,6 +418,107 @@ def test_falsify_witness_rechecks_bitwise():
 
 # ---------------------------------------------------------------------------
 # open-question campaign
+
+
+def _sequential_open_question(family, cfg, budget, seed, param_samples):
+    """Reference for `open_question_search`: the members are searched one
+    after another, each phase by `falsify`. Returns the candidates and the
+    number of members that reached the re-verification."""
+    box = family.param_box
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(0xFA,)))
+    thetas = box.lower + rng.random((param_samples, box.dim)) * box.widths
+    per_theta = replace(budget,
+                        max_evals=max(200, budget.max_evals // (2 * param_samples)))
+    candidates = []
+    reverified = 0
+    for k, theta in enumerate(thetas):
+        f = family.build(theta)
+        res_c = falsify(f, "c", cfg, per_theta, seed=seed + 1000 + k)
+        if res_c.violation_found:
+            continue
+        res_a = falsify(f, "a", cfg, per_theta, seed=seed + 2000 + k)
+        if not (math.isfinite(res_a.best_margin)
+                and res_a.best_margin <= -10.0 * cfg.tol):
+            continue
+        big = replace(per_theta, max_evals=10 * per_theta.max_evals,
+                      restarts=2 * per_theta.restarts)
+        reverified += 1
+        res_c2 = falsify(f, "c", cfg, big, seed=seed + 3000 + k)
+        if res_c2.violation_found:
+            continue
+        confirm = margin_a(f, res_a.witness.x, res_a.witness.y,
+                           res_a.witness.lam, cfg)
+        if not (math.isfinite(confirm) and confirm <= -10.0 * cfg.tol):
+            continue
+        candidates.append(Candidate(
+            params=theta, family=family.name,
+            a_margin=res_a.best_margin, a_witness=res_a.witness,
+            c_best_margin=res_c2.best_margin, reverified=True,
+        ))
+    candidates.sort(key=lambda c: c.a_margin)
+    return candidates, reverified
+
+
+def _candidates_json(cands):
+    return json.dumps([c.to_json() for c in cands])
+
+
+@pytest.mark.parametrize("name", ["perturbed_sqnorm", "bump_sum", "param_cubic"])
+def test_open_question_matches_sequential(name):
+    fam = family_by_name(name)
+    cfg = CheckConfig()
+    budget = SearchBudget(max_evals=20_000)
+    reverified = 0
+    for seed in (0, 1, 2, 8):   # param_cubic reaches the third phase at 8
+        ref, n = _sequential_open_question(fam, cfg, budget, seed, 16)
+        reverified += n
+        assert _candidates_json(open_question_search(fam, cfg, budget, seed, 16)) \
+            == _candidates_json(ref)
+    assert reverified > 0   # the third phase ran
+
+
+def test_open_question_candidate_matches_sequential():
+    fam = family_by_name("perturbed_sqnorm")
+    budget = SearchBudget(max_evals=20_000)
+    ref, _ = _sequential_open_question(fam, CheckConfig(), budget, 13, 16)
+    assert len(ref) == 1
+    cands = open_question_search(fam, CheckConfig(), budget, 13, 16)
+    assert _candidates_json(cands) == _candidates_json(ref)
+
+
+@pytest.mark.parametrize("chunk", [3, 3 * 7, 3 * 50])
+def test_open_question_kernel_chunks_match_sequential(monkeypatch, chunk):
+    # a target-(a) batch of several members spans several kernel chunks of
+    # chunk // 3 rows; each row must still reach its own member
+    monkeypatch.setattr(cond, "SEGMENT_CHUNK", chunk)
+    budget = SearchBudget(max_evals=4_000)
+    for name, seed in (("bump_sum", 1), ("param_cubic", 2)):
+        fam = family_by_name(name)
+        ref, _ = _sequential_open_question(fam, CheckConfig(), budget, seed, 8)
+        cands = open_question_search(fam, CheckConfig(), budget, seed, 8)
+        assert _candidates_json(cands) == _candidates_json(ref)
+
+
+def test_falsify_many_isolates_members():
+    # one engine call over members that share dim and domain, one of them
+    # NaN everywhere on the box: each result is that member's own search
+    box = EXPR_FIELD.domain
+    members = [EXPR_FIELD, make_field_from_expr("log(x1 - 5)", 2, box),
+               make_field_from_expr("(x1+2)^x2 + abs(x1 - x2)", 2, box),
+               EXPR_FIELD]
+    cfg = CheckConfig(sigma=0.25)
+    budget = SearchBudget(max_evals=600, restarts=3)
+    seeds = [4, 5, 6, 7]
+    for target in ("a", "b", "c"):
+        results = _falsify_many(members, target, cfg, budget, seeds)
+        for f, seed, res in zip(members, seeds, results):
+            _assert_same_result(res, falsify(f, target, cfg, budget, seed))
+        assert results[1].witness is None and math.isnan(results[1].best_margin)
+    for other in (make_field_from_expr("x1^2", 1, DomainBox.cube(-1, 1, 1)),
+                  make_field_from_expr("x1^2", 2, DomainBox.cube(-1, 2, 2))):
+        with pytest.raises(ValueError, match="share dim and domain"):
+            _falsify_many([EXPR_FIELD, other], "c", cfg, budget, [1, 2])
 
 
 def test_open_question_psd_quadratics_no_candidates():
