@@ -15,12 +15,14 @@ examined pairs.
 
 Each formula is written once, in a kernel over arrays of pairs:
 `segment_margins` yields the (a) margins of chunks of pairs, at a shared
-lambda grid or at one lambda per pair, and `batch_margins_bc` gives the
-pairings, both premises and the shared (b)/(c) conclusion margin. The
-per-pair worst (a) margin and sigma* reduce over the kernel's chunks; the
-scalar checks `margin_a`, `check_b`, `check_c` and `sigma_star_segment`
-run the kernels on a batch of one. Margins are raw; `is_violated` is the
-one rule that applies the tolerance.
+lambda grid or at one lambda per pair, evaluating f once per chunk on a
+coordinate-major point buffer that every chunk reuses, and
+`batch_margins_bc` gives the pairings, both premises and the shared
+(b)/(c) conclusion margin. The per-pair worst (a) margin and sigma*
+reduce over the kernel's chunks; the scalar checks `margin_a`, `check_b`,
+`check_c` and `sigma_star_segment` run the kernels on a batch of one.
+Margins are raw; `is_violated` is the one rule that applies the
+tolerance.
 """
 
 from __future__ import annotations
@@ -166,28 +168,42 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2):
         max{f(x), f(y)} - (sigma/2)*lam*(1-lam)*||x-y||^2 - f(y + lam*(x-y))
 
     `lams` has shape (L, 1) for a grid shared by all pairs or (1, N) for
-    one lambda per pair. Each chunk evaluates f once, on the points laid
-    out (L + 2, k, n): x, y, then one segment point per lambda. Yields
-    (rows, margins (L, k), ||x-y|| (k,)) per chunk of k pairs; a margin is
-    NaN where an evaluation failed.
+    one lambda per pair. Each chunk evaluates f once, on x, y, then one
+    segment point per lambda: the points are stored coordinate-major,
+    (n, L + 2, k), in one buffer reused by every chunk, and f gets them
+    as a read-only (L + 2, k, n) view in which each coordinate is one
+    contiguous plane. Yields (rows, margins (L, k), ||x-y|| (k,)) per
+    chunk of k pairs; a margin is NaN where an evaluation failed.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     L = lams.shape[0]
     step = segment_chunk(L)
+    S = np.empty((X.shape[1], L + 2, min(step, X.shape[0])))
+    points = S.transpose(1, 2, 0)
+    points.flags.writeable = False   # f must not write into the reused buffer
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, lo + step)
         x, y = X[rows], Y[rows]
+        k = x.shape[0]
         lam = lams if lams.shape[1] == 1 else lams[:, rows]
+        P = S[..., :k]
         with np.errstate(all="ignore"):
-            diff = x - y
-            P = np.empty((L + 2,) + x.shape)
-            P[0], P[1] = x, y
-            np.multiply(lam[..., None], diff, out=P[2:])
-            P[2:] += y
-            v = f.values(P)
-            d = pnorm_batch(diff, penalty_norm)
-            m = np.maximum(v[0], v[1]) - 0.5 * sigma * lam * (1.0 - lam) * d * d - v[2:]
+            P[:, 0], P[:, 1] = x.T, y.T
+            np.multiply(lam, (P[:, 0] - P[:, 1])[:, None], out=P[:, 2:])
+            P[:, 2:] += P[:, 1, None]
+            v = f.values(points[:, :k])
+            # from the row-major x - y: a sum over the planes would reorder it at n >= 8
+            d = pnorm_batch(x - y, penalty_norm)
+            m = np.empty((L, k))
+            top = np.maximum(v[0], v[1])
+            if sigma:
+                np.multiply(0.5 * sigma * lam * (1.0 - lam), d, out=m)
+                m *= d
+                np.subtract(top, m, out=m)
+                m -= v[2:]
+            else:   # the penalty is +0 for finite d: subtracting it is exact
+                np.subtract(top, v[2:], out=m)
             finite = np.isfinite(v)
             if not finite.all():
                 m[~(finite[0] & finite[1] & finite[2:])] = np.nan
@@ -321,10 +337,14 @@ def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig, failure: str) -> float:
     sigma = 0 margin scaled; raises ArithmeticError(failure) when no
     sample evaluates."""
     lams = np.asarray(cfg.lambda_grid)[:, None]
+    weight = lams * (1.0 - lams)
     best = math.inf
     for _, m, d in segment_margins(f, X, Y, lams, 0.0, cfg.penalty_norm):
         with np.errstate(all="ignore"):
-            ratio = 2.0 * m / (lams * (1.0 - lams) * d * d)
+            den = np.multiply(weight, d)
+            den *= d
+            ratio = np.multiply(m, 2.0, out=m)
+            ratio /= den
         ratio = ratio[np.isfinite(ratio)]
         if ratio.size:
             best = min(best, float(np.min(ratio)))

@@ -87,7 +87,12 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """f with gradient on a box; fn/grad_fn accept (..., n) arrays."""
+    """f with gradient on a box; fn/grad_fn accept (..., n) arrays.
+
+    The arrays fn and grad_fn receive may be non-contiguous, read-only
+    views (`segment_margins` passes views of a point buffer it reuses for
+    every chunk): they must not write into their input or keep it.
+    """
 
     name: str
     dim: int

@@ -287,12 +287,6 @@ class _MarginObjective:
         points[:, self.poll_index, self.coord] = moved
         return points, (moved != zc) & (self.poll_index >= 2 * j[:, None])
 
-    def polls(self, z: np.ndarray, step: np.ndarray, j: int):
-        """The pending polls of one point from coordinate j (see
-        `poll_points`). Returns (points, coordinate of each point)."""
-        points, pending = self.poll_points(z[None], step[None], np.array([j]))
-        return points[0, pending[0]], self.coord[pending[0]]
-
     def witness_at(self, z: np.ndarray, member: int = 0) -> Witness:
         x, y, lam = self.split(z)
         f = self.fields[member]

@@ -11,7 +11,8 @@ from quasicheck.conditions import (HOLDS, SKIPPED, VACUOUS, VIOLATED,
                                    check_lemma_refined, default_lambda_grid,
                                    is_violated, margin_a, sigma_star_estimate,
                                    sigma_star_segment)
-from quasicheck.field import DomainBox, catalog_field, make_field_from_expr
+from quasicheck.field import (DomainBox, ScalarField, catalog_field,
+                              make_field_from_expr)
 from quasicheck.search import Sampler
 
 SIN = catalog_field("sin", 1)
@@ -352,6 +353,21 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
     for run in runs[1:]:
         for a, b in zip(runs[0], run):
             assert np.array_equal(a, b)
+
+
+def test_segment_margins_points_are_read_only(rng):
+    # the kernel reuses one point buffer for every chunk: a field that
+    # wrote into its input would corrupt the chunks after it
+    def fn(X):
+        X[..., 0] = 0.0
+        return np.sum(X, axis=-1)
+
+    f = ScalarField(name="writer", dim=2, fn=fn, grad_fn=np.ones_like,
+                    domain=DomainBox.cube(-1, 1, 2))
+    X = rng.uniform(-1, 1, size=(10, 2))
+    Y = rng.uniform(-1, 1, size=(10, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        batch_margin_a_worst(f, X, Y, cfg())
 
 
 def test_is_violated_is_the_one_rule():

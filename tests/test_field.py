@@ -153,6 +153,37 @@ def test_expr_field_matches_catalog(source, name, rng):
     assert np.allclose(f.grads(X), cat.grads(X), atol=1e-12, rtol=1e-12)
 
 
+# the golden reports' expression fields (tests/test_golden.py), then every
+# catalog field at a few dimensions
+LAYOUT_FIELDS = [make_field_from_expr(source, 2, DomainBox.cube(-1, 1, 2))
+                 for source in ("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)",
+                                "(x1+2)^x2 + abs(x1 - x2)")]
+LAYOUT_FIELDS += list({(f.name, f.dim): f for n in (1, 2, 3, 5, 8)
+                       for f in catalog(n)}.values())
+
+
+def _sums_reorder(f):
+    """Fields whose sum over the coordinates may run in another order on
+    another layout: `X @ c` from n = 3, and numpy's pairwise `np.sum`
+    along a contiguous axis from n = 8."""
+    return (f.name == "affine" and f.dim >= 3) or \
+        (f.name in ("sqnorm", "sqrtnorm") and f.dim >= 8)
+
+
+@pytest.mark.parametrize("f", LAYOUT_FIELDS, ids=lambda f: f"{f.name}-{f.dim}")
+def test_values_do_not_depend_on_point_layout(f, rng):
+    # segment_margins hands fields a read-only coordinate-major view
+    P = f.domain.lower + rng.random((6, 40, f.dim)) * f.domain.widths
+    V = np.ascontiguousarray(np.moveaxis(P, -1, 0)).transpose(1, 2, 0)
+    V.flags.writeable = False
+    for a, b in ((f.values(P), f.values(V)), (f.grads(P), f.grads(V))):
+        if _sums_reorder(f):
+            ulps = 4 * f.dim * np.finfo(float).eps * np.max(np.abs(a))
+            np.testing.assert_allclose(b, a, rtol=0, atol=ulps)
+        else:
+            np.testing.assert_array_equal(b, a)
+
+
 def test_default_fd_step():
     assert default_fd_step(np.array([0.5])) == 1e-5
     assert default_fd_step(np.array([3.0, -7.0])) == pytest.approx(7e-5)

@@ -1,6 +1,7 @@
 """Golden seeded reports: the sha256 of each JSON report (timestamp removed)
 is pinned, so any change to values, gradients, flags or search trajectories
-of the expression evaluator shows up as a changed hash.
+of the expression evaluator, of the catalog closures or of the kernels that
+evaluate them shows up as a changed hash.
 
 The hashes were recorded with numpy 2.4 on x86-64. A report that moves on
 purpose gets its new hash here together with a note in CHANGES.md saying
@@ -37,6 +38,15 @@ GOLDEN = {
         ["check", "--expr", POW_ABS, "--dim", "2", "--box=-1:1",
          "--pairs", "2000", "--seed", "7"],
         "e8c597a1ba41dc9342cc301905d5ce2407574176f6e8bdf763521154a9d124cd",
+    ),
+    "sigma_sqnorm_5d": (
+        ["sigma", "--fn", "sqnorm", "--dim", "5", "--pairs", "10000", "--seed", "7"],
+        "e829da3d80e13f2a80237473f5bcdb85ed02925f2275138979bbd6eba5880e47",
+    ),
+    "check_sqrtnorm_3d": (
+        ["check", "--fn", "sqrtnorm", "--dim", "3", "--sigma", "0.1",
+         "--pairs", "5000", "--seed", "7"],
+        "4e1495c15628c92230ff0ef9446b794a67b15e52178f842f72bfe503b350ae4c",
     ),
 }
 

@@ -141,6 +141,14 @@ def test_falsify_bad_target():
                 SearchBudget(), seed=1)
 
 
+def _polls(obj, z, step, j):
+    """The pending polls of one point from coordinate j (see
+    `_MarginObjective.poll_points`). Returns (points, coordinate of each
+    point)."""
+    points, pending = obj.poll_points(z[None], step[None], np.array([j]))
+    return points[0, pending[0]], obj.coord[pending[0]]
+
+
 def _sequential_falsify(f, target, cfg, budget, seed):
     """Reference for `falsify`: the restarts run one after another, each
     capped by the evaluations left, and each sweep's remaining polls are
@@ -165,7 +173,7 @@ def _sequential_falsify(f, target, cfg, budget, seed):
             improved = False
             j = 0
             while j < obj.nvars and evals < budget.max_evals:
-                Z, coord = obj.polls(z, step, j)
+                Z, coord = _polls(obj, z, step, j)
                 limit = budget.max_evals - evals
                 Z, coord = Z[:limit], coord[:limit]
                 if not coord.size:
