@@ -1,3 +1,4 @@
+import hashlib
 import io
 import keyword
 import math
@@ -287,3 +288,15 @@ def test_compiled_source_holds_only_numbers_and_generated_names():
     allowed = set(ex._NAMESPACE) | set(keyword.kwlist) | {
         "value", "dual", "X", "S", "V", "strict", "ndim", "shape", "reshape"}
     assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxs]\d+", n)} == set()
+
+
+def test_parameter_free_programs_are_unchanged(rng):
+    # the sha256 of the programs emitted for the corpus and 300 random
+    # expressions, as recorded before parameters became program inputs
+    h = hashlib.sha256()
+    cases = [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
+        + [(random_ast(rng, 3), 3) for _ in range(300)]
+    for e, d in cases:
+        h.update(ex.compile_expr(e, d).source.encode())
+    assert h.hexdigest() == \
+        "2187b43305f4cf257889e7d9009d59f8d3a81bb8e144c3e1ccf24592f8ff128c"

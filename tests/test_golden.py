@@ -48,6 +48,11 @@ GOLDEN = {
          "--pairs", "5000", "--seed", "7"],
         "4e1495c15628c92230ff0ef9446b794a67b15e52178f842f72bfe503b350ae4c",
     ),
+    "family_param_cubic": (
+        ["falsify", "--family", "param_cubic", "--budget", "20000",
+         "--param-samples", "16", "--seed", "5"],
+        "6cdbf362353744f9cd214e4d4226e2c115828adc054f4ffb46665e180616761e",
+    ),
 }
 
 
