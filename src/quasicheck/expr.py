@@ -1,4 +1,5 @@
-"""Small arithmetic expression language for scalar functions of x1..xn.
+"""Small arithmetic expression language for scalar functions of x1..xn,
+optionally with parameters t1..tp.
 
 Grammar (highest precedence first):
 
@@ -8,7 +9,8 @@ Grammar (highest precedence first):
     sum / difference     u + v, u - v
 
 Functions: sin, cos, exp, log, sqrt, abs, min, max, pow. Variables are
-written x1..xn (1-based). No implicit multiplication.
+written x1..xn and parameters t1..tp (both 1-based; p = 0 unless the
+caller declares parameters). No implicit multiplication.
 
 `compile_expr` lowers an AST once to straight-line numpy code. One pass
 of it gives the value, forward-mode tangents for every seed direction at
@@ -16,7 +18,9 @@ once (the full gradient, or <grad f(x), d>) and a nondifferentiability
 mask; the same program serves batch evaluation, where invalid points give
 NaN, and strict evaluation, which raises EvalError at the first failing
 node. Nondifferentiable points of abs/min/max (exact ties) propagate the
-first branch's derivative and set a flag.
+first branch's derivative and set a flag. Parameters are program inputs
+with a value and no tangent, so one program serves a whole family of
+functions: each point row can carry its own parameter vector.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "EvalError",
     "Const",
     "Var",
+    "Param",
     "Unary",
     "Binary",
     "Call",
@@ -90,6 +95,12 @@ class Var:
 
 
 @dataclass(frozen=True)
+class Param:
+    index: int  # 1-based
+    pos: int = 0
+
+
+@dataclass(frozen=True)
 class Unary:
     op: str  # only "-"
     child: "Node"
@@ -111,7 +122,7 @@ class Call:
     pos: int = 0
 
 
-Node = Const | Var | Unary | Binary | Call
+Node = Const | Var | Param | Unary | Binary | Call
 
 
 def ast_equal(a: Node, b: Node) -> bool:
@@ -120,7 +131,7 @@ def ast_equal(a: Node, b: Node) -> bool:
         return False
     if isinstance(a, Const):
         return a.value == b.value
-    if isinstance(a, Var):
+    if isinstance(a, (Var, Param)):
         return a.index == b.index
     if isinstance(a, Unary):
         return a.op == b.op and ast_equal(a.child, b.child)
@@ -176,12 +187,15 @@ def tokenize(source: str) -> list[Token]:
 # Recursive descent parser
 
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
+_PARAM_RE = re.compile(r"^t([1-9]\d*)$")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], dimension: int, source_len: int):
+    def __init__(self, tokens: list[Token], dimension: int, params: int,
+                 source_len: int):
         self.tokens = tokens
         self.dim = dimension
+        self.params = params
         self.i = 0
         self.end = source_len
 
@@ -259,6 +273,13 @@ class _Parser:
                         f"variable x{index} exceeds dimension {self.dim}", t.pos
                     )
                 return Var(index, t.pos)
+            m = _PARAM_RE.match(t.text)
+            if m:
+                index = int(m.group(1))
+                if index > self.params:
+                    raise ParseError(f"parameter t{index} exceeds the "
+                                     f"{self.params} declared parameters", t.pos)
+                return Param(index, t.pos)
             if t.text in FUNCTIONS:
                 self.expect("(", f"'(' after {t.text}")
                 args = [self.parse_expr()]
@@ -279,12 +300,13 @@ class _Parser:
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
 
 
-def parse(source: str, dimension: int) -> Node:
-    """Parse `source` into an AST; variables x1..x<dimension> are allowed."""
+def parse(source: str, dimension: int, params: int = 0) -> Node:
+    """Parse `source` into an AST; variables x1..x<dimension> and
+    parameters t1..t<params> are allowed."""
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
     tokens = tokenize(source)
-    parser = _Parser(tokens, dimension, len(source))
+    parser = _Parser(tokens, dimension, params, len(source))
     node = parser.parse_expr()
     trailing = parser.peek()
     if trailing is not None:
@@ -306,6 +328,8 @@ def pretty_print(e: Node) -> str:
         return repr(float(e.value))
     if isinstance(e, Var):
         return f"x{e.index}"
+    if isinstance(e, Param):
+        return f"t{e.index}"
     if isinstance(e, Unary):
         return f"(-{pretty_print(e.child)})"
     if isinstance(e, Binary):
@@ -321,9 +345,11 @@ def pretty_print(e: Node) -> str:
 # One temporary per node, in left-first post-order. Values have shape
 # (..., 1), one point being a batch of one, so they broadcast against
 # tangents (..., m); x_j's tangent is row j of the seed S (n, m).
-# Derivatives mirror the dual-number rules term for term; constant
-# subtrees carry no tangent and no flag. Strict checks precede the node
-# they guard. The source holds only numbers and generated names.
+# Parameter t_j is p_j = T[..., j-1, None], whose rows broadcast against
+# the point rows; it has no tangent. Derivatives mirror the dual-number rules
+# term for term; subtrees free of x carry no tangent and no flag. Strict
+# checks precede the node they guard. The source holds only numbers and
+# generated names.
 
 _MESSAGES = ("division by zero", "log of non-positive value",
              "sqrt of negative value", "pow requires positive base",
@@ -338,6 +364,7 @@ def _fail(kind: int, pos: int):
 _NAMESPACE = {
     "_fail": _fail, "_any": np.any, "_F": np.float64, "_full": np.full,
     "_copy": np.copy,
+    "_bshape": lambda a, b: np.broadcast_shapes(np.shape(a), np.shape(b)),
     "_moveaxis": np.moveaxis, "inf": np.inf, "nan": np.nan, "sin": np.sin,
     "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "absolute": np.absolute, "minimum": np.minimum, "maximum": np.maximum,
@@ -395,6 +422,7 @@ class _Slot:
     t: str | None = None   # tangent name; None means identically zero
     f: str | None = None   # nondifferentiability flag name
     var: bool = False      # depends on x
+    par: bool = False      # depends on a parameter
 
 
 class _Lowering:
@@ -404,6 +432,7 @@ class _Lowering:
         self.lines: list[tuple[bool, str]] = []
         self.temps: set[str] = set()
         self.variables: set[int] = set()
+        self.params: set[int] = set()
         self.partial = False   # has a domain-restricted operation
 
     def new(self, prefix: str, dual_expr: str | None = None) -> str:
@@ -421,6 +450,9 @@ class _Lowering:
         if isinstance(e, Var):
             self.variables.add(e.index)
             return _Slot(f"x{e.index}", f"s{e.index}", None, True)
+        if isinstance(e, Param):
+            self.params.add(e.index)
+            return _Slot(f"p{e.index}", par=True)
         if isinstance(e, Unary):
             return self.node(e, "neg", [self.lower(e.child)])
         if isinstance(e, Call):
@@ -436,12 +468,13 @@ class _Lowering:
 
     def node(self, e: Node, op: str, ops: list[_Slot], **fmt) -> _Slot:
         var = any(s.var for s in ops)
-        if not var:   # constant subtree: numpy scalar semantics
+        par = any(s.par for s in ops)
+        if not (var or par):   # constant subtree: numpy scalar semantics
             ops = [_Slot(s.v if s.v in self.temps else f"_F({s.v})") for s in ops]
         rule = _RULES[op]   # fill in the defaults of a short rule
         value, tangent, check, terms, tie = rule + (None, _TA, None)[len(rule) - 2:]
         a, b = (ops + [_Slot("")])[:2]
-        out = _Slot(self.new("v"), None, None, var)
+        out = _Slot(self.new("v"), None, None, var, par)
         fmt.update(a=a.v, b=b.v, v=out.v, ta=a.t or "0.0", tb=b.t or "0.0")
         lines = self.lines
         if check:
@@ -454,7 +487,9 @@ class _Lowering:
             # numpy's power takes a shortcut for exponents -1, 0.5 and 2 when
             # the exponent's stride is 0 (a constant, or x_j at one point);
             # a fresh array makes every shape round alike
-            fmt["bx"] = f"_copy({b.v})" if b.var else f"_full({w}.shape, {b.v})"
+            fmt["bx"] = f"_copy({b.v})" if b.var else \
+                f"_full(_bshape({w}, {b.v}), {b.v})" if b.par else \
+                f"_full({w}.shape, {b.v})"
         lines.append((False, f"{out.v} = {value.format(**fmt)}"))
         terms = [(sep, t) for sep, t in terms if (a.t if "{ta}" in t else b.t)]
         if terms:
@@ -481,11 +516,14 @@ class _Lowering:
 
 @dataclass(frozen=True, eq=False)
 class Program:
-    """An expression compiled for points in R^n. value(X, strict) gives f;
-    dual(X, S, strict) gives (values, tangents broadcastable to
-    X.shape[:-1] + (m,) or None when zero, tie flags or None)."""
+    """An expression compiled for points in R^n with p parameters.
+    value(X, strict) gives f; dual(X, S, strict) gives (values, tangents
+    broadcastable to X.shape[:-1] + (m,) or None when zero, tie flags or
+    None). With p > 0 both take the parameters T last, of shape (..., p)
+    broadcastable against X.shape[:-1]: one vector, or one per point row."""
 
     n: int
+    p: int
     source: str
     kinks: bool     # abs/min/max of x: the flag can be set
     partial: bool   # some operation is restricted to a domain
@@ -494,28 +532,35 @@ class Program:
     seed: np.ndarray   # identity seed for full gradients
 
 
-def compile_expr(e: Node, n: int) -> Program:
-    """Lower `e` once to straight-line numpy code over points in R^n."""
+def compile_expr(e: Node, n: int, p: int = 0) -> Program:
+    """Lower `e` once to straight-line numpy code over points in R^n and
+    parameters in R^p."""
     L = _Lowering()
     root = L.lower(e)
     if max(L.variables, default=0) > n:
         raise ValueError("expression references a variable beyond the dimension")
+    if max(L.params, default=0) > p:
+        raise ValueError("expression references a parameter beyond the count")
     shape = "X.shape[:-1]"
-    ret = f"{root.v}.reshape({shape})" if root.var else f"_full({shape}, {root.v})"
+    ret = f"{root.v}.reshape({shape})" if root.var \
+        else f"_full({shape}, {root.v}[..., 0])" if root.par \
+        else f"_full({shape}, {root.v})"
     flags = f"{root.f}.reshape({shape})" if root.f else "None"
     views = ["V = _moveaxis(X, -1, 0)[..., None]"] \
         + [f"x{j} = V[{j - 1}]" for j in sorted(L.variables)]
+    views += [f"p{j} = T[..., {j - 1}, None]" for j in sorted(L.params)]
     seeds = [f"s{j} = S[{j - 1}]" for j in sorted(L.variables)]
     value = views + [text for dual, text in L.lines if not dual] + [f"return {ret}"]
     dual = views + seeds + [text for _, text in L.lines] \
         + [f"return {ret}, {root.t}, {flags}"]
+    T = ", T" if p else ""
     source = "".join(f"def {name}:\n" + "".join(f"    {t}\n" for t in body)
-                     for name, body in (("value(X, strict)", value),
-                                        ("dual(X, S, strict)", dual)))
+                     for name, body in ((f"value(X, strict{T})", value),
+                                        (f"dual(X, S, strict{T})", dual)))
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<quasicheck expression>", "exec"), namespace)
-    return Program(n, source, root.f is not None, L.partial, namespace["value"],
-                   namespace["dual"], np.eye(n))
+    return Program(n, p, source, root.f is not None, L.partial,
+                   namespace["value"], namespace["dual"], np.eye(n))
 
 
 def _program(e, n: int) -> Program:
@@ -526,6 +571,15 @@ def _program(e, n: int) -> Program:
     return e
 
 
+def _params(prog: Program, T) -> tuple:
+    """The program's trailing arguments: (T,) when it has parameters."""
+    if prog.p == 0 and T is None:
+        return ()
+    if T is None or np.shape(T)[-1:] != (prog.p,):
+        raise ValueError(f"program takes {prog.p} parameters per point")
+    return (np.asarray(T, dtype=float),)
+
+
 def eval_expr(e, x) -> float:
     """Strict evaluation at one point, run as a batch of one; raises
     EvalError with the node position."""
@@ -534,11 +588,13 @@ def eval_expr(e, x) -> float:
         return float(_program(e, x.shape[-1]).value(x, True))
 
 
-def eval_batch(e, X: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over (..., n) points; invalid points yield NaN."""
+def eval_batch(e, X: np.ndarray, T=None) -> np.ndarray:
+    """Vectorized evaluation over (..., n) points; invalid points yield NaN.
+    A program with parameters takes them as T (see Program)."""
     X = np.asarray(X, dtype=float)
+    prog = _program(e, X.shape[-1])
     with np.errstate(all="ignore"):
-        return np.asarray(_program(e, X.shape[-1]).value(X, False))
+        return np.asarray(prog.value(X, False, *_params(prog, T)))
 
 
 @dataclass(frozen=True)
@@ -560,8 +616,9 @@ def eval_dual(e, x, d) -> DualResult:
                       flag is not None and bool(flag))
 
 
-def grad_batch(e, X: np.ndarray, dimension: int):
-    """Gradient at each row of X in one pass of the compiled program.
+def grad_batch(e, X: np.ndarray, dimension: int, T=None):
+    """Gradient at each row of X in one pass of the compiled program; a
+    program with parameters takes them as T (see Program).
 
     Returns (grads, nondiff_mask); grads has shape X.shape, mask X.shape[:-1].
     Rows whose value is not finite (outside the domain) are NaN.
@@ -571,7 +628,7 @@ def grad_batch(e, X: np.ndarray, dimension: int):
     if X.shape[-1:] != (dimension,):
         raise ValueError(f"points of shape {X.shape} for dimension {dimension}")
     with np.errstate(all="ignore"):
-        val, grads, mask = prog.dual(X, prog.seed, False)
+        val, grads, mask = prog.dual(X, prog.seed, False, *_params(prog, T))
         if grads is None:
             grads = np.zeros(X.shape)
         elif grads.shape != X.shape or grads.base is not None:

@@ -1,5 +1,10 @@
 """Parametrized function families for the open-question campaign.
 
+A family is one expression in x1..xn and parameters t1..tp (see expr),
+compiled once: each member is that program at one parameter vector
+theta from the family's parameter box, and the search engine scores the
+points of many members in one program call, each row at its own theta.
+
 Which families are promising for separating the gradient condition (c)
 from the segment inequality (a) is anybody's guess; the three shipped
 here (perturbed squared norms, two-bump wells, cubics) are pragmatic
@@ -8,22 +13,38 @@ choices covering smooth oscillation, multimodality, and inflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import DomainBox, ScalarField
+from . import expr as ex
+from .field import DomainBox, ScalarField, compiled_field
 
 __all__ = ["ExprFamily", "shipped_families", "family_by_name"]
 
 
 @dataclass(frozen=True)
 class ExprFamily:
+    """The functions `expression` of x1..x<dim> on `domain`, one for each
+    parameter vector t in `param_box`."""
+
     name: str
+    expression: str
+    domain: DomainBox
     param_box: DomainBox
-    build: Callable[[np.ndarray], ScalarField]
     description: str = ""
+    program: ex.Program = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, p = self.domain.dim, self.param_box.dim
+        object.__setattr__(self, "program", ex.compile_expr(
+            ex.parse(self.expression, n, p), n, p))
+
+    def build(self, theta) -> ScalarField:
+        """The member at parameter vector theta, over the shared program."""
+        theta = np.array(theta, dtype=float)
+        name = f"{self.name}[{','.join(f'{t:.4g}' for t in theta)}]"
+        return compiled_field(self.program, self.domain, name, theta)
 
     def to_json(self):
         return {
@@ -33,97 +54,32 @@ class ExprFamily:
         }
 
 
-def _perturbed_sqnorm(n: int = 2) -> ExprFamily:
-    # ||x||^2 + t1 * sin(t2 * x1): quasiconvex for small t1*t2^2
-    def build(theta):
-        a, w = float(theta[0]), float(theta[1])
-
-        def fn(X):
-            X = np.asarray(X, dtype=float)
-            return np.sum(X ** 2, axis=-1) + a * np.sin(w * X[..., 0])
-
-        def grad_fn(X):
-            X = np.asarray(X, dtype=float)
-            g = 2.0 * X.copy()
-            g[..., 0] += a * w * np.cos(w * X[..., 0])
-            return g
-
-        return ScalarField(name=f"perturbed_sqnorm[{a:.4g},{w:.4g}]", dim=n,
-                           fn=fn, grad_fn=grad_fn,
-                           domain=DomainBox.cube(-1.0, 1.0, n))
-
-    return ExprFamily(
-        name="perturbed_sqnorm",
-        param_box=DomainBox(np.array([0.0, 1.0]), np.array([1.0, 6.0])),
-        build=build,
-        description="squared norm with a sinusoidal ripple on x1",
-    )
-
-
-def _bump_sum(n: int = 1) -> ExprFamily:
-    # -t1*exp(-(x-c)^2/t2) - t3*exp(-(x+c)^2/t2): two wells, non-quasiconvex
-    # for comparable depths
-    def build(theta):
-        a1, width, a2 = (float(theta[0]), float(theta[1]), float(theta[2]))
-        c = 0.7
-
-        def fn(X):
-            r1 = np.sum((np.asarray(X, dtype=float) - c) ** 2, axis=-1)
-            r2 = np.sum((np.asarray(X, dtype=float) + c) ** 2, axis=-1)
-            return -a1 * np.exp(-r1 / width) - a2 * np.exp(-r2 / width)
-
-        def grad_fn(X):
-            X = np.asarray(X, dtype=float)
-            r1 = np.sum((X - c) ** 2, axis=-1)
-            r2 = np.sum((X + c) ** 2, axis=-1)
-            g1 = (2.0 * a1 / width) * np.exp(-r1 / width)[..., None] * (X - c)
-            g2 = (2.0 * a2 / width) * np.exp(-r2 / width)[..., None] * (X + c)
-            return g1 + g2
-
-        return ScalarField(name=f"bump_sum[{a1:.4g},{width:.4g},{a2:.4g}]",
-                           dim=n, fn=fn, grad_fn=grad_fn,
-                           domain=DomainBox.cube(-2.0, 2.0, n))
-
-    return ExprFamily(
-        name="bump_sum",
-        param_box=DomainBox(np.array([0.2, 0.1, 0.2]), np.array([1.5, 1.0, 1.5])),
-        build=build,
-        description="sum of two negative Gaussian wells",
-    )
-
-
-def _param_cubic() -> ExprFamily:
-    # x^3 + t1*x^2 + t2*x on [-2, 2]: quasiconvex iff no interior local max
-    def build(theta):
-        p, q = float(theta[0]), float(theta[1])
-
-        def fn(X):
-            x = np.asarray(X, dtype=float)[..., 0]
-            return x ** 3 + p * x ** 2 + q * x
-
-        def grad_fn(X):
-            x = np.asarray(X, dtype=float)
-            return 3.0 * x ** 2 + 2.0 * p * x + q
-
-        return ScalarField(name=f"param_cubic[{p:.4g},{q:.4g}]", dim=1,
-                           fn=fn, grad_fn=grad_fn,
-                           domain=DomainBox.cube(-2.0, 2.0, 1))
-
-    return ExprFamily(
-        name="param_cubic",
-        param_box=DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
-        build=build,
-        description="cubic with tunable quadratic and linear terms",
-    )
+_SHIPPED = {
+    # quasiconvex for small t1*t2^2
+    "perturbed_sqnorm": (
+        "x1^2 + x2^2 + t1*sin(t2*x1)", DomainBox.cube(-1.0, 1.0, 2),
+        DomainBox(np.array([0.0, 1.0]), np.array([1.0, 6.0])),
+        "squared norm with a sinusoidal ripple on x1"),
+    # two wells at -0.7 and 0.7, non-quasiconvex for comparable depths
+    "bump_sum": (
+        "-t1*exp(-((x1 - 0.7)^2)/t2) - t3*exp(-((x1 + 0.7)^2)/t2)",
+        DomainBox.cube(-2.0, 2.0, 1),
+        DomainBox(np.array([0.2, 0.1, 0.2]), np.array([1.5, 1.0, 1.5])),
+        "sum of two negative Gaussian wells"),
+    # quasiconvex on [-2, 2] iff no interior local max
+    "param_cubic": (
+        "x1^3 + t1*x1^2 + t2*x1", DomainBox.cube(-2.0, 2.0, 1),
+        DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
+        "cubic with tunable quadratic and linear terms"),
+}
 
 
 def shipped_families() -> list[ExprFamily]:
-    return [_perturbed_sqnorm(), _bump_sum(), _param_cubic()]
+    return [family_by_name(name) for name in _SHIPPED]
 
 
 def family_by_name(name: str) -> ExprFamily:
-    for fam in shipped_families():
-        if fam.name == name:
-            return fam
-    known = [f.name for f in shipped_families()]
-    raise KeyError(f"unknown family {name!r}; known: {known}")
+    """The shipped family `name`; compiles only that family."""
+    if name not in _SHIPPED:
+        raise KeyError(f"unknown family {name!r}; known: {list(_SHIPPED)}")
+    return ExprFamily(name, *_SHIPPED[name])

@@ -8,7 +8,7 @@ surface as NaN in batch results so samplers can skip and count them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ __all__ = [
     "GradReport",
     "EvaluationError",
     "make_field_from_expr",
+    "compiled_field",
     "fd_grad",
     "default_fd_step",
     "validate_grad",
@@ -92,6 +93,9 @@ class ScalarField:
     The arrays fn and grad_fn receive may be non-contiguous, read-only
     views (`segment_margins` passes views of a point buffer it reuses for
     every chunk): they must not write into their input or keep it.
+
+    A field backed by a compiled expression keeps its `program`, and its
+    parameter values `params` when the program has any.
     """
 
     name: str
@@ -101,6 +105,8 @@ class ScalarField:
     domain: DomainBox
     known_sigma: Optional[float] = None
     known_status: str = UNKNOWN
+    program: Optional[ex.Program] = None
+    params: Optional[np.ndarray] = None
 
     def value(self, x) -> float:
         """f at one point, evaluated as a batch of one."""
@@ -142,20 +148,27 @@ def make_field_from_expr(e, n: int, box: DomainBox, name: str = "expr") -> Scala
         e = ex.parse(e, n)
     if box.dim != n:
         raise ValueError("box dimension does not match the field dimension")
-    prog = ex.compile_expr(e, n)
+    return compiled_field(ex.compile_expr(e, n), box, name)
+
+
+def compiled_field(prog: ex.Program, box: DomainBox, name: str = "expr",
+                   params=None) -> ScalarField:
+    """Field of a compiled program on `box`, at the parameters `params` when
+    the program has any: one vector for every point, or one row per point
+    row (see expr.Program)."""
+    n = prog.n
 
     def fn(X):
-        return ex.eval_batch(prog, X)
+        return ex.eval_batch(prog, X, params)
 
     def grad_fn(X):
-        g, mask = ex.grad_batch(prog, X, n)
+        g, mask = ex.grad_batch(prog, X, n, params)
         if prog.kinks:
             g[mask] = np.nan
         return g
 
-    f = ScalarField(name=name, dim=n, fn=fn, grad_fn=grad_fn, domain=box)
-    object.__setattr__(f, "expression", e)
-    return f
+    return ScalarField(name=name, dim=n, fn=fn, grad_fn=grad_fn, domain=box,
+                       program=prog, params=params)
 
 
 def default_fd_step(x: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import conditions as cond
 from .conditions import CheckConfig, Verdict, Witness
-from .field import DomainBox, ScalarField
+from .field import DomainBox, ScalarField, compiled_field
 from .vecmath import pnorm_batch
 
 __all__ = [
@@ -178,30 +178,13 @@ class FalsificationResult:
         }
 
 
-def _stacked(fields, groups) -> ScalarField:
-    """One field over consecutive row groups: along the row axis (-2),
-    rows start..stop-1 of each (member, start, stop) in `groups` are
-    evaluated by fields[member]'s fn and grad_fn (row by row, so each
-    member's rows get the values and gradients they get alone)."""
-
-    def fn(X):
-        return np.concatenate([fields[m].fn(X[..., a:b, :]) for m, a, b in groups],
-                              axis=-1)
-
-    def grad_fn(X):
-        return np.concatenate([fields[m].grad_fn(X[..., a:b, :])
-                               for m, a, b in groups], axis=-2)
-
-    f = fields[0]
-    return ScalarField(name="members", dim=f.dim, fn=fn, grad_fn=grad_fn,
-                       domain=f.domain)
-
-
 class _MarginObjective:
     """Margins of rows of packed search variables: x (n) then y (n), plus
-    lambda for target 'a', on one field or on several members that share
-    dim and domain. One kernel call scores a batch of rows, whichever
-    members they belong to.
+    lambda for target 'a', on one field or on several members of one
+    family: fields that share a compiled program and a domain and differ
+    in their parameters. One kernel call scores a batch of rows, whichever
+    members they belong to, through one program call with each row at its
+    member's parameters.
 
     Vacuous, skipped and below-min_sep rows score +inf so the search moves
     off them.
@@ -214,10 +197,16 @@ class _MarginObjective:
         f = self.fields[0]
         lo, hi = f.domain.lower, f.domain.upper
         for g in self.fields[1:]:
-            if not (g.dim == f.dim and np.array_equal(g.domain.lower, lo)
+            if not (g.program is not None and g.program is f.program
+                    and np.array_equal(g.domain.lower, lo)
                     and np.array_equal(g.domain.upper, hi)):
-                raise ValueError(f"members must share dim and domain: "
+                raise ValueError(f"members must share a program and domain: "
                                  f"{g.name} differs from {f.name}")
+        # one parameter row per member; members of a program without
+        # parameters are one function, scored as the first
+        self.theta = None
+        if len(self.fields) > 1 and f.program.p:
+            self.theta = np.array([g.params for g in self.fields])
         self.target = target
         self.cfg = cfg
         n = self.n = f.dim
@@ -240,21 +229,19 @@ class _MarginObjective:
         lam = Z[..., 2 * n] if self.target == "a" else None
         return Z[..., :n], Z[..., n:2 * n], lam
 
-    def __call__(self, Z: np.ndarray, groups=None) -> np.ndarray:
-        """Margins of the rows Z. `groups` lists (member, start, stop): rows
-        start..stop-1 belong to that member, and one kernel call scores
-        the rows of all members (`_stacked`), per kernel chunk for target
-        'a'. By default every row belongs to the first member."""
-        if groups is None:
+    def __call__(self, Z: np.ndarray, members=None) -> np.ndarray:
+        """Margins of the rows Z; row i belongs to member members[i] (by
+        default every row to the first). One kernel call scores the rows
+        of all members, per kernel chunk for target 'a', through the
+        family's program with one parameter row per point row."""
+        if members is None or self.theta is None:
             return self._margins(self.fields[0], Z)
+        f, T = self.fields[0], self.theta[members]
         block = cond.segment_chunk(1) if self.target == "a" else len(Z)
-        out = []
-        for lo in range(0, len(Z), block):
-            hi = lo + block
-            part = [(m, max(a, lo) - lo, min(b, hi) - lo)
-                    for m, a, b in groups if a < hi and b > lo]
-            out.append(self._margins(_stacked(self.fields, part), Z[lo:hi]))
-        return np.concatenate(out)
+        return np.concatenate([
+            self._margins(compiled_field(f.program, f.domain, "members",
+                                         T[lo:lo + block]), Z[lo:lo + block])
+            for lo in range(0, len(Z), block)])
 
     def _margins(self, f: ScalarField, Z: np.ndarray) -> np.ndarray:
         X, Y, lam = self.split(Z)
@@ -433,12 +420,8 @@ def _falsify_many(fields, target: str, cfg: CheckConfig, budget: SearchBudget,
         cs = pending.cumsum(axis=1)
         polls = pending & live[:, None] & (cs <= take.reshape(N, 1))
         rows = cand[polls]
-        if S == 1:
-            vals = obj(rows)
-        else:
-            per = polls.sum(axis=1).reshape(S, R).sum(axis=1)
-            vals = obj(rows, [(s, b - n, b) for s, (n, b)
-                              in enumerate(zip(per, per.cumsum())) if n])
+        # each poll belongs to the search of its slot
+        vals = obj(rows) if S == 1 else obj(rows, polls.nonzero()[0] // R)
         # the first improving poll of each slot is accepted and charged up
         # to (a start point is always accepted); a slot without one is
         # charged its polls

@@ -106,6 +106,9 @@ def test_usage_errors(tmp_path):
     assert main(["check", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
     assert main(["check", "--fn", "sqnorm", "--expr", "x1", "--box", "0:1",
                  "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
+    # a field given by --expr has no parameters
+    assert main(["check", "--expr", "t1*x1", "--dim", "1", "--box", "0:1",
+                 "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
 
 
 def test_overflowing_literal_is_a_usage_error(tmp_path):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from quasicheck import expr as ex
-from quasicheck.expr import (Binary, Call, Const, EvalError, ParseError,
-                             Unary, Var, ast_equal, eval_dual, eval_expr,
-                             parse, pretty_print)
+from quasicheck.expr import (Binary, Call, Const, EvalError, Param,
+                             ParseError, Unary, Var, ast_equal, eval_dual,
+                             eval_expr, parse, pretty_print)
 from quasicheck.field import DomainBox, make_field_from_expr
 from conftest import random_ast, random_smooth_expr
 
@@ -282,12 +282,13 @@ def test_grad_batch(rng):
 
 def test_compiled_source_holds_only_numbers_and_generated_names():
     e = parse("pow(x1, 2.5) + 1e-3*abs(x2 - 7) / log(x1) - min(x1, 1e300)^3", 2)
-    source = ex.compile_expr(e, 2).source
+    source = ex.compile_expr(e, 2).source + ex.compile_expr(
+        parse("t2^x1 + x2^t1 + abs(t1) / t2", 2, 2), 2, 2).source
     names = {tok.string for tok in tokenize.generate_tokens(
         io.StringIO(source).readline) if tok.type == tokenize.NAME}
     allowed = set(ex._NAMESPACE) | set(keyword.kwlist) | {
-        "value", "dual", "X", "S", "V", "strict", "ndim", "shape", "reshape"}
-    assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxs]\d+", n)} == set()
+        "value", "dual", "X", "S", "V", "T", "strict", "ndim", "shape", "reshape"}
+    assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxsp]\d+", n)} == set()
 
 
 def test_parameter_free_programs_are_unchanged(rng):
@@ -300,3 +301,57 @@ def test_parameter_free_programs_are_unchanged(rng):
         h.update(ex.compile_expr(e, d).source.encode())
     assert h.hexdigest() == \
         "2187b43305f4cf257889e7d9009d59f8d3a81bb8e144c3e1ccf24592f8ff128c"
+
+
+def test_parameters_are_declared():
+    e = parse("t1*x1 + t2^2", 1, 2)
+    assert ast_equal(e, Binary("+", Binary("*", Param(1), v(1)),
+                               Binary("^", Param(2), c(2))))
+    assert ast_equal(parse(pretty_print(e), 1, 2), e)
+    with pytest.raises(ParseError) as err:
+        parse("t1 + x1*t3", 1, 2)
+    assert err.value.pos == 8
+    with pytest.raises(ParseError) as err:
+        parse("x1 + t1", 1)
+    assert err.value.pos == 5
+    with pytest.raises(ValueError):
+        ex.compile_expr(e, 1, 1)
+
+
+def test_parameters_have_no_tangent():
+    # d/dx of t1*x1^2 + t2*x1 + sin(t1) + abs(t2) is 2*t1*x1 + t2, with no
+    # nondifferentiability flag from the parameter-only abs
+    e = parse("t1*x1^2 + t2*x1 + sin(t1) + abs(t2)", 1, 2)
+    prog = ex.compile_expr(e, 1, 2)
+    X = np.array([[0.5], [-1.0], [2.0]])
+    T = np.array([[1.0, 0.0], [2.0, -3.0], [-1.0, 0.5]])
+    t1, t2 = T[:, 0], T[:, 1]
+    x = X[:, 0]
+    value = t1 * x ** 2 + t2 * x + np.sin(t1) + np.abs(t2)
+    assert np.allclose(ex.eval_batch(prog, X, T), value, rtol=1e-15)
+    g, mask = ex.grad_batch(prog, X, 1, T)
+    assert np.allclose(g[:, 0], 2 * t1 * x + t2, rtol=1e-15) and not mask.any()
+    # one theta broadcasts against every row and gives the same bits
+    for i in range(3):
+        assert ex.eval_batch(prog, X, T[i])[i] == ex.eval_batch(prog, X, T)[i]
+        assert np.array_equal(ex.grad_batch(prog, X, 1, T[i])[0][i], g[i])
+    with pytest.raises(ValueError):
+        ex.eval_batch(prog, X)
+    with pytest.raises(ValueError):
+        ex.eval_batch(ex.compile_expr(parse("x1", 1), 1), X, T)
+
+
+def test_parameter_only_expressions_broadcast():
+    # a value that depends on no x is spread over the points, and a
+    # parameter exponent (2 here, which numpy's power can shortcut) rounds
+    # alike for one theta and for one theta per row
+    X = np.zeros((4, 3, 1))
+    T = np.array([[1.1, 2.0], [0.3, 2.0], [1.7, 2.0]])
+    prog = ex.compile_expr(parse("t1^t2 + x1*0", 1, 2), 1, 2)
+    rows = ex.eval_batch(prog, X, T)
+    assert rows.shape == (4, 3)
+    for i in range(3):
+        assert np.all(ex.eval_batch(prog, X, T[i])[:, i] == rows[:, i])
+    only = ex.compile_expr(parse("exp(t1)", 1, 1), 1, 1)
+    out = ex.eval_batch(only, X, T[:, :1])
+    assert out.shape == (4, 3) and np.all(out == np.exp(T[:, 0]))

@@ -7,7 +7,7 @@ import pytest
 
 from quasicheck import conditions as cond
 from quasicheck.conditions import CheckConfig, check_b, check_c, margin_a
-from quasicheck.families import family_by_name, shipped_families
+from quasicheck.families import ExprFamily, family_by_name, shipped_families
 from quasicheck.field import (DomainBox, ScalarField, catalog, catalog_field,
                               make_field_from_expr)
 from quasicheck.search import (Candidate, FalsificationResult, Sampler,
@@ -509,12 +509,12 @@ def test_open_question_kernel_chunks_match_sequential(monkeypatch, chunk):
 
 
 def test_falsify_many_isolates_members():
-    # one engine call over members that share dim and domain, one of them
-    # NaN everywhere on the box: each result is that member's own search
+    # one engine call over members of one family, one of them NaN
+    # everywhere on the box: each result is that member's own search
     box = EXPR_FIELD.domain
-    members = [EXPR_FIELD, make_field_from_expr("log(x1 - 5)", 2, box),
-               make_field_from_expr("(x1+2)^x2 + abs(x1 - x2)", 2, box),
-               EXPR_FIELD]
+    fam = ExprFamily("logs", "x1^2 + x2^2 + t2*sin(3*x1)*exp(x2) + log(x1 - t1)",
+                     box, DomainBox.cube(-5, 5, 2))
+    members = [fam.build(t) for t in ([-2, 0.1], [5, 0.1], [-1.5, 1], [-3, 0.5])]
     cfg = CheckConfig(sigma=0.25)
     budget = SearchBudget(max_evals=600, restarts=3)
     seeds = [4, 5, 6, 7]
@@ -523,33 +523,19 @@ def test_falsify_many_isolates_members():
         for f, seed, res in zip(members, seeds, results):
             _assert_same_result(res, falsify(f, target, cfg, budget, seed))
         assert results[1].witness is None and math.isnan(results[1].best_margin)
-    for other in (make_field_from_expr("x1^2", 1, DomainBox.cube(-1, 1, 1)),
-                  make_field_from_expr("x1^2", 2, DomainBox.cube(-1, 2, 2))):
-        with pytest.raises(ValueError, match="share dim and domain"):
-            _falsify_many([EXPR_FIELD, other], "c", cfg, budget, [1, 2])
+        assert any(r.violation_found for r in results)
+    other = ExprFamily("other", "x1^2 + t1*x2", box, DomainBox.cube(0, 1, 1))
+    for odd in (other.build([0.5]), replace(members[2], domain=BOX2.shrunk(0.1)),
+                make_field_from_expr("x1^2 + x2^2 + log(x1 + 2)", 2, box)):
+        with pytest.raises(ValueError, match="share a program and domain"):
+            _falsify_many([members[0], odd], "c", cfg, budget, [1, 2])
 
 
 def test_open_question_psd_quadratics_no_candidates():
     # convex members: (a) never violated, so no candidate can appear
-    from quasicheck.families import ExprFamily
-    from quasicheck.field import ScalarField
-
-    def build(theta):
-        a, b, c = float(theta[0]), float(theta[1]), float(theta[2])
-        Q = np.array([[a * a + 0.1, a * b], [a * b, b * b + c * c + 0.1]])
-
-        def fn(X):
-            X = np.asarray(X, dtype=float)
-            return np.einsum("...i,ij,...j->...", X, Q, X)
-
-        def grad_fn(X):
-            return 2.0 * np.asarray(X, dtype=float) @ Q
-
-        return ScalarField(name="psd_quad", dim=2, fn=fn, grad_fn=grad_fn,
-                           domain=DomainBox.cube(-1, 1, 2))
-
-    fam = ExprFamily(name="psd_quad",
-                     param_box=DomainBox.cube(-1, 1, 3), build=build)
+    fam = ExprFamily("psd_quad", "(t1^2 + 0.1)*x1^2 + 2*t1*t2*x1*x2"
+                     " + (t2^2 + t3^2 + 0.1)*x2^2", DomainBox.cube(-1, 1, 2),
+                     DomainBox.cube(-1, 1, 3))
     cands = open_question_search(fam, CheckConfig(), SearchBudget(max_evals=20_000),
                                  seed=5, param_samples=6)
     assert cands == []
@@ -572,8 +558,29 @@ def test_shipped_families_lookup():
 
 def test_family_members_are_valid_fields():
     from quasicheck.field import validate_grad
+    rng = np.random.default_rng(3)
     for fam in shipped_families():
-        mid = 0.5 * (fam.param_box.lower + fam.param_box.upper)
-        f = fam.build(mid)
-        rep = validate_grad(f, seed=2, count=50)
-        assert rep.passed(1e-6), fam.name
+        box = fam.param_box
+        for theta in box.lower + rng.random((5, box.dim)) * box.widths:
+            rep = validate_grad(fam.build(theta), seed=2, count=50)
+            assert rep.passed(1e-6), (fam.name, theta)
+
+
+def test_family_witness_is_the_members_own():
+    # the engine scores members through one program with a parameter row
+    # per point row; a witness is re-checked on the member built alone
+    fam = family_by_name("param_cubic")
+    members = [fam.build(t) for t in ([0.0, -1.0], [1.5, -2.0], [-1.0, 1.0])]
+    cfg = CheckConfig()
+    obj = _MarginObjective(members, "c", cfg)
+    assert all(a is b for a, b in zip(obj.fields, members))
+    z = np.array([-1.0, 0.6])
+    rows = np.tile(z, (3, 1))
+    margins = obj(rows, np.arange(3))
+    for k, f in enumerate(members):
+        w = obj.witness_at(z, k)
+        v = check_c(f, z[:1], z[1:], cfg)
+        assert (w.pairing_x, w.pairing_y) == (v.witness.pairing_x,
+                                              v.witness.pairing_y)
+        if v.status != "vacuous":
+            assert margins[k] == v.margin
