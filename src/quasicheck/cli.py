@@ -206,7 +206,7 @@ def cmd_falsify(args) -> int:
             "candidates": [c.to_json() for c in cands],
             "note": "candidates are sampling-based evidence, not proofs",
         }
-        config = echo_config(args)
+        config = echo_config(args, cfg=cfg)
         config["budget"] = budget.to_json()
         out = build_report(args, payload, config)
         write_outputs(out, args)

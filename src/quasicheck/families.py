@@ -49,6 +49,7 @@ class ExprFamily:
     def to_json(self):
         return {
             "name": self.name,
+            "expression": self.expression,
             "param_box": self.param_box.to_json(),
             "description": self.description,
         }

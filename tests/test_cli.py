@@ -215,8 +215,15 @@ def test_config_file_mistyped_value_is_a_usage_error(tmp_path, data):
 
 def test_open_question_cli(tmp_path):
     code, rep = run(["falsify", "--family", "param_cubic", "--budget", "6000",
-                     "--param-samples", "4", "--seed", "1"], tmp_path)
+                     "--param-samples", "4", "--seed", "1", "--tol", "1e-8",
+                     "--min-sep", "1e-5", "--lambda-points", "31",
+                     "--norm", "inf"], tmp_path)
     assert code in (EXIT_OK, EXIT_VIOLATIONS)
     assert rep["payload"]["mode"] == "open_question"
+    assert rep["payload"]["family"]["expression"] == "x1^3 + t1*x1^2 + t2*x1"
+    # the report says which check settings the campaign ran with
+    assert rep["config"]["check"] == {"sigma": 0.0, "tol": 1e-8, "min_sep": 1e-5,
+                                      "lambda_grid_size": 31,
+                                      "penalty_norm": "inf"}
     for cand in rep["payload"]["candidates"]:
         assert cand["reverified"]

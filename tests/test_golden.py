@@ -51,7 +51,7 @@ GOLDEN = {
     "family_param_cubic": (
         ["falsify", "--family", "param_cubic", "--budget", "20000",
          "--param-samples", "16", "--seed", "5"],
-        "6cdbf362353744f9cd214e4d4226e2c115828adc054f4ffb46665e180616761e",
+        "d53ac128194e80830547272f0bba81457b8e1ebbac636fd53ea5a0a851c07e16",
     ),
 }
 
