@@ -1,5 +1,4 @@
-"""Small arithmetic expression language for scalar functions of x1..xn,
-optionally with parameters t1..tp.
+"""Small arithmetic expression language for scalar functions of x1..xn.
 
 Grammar (highest precedence first):
 
@@ -18,9 +17,8 @@ once (the full gradient, or <grad f(x), d>) and a nondifferentiability
 mask; the same program serves batch evaluation, where invalid points give
 NaN, and strict evaluation, which raises EvalError at the first failing
 node. Nondifferentiable points of abs/min/max (exact ties) propagate the
-first branch's derivative and set a flag. Parameters are program inputs
-with a value and no tangent, so one program serves a whole family of
-functions: each point row can carry its own parameter vector.
+first branch's derivative and set a flag. Parameters are inputs without
+a tangent, so one program serves a family, one parameter row per point.
 """
 
 from __future__ import annotations
@@ -345,11 +343,10 @@ def pretty_print(e: Node) -> str:
 # One temporary per node, in left-first post-order. Values have shape
 # (..., 1), one point being a batch of one, so they broadcast against
 # tangents (..., m); x_j's tangent is row j of the seed S (n, m).
-# Parameter t_j is p_j = T[..., j-1, None], whose rows broadcast against
-# the point rows; it has no tangent. Derivatives mirror the dual-number rules
-# term for term; subtrees free of x carry no tangent and no flag. Strict
-# checks precede the node they guard. The source holds only numbers and
-# generated names.
+# Parameter t_j is p_j = T[..., j-1, None], broadcast against the points,
+# with no tangent. Derivatives mirror the dual-number rules term for term;
+# subtrees free of x carry no tangent and no flag. Strict checks precede
+# the node they guard. The source holds only numbers and generated names.
 
 _MESSAGES = ("division by zero", "log of non-positive value",
              "sqrt of negative value", "pow requires positive base",
@@ -571,13 +568,9 @@ def _program(e, n: int) -> Program:
     return e
 
 
-def _params(prog: Program, T) -> tuple:
-    """The program's trailing arguments: (T,) when it has parameters."""
-    if prog.p == 0 and T is None:
-        return ()
-    if T is None or np.shape(T)[-1:] != (prog.p,):
-        raise ValueError(f"program takes {prog.p} parameters per point")
-    return (np.asarray(T, dtype=float),)
+def _params(T) -> tuple:
+    """The programs' trailing arguments: (T,) for a program with parameters."""
+    return () if T is None else (np.asarray(T, dtype=float),)
 
 
 def eval_expr(e, x) -> float:
@@ -594,7 +587,7 @@ def eval_batch(e, X: np.ndarray, T=None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     prog = _program(e, X.shape[-1])
     with np.errstate(all="ignore"):
-        return np.asarray(prog.value(X, False, *_params(prog, T)))
+        return np.asarray(prog.value(X, False, *_params(T)))
 
 
 @dataclass(frozen=True)
@@ -628,7 +621,7 @@ def grad_batch(e, X: np.ndarray, dimension: int, T=None):
     if X.shape[-1:] != (dimension,):
         raise ValueError(f"points of shape {X.shape} for dimension {dimension}")
     with np.errstate(all="ignore"):
-        val, grads, mask = prog.dual(X, prog.seed, False, *_params(prog, T))
+        val, grads, mask = prog.dual(X, prog.seed, False, *_params(T))
         if grads is None:
             grads = np.zeros(X.shape)
         elif grads.shape != X.shape or grads.base is not None:

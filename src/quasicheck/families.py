@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import expr as ex
-from .field import DomainBox, ScalarField, compiled_field
+from .field import DomainBox, ScalarField, make_field_from_expr
 
 __all__ = ["ExprFamily", "shipped_families", "family_by_name"]
 
@@ -44,7 +44,8 @@ class ExprFamily:
         """The member at parameter vector theta, over the shared program."""
         theta = np.array(theta, dtype=float)
         name = f"{self.name}[{','.join(f'{t:.4g}' for t in theta)}]"
-        return compiled_field(self.program, self.domain, name, theta)
+        return make_field_from_expr(self.program, self.domain.dim, self.domain,
+                                    name, theta)
 
     def to_json(self):
         return {

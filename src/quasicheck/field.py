@@ -22,7 +22,6 @@ __all__ = [
     "GradReport",
     "EvaluationError",
     "make_field_from_expr",
-    "compiled_field",
     "fd_grad",
     "default_fd_step",
     "validate_grad",
@@ -135,10 +134,13 @@ class ScalarField:
             return np.asarray(self.grad_fn(np.asarray(X, dtype=float)), dtype=float)
 
 
-def make_field_from_expr(e, n: int, box: DomainBox, name: str = "expr") -> ScalarField:
+def make_field_from_expr(e, n: int, box: DomainBox, name: str = "expr",
+                         params=None) -> ScalarField:
     """Field backed by the expression compiled once: each evaluation is one
     pass of straight-line numpy code, and the gradient comes from the same
-    pass in forward mode with vector tangents.
+    pass in forward mode with vector tangents. `e` may be a compiled
+    Program; one with parameters takes them as `params`: one vector for
+    every point, or one row per point row (see expr.Program).
 
     Nondifferentiable points (abs/min/max ties) and points outside the
     expression's domain yield NaN gradients so downstream sampling counts
@@ -148,15 +150,7 @@ def make_field_from_expr(e, n: int, box: DomainBox, name: str = "expr") -> Scala
         e = ex.parse(e, n)
     if box.dim != n:
         raise ValueError("box dimension does not match the field dimension")
-    return compiled_field(ex.compile_expr(e, n), box, name)
-
-
-def compiled_field(prog: ex.Program, box: DomainBox, name: str = "expr",
-                   params=None) -> ScalarField:
-    """Field of a compiled program on `box`, at the parameters `params` when
-    the program has any: one vector for every point, or one row per point
-    row (see expr.Program)."""
-    n = prog.n
+    prog = e if isinstance(e, ex.Program) else ex.compile_expr(e, n)
 
     def fn(X):
         return ex.eval_batch(prog, X, params)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import conditions as cond
 from .conditions import CheckConfig, Verdict, Witness
-from .field import DomainBox, ScalarField, compiled_field
+from .field import DomainBox, ScalarField, make_field_from_expr
 from .vecmath import pnorm_batch
 
 __all__ = [
@@ -202,11 +202,10 @@ class _MarginObjective:
                     and np.array_equal(g.domain.upper, hi)):
                 raise ValueError(f"members must share a program and domain: "
                                  f"{g.name} differs from {f.name}")
-        # one parameter row per member; members of a program without
-        # parameters are one function, scored as the first
-        self.theta = None
-        if len(self.fields) > 1 and f.program.p:
-            self.theta = np.array([g.params for g in self.fields])
+        # one parameter row per member (members without parameters are one
+        # function, scored as the first)
+        self.theta = np.array([g.params for g in self.fields]) \
+            if len(self.fields) > 1 and f.program.p else None
         self.target = target
         self.cfg = cfg
         n = self.n = f.dim
@@ -239,8 +238,9 @@ class _MarginObjective:
         f, T = self.fields[0], self.theta[members]
         block = cond.segment_chunk(1) if self.target == "a" else len(Z)
         return np.concatenate([
-            self._margins(compiled_field(f.program, f.domain, "members",
-                                         T[lo:lo + block]), Z[lo:lo + block])
+            self._margins(make_field_from_expr(f.program, f.dim, f.domain,
+                                               "members", T[lo:lo + block]),
+                          Z[lo:lo + block])
             for lo in range(0, len(Z), block)])
 
     def _margins(self, f: ScalarField, Z: np.ndarray) -> np.ndarray:
@@ -288,7 +288,8 @@ class _MarginObjective:
 def _falsify_many(fields, target: str, cfg: CheckConfig, budget: SearchBudget,
                   seeds) -> list[FalsificationResult]:
     """`falsify(fields[s], target, cfg, budget, seeds[s])` for every s, all
-    searches run by one lockstep compass engine.
+    searches run by one lockstep compass engine; the fields are one field
+    or members of one family (see `_MarginObjective`).
 
     Slot s*R + k (R = budget.restarts) holds restart k of the current wave
     of search s: its point, margin, step vector, sweep coordinate j,

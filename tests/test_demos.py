@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# open_question.py runs a full family campaign (about 5 s) and is left out
 DEMOS = ["conditions_walkthrough.py", "expressions_and_gradients.py",
-         "falsification.py", "sigma_star.py"]
+         "falsification.py", "open_question.py", "sigma_star.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

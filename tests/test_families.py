@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quasicheck.families import family_by_name
-from quasicheck.field import compiled_field
+from quasicheck.field import make_field_from_expr
 
 EPS = np.finfo(float).eps
 
@@ -88,7 +88,8 @@ def test_members_match_closures(name):
         for P in (X, X[:3 * k].reshape(3, k, X.shape[-1])):
             T = thetas[pick[:P.shape[-2]]]
             _assert_matches_oracle(name, oracle, theta, P, fam.build(theta))
-            row = compiled_field(fam.program, fam.domain, "members", T)
+            row = make_field_from_expr(fam.program, fam.domain.dim, fam.domain,
+                                       "members", T)
             value, grad = _assert_matches_oracle(name, oracle, T, P, row)
             mine = pick[:P.shape[-2]] == i
             alone = fam.build(theta)
