@@ -25,8 +25,8 @@ __all__ = ["ExprFamily", "shipped_families", "family_by_name"]
 
 @dataclass(frozen=True)
 class ExprFamily:
-    """The functions `expression` of x1..x<dim> on `domain`, one for each
-    parameter vector t in `param_box`."""
+    """The functions `expression` of x1..xn on `domain` (n = domain.dim),
+    one for each parameter vector t1..tp in `param_box`."""
 
     name: str
     expression: str

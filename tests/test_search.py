@@ -289,9 +289,9 @@ def test_falsify_scores_only_start_points_of_discarded_restarts(
     rows = []
     score = _MarginObjective.__call__
 
-    def counted(self, Z, *groups):
+    def counted(self, Z, *members):
         rows.append(len(Z))
-        return score(self, Z, *groups)
+        return score(self, Z, *members)
 
     monkeypatch.setattr(_MarginObjective, "__call__", counted)
     ref, ran = _sequential_falsify(f, target, CheckConfig(), budget, 6)
