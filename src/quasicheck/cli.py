@@ -159,24 +159,29 @@ def cmd_check(args) -> int:
 
 def _csv_rows(report, tol: float):
     """Rows (pair_index, condition, margin, status) for the pairs the
-    report counted; pair_index is the pair's position in the sampler."""
+    report counted; pair_index is the pair's position in the sampler.
+    Generated a few thousand pairs at a time, so that the rows of a run
+    are never all in memory at once."""
     p = report.per_pair
 
-    def row(i, name, margin, ok, vacuous=False):
+    def row(i, name, margin, violated, ok, vacuous=False):
         if not ok:
             return [i, name, "", "skipped"]
         if vacuous:
             return [i, name, "", "vacuous"]
-        return [i, name, repr(float(margin)),
-                "violated" if cond.is_violated(margin, tol) else "holds"]
+        return [i, name, repr(margin), "violated" if violated else "holds"]
 
-    rows = []
-    for k, i in enumerate(p["index"].tolist()):
-        rows.append(row(i, "a", p["a_margin"][k], p["a_ok"][k]))
-        for name in ("b", "c"):
-            rows.append(row(i, name, p["bc_margin"][k], p["bc_ok"][k],
-                            p[f"{name}_vacuous"][k]))
-    return rows
+    for lo in range(0, len(p["index"]), 4096):
+        part = {k: v[lo:lo + 4096] for k, v in p.items()}
+        part["a_violated"] = cond.is_violated(part["a_margin"], tol)
+        part["bc_violated"] = cond.is_violated(part["bc_margin"], tol)
+        part = {k: v.tolist() for k, v in part.items()}
+        for k, i in enumerate(part["index"]):
+            yield row(i, "a", part["a_margin"][k], part["a_violated"][k],
+                      part["a_ok"][k])
+            for name in ("b", "c"):
+                yield row(i, name, part["bc_margin"][k], part["bc_violated"][k],
+                          part["bc_ok"][k], part[f"{name}_vacuous"][k])
 
 
 def cmd_sigma(args) -> int:

@@ -14,9 +14,10 @@ sigma = 0 recovers plain quasiconvexity (the Arrow-Enthoven condition for
 examined pairs.
 
 Each formula is written once, in a kernel over arrays of pairs:
-`segment_margins` yields the (a) margins of chunks of pairs, at a shared
-lambda grid or at one lambda per pair, evaluating f once per chunk on a
-coordinate-major point buffer that every chunk reuses, and
+`segment_margins` yields the (a) margins of chunks of a stream of blocks
+of pairs, at a shared lambda grid or at one lambda per pair, evaluating
+f once per chunk on a coordinate-major point buffer that every chunk of
+the stream reuses, and
 `batch_margins_bc` gives the pairings, both premises and the shared
 (b)/(c) conclusion margin. The per-pair worst (a) margin and sigma*
 reduce over the kernel's chunks; the scalar checks `margin_a`, `check_b`,
@@ -162,52 +163,65 @@ def _checked_pair(x, y, cfg: CheckConfig):
 # Condition (a): the defining segment inequality
 
 
-def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2):
-    """Condition-(a) margins of the pairs (X[i], Y[i]), chunk by chunk:
+def segment_margins(f: ScalarField, pairs, lams, sigma: float, penalty_norm=2):
+    """Condition-(a) margins of a stream of pairs, chunk by chunk:
 
         max{f(x), f(y)} - (sigma/2)*lam*(1-lam)*||x-y||^2 - f(y + lam*(x-y))
 
-    `lams` has shape (L, 1) for a grid shared by all pairs or (1, N) for
-    one lambda per pair. Each chunk evaluates f once, on x, y, then one
-    segment point per lambda: the points are stored coordinate-major,
-    (n, L + 2, k), in one buffer reused by every chunk, and f gets them
-    as a read-only (L + 2, k, n) view in which each coordinate is one
+    `pairs` is an iterable of blocks (X, Y) of pair rows; the pairs are
+    numbered across the blocks in order. `lams` has shape (L, 1) for a
+    grid shared by all pairs or (1, N) for one lambda per pair. Each chunk
+    of a block evaluates f once, on x, y, then one segment point per
+    lambda: the points are stored coordinate-major, (n, L + 2, k), in one
+    buffer that serves every chunk of every block, and f gets them as a
+    read-only (L + 2, k, n) view in which each coordinate is one
     contiguous plane. Yields (rows, margins (L, k), ||x-y|| (k,)) per
-    chunk of k pairs; a margin is NaN where an evaluation failed.
+    chunk of k pairs, rows being the chunk's slice of the pair numbering;
+    a margin is NaN where an evaluation failed. The margins live in a
+    buffer that the next chunk overwrites.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     L = lams.shape[0]
     step = segment_chunk(L)
-    S = np.empty((X.shape[1], L + 2, min(step, X.shape[0])))
-    points = S.transpose(1, 2, 0)
-    points.flags.writeable = False   # f must not write into the reused buffer
-    for lo in range(0, X.shape[0], step):
-        rows = slice(lo, lo + step)
-        x, y = X[rows], Y[rows]
-        k = x.shape[0]
-        lam = lams if lams.shape[1] == 1 else lams[:, rows]
-        P = S[..., :k]
-        with np.errstate(all="ignore"):
-            P[:, 0], P[:, 1] = x.T, y.T
-            np.multiply(lam, (P[:, 0] - P[:, 1])[:, None], out=P[:, 2:])
-            P[:, 2:] += P[:, 1, None]
-            v = f.values(points[:, :k])
-            # from the row-major x - y: a sum over the planes would reorder it at n >= 8
-            d = pnorm_batch(x - y, penalty_norm)
-            m = np.empty((L, k))
-            top = np.maximum(v[0], v[1])
-            if sigma:
-                np.multiply(0.5 * sigma * lam * (1.0 - lam), d, out=m)
-                m *= d
-                np.subtract(top, m, out=m)
-                m -= v[2:]
-            else:   # the penalty is +0 for finite d: subtracting it is exact
-                np.subtract(top, v[2:], out=m)
-            finite = np.isfinite(v)
-            if not finite.all():
-                m[~(finite[0] & finite[1] & finite[2:])] = np.nan
-        yield rows, m, d   # outside errstate: the consumer runs between chunks
+    size = -1      # pairs per chunk the buffers hold
+    first = 0      # number of the block's first pair
+    for X, Y in pairs:
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if size < min(step, len(X)):
+            size = min(step, len(X))
+            S = np.empty((X.shape[1], L + 2, size))
+            points = S.transpose(1, 2, 0)
+            points.flags.writeable = False   # f must not write into the reused buffer
+            M = np.empty((L, size))
+            top = np.empty(size)
+            finite = np.empty((L + 2, size), dtype=bool)
+        for lo in range(0, len(X), step):
+            x, y = X[lo:lo + step], Y[lo:lo + step]
+            k = x.shape[0]
+            rows = slice(first + lo, first + lo + k)
+            lam = lams if lams.shape[1] == 1 else lams[:, rows]
+            P = S[..., :k]
+            m = M[:, :k]
+            with np.errstate(all="ignore"):
+                P[:, 0], P[:, 1] = x.T, y.T
+                np.multiply(lam, (P[:, 0] - P[:, 1])[:, None], out=P[:, 2:])
+                P[:, 2:] += P[:, 1, None]
+                v = f.values(points[:, :k])
+                # from the row-major x - y: a sum over the planes would reorder it at n >= 8
+                d = pnorm_batch(x - y, penalty_norm)
+                t = np.maximum(v[0], v[1], out=top[:k])
+                if sigma:
+                    np.multiply(0.5 * sigma * lam * (1.0 - lam), d, out=m)
+                    m *= d
+                    np.subtract(t, m, out=m)
+                    m -= v[2:]
+                else:   # the penalty is +0 for finite d: subtracting it is exact
+                    np.subtract(t, v[2:], out=m)
+                ok = np.isfinite(v, out=finite[:, :k])
+                if not ok.all():
+                    m[~(ok[0] & ok[1] & ok[2:])] = np.nan
+            yield rows, m, d   # outside errstate: the consumer runs between chunks
+        first += len(X)
 
 
 def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
@@ -219,8 +233,9 @@ def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     x, y = _checked_pair(x, y, cfg)
-    (_, m, _), = segment_margins(f, x[None], y[None], np.array([[lam]], dtype=float),
-                                 cfg.sigma, cfg.penalty_norm)
+    (_, m, _), = segment_margins(f, [(x[None], y[None])],
+                                 np.array([[lam]], dtype=float), cfg.sigma,
+                                 cfg.penalty_norm)
     return float(m[0, 0])
 
 
@@ -232,14 +247,22 @@ def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     evaluation have ok_mask False and NaN margin. Ties go to the first
     lambda of the grid.
     """
-    lams = np.asarray(cfg.lambda_grid)[:, None]
     worst = np.empty(len(X))
     worst_lam = np.empty(len(X))
-    for rows, m, _ in segment_margins(f, X, Y, lams, cfg.sigma, cfg.penalty_norm):
-        i = np.argmin(m, axis=0)   # a NaN column gives its first NaN
-        worst[rows] = np.take_along_axis(m, i[None], axis=0)[0]
-        worst_lam[rows] = lams[i, 0]
+    for rows, w, lam in _worst_a(f, [(X, Y)], cfg):
+        worst[rows] = w
+        worst_lam[rows] = lam
     return worst, worst_lam, ~np.isnan(worst)
+
+
+def _worst_a(f: ScalarField, pairs, cfg: CheckConfig):
+    """`batch_margin_a_worst` over the stream of blocks `pairs` (see
+    `segment_margins`), one chunk at a time: yields (rows, worst margins,
+    their lambdas)."""
+    lams = np.asarray(cfg.lambda_grid)[:, None]
+    for rows, m, _ in segment_margins(f, pairs, lams, cfg.sigma, cfg.penalty_norm):
+        i = np.argmin(m, axis=0)   # a NaN column gives its first NaN
+        yield rows, np.take_along_axis(m, i[None], axis=0)[0], lams[i, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +354,26 @@ def check_c(f: ScalarField, x, y, cfg: CheckConfig,
 # sigma* estimation
 
 
-def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig, failure: str) -> float:
-    """min over pairs and the lambda grid of
+def _sigma_star(f: ScalarField, pairs, cfg: CheckConfig) -> float:
+    """min over the stream of blocks `pairs` (see `segment_margins`) and
+    the lambda grid of
     2 * (max{f(x),f(y)} - f(segment)) / (lam*(1-lam)*||x-y||^2), the
-    sigma = 0 margin scaled; raises ArithmeticError(failure) when no
-    sample evaluates."""
+    sigma = 0 margin scaled; +inf when no sample evaluates."""
     lams = np.asarray(cfg.lambda_grid)[:, None]
     weight = lams * (1.0 - lams)
     best = math.inf
-    for _, m, d in segment_margins(f, X, Y, lams, 0.0, cfg.penalty_norm):
+    den = np.empty(0)
+    for _, m, d in segment_margins(f, pairs, lams, 0.0, cfg.penalty_norm):
+        if den.size < m.size:
+            den = np.empty(m.size)
         with np.errstate(all="ignore"):
-            den = np.multiply(weight, d)
-            den *= d
+            q = np.multiply(weight, d, out=den[:m.size].reshape(m.shape))
+            q *= d
             ratio = np.multiply(m, 2.0, out=m)
-            ratio /= den
-        ratio = ratio[np.isfinite(ratio)]
-        if ratio.size:
-            best = min(best, float(np.min(ratio)))
-    if not math.isfinite(best):
-        raise ArithmeticError(failure)
+            ratio /= q
+        # the minimum over the finite ratios: the others count as +inf
+        np.copyto(ratio, math.inf, where=~np.isfinite(ratio))
+        best = min(best, float(ratio.min()))
     return best
 
 
@@ -364,29 +388,47 @@ def sigma_star_segment(f: ScalarField, x, y, cfg: CheckConfig) -> float:
     # (the default lambda grid is symmetric about 1/2)
     if tuple(y) < tuple(x):
         x, y = y, x
-    return _sigma_star(f, x[None], y[None], cfg,
-                       "all lambda samples failed on this segment")
+    best = _sigma_star(f, [(x[None], y[None])], cfg)
+    if not math.isfinite(best):
+        raise ArithmeticError("all lambda samples failed on this segment")
+    return best
 
 
 def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
     """min of sigma_star_segment over sampled pairs: an upper bound for the
     largest sigma satisfying the defining inequality on the domain.
 
-    `sampler` is either an iterable of (x, y) pairs or an object with a
-    .pairs() method (see search.Sampler). The raw (possibly negative)
+    `sampler` is either an iterable of (x, y) pairs or a sampler whose
+    .blocks() stream gives the pairs block by block (see search.Sampler);
+    a stream is consumed one block at a time. The raw (possibly negative)
     value is returned; clamp at 0 only when reporting.
     """
-    pairs = sampler.pairs() if hasattr(sampler, "pairs") else sampler
-    P = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
-                   dtype=float)
-    if P.size == 0:
-        raise ValueError("sampler produced no pairs")
-    X, Y = P[:, 0, :], P[:, 1, :]
-    keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
-    if not np.any(keep):
+    if hasattr(sampler, "blocks"):
+        blocks = (P for _, P in sampler.blocks())
+    else:
+        P = np.asarray(sampler if isinstance(sampler, np.ndarray) else list(sampler),
+                       dtype=float)
+        if P.size == 0:
+            raise ValueError("sampler produced no pairs")
+        blocks = [P]
+    kept = 0
+
+    def separated():
+        nonlocal kept
+        for P in blocks:
+            X, Y = P[:, 0, :], P[:, 1, :]
+            keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
+            kept += int(np.count_nonzero(keep))
+            # the kernel copies the points into its own buffer, so a block
+            # that keeps every pair goes in as it is
+            yield (X, Y) if keep.all() else (X[keep], Y[keep])
+
+    best = _sigma_star(f, separated(), cfg)
+    if not kept:
         raise ValueError("no pair passed the min_sep filter")
-    return _sigma_star(f, X[keep], Y[keep], cfg,
-                       "every sampled segment failed to evaluate")
+    if not math.isfinite(best):
+        raise ArithmeticError("every sampled segment failed to evaluate")
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Functions: sin, cos, exp, log, sqrt, abs, min, max, pow. Variables are
 written x1..xn and parameters t1..tp (both 1-based; p = 0 unless the
 caller declares parameters). No implicit multiplication.
 
-`compile_expr` lowers an AST once to straight-line numpy code. One pass
+`compile_expr` lowers an AST once to straight-line numpy code whose
+intermediate values go to a register file reused by every call. One pass
 of it gives the value, forward-mode tangents for every seed direction at
 once (the full gradient, or <grad f(x), d>) and a nondifferentiability
 mask; the same program serves batch evaluation, where invalid points give
@@ -23,6 +24,7 @@ a tangent, so one program serves a family, one parameter row per point.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -342,7 +344,10 @@ def pretty_print(e: Node) -> str:
 #
 # One temporary per node, in left-first post-order. Values have shape
 # (..., 1), one point being a batch of one, so they broadcast against
-# tangents (..., m); x_j's tangent is row j of the seed S (n, m).
+# tangents (..., m); x_j = X[..., j-1, None] and its tangent is row j of
+# the seed S (n, m). A value that depends on x, except the result, is
+# written into a register of the program's register file R (see
+# `_assign_registers`), so a call allocates no array for it.
 # Parameter t_j is p_j = T[..., j-1, None], broadcast against the points,
 # with no tangent. Derivatives mirror the dual-number rules term for term;
 # subtrees free of x carry no tangent and no flag. Strict checks precede
@@ -362,13 +367,15 @@ _NAMESPACE = {
     "_fail": _fail, "_any": np.any, "_F": np.float64, "_full": np.full,
     "_copy": np.copy,
     "_bshape": lambda a, b: np.broadcast_shapes(np.shape(a), np.shape(b)),
-    "_moveaxis": np.moveaxis, "inf": np.inf, "nan": np.nan, "sin": np.sin,
-    "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+    "inf": np.inf, "nan": np.nan, "negative": np.negative, "add": np.add,
+    "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "absolute": np.absolute, "minimum": np.minimum, "maximum": np.maximum,
     "power": np.power, "where": np.where,
 }
 
-# op: (value, tangent, check, tangent terms, tie test). Templates see the
+# op: (value, tangent, check, tangent terms, tie test). A value template is
+# one ufunc call, so that a register can be given as its out=. Templates see the
 # operand values a, b and tangents ta, tb (0.0 when zero), this value v,
 # w = a with non-positive entries as NaN, and k, pk for k * a^(k-1). Terms
 # whose tangent is zero are dropped; the rest fill the tangent's {}. A
@@ -378,11 +385,11 @@ _TA = [("", "{ta}")]
 _POW = ("power({w}, {bx})", "{v} * ({})")
 _POW_TERMS = [("", "{tb} * log({w})"), (" + ", "{b} * {ta} / {w}")]
 _RULES = {
-    "neg": ("-{a}", "-{}"),
-    "+": ("{a} + {b}", "{}", None, [("", "{ta}"), (" + ", "{tb}")]),
-    "-": ("{a} - {b}", "{}", None, [("", "{ta}"), (" - ", "{tb}")]),
-    "*": ("{a} * {b}", "{}", None, [("", "{ta} * {b}"), (" + ", "{a} * {tb}")]),
-    "/": ("{a} / {b}", "({}) / ({b} * {b})", (0, "{b} == 0"),
+    "neg": ("negative({a})", "-{}"),
+    "+": ("add({a}, {b})", "{}", None, [("", "{ta}"), (" + ", "{tb}")]),
+    "-": ("subtract({a}, {b})", "{}", None, [("", "{ta}"), (" - ", "{tb}")]),
+    "*": ("multiply({a}, {b})", "{}", None, [("", "{ta} * {b}"), (" + ", "{a} * {tb}")]),
+    "/": ("divide({a}, {b})", "({}) / ({b} * {b})", (0, "{b} == 0"),
           [("", "{ta} * {b}"), (" - ", "{a} * {tb}")]),
     "^0": ("power({a}, 0.0)", None, None, []),
     "^+": ("power({a}, {k})", "{k} * {pk} * {}"),
@@ -400,6 +407,41 @@ _RULES = {
     "max": ("maximum({a}, {b})", "where({a} >= {b}, {ta}, {tb})", None,
             _TA + [("", "{tb}")], "{a} == {b}"),
 }
+
+
+class _RegisterFile:
+    """The registers of one compiled program: one buffer that every call
+    reuses, grown when a call needs more. Calls must not overlap, so a
+    program must not run in two threads at once."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.buffer = np.empty(0)
+
+    def __call__(self, shape: tuple) -> np.ndarray:
+        size = self.count * math.prod(shape)
+        if self.buffer.size < size:
+            self.buffer = np.empty(size)
+        return self.buffer[:size].reshape((self.count, *shape))
+
+
+def _assign_registers(lines, names):
+    """Give each value temporary in `names` a register of R from its
+    assignment to its `del`, and make its node write there with out=.
+    Returns the lines and the number of registers."""
+    slot, free, out, count = {}, [], [], 0
+    for dual, text in lines:
+        name, _, call = text.partition(" = ")
+        if not dual and name in names:
+            if not free:
+                free.append(count)
+                count += 1
+            slot[name] = free.pop()
+            text = f"{name} = {call[:-1]}, out=R[{slot[name]}])"
+        elif not dual and text.startswith("del "):
+            free += [slot.pop(n) for n in text[4:].split(", ") if n in slot]
+        out.append((dual, text))
+    return out, count
 
 
 def _int_exponent(node: Node) -> int | None:
@@ -430,6 +472,7 @@ class _Lowering:
         self.temps: set[str] = set()
         self.variables: set[int] = set()
         self.params: set[int] = set()
+        self.var_values: set[str] = set()   # value temporaries that depend on x
         self.partial = False   # has a domain-restricted operation
 
     def new(self, prefix: str, dual_expr: str | None = None) -> str:
@@ -472,6 +515,8 @@ class _Lowering:
         value, tangent, check, terms, tie = rule + (None, _TA, None)[len(rule) - 2:]
         a, b = (ops + [_Slot("")])[:2]
         out = _Slot(self.new("v"), None, None, var, par)
+        if var:
+            self.var_values.add(out.v)
         fmt.update(a=a.v, b=b.v, v=out.v, ta=a.t or "0.0", tb=b.t or "0.0")
         lines = self.lines
         if check:
@@ -517,7 +562,10 @@ class Program:
     value(X, strict) gives f; dual(X, S, strict) gives (values, tangents
     broadcastable to X.shape[:-1] + (m,) or None when zero, tie flags or
     None). With p > 0 both take the parameters T last, of shape (..., p)
-    broadcastable against X.shape[:-1]: one vector, or one per point row."""
+    broadcastable against X.shape[:-1]: one vector, or one per point row.
+    Both write their intermediate values into one register file that the
+    program keeps for all its calls, so a call must not overlap another
+    (no use from two threads at once); what they return is their own."""
 
     n: int
     p: int
@@ -543,18 +591,20 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
         else f"_full({shape}, {root.v}[..., 0])" if root.par \
         else f"_full({shape}, {root.v})"
     flags = f"{root.f}.reshape({shape})" if root.f else "None"
-    views = ["V = _moveaxis(X, -1, 0)[..., None]"] \
-        + [f"x{j} = V[{j - 1}]" for j in sorted(L.variables)]
+    lines, registers = _assign_registers(L.lines, L.var_values - {root.v})
+    views = [f"x{j} = X[..., {j - 1}, None]" for j in sorted(L.variables)]
     views += [f"p{j} = T[..., {j - 1}, None]" for j in sorted(L.params)]
+    if registers:
+        views.append(f"R = _registers({shape} + (1,))")
     seeds = [f"s{j} = S[{j - 1}]" for j in sorted(L.variables)]
-    value = views + [text for dual, text in L.lines if not dual] + [f"return {ret}"]
-    dual = views + seeds + [text for _, text in L.lines] \
+    value = views + [text for dual, text in lines if not dual] + [f"return {ret}"]
+    dual = views + seeds + [text for _, text in lines] \
         + [f"return {ret}, {root.t}, {flags}"]
     T = ", T" if p else ""
     source = "".join(f"def {name}:\n" + "".join(f"    {t}\n" for t in body)
                      for name, body in ((f"value(X, strict{T})", value),
                                         (f"dual(X, S, strict{T})", dual)))
-    namespace = dict(_NAMESPACE)
+    namespace = dict(_NAMESPACE, _registers=_RegisterFile(registers))
     exec(compile(source, "<quasicheck expression>", "exec"), namespace)
     return Program(n, p, source, root.f is not None, L.partial,
                    namespace["value"], namespace["dual"], np.eye(n))

@@ -2,9 +2,15 @@
 harness.
 
 Determinism contract: pair i is a pure function of (seed, i, strategy,
-domain) via counter-based Philox streams, and every kernel computes each
-pair's margins on its own, so a report does not depend on how the kernels
-chunk the pairs. Falsification is derivative-free compass search on the
+domain, min_sep) via counter-based Philox streams. The sampler is a
+stream of blocks of pairs (`Sampler.blocks`): a block starting at pair lo
+jumps its Philox counter ahead to pair lo's slots in each rejection round
+and redraws only its own pending pairs, so the pairs do not depend on the
+block size, and every kernel computes each pair's margins on its own, so
+a report does not depend on how the blocks and the kernels' chunks split
+the pairs. `check` and `sigma` hold one block at a time.
+
+Falsification is derivative-free compass search on the
 margin with a geometric step schedule, so with a fixed seed a larger
 budget can only extend the same trajectory. One lockstep engine runs many
 independent searches at once (the restarts of one `falsify`, or every
@@ -59,6 +65,10 @@ class Sampler:
     def pairs(self) -> np.ndarray:
         return sample_pairs(self)
 
+    def blocks(self):
+        """The pairs as a stream of (lo, pairs lo..) blocks; see `sample_pairs`."""
+        return _pair_blocks(self)
+
     def to_json(self):
         return {
             "strategy": self.strategy,
@@ -69,61 +79,91 @@ class Sampler:
         }
 
 
+# pairs per block of the sampler stream: `check` and `sigma` hold one block
+# of pairs at a time, whatever the count
+PAIR_BLOCK = 1 << 14
+
+
 def _round_uniforms(seed: int, strategy_id: int, round_idx: int,
-                    count: int, n: int) -> np.ndarray:
-    """Uniforms of shape (count, 2, n); position i is independent of count."""
+                    lo: int, count: int, n: int) -> np.ndarray:
+    """Uniforms of shape (count, 2, n) for pairs lo.. of one round: slice
+    [lo:lo + count] of that round's (total, 2, n) array, for any total.
+
+    A Philox counter step gives four 64-bit draws and each uniform takes
+    one, so pair lo starts 2n*lo draws in: jump ahead by whole counter
+    steps, then skip the 0 or 2 draws left over."""
     bg = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF,
                           counter=[0, 0, strategy_id, round_idx])
-    rng = np.random.Generator(bg)
-    return rng.random((count, 2, n))
+    steps, skip = divmod(lo * 2 * n, 4)
+    bg.advance(steps)
+    if skip:
+        bg.random_raw(skip)
+    return np.random.Generator(bg).random((count, 2, n))
+
+
+def _pair_blocks(s: Sampler):
+    """The sampler's pairs as a stream of (lo, pairs lo..lo+k-1) blocks of
+    at most PAIR_BLOCK pairs; see `sample_pairs`. A block redraws its own
+    pending pairs round by round, so it needs nothing of the other blocks."""
+    n = s.domain.dim
+    sid = _STRATEGIES[s.strategy]
+    lo_box, widths = s.domain.lower, s.domain.widths
+    center = 0.5 * (lo_box + s.domain.upper)
+    for lo in range(0, s.count, PAIR_BLOCK):
+        k = min(PAIR_BLOCK, s.count - lo)
+        if s.strategy == "segment_grid":
+            t = 0.5 * (np.arange(lo, lo + k) + 1) / (s.count + 1)  # in (0, 0.5)
+            X = lo_box + t[:, None] * widths
+            Y = s.domain.upper - t[:, None] * widths
+            if np.any(pnorm_batch(X - Y, 2) < s.min_sep):
+                raise ValueError("segment_grid produced a pair below min_sep; "
+                                 "reduce count or enlarge the box")
+            yield lo, np.stack([X, Y], axis=1)
+            continue
+        out = None
+        pending = np.arange(k)
+        for round_idx in range(1000):
+            if not pending.size:
+                break
+            u = _round_uniforms(s.seed, sid, round_idx, lo, k, n)
+            if pending.size < k:
+                u = u[pending]
+            if s.strategy == "uniform_box":
+                cand = np.multiply(u, widths, out=u)
+                cand += lo_box
+                ok = np.ones(len(u), dtype=bool)
+            else:  # gaussian_interior: Box-Muller from the uniform slots
+                u1 = np.clip(u[:, 0, :], 1e-12, 1.0)
+                u2 = u[:, 1, :]
+                z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+                z2 = np.sqrt(-2.0 * np.log(u1)) * np.sin(2.0 * np.pi * u2)
+                cand = np.stack([center + 0.2 * widths * z,
+                                 center + 0.2 * widths * z2], axis=1)
+                ok = s.domain.contains(cand[:, 0]) & s.domain.contains(cand[:, 1])
+            ok &= pnorm_batch(cand[:, 0] - cand[:, 1], 2) >= s.min_sep
+            if out is None:   # round 0 draws every pair of the block
+                out = cand
+            else:
+                out[pending[ok]] = cand[ok]
+            pending = pending[~ok]
+        if pending.size:
+            raise ValueError("pair rejection failed after 1000 rounds "
+                             "(degenerate box or min_sep too large)")
+        yield lo, out
 
 
 def sample_pairs(s: Sampler) -> np.ndarray:
-    """Array of shape (count, 2, n) with ||x - y||_2 >= min_sep per pair.
+    """Array of shape (count, 2, n) with ||x - y||_2 >= min_sep per pair:
+    the blocks of `Sampler.blocks` put together.
 
-    Rejected pairs are redrawn in later rounds; pair i always consumes the
-    stream slot i of each round, keeping results independent of how the
-    batch is partitioned.
+    Pair i takes the uniforms of stream slot i of each round until it is
+    accepted; a rejected pair is redrawn in the next round. So pair i
+    depends only on (seed, strategy, domain, min_sep, i), never on the
+    count or on how the pairs are split into blocks.
     """
-    n = s.domain.dim
-    sid = _STRATEGIES[s.strategy]
-    if s.strategy == "segment_grid":
-        t = 0.5 * (np.arange(s.count) + 1) / (s.count + 1)  # in (0, 0.5)
-        lo, hi = s.domain.lower, s.domain.upper
-        X = lo + t[:, None] * (hi - lo)
-        Y = hi - t[:, None] * (hi - lo)
-        out = np.stack([X, Y], axis=1)
-        if np.any(pnorm_batch(X - Y, 2) < s.min_sep):
-            raise ValueError("segment_grid produced a pair below min_sep; "
-                             "reduce count or enlarge the box")
-        return out
-
-    out = np.empty((s.count, 2, n))
-    pending = np.ones(s.count, dtype=bool)
-    widths = s.domain.widths
-    center = 0.5 * (s.domain.lower + s.domain.upper)
-    for round_idx in range(1000):
-        if not np.any(pending):
-            break
-        u = _round_uniforms(s.seed, sid, round_idx, s.count, n)
-        if s.strategy == "uniform_box":
-            cand = s.domain.lower + u * widths
-            inside = np.ones(s.count, dtype=bool)
-        else:  # gaussian_interior: Box-Muller from the uniform slots
-            u1 = np.clip(u[:, 0, :], 1e-12, 1.0)
-            u2 = u[:, 1, :]
-            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-            z2 = np.sqrt(-2.0 * np.log(u1)) * np.sin(2.0 * np.pi * u2)
-            cand = np.stack([center + 0.2 * widths * z,
-                             center + 0.2 * widths * z2], axis=1)
-            inside = s.domain.contains(cand[:, 0]) & s.domain.contains(cand[:, 1])
-        sep_ok = pnorm_batch(cand[:, 0] - cand[:, 1], 2) >= s.min_sep
-        accept = pending & inside & sep_ok
-        out[accept] = cand[accept]
-        pending &= ~accept
-    if np.any(pending):
-        raise ValueError("pair rejection failed after 1000 rounds "
-                         "(degenerate box or min_sep too large)")
+    out = np.empty((s.count, 2, s.domain.dim))
+    for lo, P in s.blocks():
+        out[lo:lo + len(P)] = P
     return out
 
 
@@ -249,7 +289,7 @@ class _MarginObjective:
         if self.target == "a":
             return np.concatenate([
                 np.where((d >= cfg.min_sep) & np.isfinite(m[0]), m[0], math.inf)
-                for _, m, d in cond.segment_margins(f, X, Y, lam[None],
+                for _, m, d in cond.segment_margins(f, [(X, Y)], lam[None],
                                                     cfg.sigma, cfg.penalty_norm)])
         # premise at tolerance 0: violations found here are genuine,
         # not artifacts of the reporting premise slack; (c) needs only
@@ -539,50 +579,79 @@ def _tally(margins, vacuous, ok, tol):
 
 def implication_harness(f: ScalarField, cfg: CheckConfig,
                         sampler: Sampler) -> HarnessReport:
-    """Evaluate (a) over pairs x lambda grid, (b) and (c) over pairs."""
-    pairs = sample_pairs(sampler)
-    d = pnorm_batch(pairs[:, 0] - pairs[:, 1], cfg.penalty_norm)
-    keep = d >= cfg.min_sep
-    pairs = pairs[keep]
-    N = pairs.shape[0]
-    X, Y = pairs[:, 0], pairs[:, 1]
-    a_margin, a_lam, a_ok = cond.batch_margin_a_worst(f, X, Y, cfg)
-    r = cond.batch_margins_bc(f, X, Y, cfg)
-    bc_margin, bc_ok = r["margin"], r["ok"]
-    b_vac, c_vac = ~r["premise_b"], ~r["premise_c"]
+    """Evaluate (a) over pairs x lambda grid, (b) and (c) over pairs.
 
-    counts = {
-        "a": _tally(a_margin, np.zeros(N, dtype=bool), a_ok, cfg.tol),
-        "b": _tally(bc_margin, b_vac, bc_ok, cfg.tol),
-        "c": _tally(bc_margin, c_vac, bc_ok, cfg.tol),
-    }
+    The pairs stream through block by block (`Sampler.blocks`): each block
+    is filtered by min_sep and run through the (b)/(c) kernel, and the (a)
+    kernel takes the filtered blocks as one stream. Counts and the first
+    smallest margin of each condition are kept as running totals, so
+    memory does not grow with the count apart from `per_pair`.
+    """
+    count = sampler.count
+    per_pair = {"index": np.empty(count, dtype=np.int64), "a_margin": np.empty(count),
+                "a_ok": np.empty(count, dtype=bool), "bc_margin": np.empty(count),
+                "b_vacuous": np.empty(count, dtype=bool),
+                "c_vacuous": np.empty(count, dtype=bool),
+                "bc_ok": np.empty(count, dtype=bool)}
+    counts = {name: {"holds": 0, "violated": 0, "vacuous": 0, "skipped": 0}
+              for name in "abc"}
+    best = {}      # condition -> (margin, x, y, lam) of its first smallest margin
+    N = 0          # pairs kept so far
+
+    def note(name, margins, vacuous, ok, X, Y, lam=None):
+        for key, c in _tally(margins, vacuous, ok, cfg.tol).items():
+            counts[name][key] += c
+        masked = np.where(ok & ~vacuous, margins, np.nan)
+        if np.isnan(masked).all():
+            return
+        i = int(np.nanargmin(masked))
+        if name not in best or masked[i] < best[name][0]:
+            best[name] = (float(margins[i]), X[i].copy(), Y[i].copy(),
+                          None if lam is None else float(lam[i]))
+
+    def kept():
+        nonlocal N, first, lams
+        for lo, P in sampler.blocks():
+            X, Y = P[:, 0], P[:, 1]
+            keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
+            X, Y = X[keep], Y[keep]
+            rows = slice(N, N + len(X))
+            r = cond.batch_margins_bc(f, X, Y, cfg)
+            b_vac, c_vac = ~r["premise_b"], ~r["premise_c"]
+            per_pair["index"][rows] = lo + np.flatnonzero(keep)
+            per_pair["bc_margin"][rows] = r["margin"]
+            per_pair["bc_ok"][rows] = r["ok"]
+            per_pair["b_vacuous"][rows] = b_vac
+            per_pair["c_vacuous"][rows] = c_vac
+            note("b", r["margin"], b_vac, r["ok"], X, Y)
+            note("c", r["margin"], c_vac, r["ok"], X, Y)
+            first, lams = N, np.empty(len(X))
+            N += len(X)
+            yield X, Y
+            # the kernel asks for the next block once it is done with this one
+            w = per_pair["a_margin"][rows]
+            ok = per_pair["a_ok"][rows]
+            np.logical_not(np.isnan(w), out=ok)
+            note("a", w, np.zeros(len(w), dtype=bool), ok, X, Y, lams)
+
+    # the number of the first pair of the block in flight, and the worst
+    # lambda of each of its pairs
+    first, lams = 0, None
+    for rows, w, lam in cond._worst_a(f, kept(), cfg):
+        per_pair["a_margin"][rows] = w
+        lams[rows.start - first:rows.stop - first] = lam
 
     worst = {}
-    if np.any(a_ok):
-        i = int(np.nanargmin(np.where(a_ok, a_margin, np.nan)))
-        worst["a"] = {
-            "margin": float(a_margin[i]),
-            "witness": Witness(x=pairs[i, 0], y=pairs[i, 1],
-                               lam=float(a_lam[i])).to_json(),
-        }
-    for name, vac in (("b", b_vac), ("c", c_vac)):
-        active = bc_ok & ~vac
-        if np.any(active):
-            masked = np.where(active, bc_margin, np.nan)
-            i = int(np.nanargmin(masked))
-            worst[name] = {
-                "margin": float(bc_margin[i]),
-                "witness": Witness(x=pairs[i, 0], y=pairs[i, 1]).to_json(),
-            }
-
+    for name in "abc":
+        if name in best:
+            margin, x, y, lam = best[name]
+            worst[name] = {"margin": margin,
+                           "witness": Witness(x=x, y=y, lam=lam).to_json()}
     tension = (counts["a"]["violated"] == 0
                and (counts["b"]["violated"] > 0 or counts["c"]["violated"] > 0))
-    per_pair = {"index": np.flatnonzero(keep), "a_margin": a_margin,
-                "a_ok": a_ok, "bc_margin": bc_margin, "b_vacuous": b_vac,
-                "c_vacuous": c_vac, "bc_ok": bc_ok}
     return HarnessReport(sample_count=N, sigma=cfg.sigma, seed=sampler.seed,
                          counts=counts, worst=worst, theorem_tension=tension,
-                         per_pair=per_pair)
+                         per_pair={k: v[:N] for k, v in per_pair.items()})
 
 
 # ---------------------------------------------------------------------------

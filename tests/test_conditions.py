@@ -344,8 +344,9 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
     # 65 * 7 puts a chunk edge inside the 250 pairs
     for chunk in (65, 65 * 7, 65 * 249, 1 << 16):
         monkeypatch.setattr(conditions, "SEGMENT_CHUNK", chunk)
-        per_pair = np.concatenate([m[0] for _, m, _ in conditions.segment_margins(
-            f, X, Y, lam, c.sigma, c.penalty_norm)])
+        # the margins of a chunk live until the next chunk: copy them
+        per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
+            f, [(X, Y)], lam, c.sigma, c.penalty_norm)])
         runs.append((*batch_margin_a_worst(f, X, Y, c),
                      sigma_star_estimate(f, pairs, c), per_pair))
     for i in range(len(X)):

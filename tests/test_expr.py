@@ -287,20 +287,22 @@ def test_compiled_source_holds_only_numbers_and_generated_names():
     names = {tok.string for tok in tokenize.generate_tokens(
         io.StringIO(source).readline) if tok.type == tokenize.NAME}
     allowed = set(ex._NAMESPACE) | set(keyword.kwlist) | {
-        "value", "dual", "X", "S", "V", "T", "strict", "ndim", "shape", "reshape"}
+        "value", "dual", "X", "S", "T", "R", "out", "_registers", "strict", "ndim",
+        "shape", "reshape"}
     assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxsp]\d+", n)} == set()
 
 
 def test_parameter_free_programs_are_unchanged(rng):
     # the sha256 of the programs emitted for the corpus and 300 random
-    # expressions, as recorded before parameters became program inputs
+    # expressions, as recorded when the per-variable views and the register
+    # file replaced the moveaxis preamble and a fresh array per node
     h = hashlib.sha256()
     cases = [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
         + [(random_ast(rng, 3), 3) for _ in range(300)]
     for e, d in cases:
         h.update(ex.compile_expr(e, d).source.encode())
     assert h.hexdigest() == \
-        "2187b43305f4cf257889e7d9009d59f8d3a81bb8e144c3e1ccf24592f8ff128c"
+        "c46cce389d30b85f7b1b44375b8b805b9213be3391047da2ffd558b47c0fe791"
 
 
 def test_parameters_are_declared():

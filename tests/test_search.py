@@ -1,12 +1,16 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from quasicheck import conditions as cond
-from quasicheck.conditions import CheckConfig, check_b, check_c, margin_a
+from quasicheck import search
+from quasicheck.conditions import (CheckConfig, check_b, check_c, margin_a,
+                                   sigma_star_estimate)
 from quasicheck.families import ExprFamily, family_by_name, shipped_families
 from quasicheck.field import (DomainBox, ScalarField, catalog, catalog_field,
                               make_field_from_expr)
@@ -55,6 +59,66 @@ def test_sampler_degenerate_box_fails():
     tiny = DomainBox(np.array([0.0]), np.array([1e-9]))
     with pytest.raises(ValueError):
         sample_pairs(Sampler("uniform_box", 1, 10, tiny, min_sep=1.0))
+
+
+# sha256 of sample_pairs(Sampler(strategy, 2024, count, _stream_box(n),
+# min_sep)) as recorded before the sampler became a stream of blocks
+STREAM_HASHES = {
+    ("uniform_box", 1, 101, 1e-06): "fa3d9a1be0f298f77f1ebc7b29d41612863b5f8af9f808d9e95cf4800ac81a87",
+    ("uniform_box", 1, 200, 1e-06): "db1b3b4a8e7c13d8ba3bf7225b814b452739a22855152e48f10a27537091e2cd",
+    ("uniform_box", 2, 101, 1e-06): "32b34ff73ba3b58d156918f30ca418e714394f7aa80291ded12b8797e09a7e5e",
+    ("uniform_box", 2, 200, 1e-06): "93db1bfe8b10d2c75fffbf90cc791f140a3a7419f06873c9d620e6d47222ea6f",
+    ("uniform_box", 3, 101, 1e-06): "508d393e0830da5704419bacf5f0b43e8d73085ab266580ef0131d0e7f0d498d",
+    ("uniform_box", 3, 200, 1e-06): "03cc2ed0ce8efb0a1715afcf2a0f2d8a7279acf5fd7e24d64fd7cfb8cc987ea9",
+    ("uniform_box", 5, 101, 1e-06): "6ca66e489f8d47e5e8babd4f4bb8922b5e20fb2957e84672c4d47322aba30e5c",
+    ("uniform_box", 5, 200, 1e-06): "07fc53a5ec7c98ac6c9fce76b5ed1a29575b3c7b62c13ab655443a3efa78acf4",
+    ("gaussian_interior", 1, 101, 1e-06): "c7c15b3cdf8577ca86924494174f8cb03b5ebc0cc831237c7541ad87ce95ee44",
+    ("gaussian_interior", 1, 200, 1e-06): "4004668bdc0bc3556bb777d152b9b0c91d7900b4fa59f8b7cff369a9f0f4c66c",
+    ("gaussian_interior", 2, 101, 1e-06): "3dfe023129441baee176119dccbca8250050bc4644b8fed625d6866ec0783ac1",
+    ("gaussian_interior", 2, 200, 1e-06): "43ea747f20642c9f0a8519d0f3173c4e0db5a8373957ac638f658f50a3556122",
+    ("gaussian_interior", 3, 101, 1e-06): "c1afd7be1763b9e8cb05b617db709758753bdd30790599a20212656811d7f73b",
+    ("gaussian_interior", 3, 200, 1e-06): "36735c1657ade98f34871daa8dbeaf3404905917e059fa1d40d219381379fdb9",
+    ("gaussian_interior", 5, 101, 1e-06): "7fcd144c6025d0fabec86b467bd41a3af2aa3d47c40041ae4531ad4fee0bb3bc",
+    ("gaussian_interior", 5, 200, 1e-06): "fd577a54be8940896793e0341417679d11a4aeea338e7a9cbfb8dc0e39c34912",
+    ("segment_grid", 1, 101, 1e-06): "99905d7063cb50c2cd7cba2c796ae97d39d5c5c8f32b41acb3ae448a215b6a3c",
+    ("segment_grid", 1, 200, 1e-06): "b4ce30856ca726ccb6fe576f21c34d7bab99f940c04863c8bb2cb55b478400d9",
+    ("segment_grid", 2, 101, 1e-06): "f8afa41d4f8be67e290b625a7efb87c03b7da50a97b947f5083a5efe18b4258b",
+    ("segment_grid", 2, 200, 1e-06): "e7872763204f938c55f47320acc3e4f83ed2f95ffeb994cfcc6569c15e775a48",
+    ("segment_grid", 3, 101, 1e-06): "9f0c671c13db2d78dce8e0c283ee7c481443bed9fecef1b7bcad982709886b43",
+    ("segment_grid", 3, 200, 1e-06): "5a9cd76307fc335af2d33fdf89a90b5964eecc69a28677d4ed9ccb4afc0a9b33",
+    ("segment_grid", 5, 101, 1e-06): "66c4af8b7e8d4cb9a8bf54a7e86184a2572437b6e0c37f0dd3062962b1338dce",
+    ("segment_grid", 5, 200, 1e-06): "d87f8f3985ab83200b1dd8b90afc4f8e2a59b38d42bfa8debc715e1a55323b94",
+    ("uniform_box", 1, 101, 1.0): "6591f22115a8617307f56974185e9a1d390b2cc2781619503aa0369e968613b0",
+}
+
+
+def _stream_box(n):
+    return DomainBox(np.linspace(-1.0, 0.5, n), np.linspace(1.0, 2.0, n))
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_HASHES), ids=str)
+def test_sampler_blocks_reproduce_the_recorded_pairs(case, monkeypatch):
+    # with odd n, blocks of 1 or 3 pairs start 2n*lo = 2 (mod 4) draws into
+    # a round, inside a Philox counter step
+    strategy, n, count, min_sep = case
+    s = Sampler(strategy, 2024, count, _stream_box(n), min_sep=min_sep)
+    for size in (1, 2, 3, 1008, count):
+        monkeypatch.setattr(search, "PAIR_BLOCK", size)
+        blocks = list(s.blocks())
+        assert [lo for lo, _ in blocks] == list(range(0, count, size))
+        P = np.concatenate([P for _, P in blocks])
+        assert hashlib.sha256(P.tobytes()).hexdigest() == STREAM_HASHES[case]
+        assert np.array_equal(sample_pairs(s), P)
+
+
+def test_sampler_redraws_rejected_pairs_in_later_rounds():
+    # the min_sep = 1 case of STREAM_HASHES: most round-0 candidates are
+    # too close, so its pairs come from rounds beyond round 0
+    s = Sampler("uniform_box", 2024, 101, _stream_box(1), min_sep=1.0)
+    round0 = s.domain.lower + search._round_uniforms(2024, 0, 0, 0, 101, 1) \
+        * s.domain.widths
+    redrawn = ~np.all(sample_pairs(s) == round0, axis=(1, 2))
+    assert 0.5 < redrawn.mean() < 1.0
 
 
 def test_segment_grid_spans_box():
@@ -385,20 +449,51 @@ def test_harness_const_degenerate():
 
 
 def test_harness_chunks_identical(monkeypatch):
-    # the (a) kernel's chunk size only partitions the work; a chunk holds
-    # SEGMENT_CHUNK // 65 pairs (63 lambdas + x + y), so the sizes below
-    # put one pair in each chunk, or leave a partial last chunk of 5000
+    # the (a) kernel's chunk size and the sampler's block size only
+    # partition the work; a chunk holds SEGMENT_CHUNK // 65 pairs (63
+    # lambdas + x + y), so the sizes below put one pair in each chunk, or
+    # leave a partial last chunk of 5000, and the blocks split chunks
     f = catalog_field("sqnorm", 2)
     cfg = CheckConfig(sigma=2.0)
     s = Sampler("uniform_box", 13, 5000, f.domain)
-    reports = []
-    for chunk in (65, 65 * 7, 65 * 1001, 1 << 16):
+    reports, sigmas = [], []
+    for chunk, block in ((65, 1 << 14), (65 * 7, 1 << 14), (65 * 1001, 1 << 14),
+                         (1 << 16, 1 << 14), (1 << 16, 3), (65 * 7, 1008),
+                         (65 * 1001, 4999)):
         monkeypatch.setattr(cond, "SEGMENT_CHUNK", chunk)
+        monkeypatch.setattr(search, "PAIR_BLOCK", block)
         reports.append(implication_harness(f, cfg, s))
+        sigmas.append(sigma_star_estimate(f, s, cfg).hex())
     for rep in reports[1:]:
         assert rep.to_json() == reports[0].to_json()
         for key, arr in reports[0].per_pair.items():
             assert np.array_equal(rep.per_pair[key], arr), key
+    assert set(sigmas) == {sigmas[0]}
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while fn runs; numpy reports its array buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_pair_count():
+    # sigma* holds one block of pairs at a time; the harness adds only its
+    # per_pair arrays (28 B per pair)
+    f = catalog_field("sqnorm", 3)
+    cfg = CheckConfig()
+    small, big = (Sampler("uniform_box", 5, count, f.domain)
+                  for count in (20_000, 200_000))
+    sigma_small = _traced_peak(lambda: sigma_star_estimate(f, small, cfg))
+    sigma_big = _traced_peak(lambda: sigma_star_estimate(f, big, cfg))
+    assert sigma_big <= sigma_small + 64 * 1024
+    harness_small = _traced_peak(lambda: implication_harness(f, cfg, small))
+    harness_big = _traced_peak(lambda: implication_harness(f, cfg, big))
+    assert harness_big - harness_small <= 40 * (big.count - small.count)
 
 
 def test_falsify_witness_rechecks_bitwise():
