@@ -400,8 +400,9 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
 
     `sampler` is either an iterable of (x, y) pairs or a sampler whose
     .blocks() stream gives the pairs block by block (see search.Sampler);
-    a stream is consumed one block at a time. The raw (possibly negative)
-    value is returned; clamp at 0 only when reporting.
+    the pairs go through one block at a time, an array of pairs in
+    slices of one kernel chunk. The raw (possibly negative) value is
+    returned; clamp at 0 only when reporting.
     """
     if hasattr(sampler, "blocks"):
         blocks = (P for _, P in sampler.blocks())
@@ -410,7 +411,8 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
                        dtype=float)
         if P.size == 0:
             raise ValueError("sampler produced no pairs")
-        blocks = [P]
+        step = segment_chunk(len(cfg.lambda_grid))
+        blocks = (P[lo:lo + step] for lo in range(0, len(P), step))
     kept = 0
 
     def separated():
