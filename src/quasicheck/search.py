@@ -2,12 +2,13 @@
 harness.
 
 Determinism contract: pair i is a pure function of (seed, i, strategy,
-domain, min_sep) via counter-based Philox streams. The sampler is a
-stream of blocks of pairs (`Sampler.blocks`): a block starting at pair lo
-jumps its Philox counter ahead to pair lo's slots in each rejection round
-and redraws only its own pending pairs, so the pairs do not depend on the
-block size, and every kernel computes each pair's margins on its own, so
-a report does not depend on how the blocks and the kernels' chunks split
+domain, min_sep) via counter-based Philox streams; a `segment_grid` pair
+is the closed form in (i, count). The sampler is a stream of blocks of
+pairs (`Sampler.blocks`): a block starting at pair lo jumps its Philox
+counter ahead to pair lo's slots in each rejection round and redraws
+only its own pending pairs, so the pairs do not depend on the block
+size, and every kernel computes each pair's margins on its own, so a
+report does not depend on how the blocks and the kernels' chunks split
 the pairs. `check` and `sigma` hold one block at a time.
 
 Falsification is derivative-free compass search on the
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -66,8 +67,10 @@ class Sampler:
         return sample_pairs(self)
 
     def blocks(self):
-        """The pairs as a stream of (lo, pairs lo..) blocks; see `sample_pairs`."""
-        return _pair_blocks(self)
+        """The pairs as a stream of (lo, pairs lo..lo+k-1) blocks of at
+        most PAIR_BLOCK pairs, each drawn by `sample_pairs`."""
+        for lo in range(0, self.count, PAIR_BLOCK):
+            yield lo, sample_pairs(_Block(self, lo, min(PAIR_BLOCK, self.count - lo)))
 
     def to_json(self):
         return {
@@ -101,69 +104,70 @@ def _round_uniforms(seed: int, strategy_id: int, round_idx: int,
     return np.random.Generator(bg).random((count, 2, n))
 
 
-def _pair_blocks(s: Sampler):
-    """The sampler's pairs as a stream of (lo, pairs lo..lo+k-1) blocks of
-    at most PAIR_BLOCK pairs; see `sample_pairs`. A block redraws its own
-    pending pairs round by round, so it needs nothing of the other blocks."""
+class _Block(NamedTuple):
+    """Pairs lo..lo+count-1 of a sampler's stream."""
+    sampler: Sampler
+    lo: int
+    count: int
+
+
+def sample_pairs(s: Sampler | _Block) -> np.ndarray:
+    """Array of shape (count, 2, n) with ||x - y||_2 >= min_sep per pair:
+    the pairs of a sampler, or of one block of its stream (see
+    `Sampler.blocks`), which the sampler's pairs put together equal.
+
+    Pair i takes the uniforms of stream slot i of each round until it is
+    accepted; a rejected pair is redrawn in the next round. So a
+    `uniform_box` or `gaussian_interior` pair i depends only on (seed,
+    strategy, domain, min_sep, i), never on the count; a `segment_grid`
+    pair i is the closed form in (i, count). Either way a block of pairs
+    needs nothing of the other blocks. All sampling, whole or by block,
+    runs here, so a profile of this one function (or the benchmark
+    tracer's row count) covers it.
+    """
+    s, lo, k = (s, 0, s.count) if isinstance(s, Sampler) else s
     n = s.domain.dim
     sid = _STRATEGIES[s.strategy]
     lo_box, widths = s.domain.lower, s.domain.widths
+    if s.strategy == "segment_grid":
+        t = 0.5 * (np.arange(lo, lo + k) + 1) / (s.count + 1)  # in (0, 0.5)
+        X = lo_box + t[:, None] * widths
+        Y = s.domain.upper - t[:, None] * widths
+        if np.any(pnorm_batch(X - Y, 2) < s.min_sep):
+            raise ValueError("segment_grid produced a pair below min_sep; "
+                             "reduce count or enlarge the box")
+        return np.stack([X, Y], axis=1)
+
     center = 0.5 * (lo_box + s.domain.upper)
-    for lo in range(0, s.count, PAIR_BLOCK):
-        k = min(PAIR_BLOCK, s.count - lo)
-        if s.strategy == "segment_grid":
-            t = 0.5 * (np.arange(lo, lo + k) + 1) / (s.count + 1)  # in (0, 0.5)
-            X = lo_box + t[:, None] * widths
-            Y = s.domain.upper - t[:, None] * widths
-            if np.any(pnorm_batch(X - Y, 2) < s.min_sep):
-                raise ValueError("segment_grid produced a pair below min_sep; "
-                                 "reduce count or enlarge the box")
-            yield lo, np.stack([X, Y], axis=1)
-            continue
-        out = None
-        pending = np.arange(k)
-        for round_idx in range(1000):
-            if not pending.size:
-                break
-            u = _round_uniforms(s.seed, sid, round_idx, lo, k, n)
-            if pending.size < k:
-                u = u[pending]
-            if s.strategy == "uniform_box":
-                cand = np.multiply(u, widths, out=u)
-                cand += lo_box
-                ok = np.ones(len(u), dtype=bool)
-            else:  # gaussian_interior: Box-Muller from the uniform slots
-                u1 = np.clip(u[:, 0, :], 1e-12, 1.0)
-                u2 = u[:, 1, :]
-                z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-                z2 = np.sqrt(-2.0 * np.log(u1)) * np.sin(2.0 * np.pi * u2)
-                cand = np.stack([center + 0.2 * widths * z,
-                                 center + 0.2 * widths * z2], axis=1)
-                ok = s.domain.contains(cand[:, 0]) & s.domain.contains(cand[:, 1])
-            ok &= pnorm_batch(cand[:, 0] - cand[:, 1], 2) >= s.min_sep
-            if out is None:   # round 0 draws every pair of the block
-                out = cand
-            else:
-                out[pending[ok]] = cand[ok]
-            pending = pending[~ok]
-        if pending.size:
-            raise ValueError("pair rejection failed after 1000 rounds "
-                             "(degenerate box or min_sep too large)")
-        yield lo, out
-
-
-def sample_pairs(s: Sampler) -> np.ndarray:
-    """Array of shape (count, 2, n) with ||x - y||_2 >= min_sep per pair:
-    the blocks of `Sampler.blocks` put together.
-
-    Pair i takes the uniforms of stream slot i of each round until it is
-    accepted; a rejected pair is redrawn in the next round. So pair i
-    depends only on (seed, strategy, domain, min_sep, i), never on the
-    count or on how the pairs are split into blocks.
-    """
-    out = np.empty((s.count, 2, s.domain.dim))
-    for lo, P in s.blocks():
-        out[lo:lo + len(P)] = P
+    out = None
+    pending = np.arange(k)
+    for round_idx in range(1000):
+        if not pending.size:
+            break
+        u = _round_uniforms(s.seed, sid, round_idx, lo, k, n)
+        if pending.size < k:
+            u = u[pending]
+        if s.strategy == "uniform_box":
+            cand = np.multiply(u, widths, out=u)
+            cand += lo_box
+            ok = np.ones(len(u), dtype=bool)
+        else:  # gaussian_interior: Box-Muller from the uniform slots
+            u1 = np.clip(u[:, 0, :], 1e-12, 1.0)
+            u2 = u[:, 1, :]
+            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+            z2 = np.sqrt(-2.0 * np.log(u1)) * np.sin(2.0 * np.pi * u2)
+            cand = np.stack([center + 0.2 * widths * z,
+                             center + 0.2 * widths * z2], axis=1)
+            ok = s.domain.contains(cand[:, 0]) & s.domain.contains(cand[:, 1])
+        ok &= pnorm_batch(cand[:, 0] - cand[:, 1], 2) >= s.min_sep
+        if out is None:   # round 0 draws every pair
+            out = cand
+        else:
+            out[pending[ok]] = cand[ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise ValueError("pair rejection failed after 1000 rounds "
+                         "(degenerate box or min_sep too large)")
     return out
 
 
