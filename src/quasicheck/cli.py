@@ -396,6 +396,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = apply_config_file(ap.parse_args(argv), argv)
+        if args.dim < 1:
+            raise UsageError(f"--dim must be at least 1, got {args.dim}")
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -428,15 +428,27 @@ class _RegisterFile:
 def _assign_registers(lines, names):
     """Give each value temporary in `names` a register of R from its
     assignment to its `del`, and make its node write there with out=.
+    A node takes over the register of an operand whose last use it is,
+    unless one of the node's own dual lines, which follow its value line,
+    still reads that operand (the tangent cos(a) of sin(a)).
     Returns the lines and the number of registers."""
     slot, free, out, count = {}, [], [], 0
-    for dual, text in lines:
+    for i, (dual, text) in enumerate(lines):
         name, _, call = text.partition(" = ")
         if not dual and name in names:
-            if not free:
+            reads, released = set(), []
+            for later_dual, later in lines[i + 1:]:
+                if later_dual:
+                    reads.update(re.findall(r"\w+", later))
+                elif later.startswith("del "):
+                    released = later[4:].split(", ")
+                else:
+                    break
+            taken = [n for n in released if n in slot and n not in reads]
+            if not (taken or free):
                 free.append(count)
                 count += 1
-            slot[name] = free.pop()
+            slot[name] = slot.pop(taken[0]) if taken else free.pop()
             text = f"{name} = {call[:-1]}, out=R[{slot[name]}])"
         elif not dual and text.startswith("del "):
             free += [slot.pop(n) for n in text[4:].split(", ") if n in slot]

@@ -1,14 +1,17 @@
-"""Scalar fields on box domains: expression-backed and built-in catalog.
+"""Scalar fields on box domains, each backed by a compiled expression.
 
 A ScalarField bundles a batch-capable evaluator and gradient over a
 DomainBox, plus the analytically known quasiconvexity status where one
-exists. Invalid evaluations (domain errors, nondifferentiable points)
-surface as NaN in batch results so samplers can skip and count them.
+exists. The built-in catalog is a table of expressions with their known
+status; `catalog_field` compiles only the entry it is asked for, through
+`make_field_from_expr` as for any expression. Invalid evaluations
+(domain errors, nondifferentiable points) surface as NaN in batch
+results so samplers can skip and count them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,8 +53,9 @@ class DomainBox:
         hi = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("box bounds must be 1-D vectors of equal length")
+        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+            raise ValueError("box bounds must be non-empty 1-D vectors of "
+                             "equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("box bounds must be finite")
         if not np.all(lo < hi):
@@ -93,8 +97,10 @@ class ScalarField:
     views (`segment_margins` passes views of a point buffer it reuses for
     every chunk): they must not write into their input or keep it.
 
-    A field backed by a compiled expression keeps its `program`, and its
-    parameter values `params` when the program has any.
+    Catalog, expression and family fields come from
+    `make_field_from_expr`: fn and grad_fn run one compiled expression,
+    kept as `program` with its parameter values `params` when it has any.
+    A field made from other callables has no program.
     """
 
     name: str
@@ -244,110 +250,43 @@ def validate_grad(f: ScalarField, seed: int, count: int = 100,
 # ---------------------------------------------------------------------------
 # Catalog of fields with analytically known status
 
-def _const_field(n: int) -> ScalarField:
-    c = 1.0
-    return ScalarField(
-        name="const", dim=n,
-        fn=lambda X: np.full(np.shape(X)[:-1], c),
-        grad_fn=lambda X: np.zeros_like(np.asarray(X, dtype=float)),
-        domain=DomainBox.cube(-1.0, 1.0, n),
-        known_sigma=0.0, known_status=QUASICONVEX,
-    )
-
-
-def _affine_field(n: int) -> ScalarField:
-    c = np.arange(1, n + 1, dtype=float)
-    return ScalarField(
-        name="affine", dim=n,
-        fn=lambda X: np.asarray(X, dtype=float) @ c,
-        grad_fn=lambda X: np.broadcast_to(c, np.shape(X)).copy(),
-        domain=DomainBox.cube(-1.0, 1.0, n),
-        known_sigma=0.0, known_status=QUASICONVEX,
-    )
-
-
-def _sqnorm_field(n: int) -> ScalarField:
-    return ScalarField(
-        name="sqnorm", dim=n,
-        fn=lambda X: np.sum(np.asarray(X, dtype=float) ** 2, axis=-1),
-        grad_fn=lambda X: 2.0 * np.asarray(X, dtype=float),
-        domain=DomainBox.cube(-1.0, 1.0, n),
-        known_sigma=2.0, known_status=SIGMA_QUASICONVEX,
-    )
-
-
-def _cubic_field() -> ScalarField:
+# name: (expression in x1..xn, fixed dimension or None for n, interval of
+# every coordinate, known_sigma, known_status). {squares} is x1^2 + ... +
+# xn^2 and {weighted} is 1*x1 + ... + n*xn.
+_CATALOG = {
+    "const": ("1", None, (-1.0, 1.0), 0.0, QUASICONVEX),
+    "affine": ("{weighted}", None, (-1.0, 1.0), 0.0, QUASICONVEX),
+    "sqnorm": ("{squares}", None, (-1.0, 1.0), 2.0, SIGMA_QUASICONVEX),
     # x^3 is monotone, hence quasiconvex on any interval
-    return ScalarField(
-        name="cubic", dim=1,
-        fn=lambda X: np.asarray(X, dtype=float)[..., 0] ** 3,
-        grad_fn=lambda X: 3.0 * np.asarray(X, dtype=float) ** 2,
-        domain=DomainBox.cube(-1.0, 1.0, 1),
-        known_sigma=0.0, known_status=QUASICONVEX,
-    )
-
-
-def _sin_field() -> ScalarField:
+    "cubic": ("x1^3", 1, (-1.0, 1.0), 0.0, QUASICONVEX),
     # interior max at pi/2 beats both endpoints: not quasiconvex on [0, 2pi]
-    return ScalarField(
-        name="sin", dim=1,
-        fn=lambda X: np.sin(np.asarray(X, dtype=float)[..., 0]),
-        grad_fn=lambda X: np.cos(np.asarray(X, dtype=float)),
-        domain=DomainBox.cube(0.0, 2.0 * np.pi, 1),
-        known_status=NOT_QUASICONVEX,
-    )
-
-
-def _cubic_minus_x_field() -> ScalarField:
+    "sin": ("sin(x1)", 1, (0.0, 2.0 * np.pi), None, NOT_QUASICONVEX),
     # local max at x = -1/sqrt(3): not quasiconvex on [-2, 2]
-    return ScalarField(
-        name="cubic_minus_x", dim=1,
-        fn=lambda X: np.asarray(X, dtype=float)[..., 0] ** 3
-        - np.asarray(X, dtype=float)[..., 0],
-        grad_fn=lambda X: 3.0 * np.asarray(X, dtype=float) ** 2 - 1.0,
-        domain=DomainBox.cube(-2.0, 2.0, 1),
-        known_status=NOT_QUASICONVEX,
-    )
-
-
-def _sqrtnorm_field(n: int) -> ScalarField:
+    "cubic_minus_x": ("x1^3 - x1", 1, (-2.0, 2.0), None, NOT_QUASICONVEX),
     # sqrt(||x||) on a box away from the origin, where it is smooth
-    def fn(X):
-        r = np.sqrt(np.sum(np.asarray(X, dtype=float) ** 2, axis=-1))
-        return np.sqrt(r)
-
-    def grad_fn(X):
-        X = np.asarray(X, dtype=float)
-        r = np.sqrt(np.sum(X ** 2, axis=-1))
-        return X / (2.0 * r[..., None] ** 1.5)
-
-    return ScalarField(
-        name="sqrtnorm", dim=n, fn=fn, grad_fn=grad_fn,
-        domain=DomainBox.cube(1.0, 2.0, n),
-        known_status=UNKNOWN,
-    )
+    "sqrtnorm": ("sqrt(sqrt({squares}))", None, (1.0, 2.0), None, UNKNOWN),
+}
 
 
 def catalog(n: int = 2) -> list[ScalarField]:
     """Built-in fields; n-dimensional entries use dimension n, the
     one-dimensional entries keep their defining interval."""
-    return [
-        _const_field(n),
-        _affine_field(n),
-        _sqnorm_field(n),
-        _cubic_field(),
-        _sin_field(),
-        _cubic_minus_x_field(),
-        _sqrtnorm_field(n),
-    ]
+    return [catalog_field(name, n) for name in _CATALOG]
 
 
 def catalog_names() -> list[str]:
-    return [f.name for f in catalog(2)]
+    return list(_CATALOG)
 
 
 def catalog_field(name: str, n: int = 2) -> ScalarField:
-    for f in catalog(n):
-        if f.name == name:
-            return f
-    raise KeyError(f"unknown catalog field {name!r}; known: {catalog_names()}")
+    """The catalog entry `name` at dimension n; compiles only that entry."""
+    if name not in _CATALOG:
+        raise KeyError(f"unknown catalog field {name!r}; known: {catalog_names()}")
+    source, dim, (lo, hi), sigma, status = _CATALOG[name]
+    n = dim or n
+    box = DomainBox.cube(lo, hi, n)
+    js = range(1, n + 1)
+    source = source.format(squares=" + ".join(f"x{j}^2" for j in js),
+                           weighted=" + ".join(f"{j}*x{j}" for j in js))
+    return replace(make_field_from_expr(source, n, box, name),
+                   known_sigma=sigma, known_status=status)

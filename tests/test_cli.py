@@ -111,6 +111,26 @@ def test_usage_errors(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["catalog"], ["check", "--fn", "sqnorm"], ["sigma", "--fn", "sqnorm"],
+    ["falsify", "--fn", "sqnorm"], ["gradcheck", "--fn", "sqrtnorm"],
+    ["lemma", "--fn", "sqnorm"], ["check", "--expr", "1", "--box=0:1"],
+    ["falsify", "--family", "param_cubic"]], ids=" ".join)
+def test_dimension_below_one_is_a_usage_error(argv, dim, tmp_path, capsys):
+    code, rep = run(argv + ["--dim", dim], tmp_path)
+    assert code == EXIT_USAGE and rep is None
+    assert f"--dim must be at least 1, got {dim}" in capsys.readouterr().err
+
+
+def test_dimension_from_config_file_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dim": 0}))
+    code, rep = run(["sigma", "--fn", "sqnorm", "--config", str(cfg)], tmp_path)
+    assert code == EXIT_USAGE and rep is None
+    assert "--dim must be at least 1" in capsys.readouterr().err
+
+
 def test_overflowing_literal_is_a_usage_error(tmp_path):
     code, rep = run(["check", "--expr", "x1 + 1e999", "--dim", "1",
                      "--box", "0:1", "--pairs", "100"], tmp_path)

@@ -294,15 +294,15 @@ def test_compiled_source_holds_only_numbers_and_generated_names():
 
 def test_parameter_free_programs_are_unchanged(rng):
     # the sha256 of the programs emitted for the corpus and 300 random
-    # expressions, as recorded when the per-variable views and the register
-    # file replaced the moveaxis preamble and a fresh array per node
+    # expressions, as recorded when a node began to take over the register
+    # of an operand whose last use it is
     h = hashlib.sha256()
     cases = [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
         + [(random_ast(rng, 3), 3) for _ in range(300)]
     for e, d in cases:
         h.update(ex.compile_expr(e, d).source.encode())
     assert h.hexdigest() == \
-        "c46cce389d30b85f7b1b44375b8b805b9213be3391047da2ffd558b47c0fe791"
+        "13a236b2276b67204228d6f55a177d88e05ddb76dd086118f3c811698a3d1601"
 
 
 def test_parameters_are_declared():

@@ -5,8 +5,8 @@ import pytest
 
 import quasicheck as qc
 from quasicheck.field import (DomainBox, EvaluationError, catalog,
-                              catalog_field, default_fd_step, fd_grad,
-                              make_field_from_expr, validate_grad)
+                              catalog_field, catalog_names, default_fd_step,
+                              fd_grad, make_field_from_expr, validate_grad)
 
 
 def test_box_validation():
@@ -14,6 +14,10 @@ def test_box_validation():
         DomainBox(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         DomainBox(np.array([0.0]), np.array([math.inf]))
+    with pytest.raises(ValueError):
+        DomainBox(np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError):
+        catalog_field("sqnorm", 0)
     box = DomainBox.cube(-1, 1, 3)
     assert box.dim == 3
     assert np.all(box.widths == 2)
@@ -140,17 +144,31 @@ def test_all_catalog_gradients_validate(n):
         assert rep.passed(1e-6), (f.name, rep.max_abs_deviation)
 
 
-@pytest.mark.parametrize("source,name", [
-    ("x1^2 + x2^2", "sqnorm"),
-    ("sin(x1)", "sin"),
-    ("x1^3 - x1", "cubic_minus_x"),
-])
-def test_expr_field_matches_catalog(source, name, rng):
-    cat = catalog_field(name, 2)
-    f = make_field_from_expr(source, cat.dim, cat.domain)
-    X = cat.domain.lower + rng.random((100, cat.dim)) * cat.domain.widths
-    assert np.allclose(f.values(X), cat.values(X), atol=1e-12, rtol=1e-12)
-    assert np.allclose(f.grads(X), cat.grads(X), atol=1e-12, rtol=1e-12)
+# the closed forms of the catalog entries: value and gradient at rows X
+CLOSED_FORMS = {
+    "const": (lambda X: np.ones(len(X)), np.zeros_like),
+    "affine": (lambda X: X @ np.arange(1.0, X.shape[1] + 1),
+               lambda X: np.ones_like(X) * np.arange(1.0, X.shape[1] + 1)),
+    "sqnorm": (lambda X: np.sum(X ** 2, axis=1), lambda X: 2.0 * X),
+    "cubic": (lambda X: X[:, 0] ** 3, lambda X: 3.0 * X ** 2),
+    "sin": (lambda X: np.sin(X[:, 0]), np.cos),
+    "cubic_minus_x": (lambda X: X[:, 0] ** 3 - X[:, 0],
+                      lambda X: 3.0 * X ** 2 - 1.0),
+    "sqrtnorm": (lambda X: np.sqrt(np.linalg.norm(X, axis=1)),
+                 lambda X: X / (2.0 * np.linalg.norm(X, axis=1)[:, None] ** 1.5)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_matches_closed_forms(name, n, rng):
+    f = catalog_field(name, n)
+    X = f.domain.lower + rng.random((100, f.dim)) * f.domain.widths
+    for got, want in zip((f.values(X), f.grads(X)),
+                         (form(X) for form in CLOSED_FORMS[name])):
+        # a few ulps of the largest entry per summed coordinate
+        ulps = 4 * f.dim * np.finfo(float).eps * np.max(np.abs(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=ulps)
 
 
 # the golden reports' expression fields (tests/test_golden.py), then every
@@ -162,26 +180,14 @@ LAYOUT_FIELDS += list({(f.name, f.dim): f for n in (1, 2, 3, 5, 8)
                        for f in catalog(n)}.values())
 
 
-def _sums_reorder(f):
-    """Fields whose sum over the coordinates may run in another order on
-    another layout: `X @ c` from n = 3, and numpy's pairwise `np.sum`
-    along a contiguous axis from n = 8."""
-    return (f.name == "affine" and f.dim >= 3) or \
-        (f.name in ("sqnorm", "sqrtnorm") and f.dim >= 8)
-
-
 @pytest.mark.parametrize("f", LAYOUT_FIELDS, ids=lambda f: f"{f.name}-{f.dim}")
 def test_values_do_not_depend_on_point_layout(f, rng):
     # segment_margins hands fields a read-only coordinate-major view
     P = f.domain.lower + rng.random((6, 40, f.dim)) * f.domain.widths
     V = np.ascontiguousarray(np.moveaxis(P, -1, 0)).transpose(1, 2, 0)
     V.flags.writeable = False
-    for a, b in ((f.values(P), f.values(V)), (f.grads(P), f.grads(V))):
-        if _sums_reorder(f):
-            ulps = 4 * f.dim * np.finfo(float).eps * np.max(np.abs(a))
-            np.testing.assert_allclose(b, a, rtol=0, atol=ulps)
-        else:
-            np.testing.assert_array_equal(b, a)
+    np.testing.assert_array_equal(f.values(V), f.values(P))
+    np.testing.assert_array_equal(f.grads(V), f.grads(P))
 
 
 def test_default_fd_step():
