@@ -13,7 +13,7 @@ import numpy as np
 
 from quasicheck.conditions import CheckConfig, sigma_star_estimate
 from quasicheck.field import catalog_field
-from quasicheck.search import Sampler
+from quasicheck.search import Sampler, sample_pairs
 
 cfg = CheckConfig()
 
@@ -29,7 +29,7 @@ for name, n, note in [
 # the affine infimum 0 is only approached along level-set directions of
 # <c, x>; uniform pairs alone leave the estimate far from 0
 aff = catalog_field("affine", 2)
-uniform = Sampler("uniform_box", 7, 10_000, aff.domain).pairs()
+uniform = sample_pairs(Sampler("uniform_box", 7, 10_000, aff.domain))
 est_u = sigma_star_estimate(aff, uniform, cfg)
 
 rng = np.random.default_rng(0)

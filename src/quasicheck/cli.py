@@ -227,7 +227,7 @@ def cmd_falsify(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     f = resolve_field(args)
-    rep = validate_grad(f, seed=args.seed, count=args.points, tol=args.tol)
+    rep = validate_grad(f, seed=args.seed, count=args.points)
     payload = rep.to_json()
     payload["passed"] = rep.passed(args.tol)
     out = build_report(args, payload, echo_config(args, f), rep.skipped)

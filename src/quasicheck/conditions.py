@@ -133,7 +133,9 @@ class Verdict:
     witness: Optional[Witness] = None
 
     def to_json(self):
-        out = {"status": self.status, "margin": self.margin}
+        # JSON has no NaN or infinity: a non-finite margin is written as null
+        margin = self.margin if math.isfinite(self.margin) else None
+        out = {"status": self.status, "margin": margin}
         if self.witness is not None:
             out["witness"] = self.witness.to_json()
         return out
@@ -270,7 +272,8 @@ def _worst_a(f: ScalarField, pairs, cfg: CheckConfig):
 
 
 def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                     cfg: CheckConfig, premise_tol: float | None = None):
+                     cfg: CheckConfig, premise_tol: float | None = None,
+                     values: bool = True):
     """Margins and premise masks for conditions (b) and (c) on pair rows.
 
     (b): premise f(x) <= f(y) + premise_tol; (c): premise
@@ -282,17 +285,11 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
-    finite), ok_c (both gradients finite) and ok (both).
+    finite), ok_c (both gradients finite) and ok (both). Without `values`
+    it skips f(x), f(y) and the keys that need them (fx, fy, premise_b,
+    ok_b, ok), which leaves all that condition (c) needs.
     """
     pt = cfg.tol if premise_tol is None else premise_tol
-    return _margins_bc(f, X, Y, cfg, pt, values=True)
-
-
-def _margins_bc(f: ScalarField, X, Y, cfg: CheckConfig, pt: float,
-                values: bool):
-    """`batch_margins_bc` at premise tolerance pt. Without `values` it skips
-    f(x), f(y) and the keys that need them (fx, fy, premise_b, ok_b, ok),
-    which leaves all that condition (c) needs."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     r = {}

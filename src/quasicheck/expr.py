@@ -46,8 +46,6 @@ __all__ = [
     "Program",
     "eval_expr",
     "eval_dual",
-    "eval_batch",
-    "grad_batch",
     "DualResult",
 ]
 
@@ -622,34 +620,12 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
                    namespace["value"], namespace["dual"], np.eye(n))
 
 
-def _program(e, n: int) -> Program:
-    if not isinstance(e, Program):
-        return compile_expr(e, n)
-    if e.n != n:
-        raise ValueError(f"program compiled for dimension {e.n}, got {n}")
-    return e
-
-
-def _params(T) -> tuple:
-    """The programs' trailing arguments: (T,) for a program with parameters."""
-    return () if T is None else (np.asarray(T, dtype=float),)
-
-
 def eval_expr(e, x) -> float:
     """Strict evaluation at one point, run as a batch of one; raises
     EvalError with the node position."""
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        return float(_program(e, x.shape[-1]).value(x, True))
-
-
-def eval_batch(e, X: np.ndarray, T=None) -> np.ndarray:
-    """Vectorized evaluation over (..., n) points; invalid points yield NaN.
-    A program with parameters takes them as T (see Program)."""
-    X = np.asarray(X, dtype=float)
-    prog = _program(e, X.shape[-1])
-    with np.errstate(all="ignore"):
-        return np.asarray(prog.value(X, False, *_params(T)))
+        return float(compile_expr(e, x.shape[-1]).value(x, True))
 
 
 @dataclass(frozen=True)
@@ -666,28 +642,6 @@ def eval_dual(e, x, d) -> DualResult:
     if x.shape != d.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {d.shape}")
     with np.errstate(all="ignore"):
-        val, der, flag = _program(e, x.shape[-1]).dual(x, d[:, None], True)
+        val, der, flag = compile_expr(e, x.shape[-1]).dual(x, d[:, None], True)
     return DualResult(float(val), 0.0 if der is None else float(der[0]),
                       flag is not None and bool(flag))
-
-
-def grad_batch(e, X: np.ndarray, dimension: int, T=None):
-    """Gradient at each row of X in one pass of the compiled program; a
-    program with parameters takes them as T (see Program).
-
-    Returns (grads, nondiff_mask); grads has shape X.shape, mask X.shape[:-1].
-    Rows whose value is not finite (outside the domain) are NaN.
-    """
-    X = np.asarray(X, dtype=float)
-    prog = _program(e, dimension)
-    if X.shape[-1:] != (dimension,):
-        raise ValueError(f"points of shape {X.shape} for dimension {dimension}")
-    with np.errstate(all="ignore"):
-        val, grads, mask = prog.dual(X, prog.seed, False, *_params(T))
-        if grads is None:
-            grads = np.zeros(X.shape)
-        elif grads.shape != X.shape or grads.base is not None:
-            grads = np.broadcast_to(grads, X.shape).copy()   # a seed row
-        if prog.partial:
-            grads[~np.isfinite(val)] = np.nan
-    return grads, np.zeros(X.shape[:-1], dtype=bool) if mask is None else mask

@@ -1,9 +1,10 @@
 """Parametrized function families for the open-question campaign.
 
 A family is one expression in x1..xn and parameters t1..tp (see expr),
-compiled once: each member is that program at one parameter vector
-theta from the family's parameter box, and the search engine scores the
-points of many members in one program call, each row at its own theta.
+compiled once: each member is the field of that program at one
+parameter vector theta from the family's parameter box, and the search
+engine scores the points of many members in one program call, each row
+at its own theta.
 
 Which families are promising for separating the gradient condition (c)
 from the segment inequality (a) is anybody's guess; the three shipped
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import expr as ex
-from .field import DomainBox, ScalarField, make_field_from_expr
+from .field import DomainBox, ScalarField
 
 __all__ = ["ExprFamily", "shipped_families", "family_by_name"]
 
@@ -41,11 +42,11 @@ class ExprFamily:
             ex.parse(self.expression, n, p), n, p))
 
     def build(self, theta) -> ScalarField:
-        """The member at parameter vector theta, over the shared program."""
+        """The member at parameter vector theta: the shared program at
+        theta."""
         theta = np.array(theta, dtype=float)
         name = f"{self.name}[{','.join(f'{t:.4g}' for t in theta)}]"
-        return make_field_from_expr(self.program, self.domain.dim, self.domain,
-                                    name, theta)
+        return ScalarField(name, self.program, self.domain, theta)
 
     def to_json(self):
         return {

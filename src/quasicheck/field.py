@@ -1,18 +1,18 @@
-"""Scalar fields on box domains, each backed by a compiled expression.
+"""Scalar fields on box domains, each a compiled expression.
 
-A ScalarField bundles a batch-capable evaluator and gradient over a
-DomainBox, plus the analytically known quasiconvexity status where one
-exists. The built-in catalog is a table of expressions with their known
-status; `catalog_field` compiles only the entry it is asked for, through
-`make_field_from_expr` as for any expression. Invalid evaluations
-(domain errors, nondifferentiable points) surface as NaN in batch
-results so samplers can skip and count them.
+A ScalarField is one compiled program (see expr) at its parameter values
+on a DomainBox, plus the analytically known quasiconvexity status where
+one exists; its batch values and gradients are calls of that program.
+The built-in catalog is a table of expressions with their known status;
+`catalog_field` compiles only the entry it is asked for. Invalid
+evaluations (domain errors, nondifferentiable points) surface as NaN in
+batch results so samplers can skip and count them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -91,27 +91,29 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """f with gradient on a box; fn/grad_fn accept (..., n) arrays.
+    """f and its gradient on a box: the compiled expression `program` (see
+    expr.Program) at its parameter values `params`, when it has any: one
+    vector for every point, or one row per point row.
 
-    The arrays fn and grad_fn receive may be non-contiguous, read-only
+    The arrays values and grads receive may be non-contiguous, read-only
     views (`segment_margins` passes views of a point buffer it reuses for
-    every chunk): they must not write into their input or keep it.
-
-    Catalog, expression and family fields come from
-    `make_field_from_expr`: fn and grad_fn run one compiled expression,
-    kept as `program` with its parameter values `params` when it has any.
-    A field made from other callables has no program.
+    every chunk): the program must not write into its input or keep it.
     """
 
     name: str
-    dim: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    grad_fn: Callable[[np.ndarray], np.ndarray]
+    program: ex.Program
     domain: DomainBox
+    params: Optional[np.ndarray] = None
     known_sigma: Optional[float] = None
     known_status: str = UNKNOWN
-    program: Optional[ex.Program] = None
-    params: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.domain.dim != self.program.n:
+            raise ValueError("box dimension does not match the field dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.program.n
 
     def value(self, x) -> float:
         """f at one point, evaluated as a batch of one."""
@@ -121,10 +123,18 @@ class ScalarField:
             raise EvaluationError(f"{self.name}: non-finite value at {x.tolist()}")
         return v
 
+    def _points(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1:] != (self.program.n,):
+            raise ValueError(f"{self.name}: points of shape {X.shape} for "
+                             f"dimension {self.program.n}")
+        return X
+
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Batch values; NaN marks invalid points."""
+        """Batch values over (..., n) points; NaN marks invalid points."""
+        T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
-            return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=float)
+            return self.program.value(self._points(X), False, *T)
 
     def grad(self, x) -> np.ndarray:
         """grad f at one point, evaluated as a batch of one."""
@@ -135,40 +145,35 @@ class ScalarField:
         return g
 
     def grads(self, X: np.ndarray) -> np.ndarray:
-        """Batch gradients; NaN rows mark invalid/nondifferentiable points."""
+        """Batch gradients over (..., n) points, from one pass of the
+        program in forward mode with the identity seed. Rows outside the
+        expression's domain and nondifferentiable points (abs/min/max
+        ties) are NaN, so samplers count them as skipped."""
+        X = self._points(X)
+        prog = self.program
+        T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
-            return np.asarray(self.grad_fn(np.asarray(X, dtype=float)), dtype=float)
-
-
-def make_field_from_expr(e, n: int, box: DomainBox, name: str = "expr",
-                         params=None) -> ScalarField:
-    """Field backed by the expression compiled once: each evaluation is one
-    pass of straight-line numpy code, and the gradient comes from the same
-    pass in forward mode with vector tangents. `e` may be a compiled
-    Program; one with parameters takes them as `params`: one vector for
-    every point, or one row per point row (see expr.Program).
-
-    Nondifferentiable points (abs/min/max ties) and points outside the
-    expression's domain yield NaN gradients so downstream sampling counts
-    them as skipped.
-    """
-    if isinstance(e, str):
-        e = ex.parse(e, n)
-    if box.dim != n:
-        raise ValueError("box dimension does not match the field dimension")
-    prog = e if isinstance(e, ex.Program) else ex.compile_expr(e, n)
-
-    def fn(X):
-        return ex.eval_batch(prog, X, params)
-
-    def grad_fn(X):
-        g, mask = ex.grad_batch(prog, X, n, params)
-        if prog.kinks:
-            g[mask] = np.nan
+            val, g, ties = prog.dual(X, prog.seed, False, *T)
+            if g is None:   # the tangent is identically zero
+                g = np.zeros(X.shape)
+            elif g.shape != X.shape or g.base is not None:
+                g = np.broadcast_to(g, X.shape).copy()   # a seed row
+            if prog.partial:
+                g[~np.isfinite(val)] = np.nan
+            if ties is not None:
+                g[ties] = np.nan
         return g
 
-    return ScalarField(name=name, dim=n, fn=fn, grad_fn=grad_fn, domain=box,
-                       program=prog, params=params)
+
+def make_field_from_expr(e, n: int, box: DomainBox,
+                         name: str = "expr") -> ScalarField:
+    """The field of `e`, source text or an AST in x1..xn, on `box`: the
+    expression compiled once (see expr.compile_expr), so each evaluation
+    is one pass of straight-line numpy code, and the gradient comes from
+    the same pass in forward mode with vector tangents."""
+    if isinstance(e, str):
+        e = ex.parse(e, n)
+    return ScalarField(name, ex.compile_expr(e, n), box)
 
 
 def default_fd_step(x: np.ndarray) -> float:
@@ -213,7 +218,7 @@ class GradReport:
 
 
 def validate_grad(f: ScalarField, seed: int, count: int = 100,
-                  h: float | None = None, tol: float = 1e-6) -> GradReport:
+                  h: float | None = None) -> GradReport:
     """Compare the field gradient against central differences at seeded
     interior points; the report carries the worst deviation."""
     if count < 1:
@@ -288,5 +293,5 @@ def catalog_field(name: str, n: int = 2) -> ScalarField:
     js = range(1, n + 1)
     source = source.format(squares=" + ".join(f"x{j}^2" for j in js),
                            weighted=" + ".join(f"{j}*x{j}" for j in js))
-    return replace(make_field_from_expr(source, n, box, name),
-                   known_sigma=sigma, known_status=status)
+    return ScalarField(name, ex.compile_expr(ex.parse(source, n), n), box,
+                       known_sigma=sigma, known_status=status)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import conditions as cond
 from .conditions import CheckConfig, Verdict, Witness
-from .field import DomainBox, ScalarField, make_field_from_expr
+from .field import DomainBox, ScalarField
 from .vecmath import pnorm_batch
 
 __all__ = [
@@ -62,9 +62,6 @@ class Sampler:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-
-    def pairs(self) -> np.ndarray:
-        return sample_pairs(self)
 
     def blocks(self):
         """The pairs as a stream of (lo, pairs lo..lo+k-1) blocks of at
@@ -215,7 +212,9 @@ class FalsificationResult:
         return {
             "target": self.target,
             "sigma": self.sigma,
-            "best_margin": self.best_margin,
+            # JSON has no NaN or infinity: a non-finite margin is null
+            "best_margin": self.best_margin
+            if math.isfinite(self.best_margin) else None,
             "witness": self.witness.to_json() if self.witness else None,
             "evaluations": self.evaluations,
             "violation_found": self.violation_found,
@@ -224,35 +223,25 @@ class FalsificationResult:
 
 class _MarginObjective:
     """Margins of rows of packed search variables: x (n) then y (n), plus
-    lambda for target 'a', on one field or on several members of one
-    family: fields that share a compiled program and a domain and differ
-    in their parameters. One kernel call scores a batch of rows, whichever
-    members they belong to, through one program call with each row at its
-    member's parameters.
+    lambda for target 'a', on the field f or, given parameter rows
+    `thetas`, on the members of f's program at those rows: one kernel call
+    scores a batch of rows, whichever members they belong to, through one
+    program call with each row at its member's parameters.
 
     Vacuous, skipped and below-min_sep rows score +inf so the search moves
     off them.
     """
 
-    def __init__(self, f, target: str, cfg: CheckConfig):
+    def __init__(self, f: ScalarField, target: str, cfg: CheckConfig,
+                 thetas=None):
         if target not in ("a", "b", "c"):
             raise ValueError(f"target must be one of a, b, c; got {target!r}")
-        self.fields = [f] if isinstance(f, ScalarField) else list(f)
-        f = self.fields[0]
-        lo, hi = f.domain.lower, f.domain.upper
-        for g in self.fields[1:]:
-            if not (g.program is not None and g.program is f.program
-                    and np.array_equal(g.domain.lower, lo)
-                    and np.array_equal(g.domain.upper, hi)):
-                raise ValueError(f"members must share a program and domain: "
-                                 f"{g.name} differs from {f.name}")
-        # one parameter row per member (members without parameters are one
-        # function, scored as the first)
-        self.theta = np.array([g.params for g in self.fields]) \
-            if len(self.fields) > 1 and f.program.p else None
+        self.f = f
+        self.thetas = thetas
         self.target = target
         self.cfg = cfg
         n = self.n = f.dim
+        lo, hi = f.domain.lower, f.domain.upper
         self.nvars = 2 * n + (1 if target == "a" else 0)
         if target == "a":
             self.lower = np.concatenate([lo, lo, [1e-6]])
@@ -272,18 +261,16 @@ class _MarginObjective:
         lam = Z[..., 2 * n] if self.target == "a" else None
         return Z[..., :n], Z[..., n:2 * n], lam
 
-    def __call__(self, Z: np.ndarray, members=None) -> np.ndarray:
-        """Margins of the rows Z; row i belongs to member members[i] (by
-        default every row to the first). One kernel call scores the rows
-        of all members, per kernel chunk for target 'a', through the
-        family's program with one parameter row per point row."""
-        if members is None or self.theta is None:
-            return self._margins(self.fields[0], Z)
-        f, T = self.fields[0], self.theta[members]
+    def __call__(self, Z: np.ndarray, searches=None) -> np.ndarray:
+        """Margins of the rows Z; given thetas, row i is scored at
+        parameter row thetas[searches[i]]. One kernel call scores the rows
+        of all members, per kernel chunk for target 'a'."""
+        if self.thetas is None:
+            return self._margins(self.f, Z)
+        T = self.thetas[searches]
         block = cond.segment_chunk(1) if self.target == "a" else len(Z)
         return np.concatenate([
-            self._margins(make_field_from_expr(f.program, f.dim, f.domain,
-                                               "members", T[lo:lo + block]),
+            self._margins(replace(self.f, params=T[lo:lo + block]),
                           Z[lo:lo + block])
             for lo in range(0, len(Z), block)])
 
@@ -299,10 +286,7 @@ class _MarginObjective:
         # not artifacts of the reporting premise slack; (c) needs only
         # the gradients
         t = self.target
-        if t == "c":
-            r = cond._margins_bc(f, X, Y, cfg, 0.0, values=False)
-        else:
-            r = cond.batch_margins_bc(f, X, Y, cfg, premise_tol=0.0)
+        r = cond.batch_margins_bc(f, X, Y, cfg, 0.0, values=t == "b")
         active = (r["sep"] >= cfg.min_sep) & r[f"ok_{t}"] & r[f"premise_{t}"]
         return np.where(active, r["margin"], math.inf)
 
@@ -318,9 +302,12 @@ class _MarginObjective:
         points[:, self.poll_index, self.coord] = moved
         return points, (moved != zc) & (self.poll_index >= 2 * j[:, None])
 
-    def witness_at(self, z: np.ndarray, member: int = 0) -> Witness:
+    def witness_at(self, z: np.ndarray, s: int = 0) -> Witness:
+        """The witness at the point z of search s, re-checked on its member
+        alone."""
         x, y, lam = self.split(z)
-        f = self.fields[member]
+        f = self.f if self.thetas is None else \
+            replace(self.f, params=self.thetas[s])
         if self.target == "a":
             return Witness(x=x.copy(), y=y.copy(), lam=float(lam),
                            fx=f.value(x), fy=f.value(y))
@@ -329,11 +316,13 @@ class _MarginObjective:
         return v.witness
 
 
-def _falsify_many(fields, target: str, cfg: CheckConfig, budget: SearchBudget,
-                  seeds) -> list[FalsificationResult]:
-    """`falsify(fields[s], target, cfg, budget, seeds[s])` for every s, all
-    searches run by one lockstep compass engine; the fields are one field
-    or members of one family (see `_MarginObjective`).
+def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
+                  budget: SearchBudget, seeds,
+                  thetas=None) -> list[FalsificationResult]:
+    """`falsify(f, target, cfg, budget, seeds[s])` for every s, with f at
+    parameter row thetas[s] when thetas is given (the members of one
+    family), all searches run by one lockstep compass engine (see
+    `_MarginObjective`).
 
     Slot s*R + k (R = budget.restarts) holds restart k of the current wave
     of search s: its point, margin, step vector, sweep coordinate j,
@@ -350,10 +339,10 @@ def _falsify_many(fields, target: str, cfg: CheckConfig, budget: SearchBudget,
     its restarts are replayed in order (see `falsify`) and its next wave
     opens unless a stopping rule ends the search.
     """
-    if not len(fields):
+    if not len(seeds):
         return []
-    obj = _MarginObjective(fields, target, cfg)
-    S, R, nv = len(fields), budget.restarts, obj.nvars
+    obj = _MarginObjective(f, target, cfg, thetas)
+    S, R, nv = len(seeds), budget.restarts, obj.nvars
     N = S * R
     span = obj.upper - obj.lower
     step0 = budget.init_step_frac * span
@@ -466,7 +455,7 @@ def _falsify_many(fields, target: str, cfg: CheckConfig, budget: SearchBudget,
         polls = pending & live[:, None] & (cs <= take.reshape(N, 1))
         rows = cand[polls]
         # each poll belongs to the search of its slot
-        vals = obj(rows) if S == 1 else obj(rows, polls.nonzero()[0] // R)
+        vals = obj(rows) if thetas is None else obj(rows, polls.nonzero()[0] // R)
         # the first improving poll of each slot is accepted and charged up
         # to (a start point is always accepted); a slot without one is
         # charged its polls
@@ -536,7 +525,7 @@ def falsify(f: ScalarField, target: str, cfg: CheckConfig,
     within C. Waves after the first are speculative; the replay discards
     the restarts the stopping rules exclude.
     """
-    return _falsify_many([f], target, cfg, budget, [seed])[0]
+    return _falsify_many(f, target, cfg, budget, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +682,10 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     (c) found no violation; and re-verify (c) with a 10x budget on the
     members whose (a) violation reaches depth <= -10*tol. A member whose
     (c) stays violation-free and whose (a) witness re-checks at that depth
-    is a candidate. Each member keeps the seeds and budgets it would get
-    searched on its own. Candidates are evidence, never proofs.
+    is a candidate. Each engine call runs the family's one program, each
+    search at its own parameter row; each member keeps the seeds and
+    budgets it would get searched on its own. Candidates are evidence,
+    never proofs.
     """
     if param_samples < 1:
         raise ValueError("param_samples must be >= 1")
@@ -704,11 +695,12 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     thetas = box.lower + rng.random((param_samples, box.dim)) * box.widths
     per_theta = replace(budget,
                         max_evals=max(200, budget.max_evals // (2 * param_samples)))
-    fields = [family.build(theta) for theta in thetas]
+    # the family's program; each search gives it its own parameter row
+    f = ScalarField(family.name, family.program, family.domain)
 
     def phase(ks, target, b, offset):
-        return _falsify_many([fields[k] for k in ks], target, cfg, b,
-                             [seed + offset + k for k in ks])
+        return _falsify_many(f, target, cfg, b, [seed + offset + k for k in ks],
+                             thetas[ks])
 
     ks = range(param_samples)
     # members that visibly fail (c) are not interesting for (c)=>(a)
@@ -725,7 +717,7 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
         if res_c2.violation_found:
             continue
         w = res_a[k].witness
-        confirm = cond.margin_a(fields[k], w.x, w.y, w.lam, cfg)
+        confirm = cond.margin_a(family.build(thetas[k]), w.x, w.y, w.lam, cfg)
         if not (math.isfinite(confirm) and confirm <= -10.0 * cfg.tol):
             continue
         candidates.append(Candidate(

@@ -63,7 +63,7 @@ def test_criterion_02_degenerate_sigma_star():
     level_dir = np.array([2.0, -1.0]) / np.sqrt(5.0)
     level_pairs = np.stack([base + 0.4 * level_dir,
                             base - 0.4 * level_dir], axis=1)
-    uniform = Sampler("uniform_box", SEED, 10_000, aff.domain).pairs()
+    uniform = sample_pairs(Sampler("uniform_box", SEED, 10_000, aff.domain))
     est_aff = sigma_star_estimate(aff, np.vstack([uniform, level_pairs]), cfg)
 
     ok = abs(est_const) <= 1e-12 and -1e-9 <= est_aff <= 1e-9

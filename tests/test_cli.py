@@ -89,6 +89,22 @@ def test_lemma_command(tmp_path):
     assert rep["payload"]["status"] == "holds"
 
 
+def _reject(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["falsify", "--fn", "sin", "--budget", "1", "--target", "c"], "best_margin"),
+    (["lemma", "--fn", "cubic_minus_x"], "margin"),
+])
+def test_reports_are_strict_json(tmp_path, argv, key):
+    # a margin that is not a number is written as null, never as NaN
+    out = tmp_path / "report.json"
+    main(argv + ["--out", str(out)])
+    rep = json.loads(out.read_text(), parse_constant=_reject)
+    assert rep["payload"][key] is None
+
+
 def test_catalog_command(tmp_path):
     code, rep = run(["catalog"], tmp_path)
     assert code == EXIT_OK

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from quasicheck.conditions import (HOLDS, SKIPPED, VACUOUS, VIOLATED,
                                    check_lemma_refined, default_lambda_grid,
                                    is_violated, margin_a, sigma_star_estimate,
                                    sigma_star_segment)
-from quasicheck.field import (DomainBox, ScalarField, catalog_field,
-                              make_field_from_expr)
-from quasicheck.search import Sampler
+from quasicheck.field import DomainBox, catalog_field, make_field_from_expr
+from quasicheck.search import Sampler, sample_pairs
 
 SIN = catalog_field("sin", 1)
 SQ1 = catalog_field("sqnorm", 1)
@@ -223,7 +223,7 @@ def test_sigma_star_estimate_affine_near_zero():
     base = rng.uniform(-0.5, 0.5, size=(200, 2))
     level_dir = np.array([2.0, -1.0]) / np.sqrt(5.0)  # orthogonal to c
     pairs = np.stack([base + 0.4 * level_dir, base - 0.4 * level_dir], axis=1)
-    uniform = Sampler("uniform_box", 7, 1000, aff.domain).pairs()
+    uniform = sample_pairs(Sampler("uniform_box", 7, 1000, aff.domain))
     est = sigma_star_estimate(aff, np.vstack([uniform, pairs]), cfg())
     assert -1e-9 <= est <= 1e-9
 
@@ -233,8 +233,8 @@ def test_sigma_star_estimate_catalog_reproduction():
     for name, n in (("sqnorm", 2), ("const", 2), ("cubic", 1)):
         f = catalog_field(name, n)
         pairs = np.vstack([
-            Sampler("uniform_box", 3, 2000, f.domain).pairs(),
-            Sampler("segment_grid", 3, 10_000, f.domain).pairs(),
+            sample_pairs(Sampler("uniform_box", 3, 2000, f.domain)),
+            sample_pairs(Sampler("segment_grid", 3, 10_000, f.domain)),
         ])
         est = sigma_star_estimate(f, pairs, cfg())
         assert est == pytest.approx(f.known_sigma, abs=1e-3), name
@@ -357,14 +357,14 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
 
 
 def test_segment_margins_points_are_read_only(rng):
-    # the kernel reuses one point buffer for every chunk: a field that
+    # the kernel reuses one point buffer for every chunk: a program that
     # wrote into its input would corrupt the chunks after it
-    def fn(X):
+    def value(X, strict):
         X[..., 0] = 0.0
         return np.sum(X, axis=-1)
 
-    f = ScalarField(name="writer", dim=2, fn=fn, grad_fn=np.ones_like,
-                    domain=DomainBox.cube(-1, 1, 2))
+    f = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
+    f = replace(f, program=replace(f.program, value=value))
     X = rng.uniform(-1, 1, size=(10, 2))
     Y = rng.uniform(-1, 1, size=(10, 2))
     with pytest.raises(ValueError, match="read-only"):

@@ -12,7 +12,7 @@ from quasicheck import expr as ex
 from quasicheck.expr import (Binary, Call, Const, EvalError, Param,
                              ParseError, Unary, Var, ast_equal, eval_dual,
                              eval_expr, parse, pretty_print)
-from quasicheck.field import DomainBox, make_field_from_expr
+from quasicheck.field import DomainBox, ScalarField, make_field_from_expr
 from conftest import random_ast, random_smooth_expr
 
 
@@ -241,7 +241,7 @@ def test_dual_linearity(rng):
 def test_batch_eval_matches_scalar(rng):
     e = parse("sin(x1)*x2 + x1^2", 2)
     X = rng.uniform(-2, 2, size=(50, 2))
-    batch = ex.eval_batch(e, X)
+    batch = ex.compile_expr(e, 2).value(X, False)
     for i, x in enumerate(X):
         assert batch[i] == pytest.approx(eval_expr(e, x), rel=1e-15, abs=1e-15)
 
@@ -253,31 +253,32 @@ def test_one_point_is_a_batch_of_one():
     f = make_field_from_expr(e, 3, DomainBox.cube(-2, 2, 3))
     x = np.array([1.0, 1.0, -1.0])
     X = np.array([x, [0.5, 1.5, 0.3]])
-    batch = ex.eval_batch(e, X)[0]
+    batch = f.values(X)[0]
     assert batch == 0.4997251511668582
-    for one in (eval_expr(e, x), ex.eval_batch(e, x), f.value(x),
+    for one in (eval_expr(e, x), f.values(x), f.value(x),
                 eval_dual(e, x, np.ones(3)).value):
         assert one == batch
     assert np.array_equal(f.grad(x), f.grads(X)[0])
-    assert np.array_equal(ex.grad_batch(e, x, 3)[0], f.grads(X)[0])
+    assert np.array_equal(f.grads(x), f.grads(X)[0])
 
 
 def test_batch_eval_nan_for_invalid():
-    e = parse("log(x1)", 1)
-    out = ex.eval_batch(e, np.array([[1.0], [0.0], [-1.0]]))
+    f = make_field_from_expr("log(x1)", 1, DomainBox.cube(-1, 1, 1))
+    out = f.values(np.array([[1.0], [0.0], [-1.0]]))
     assert np.isfinite(out[0]) and not np.isfinite(out[1]) and np.isnan(out[2])
 
 
 def test_grad_batch(rng):
-    e = parse("x1^2 + 3*x2", 2)
+    f = make_field_from_expr("x1^2 + 3*x2", 2, DomainBox.cube(-1, 1, 2))
     X = rng.uniform(-1, 1, size=(10, 2))
-    G, mask = ex.grad_batch(e, X, 2)
-    assert not mask.any()
+    G = f.grads(X)
+    assert not f.program.kinks
     assert np.allclose(G[:, 0], 2 * X[:, 0])
     assert np.allclose(G[:, 1], 3.0)
     # outside the domain the value is NaN, and so is the gradient
-    G, mask = ex.grad_batch(parse("log(x1)", 1), np.array([[-1.0], [2.0]]), 1)
-    assert np.isnan(G[0, 0]) and G[1, 0] == 0.5 and not mask.any()
+    f = make_field_from_expr("log(x1)", 1, DomainBox.cube(-1, 2, 1))
+    G = f.grads(np.array([[-1.0], [2.0]]))
+    assert np.isnan(G[0, 0]) and G[1, 0] == 0.5 and not f.program.kinks
 
 
 def test_compiled_source_holds_only_numbers_and_generated_names():
@@ -330,18 +331,20 @@ def test_parameters_have_no_tangent():
     t1, t2 = T[:, 0], T[:, 1]
     x = X[:, 0]
     value = t1 * x ** 2 + t2 * x + np.sin(t1) + np.abs(t2)
-    assert np.allclose(ex.eval_batch(prog, X, T), value, rtol=1e-15)
-    g, mask = ex.grad_batch(prog, X, 1, T)
-    assert np.allclose(g[:, 0], 2 * t1 * x + t2, rtol=1e-15) and not mask.any()
+    f = ScalarField("rows", prog, DomainBox.cube(-1, 2, 1), T)
+    assert np.allclose(f.values(X), value, rtol=1e-15)
+    g = f.grads(X)
+    assert np.allclose(g[:, 0], 2 * t1 * x + t2, rtol=1e-15) and not prog.kinks
     # one theta broadcasts against every row and gives the same bits
     for i in range(3):
-        assert ex.eval_batch(prog, X, T[i])[i] == ex.eval_batch(prog, X, T)[i]
-        assert np.array_equal(ex.grad_batch(prog, X, 1, T[i])[0][i], g[i])
+        one = ScalarField("one", prog, f.domain, T[i])
+        assert one.values(X)[i] == f.values(X)[i]
+        assert np.array_equal(one.grads(X)[i], g[i])
     # a program takes parameters exactly when it was compiled with them
     with pytest.raises(TypeError):
-        ex.eval_batch(prog, X)
+        prog.value(X, False)
     with pytest.raises(TypeError):
-        ex.eval_batch(ex.compile_expr(parse("x1", 1), 1), X, T)
+        ex.compile_expr(parse("x1", 1), 1).value(X, False, T)
 
 
 def test_parameter_only_expressions_broadcast():
@@ -351,10 +354,10 @@ def test_parameter_only_expressions_broadcast():
     X = np.zeros((4, 3, 1))
     T = np.array([[1.1, 2.0], [0.3, 2.0], [1.7, 2.0]])
     prog = ex.compile_expr(parse("t1^t2 + x1*0", 1, 2), 1, 2)
-    rows = ex.eval_batch(prog, X, T)
+    rows = prog.value(X, False, T)
     assert rows.shape == (4, 3)
     for i in range(3):
-        assert np.all(ex.eval_batch(prog, X, T[i])[:, i] == rows[:, i])
+        assert np.all(prog.value(X, False, T[i])[:, i] == rows[:, i])
     only = ex.compile_expr(parse("exp(t1)", 1, 1), 1, 1)
-    out = ex.eval_batch(only, X, T[:, :1])
+    out = only.value(X, False, T[:, :1])
     assert out.shape == (4, 3) and np.all(out == np.exp(T[:, 0]))

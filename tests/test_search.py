@@ -12,7 +12,7 @@ from quasicheck import search
 from quasicheck.conditions import (CheckConfig, check_b, check_c, margin_a,
                                    sigma_star_estimate)
 from quasicheck.families import ExprFamily, family_by_name, shipped_families
-from quasicheck.field import (DomainBox, ScalarField, catalog, catalog_field,
+from quasicheck.field import (DomainBox, catalog, catalog_field,
                               make_field_from_expr)
 from quasicheck.search import (Candidate, FalsificationResult, Sampler,
                                SearchBudget, _falsify_many, _MarginObjective,
@@ -374,12 +374,11 @@ def test_falsify_c_evaluates_no_values():
     calls = []
     g = catalog_field("cubic_minus_x", 1)
 
-    def fn(X):
+    def value(X, strict):
         calls.append(len(X))
-        return g.fn(X)
+        return g.program.value(X, strict)
 
-    f = ScalarField(name="counted", dim=1, fn=fn, grad_fn=g.grad_fn,
-                    domain=g.domain)
+    f = replace(g, program=replace(g.program, value=value))
     res = falsify(f, "c", CheckConfig(), SearchBudget(max_evals=2000), seed=3)
     assert res.violation_found
     assert calls == [1, 1]
@@ -603,27 +602,38 @@ def test_open_question_kernel_chunks_match_sequential(monkeypatch, chunk):
         assert _candidates_json(cands) == _candidates_json(ref)
 
 
+LOGS = ExprFamily("logs", "x1^2 + x2^2 + t2*sin(3*x1)*exp(x2) + log(x1 - t1)",
+                  EXPR_FIELD.domain, DomainBox.cube(-5, 5, 2))
+LOGS_THETAS = np.array([[-2, 0.1], [5, 0.1], [-1.5, 1], [-3, 0.5]])
+
+
 def test_falsify_many_isolates_members():
     # one engine call over members of one family, one of them NaN
     # everywhere on the box: each result is that member's own search
-    box = EXPR_FIELD.domain
-    fam = ExprFamily("logs", "x1^2 + x2^2 + t2*sin(3*x1)*exp(x2) + log(x1 - t1)",
-                     box, DomainBox.cube(-5, 5, 2))
-    members = [fam.build(t) for t in ([-2, 0.1], [5, 0.1], [-1.5, 1], [-3, 0.5])]
     cfg = CheckConfig(sigma=0.25)
     budget = SearchBudget(max_evals=600, restarts=3)
     seeds = [4, 5, 6, 7]
+    f = LOGS.build(LOGS_THETAS[0])
     for target in ("a", "b", "c"):
-        results = _falsify_many(members, target, cfg, budget, seeds)
-        for f, seed, res in zip(members, seeds, results):
-            _assert_same_result(res, falsify(f, target, cfg, budget, seed))
+        results = _falsify_many(f, target, cfg, budget, seeds, LOGS_THETAS)
+        for theta, seed, res in zip(LOGS_THETAS, seeds, results):
+            _assert_same_result(res, falsify(LOGS.build(theta), target, cfg,
+                                             budget, seed))
         assert results[1].witness is None and math.isnan(results[1].best_margin)
         assert any(r.violation_found for r in results)
-    other = ExprFamily("other", "x1^2 + t1*x2", box, DomainBox.cube(0, 1, 1))
-    for odd in (other.build([0.5]), replace(members[2], domain=BOX2.shrunk(0.1)),
-                make_field_from_expr("x1^2 + x2^2 + log(x1 + 2)", 2, box)):
-        with pytest.raises(ValueError, match="share a program and domain"):
-            _falsify_many([members[0], odd], "c", cfg, budget, [1, 2])
+
+
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+def test_one_search_runs_at_its_theta_row(target):
+    # a family phase with one search left runs at that search's row, not
+    # at the parameters of the field it is given
+    cfg = CheckConfig(sigma=0.25)
+    budget = SearchBudget(max_evals=600, restarts=3)
+    f = LOGS.build(LOGS_THETAS[0])
+    for k in (2, 3):
+        res, = _falsify_many(f, target, cfg, budget, [k], LOGS_THETAS[k:k + 1])
+        _assert_same_result(res, falsify(LOGS.build(LOGS_THETAS[k]), target,
+                                         cfg, budget, k))
 
 
 def test_open_question_psd_quadratics_no_candidates():
@@ -665,14 +675,14 @@ def test_family_witness_is_the_members_own():
     # the engine scores members through one program with a parameter row
     # per point row; a witness is re-checked on the member built alone
     fam = family_by_name("param_cubic")
-    members = [fam.build(t) for t in ([0.0, -1.0], [1.5, -2.0], [-1.0, 1.0])]
+    thetas = np.array([[0.0, -1.0], [1.5, -2.0], [-1.0, 1.0]])
     cfg = CheckConfig()
-    obj = _MarginObjective(members, "c", cfg)
-    assert all(a is b for a, b in zip(obj.fields, members))
+    obj = _MarginObjective(fam.build(thetas[1]), "c", cfg, thetas)
     z = np.array([-1.0, 0.6])
     rows = np.tile(z, (3, 1))
     margins = obj(rows, np.arange(3))
-    for k, f in enumerate(members):
+    for k, theta in enumerate(thetas):
+        f = fam.build(theta)
         w = obj.witness_at(z, k)
         v = check_c(f, z[:1], z[1:], cfg)
         assert (w.pairing_x, w.pairing_y) == (v.witness.pairing_x,
