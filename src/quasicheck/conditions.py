@@ -272,8 +272,7 @@ def _worst_a(f: ScalarField, pairs, cfg: CheckConfig):
 
 
 def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                     cfg: CheckConfig, premise_tol: float | None = None,
-                     values: bool = True):
+                     cfg: CheckConfig, premise_tol: float | None = None):
     """Margins and premise masks for conditions (b) and (c) on pair rows.
 
     (b): premise f(x) <= f(y) + premise_tol; (c): premise
@@ -281,41 +280,32 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. premise_tol
     defaults to cfg.tol (0 makes the premises exact; adversarial search
     uses that so reported violations are genuine and not artifacts of
-    premise rounding room).
+    premise rounding room). f(x) and f(y) come from the program passes
+    that give the gradients.
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
-    finite), ok_c (both gradients finite) and ok (both). Without `values`
-    it skips f(x), f(y) and the keys that need them (fx, fy, premise_b,
-    ok_b, ok), which leaves all that condition (c) needs.
+    finite), ok_c (both gradients finite) and ok (both).
     """
     pt = cfg.tol if premise_tol is None else premise_tol
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    r = {}
-    if values:
-        fX = r["fx"] = f.values(X)
-        fY = r["fy"] = f.values(Y)
-    gX = f.grads(X)
-    gY = f.grads(Y)
+    fX, gX = f.grads(X, with_values=True)
+    fY, gY = f.grads(Y, with_values=True)
     gx_ok = np.all(np.isfinite(gX), axis=-1)
     gy_ok = np.all(np.isfinite(gY), axis=-1)
-    if values:
-        ok_b = np.isfinite(fX) & np.isfinite(fY) & gy_ok
+    ok_b = np.isfinite(fX) & np.isfinite(fY) & gy_ok
     with np.errstate(all="ignore"):
         d = pnorm_batch(X - Y, cfg.penalty_norm)
         pairing_x = np.sum(gX * (Y - X), axis=-1)
         pairing_y = np.sum(gY * (X - Y), axis=-1)
         threshold = -0.5 * cfg.sigma * d * d
         margin = threshold - pairing_y
-        if values:
-            r["premise_b"] = fX <= fY + pt
+        premise_b = fX <= fY + pt
         premise_c = pairing_x > threshold + pt
-    r.update(pairing_x=pairing_x, pairing_y=pairing_y, margin=margin,
-             premise_c=premise_c, ok_c=gx_ok & gy_ok, sep=d)
-    if values:
-        r.update(ok_b=ok_b, ok=ok_b & gx_ok)
-    return r
+    return dict(fx=fX, fy=fY, pairing_x=pairing_x, pairing_y=pairing_y,
+                margin=margin, premise_b=premise_b, premise_c=premise_c,
+                sep=d, ok_b=ok_b, ok_c=gx_ok & gy_ok, ok=ok_b & gx_ok)
 
 
 def _check_bc(f: ScalarField, x, y, cfg: CheckConfig, premise_tol, name: str,
@@ -452,8 +442,8 @@ def check_lemma(phi: ScalarField, grid, tol: float = 1e-9) -> Verdict:
         raise ValueError("grid must be non-empty and strictly inside (a, b)")
     fa = phi.value(np.array([a]))
     fb = phi.value(np.array([b]))
-    vals = phi.values(grid[:, None])
-    ders = phi.grads(grid[:, None])[:, 0]
+    vals, ders = phi.grads(grid[:, None], with_values=True)
+    ders = ders[:, 0]
     ok = np.isfinite(vals) & np.isfinite(ders)
     hyp = (ders <= tol) | (vals <= fa + tol)
     bad = ok & ~hyp

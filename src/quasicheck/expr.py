@@ -597,8 +597,9 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
     if max(L.params, default=0) > p:
         raise ValueError("expression references a parameter beyond the count")
     shape = "X.shape[:-1]"
-    ret = f"{root.v}.reshape({shape})" if root.var \
-        else f"_full({shape}, {root.v}[..., 0])" if root.par \
+    # a bare x_j is a view of the caller's points: its value is a copy
+    ret = f"{root.v}.reshape({shape})" if root.var and root.v in L.temps \
+        else f"_full({shape}, {root.v}[..., 0])" if root.var or root.par \
         else f"_full({shape}, {root.v})"
     flags = f"{root.f}.reshape({shape})" if root.f else "None"
     lines, registers = _assign_registers(L.lines, L.var_values - {root.v})

@@ -144,11 +144,13 @@ class ScalarField:
             raise EvaluationError(f"{self.name}: non-finite gradient at {x.tolist()}")
         return g
 
-    def grads(self, X: np.ndarray) -> np.ndarray:
+    def grads(self, X: np.ndarray, with_values: bool = False):
         """Batch gradients over (..., n) points, from one pass of the
         program in forward mode with the identity seed. Rows outside the
         expression's domain and nondifferentiable points (abs/min/max
-        ties) are NaN, so samplers count them as skipped."""
+        ties) are NaN, so samplers count them as skipped. With
+        `with_values`, returns (values, gradients), the values those of
+        the same pass, equal to `values(X)`."""
         X = self._points(X)
         prog = self.program
         T = () if self.params is None else (self.params,)
@@ -162,7 +164,7 @@ class ScalarField:
                 g[~np.isfinite(val)] = np.nan
             if ties is not None:
                 g[ties] = np.nan
-        return g
+        return (val, g) if with_values else g
 
 
 def make_field_from_expr(e, n: int, box: DomainBox,

@@ -16,9 +16,11 @@ margin with a geometric step schedule, so with a fixed seed a larger
 budget can only extend the same trajectory. One lockstep engine runs many
 independent searches at once (the restarts of one `falsify`, or every
 member of a family in `open_question_search`): each round one objective
-call scores the pending polls of every live restart of every search, and
-each search's evaluations are then charged as if its restarts had run one
-after another, so every result is that of the sequential search.
+call scores, for every live restart of every search, up to LOOKAHEAD
+sweeps, the rest of its current sweep and the sweeps a miss runs next,
+and each search's evaluations are then charged as if its restarts had
+run one after another, each sweep up to its first improving poll, so
+every result is that of the sequential search.
 """
 
 from __future__ import annotations
@@ -171,6 +173,10 @@ def sample_pairs(s: Sampler | _Block) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Falsification: compass search on the margin
 
+# sweeps per restart that one round of the lockstep engine scores: the one
+# in progress and those a miss runs next (see `_falsify_many`)
+LOOKAHEAD = 4
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -283,10 +289,9 @@ class _MarginObjective:
                 for _, m, d in cond.segment_margins(f, [(X, Y)], lam[None],
                                                     cfg.sigma, cfg.penalty_norm)])
         # premise at tolerance 0: violations found here are genuine,
-        # not artifacts of the reporting premise slack; (c) needs only
-        # the gradients
+        # not artifacts of the reporting premise slack
         t = self.target
-        r = cond.batch_margins_bc(f, X, Y, cfg, 0.0, values=t == "b")
+        r = cond.batch_margins_bc(f, X, Y, cfg, 0.0)
         active = (r["sep"] >= cfg.min_sep) & r[f"ok_{t}"] & r[f"premise_{t}"]
         return np.where(active, r["margin"], math.inf)
 
@@ -327,27 +332,32 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
     Slot s*R + k (R = budget.restarts) holds restart k of the current wave
     of search s: its point, margin, step vector, sweep coordinate j,
     improved flag, sweep count, evaluations and live flag. Each round
-    scores the pending polls of every live slot in one objective call (a
-    slot of a wave just opened polls its start point), then applies the
-    compass rules to all slots at once. A slot's cap is the room its
-    search had when the wave opened less what the slots before it in the
-    wave have used so far: it only shrinks, and a slot closes once it has
-    used it, so each restart runs at least as far as the replay can charge
-    it. In waves after the first a slot also closes once the slots before
-    it have used what its search needs to reach half its budget: the
-    replay stops before it. When a search's wave has no live slot left,
-    its restarts are replayed in order (see `falsify`) and its next wave
-    opens unless a stopping rule ends the search.
+    scores, in one objective call, a group of up to LOOKAHEAD sweeps of
+    every live slot: the polls left in its current sweep, then the full
+    sweeps from the same point that it runs next if none of those polls
+    improves, each at the step the sweeps before it leave and only while
+    the slot would still be live. The first improving poll of the group is
+    accepted and the sweeps before it end; without one the whole group
+    ends. A slot of a wave just opened polls only its start point. A
+    slot's cap is the room its search had when the wave opened less what
+    the slots before it in the wave have used so far: it cuts the group's
+    polls, it only shrinks, and a slot closes once it has used it, so each
+    restart runs at least as far as the replay can charge it. In waves
+    after the first a slot also closes once the slots before it have used
+    what its search needs to reach half its budget: the replay stops
+    before it. When a search's wave has no live slot left, its restarts are
+    replayed in order (see `falsify`) and its next wave opens unless a
+    stopping rule ends the search.
     """
     if not len(seeds):
         return []
     obj = _MarginObjective(f, target, cfg, thetas)
     S, R, nv = len(seeds), budget.restarts, obj.nvars
     N = S * R
+    P, G = 2 * nv, LOOKAHEAD      # polls per sweep, sweeps per group
     span = obj.upper - obj.lower
     step0 = budget.init_step_frac * span
     half = budget.max_evals // 2
-    everyone = np.arange(N)
 
     Z = np.zeros((N, nv))
     val = np.empty(N)
@@ -358,8 +368,6 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
     improved = np.zeros(N, dtype=bool)
     live = np.zeros(N, dtype=bool)
     fresh = np.zeros(N, dtype=bool)      # start point not scored yet
-    # each slot's polls, see obj.poll_points; a fresh slot polls its start
-    cand, pending = obj.poll_points(Z, step, j)
 
     evals = [0] * S
     wave = [-1] * S
@@ -386,9 +394,6 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         j[sl] = sweeps[sl] = used[sl] = 0
         improved[sl] = False
         live[sl] = fresh[sl] = scored_fresh = True
-        cand[sl, 0] = Z[sl]
-        pending[sl] = False
-        pending[sl, 0] = True
         room[s] = budget.max_evals - evals[s]
         # the first wave keeps every restart its cap allows
         discard[s] = half - evals[s] if w else room[s]
@@ -420,17 +425,6 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         else:
             open_wave(s)
 
-    def end_sweep(E):
-        """End the sweeps of the live slots in mask E: decay the step where
-        the sweep found nothing, close on min_step and max_iters, else
-        start the next sweep."""
-        np.multiply(step, budget.step_decay, out=step, where=(E & ~improved)[:, None])
-        sweeps[E] += 1
-        live[E] = (improved | (step.max(axis=1) >= budget.min_step))[E] \
-            & (sweeps[E] < budget.max_iters)
-        improved[E] = False
-        j[E] = 0
-
     scored_fresh = False     # a wave opened since the last round
     for s in range(S):
         open_wave(s)
@@ -449,46 +443,76 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
             del history[:drop]
             base += drop
             take = room[:, None] - used.reshape(S, R).cumsum(axis=1)
-        # one objective call scores every live slot's pending polls, each
-        # slot's cut to its cap
+        L = live.nonzero()[0]
+        ar = np.arange(L.size)
+        # the step of each live slot after g = 0..G sweeps without a hit:
+        # the running product of the decays, as the sequential search
+        # multiplies its step in place (a sweep that improved keeps its
+        # step); and whether the slot is still live then
+        imp = improved[L]
+        steps = np.empty((L.size, G + 1, nv))
+        steps[:, 0] = step[L]
+        steps[:, 1:] = budget.step_decay
+        steps[imp, 1] = 1.0
+        np.multiply.accumulate(steps, axis=1, out=steps)
+        alive = steps.max(axis=2) >= budget.min_step
+        alive[:, 1] |= imp
+        alive &= np.arange(G + 1) < (budget.max_iters - sweeps[L])[:, None]
+        alive[:, 0] = True
+        np.logical_and.accumulate(alive, axis=1, out=alive)
+        # the group's polls: sweep 0 from coordinate j, the others whole
+        jg = np.zeros((L.size, G), dtype=np.int64)
+        jg[:, 0] = j[L]
+        cand, pending = obj.poll_points(np.repeat(Z[L], G, axis=0),
+                                        steps[:, :G].reshape(-1, nv), jg.ravel())
+        cand = cand.reshape(L.size, G * P, nv)
+        pending = (pending.reshape(L.size, G, P)
+                   & alive[:, :G, None]).reshape(L.size, G * P)
+        F = fresh[L]
+        if scored_fresh:
+            cand[F, 0] = Z[L[F]]
+            pending[F] = False
+            pending[F, 0] = True
+        # one objective call scores every live slot's group, each cut to
+        # the slot's cap
         cs = pending.cumsum(axis=1)
-        polls = pending & live[:, None] & (cs <= take.reshape(N, 1))
-        rows = cand[polls]
-        # each poll belongs to the search of its slot
-        vals = obj(rows) if thetas is None else obj(rows, polls.nonzero()[0] // R)
+        polls = pending & (cs <= take.reshape(N)[L, None])
+        V = np.full(polls.shape, math.inf)
+        if polls.any():
+            rows = cand[polls]
+            # each poll belongs to the search of its slot
+            V[polls] = obj(rows) if thetas is None \
+                else obj(rows, L[polls.nonzero()[0]] // R)
         # the first improving poll of each slot is accepted and charged up
         # to (a start point is always accepted); a slot without one is
         # charged its polls
-        V = np.full(polls.shape, math.inf)
-        V[polls] = vals
-        hit = V < val[:, None]
+        hit = V < val[L, None]
         first = hit.argmax(axis=1)
-        has = hit[everyone, first]
-        if scored_fresh:
-            has |= fresh
-        used += np.where(has, cs[everyone, first], polls.sum(axis=1))
+        has = hit[ar, first] | F
+        used[L] += np.where(has, cs[ar, first], polls.sum(axis=1))
+        # a hit in sweep m ends the m sweeps before it; a slot without one
+        # ends its whole group
+        m = np.where(has, first // P, G)
+        step[L] = steps[ar, m]
+        sweeps[L] += m
+        live[L] = alive[ar, m]
+        moved = has & ~F
+        improved[L] = moved
+        j[L] = np.where(moved, first % P // 2 + 1, 0)
         acc = has.nonzero()[0]
         fa = first[acc]
         za, va = cand[acc, fa], V[acc, fa]
-        Z[acc] = za
-        val[acc] = va
-        j[acc] = fa // 2 + 1
-        improved[acc] = True
-        history.append((acc, used[acc], va, za))
+        Z[L[acc]] = za
+        val[L[acc]] = va
+        history.append((L[acc], used[L[acc]], va, za))
         if scored_fresh:
-            F = fresh.nonzero()[0]
-            j[F] = 0
-            improved[F] = fresh[F] = scored_fresh = False
-        # a sweep ends without a hit or after a hit on the last coordinate;
-        # it also ends where every poll left in it is a clipped no-move
-        end_sweep(live & (~has | (j == nv)))
-        cand, pending = obj.poll_points(Z, step, j)
-        E = live & ~pending.any(axis=1)
-        while E.any():
-            end_sweep(E)
-            E &= live
-            cand[E], pending[E] = obj.poll_points(Z[E], step[E], j[E])
-            E &= ~pending.any(axis=1)
+            fresh[:] = scored_fresh = False
+        # a hit on the last coordinate ends its sweep, which improved
+        E = L[j[L] == nv]
+        sweeps[E] += 1
+        live[E] = sweeps[E] < budget.max_iters
+        improved[E] = False
+        j[E] = 0
 
     results = []
     for s in range(S):
@@ -516,14 +540,15 @@ def falsify(f: ScalarField, target: str, cfg: CheckConfig,
     and moves to the first point that improves; the next coordinate is
     polled from there, and a sweep without a move decays the step. The
     search runs on the lockstep engine (`_falsify_many`): the restarts run
-    in waves of `budget.restarts`, each round scoring the remaining sweep
-    polls of every live restart in one objective call and charging each
-    restart only up to its first hit, and the sequential accounting is
-    then replayed in restart order. A capped restart's trajectory is a
-    prefix of its uncapped one, so with C evaluations left a restart is
-    charged min(its evaluations, C) and ends at its last point accepted
-    within C. Waves after the first are speculative; the replay discards
-    the restarts the stopping rules exclude.
+    in waves of `budget.restarts`, each round scoring up to LOOKAHEAD
+    sweeps of every live restart in one objective call (the rest of its
+    current sweep, then the sweeps it runs next if those polls miss) and
+    charging each restart only up to its first hit, and the sequential
+    accounting is then replayed in restart order. A capped restart's
+    trajectory is a prefix of its uncapped one, so with C evaluations left
+    a restart is charged min(its evaluations, C) and ends at its last
+    point accepted within C. Waves after the first are speculative; the
+    replay discards the restarts the stopping rules exclude.
     """
     return _falsify_many(f, target, cfg, budget, [seed])[0]
 

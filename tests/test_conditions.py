@@ -332,6 +332,26 @@ def test_scalar_checks_are_batches_of_one(rng):
                 assert v.margin == r["margin"][i]
 
 
+def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
+    # one program pass per point set: f(x) and f(y) are the values of the
+    # two gradient passes, equal to the value program's bit for bit
+    g = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
+                             DomainBox.cube(-1, 1, 2))
+    calls = []
+
+    def value(X, strict):
+        calls.append(len(X))
+        return g.program.value(X, strict)
+
+    f = replace(g, program=replace(g.program, value=value))
+    X = rng.uniform(-1, 1, size=(1 << 14, 2))
+    Y = rng.uniform(-1, 1, size=(1 << 14, 2))
+    r = batch_margins_bc(f, X, Y, cfg())
+    assert calls == []
+    assert np.array_equal(r["fx"], g.values(X))
+    assert np.array_equal(r["fy"], g.values(Y))
+
+
 def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
     f = catalog_field("sqnorm", 3)
     c = cfg(sigma=0.5)

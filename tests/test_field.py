@@ -70,6 +70,16 @@ def test_gradients_are_the_callers_own():
     assert np.array_equal(f.program.seed, np.eye(2))
 
 
+def test_values_are_the_callers_own():
+    # a bare variable's values are a copy of its column of the points
+    X = np.array([[0.5, -0.25], [0.75, 1.0]])
+    f = make_field_from_expr("x1", 2, DomainBox.cube(-1, 1, 2))
+    assert not np.shares_memory(f.values(X), X)
+    val, _ = f.grads(X, with_values=True)
+    assert not np.shares_memory(val, X)
+    assert val.tolist() == f.values(X).tolist() == [0.5, 0.75]
+
+
 def test_expr_field_nondiff_gradient_is_skipped():
     f = make_field_from_expr("abs(x1)", 1, DomainBox.cube(-1, 1, 1))
     # kink at 0: batch gradient is NaN there, scalar access raises
@@ -221,6 +231,8 @@ def test_values_do_not_depend_on_point_layout(f, rng):
     V.flags.writeable = False
     np.testing.assert_array_equal(f.values(V), f.values(P))
     np.testing.assert_array_equal(f.grads(V), f.grads(P))
+    # the gradient pass's values are the values, bit for bit
+    np.testing.assert_array_equal(f.grads(V, with_values=True)[0], f.values(P))
 
 
 def test_default_fd_step():

@@ -9,6 +9,7 @@ import pytest
 
 from quasicheck import conditions as cond
 from quasicheck import search
+from quasicheck.cli import main
 from quasicheck.conditions import (CheckConfig, check_b, check_c, margin_a,
                                    sigma_star_estimate)
 from quasicheck.families import ExprFamily, family_by_name, shipped_families
@@ -340,6 +341,87 @@ def test_falsify_stopping_rules_match_sequential(target):
     assert half.max_evals // 2 <= ref.evaluations < half.max_evals
 
 
+# schedules whose sweeps end inside one round's group of LOOKAHEAD sweeps:
+# a non-dyadic decay, whose steps must be the sequential search's repeated
+# products; max_iters and min_step reached after a group's first sweep; a
+# first step of twice the box, whose polls clip to its faces
+GROUP_SCHEDULES = [dict(step_decay=0.3), dict(max_iters=5),
+                   dict(max_iters=7, step_decay=0.3),
+                   dict(min_step=1e-3, step_decay=0.3),
+                   dict(min_step=0.02), dict(init_step_frac=2.0)]
+
+
+@pytest.mark.parametrize("schedule", GROUP_SCHEDULES,
+                         ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+def test_falsify_lookahead_groups_match_sequential(target, schedule):
+    # budgets of 60 to 300 evaluations cap a restart inside a speculative
+    # sweep of its group
+    cfg = CheckConfig(sigma=0.25)
+    for max_evals in (60, 110, 300, 3000):
+        budget = SearchBudget(max_evals=max_evals, restarts=3, **schedule)
+        for seed in range(3):
+            res = falsify(EXPR_FIELD, target, cfg, budget, seed=seed)
+            ref, _ = _sequential_falsify(EXPR_FIELD, target, cfg, budget, seed)
+            _assert_same_result(res, ref)
+
+
+def test_falsify_clipped_sweeps_match_sequential():
+    # a step below 5.5e-17 moves no coordinate that lies in [0.5, 1], so
+    # once the steps decay that far a sweep on [0.5, 1]^2 has no poll left
+    # and ends without an evaluation: as a group's first sweep, inside it
+    # and at its end
+    f = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
+                             DomainBox.cube(0.5, 1, 2))
+    cfg = CheckConfig(sigma=0.25)
+    for target in ("a", "b", "c"):
+        for decay in (0.5, 0.3):
+            budget = SearchBudget(max_evals=1000, restarts=2, max_iters=12,
+                                  init_step_frac=4e-16, step_decay=decay,
+                                  min_step=1e-18)
+            for seed in range(2):
+                res = falsify(f, target, cfg, budget, seed=seed)
+                ref, _ = _sequential_falsify(f, target, cfg, budget, seed)
+                _assert_same_result(res, ref)
+
+
+def test_falsify_cap_cuts_the_lookahead_group(monkeypatch):
+    # (c) is vacuous everywhere on a constant field at sigma 0, so no poll
+    # improves and one restart is charged every row it scores; the budgets
+    # put the cap at every poll of the first three groups
+    f = catalog_field("const", 2)
+    rows = []
+    score = _MarginObjective.__call__
+
+    def counted(self, Z, *members):
+        rows.append(len(Z))
+        return score(self, Z, *members)
+
+    monkeypatch.setattr(_MarginObjective, "__call__", counted)
+    for max_evals in range(2, 100):
+        rows.clear()
+        res = falsify(f, "c", CheckConfig(), SearchBudget(max_evals=max_evals,
+                                                          restarts=1), seed=1)
+        assert sum(rows) == res.evaluations == max_evals
+
+
+def test_falsify_expr_takes_at_most_90_objective_calls(monkeypatch, tmp_path):
+    # the lockstep engine scores up to LOOKAHEAD sweeps of each restart per
+    # objective call: 69 calls on this command, 171 with one sweep a call
+    calls = []
+    score = _MarginObjective.__call__
+
+    def counted(self, Z, *members):
+        calls.append(len(Z))
+        return score(self, Z, *members)
+
+    monkeypatch.setattr(_MarginObjective, "__call__", counted)
+    main(["falsify", "--expr", "x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", "--dim",
+          "2", "--box=-1:1", "--target", "c", "--budget", "10000", "--seed",
+          "1", "--out", str(tmp_path / "report.json")])
+    assert len(calls) <= 90
+
+
 @pytest.mark.parametrize("target, max_evals", [("a", 184), ("b", 142),
                                                ("c", 138)])
 def test_falsify_scores_only_start_points_of_discarded_restarts(
@@ -354,23 +436,32 @@ def test_falsify_scores_only_start_points_of_discarded_restarts(
     score = _MarginObjective.__call__
 
     def counted(self, Z, *members):
-        rows.append(len(Z))
+        rows.append(Z.copy())
         return score(self, Z, *members)
 
     monkeypatch.setattr(_MarginObjective, "__call__", counted)
     ref, ran = _sequential_falsify(f, target, CheckConfig(), budget, 6)
     assert ran == budget.restarts + 1
-    sequential = sum(rows)
     rows.clear()
     _assert_same_result(falsify(f, target, CheckConfig(), budget, seed=6), ref)
-    # no restart is capped, so the searches the replay keeps score the
-    # rows they score one after another
-    assert sum(rows) == sequential + budget.restarts - 1
+    scored = np.concatenate(rows)
+    obj = _MarginObjective(f, target, CheckConfig())
+    for r in range(budget.restarts, 2 * budget.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=6,
+                                                           spawn_key=(r,)))
+        start = obj.lower + rng.random(obj.nvars) * (obj.upper - obj.lower)
+        moved = (scored != start).sum(axis=1)
+        # a poll of the start point moves one coordinate: the kept restart
+        # polls it, a discarded one scores its start point once and stops
+        if r == budget.restarts:
+            assert (moved == 1).any()
+        else:
+            assert (moved == 0).sum() == 1 and not (moved == 1).any()
 
 
 def test_falsify_c_evaluates_no_values():
-    # condition (c) needs only the gradients; the two values calls left
-    # (x, then y) are the witness re-check
+    # the (b)/(c) kernel takes f(x) and f(y) from its gradient passes, so
+    # neither the search nor the witness re-check runs the value program
     calls = []
     g = catalog_field("cubic_minus_x", 1)
 
@@ -381,7 +472,7 @@ def test_falsify_c_evaluates_no_values():
     f = replace(g, program=replace(g.program, value=value))
     res = falsify(f, "c", CheckConfig(), SearchBudget(max_evals=2000), seed=3)
     assert res.violation_found
-    assert calls == [1, 1]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +669,19 @@ def test_open_question_matches_sequential(name):
         assert _candidates_json(open_question_search(fam, cfg, budget, seed, 16)) \
             == _candidates_json(ref)
     assert reverified > 0   # the third phase ran
+
+
+@pytest.mark.parametrize("name", ["perturbed_sqnorm", "bump_sum", "param_cubic"])
+def test_open_question_lookahead_groups_match_sequential(name):
+    # every member's search ends sweeps inside the engine's groups
+    fam = family_by_name(name)
+    for schedule in (dict(step_decay=0.3, max_iters=9),
+                     dict(min_step=1e-3, init_step_frac=2.0)):
+        budget = SearchBudget(max_evals=4_000, restarts=3, **schedule)
+        for seed in (0, 3):
+            ref, _ = _sequential_open_question(fam, CheckConfig(), budget, seed, 8)
+            cands = open_question_search(fam, CheckConfig(), budget, seed, 8)
+            assert _candidates_json(cands) == _candidates_json(ref)
 
 
 def test_open_question_candidate_matches_sequential():
