@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .conditions import (CheckConfig, Verdict, Witness, check_b, check_c,
                          check_lemma, default_lambda_grid, margin_a,
                          sigma_star_estimate, sigma_star_segment)
-from .expr import eval_dual, eval_expr, parse, pretty_print
+from .expr import parse, pretty_print
 from .families import ExprFamily, family_by_name, shipped_families
 from .field import (DomainBox, GradReport, ScalarField, catalog,
                     catalog_field, fd_grad, make_field_from_expr,
@@ -24,7 +24,7 @@ __all__ = [
     "CheckConfig", "Verdict", "Witness",
     "check_b", "check_c", "check_lemma", "margin_a",
     "sigma_star_estimate", "sigma_star_segment", "default_lambda_grid",
-    "parse", "pretty_print", "eval_expr", "eval_dual",
+    "parse", "pretty_print",
     "DomainBox", "ScalarField", "GradReport",
     "catalog", "catalog_field", "fd_grad", "make_field_from_expr",
     "validate_grad",

@@ -1,7 +1,7 @@
 """Command-line surface: reproducible runs with JSON reports.
 
 Exit codes: 0 = completed, no violations; 1 = violations found (still a
-successful run); 2 = usage/config error.
+successful run); 2 = usage, config or evaluation error.
 """
 
 from __future__ import annotations
@@ -399,10 +399,7 @@ def main(argv=None) -> int:
         if args.dim < 1:
             raise UsageError(f"--dim must be at least 1, got {args.dim}")
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ParseError) as e:
+    except (UsageError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,15 +11,16 @@ Functions: sin, cos, exp, log, sqrt, abs, min, max, pow. Variables are
 written x1..xn and parameters t1..tp (both 1-based; p = 0 unless the
 caller declares parameters). No implicit multiplication.
 
-`compile_expr` lowers an AST once to straight-line numpy code whose
-intermediate values go to a register file reused by every call. One pass
-of it gives the value, forward-mode tangents for every seed direction at
-once (the full gradient, or <grad f(x), d>) and a nondifferentiability
-mask; the same program serves batch evaluation, where invalid points give
-NaN, and strict evaluation, which raises EvalError at the first failing
-node. Nondifferentiable points of abs/min/max (exact ties) propagate the
-first branch's derivative and set a flag. Parameters are inputs without
-a tangent, so one program serves a family, one parameter row per point.
+`compile_expr` lowers an AST once to a program of two straight-line
+numpy functions whose intermediate values go to a register file reused by
+every call: `value(X)` gives f at a batch of points, and one pass of
+`dual(X)` gives the values, the full gradient in forward mode (a tangent
+per coordinate, all at once) and a nondifferentiability mask. Nothing
+raises: a point outside the expression's domain evaluates to NaN or an
+infinity (`Program.partial` says whether one can exist). Nondifferentiable
+points of abs/min/max (exact ties) propagate the first branch's
+derivative and set a flag. Parameters are inputs without a tangent, so
+one program serves a family, one parameter row per point.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "ParseError",
-    "EvalError",
     "Const",
     "Var",
     "Param",
@@ -44,9 +44,6 @@ __all__ = [
     "pretty_print",
     "compile_expr",
     "Program",
-    "eval_expr",
-    "eval_dual",
-    "DualResult",
 ]
 
 FUNCTIONS = {
@@ -69,13 +66,6 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class EvalError(ArithmeticError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at offset {pos})")
-        self.message = message
-        self.pos = pos
-
-
 # ---------------------------------------------------------------------------
 # AST nodes
 
@@ -83,26 +73,22 @@ class EvalError(ArithmeticError):
 @dataclass(frozen=True)
 class Const:
     value: float
-    pos: int = 0
 
 
 @dataclass(frozen=True)
 class Var:
     index: int  # 1-based
-    pos: int = 0
 
 
 @dataclass(frozen=True)
 class Param:
     index: int  # 1-based
-    pos: int = 0
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # only "-"
     child: "Node"
-    pos: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,38 +96,15 @@ class Binary:
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
-    pos: int = 0
 
 
 @dataclass(frozen=True)
 class Call:
     name: str
     args: tuple
-    pos: int = 0
 
 
 Node = Const | Var | Param | Unary | Binary | Call
-
-
-def ast_equal(a: Node, b: Node) -> bool:
-    """Structural equality ignoring source positions."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Const):
-        return a.value == b.value
-    if isinstance(a, (Var, Param)):
-        return a.index == b.index
-    if isinstance(a, Unary):
-        return a.op == b.op and ast_equal(a.child, b.child)
-    if isinstance(a, Binary):
-        return a.op == b.op and ast_equal(a.left, b.left) and ast_equal(a.right, b.right)
-    if isinstance(a, Call):
-        return (
-            a.name == b.name
-            and len(a.args) == len(b.args)
-            and all(ast_equal(p, q) for p, q in zip(a.args, b.args))
-        )
-    raise TypeError(type(a))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +181,7 @@ class _Parser:
         while (t := self.peek()) is not None and t.text in ("+", "-"):
             self.next()
             rhs = self.parse_term()
-            node = Binary(t.text, node, rhs, t.pos)
+            node = Binary(t.text, node, rhs)
         return node
 
     def parse_term(self) -> Node:
@@ -226,7 +189,7 @@ class _Parser:
         while (t := self.peek()) is not None and t.text in ("*", "/"):
             self.next()
             rhs = self.parse_power()
-            node = Binary(t.text, node, rhs, t.pos)
+            node = Binary(t.text, node, rhs)
         return node
 
     def parse_power(self) -> Node:
@@ -236,14 +199,14 @@ class _Parser:
         if t is not None and t.text == "^":
             self.next()
             exponent = self.parse_power()
-            return Binary("^", base, exponent, t.pos)
+            return Binary("^", base, exponent)
         return base
 
     def parse_signed(self) -> Node:
         t = self.peek()
         if t is not None and t.text == "-":
             self.next()
-            return Unary("-", self.parse_signed(), t.pos)
+            return Unary("-", self.parse_signed())
         return self.parse_primary()
 
     def parse_primary(self) -> Node:
@@ -254,7 +217,7 @@ class _Parser:
             value = float(t.text)
             if not np.isfinite(value):
                 raise ParseError(f"number {t.text} overflows to infinity", t.pos)
-            return Const(value, t.pos)
+            return Const(value)
         if t.kind == "paren" and t.text == "(":
             node = self.parse_expr()
             nxt = self.peek()
@@ -270,14 +233,14 @@ class _Parser:
                     raise ParseError(
                         f"variable x{index} exceeds dimension {self.dim}", t.pos
                     )
-                return Var(index, t.pos)
+                return Var(index)
             m = _PARAM_RE.match(t.text)
             if m:
                 index = int(m.group(1))
                 if index > self.params:
                     raise ParseError(f"parameter t{index} exceeds the "
                                      f"{self.params} declared parameters", t.pos)
-                return Param(index, t.pos)
+                return Param(index)
             if t.text in FUNCTIONS:
                 self.expect("(", f"'(' after {t.text}")
                 args = [self.parse_expr()]
@@ -293,7 +256,7 @@ class _Parser:
                     raise ParseError(
                         f"{t.text} takes {arity} argument(s), got {len(args)}", t.pos
                     )
-                return Call(t.text, tuple(args), t.pos)
+                return Call(t.text, tuple(args))
             raise ParseError(f"unknown identifier {t.text!r}", t.pos)
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
 
@@ -342,28 +305,18 @@ def pretty_print(e: Node) -> str:
 #
 # One temporary per node, in left-first post-order. Values have shape
 # (..., 1), one point being a batch of one, so they broadcast against
-# tangents (..., m); x_j = X[..., j-1, None] and its tangent is row j of
-# the seed S (n, m). A value that depends on x, except the result, is
-# written into a register of the program's register file R (see
-# `_assign_registers`), so a call allocates no array for it.
+# tangents (..., n); x_j = X[..., j-1, None] and its tangent s_j is row j
+# of the identity, a constant of the program. A value that depends on x,
+# except the result, is written into a register of the program's register
+# file R (see `_assign_registers`), so a call allocates no array for it.
 # Parameter t_j is p_j = T[..., j-1, None], broadcast against the points,
 # with no tangent. Derivatives mirror the dual-number rules term for term;
-# subtrees free of x carry no tangent and no flag. Strict checks precede
-# the node they guard. The source holds only numbers and generated names.
-
-_MESSAGES = ("division by zero", "log of non-positive value",
-             "sqrt of negative value", "pow requires positive base",
-             "zero raised to a negative power",
-             "non-integer power of non-positive base")
-
-
-def _fail(kind: int, pos: int):
-    raise EvalError(_MESSAGES[kind], pos)
-
+# subtrees free of x carry no tangent and no flag. Nothing is checked:
+# numpy's IEEE results make an invalid point NaN (or infinite). The source
+# holds only numbers and generated names.
 
 _NAMESPACE = {
-    "_fail": _fail, "_any": np.any, "_F": np.float64, "_full": np.full,
-    "_copy": np.copy,
+    "_F": np.float64, "_full": np.full, "_copy": np.copy,
     "_bshape": lambda a, b: np.broadcast_shapes(np.shape(a), np.shape(b)),
     "inf": np.inf, "nan": np.nan, "negative": np.negative, "add": np.add,
     "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide,
@@ -372,39 +325,42 @@ _NAMESPACE = {
     "power": np.power, "where": np.where,
 }
 
-# op: (value, tangent, check, tangent terms, tie test). A value template is
-# one ufunc call, so that a register can be given as its out=. Templates see the
+# op: (value, tangent, tangent terms, tie test). A value template is one
+# ufunc call, so that a register can be given as its out=. Templates see the
 # operand values a, b and tangents ta, tb (0.0 when zero), this value v,
 # w = a with non-positive entries as NaN, and k, pk for k * a^(k-1). Terms
-# whose tangent is zero are dropped; the rest fill the tangent's {}. A
-# check is (index into _MESSAGES, failing condition). Ties of abs/min/max
-# keep the first branch's derivative and set the flag.
+# whose tangent is zero are dropped; the rest fill the tangent's {}. Ties
+# of abs/min/max keep the first branch's derivative and set the flag.
 _TA = [("", "{ta}")]
-_POW = ("power({w}, {bx})", "{v} * ({})")
-_POW_TERMS = [("", "{tb} * log({w})"), (" + ", "{b} * {ta} / {w}")]
+_POW = ("power({w}, {bx})", "{v} * ({})",
+        [("", "{tb} * log({w})"), (" + ", "{b} * {ta} / {w}")])
 _RULES = {
     "neg": ("negative({a})", "-{}"),
-    "+": ("add({a}, {b})", "{}", None, [("", "{ta}"), (" + ", "{tb}")]),
-    "-": ("subtract({a}, {b})", "{}", None, [("", "{ta}"), (" - ", "{tb}")]),
-    "*": ("multiply({a}, {b})", "{}", None, [("", "{ta} * {b}"), (" + ", "{a} * {tb}")]),
-    "/": ("divide({a}, {b})", "({}) / ({b} * {b})", (0, "{b} == 0"),
+    "+": ("add({a}, {b})", "{}", [("", "{ta}"), (" + ", "{tb}")]),
+    "-": ("subtract({a}, {b})", "{}", [("", "{ta}"), (" - ", "{tb}")]),
+    "*": ("multiply({a}, {b})", "{}", [("", "{ta} * {b}"), (" + ", "{a} * {tb}")]),
+    "/": ("divide({a}, {b})", "({}) / ({b} * {b})",
           [("", "{ta} * {b}"), (" - ", "{a} * {tb}")]),
-    "^0": ("power({a}, 0.0)", None, None, []),
+    "^0": ("power({a}, 0.0)", None, []),
     "^+": ("power({a}, {k})", "{k} * {pk} * {}"),
-    "^-": ("power({a}, {k})", "{k} * {pk} * {}", (4, "{a} == 0")),
-    "^": _POW + ((5, "{a} <= 0"), _POW_TERMS),
-    "pow": _POW + ((3, "{a} <= 0"), _POW_TERMS),
+    "^-": ("power({a}, {k})", "{k} * {pk} * {}"),
+    "^": _POW,
+    "pow": _POW,
     "sin": ("sin({a})", "cos({a}) * {}"),
     "cos": ("cos({a})", "-sin({a}) * {}"),
     "exp": ("exp({a})", "{v} * {}"),
-    "log": ("log({a})", "{} / {a}", (1, "{a} <= 0")),
-    "sqrt": ("sqrt({a})", "{} / (2.0 * {v})", (2, "{a} < 0")),
-    "abs": ("absolute({a})", "where({a} >= 0, {ta}, -{ta})", None, _TA, "{a} == 0"),
-    "min": ("minimum({a}, {b})", "where({a} <= {b}, {ta}, {tb})", None,
+    "log": ("log({a})", "{} / {a}"),
+    "sqrt": ("sqrt({a})", "{} / (2.0 * {v})"),
+    "abs": ("absolute({a})", "where({a} >= 0, {ta}, -{ta})", _TA, "{a} == 0"),
+    "min": ("minimum({a}, {b})", "where({a} <= {b}, {ta}, {tb})",
             _TA + [("", "{tb}")], "{a} == {b}"),
-    "max": ("maximum({a}, {b})", "where({a} >= {b}, {ta}, {tb})", None,
+    "max": ("maximum({a}, {b})", "where({a} >= {b}, {ta}, {tb})",
             _TA + [("", "{tb}")], "{a} == {b}"),
 }
+# the operations whose domain is not all of R: a zero divisor or base of a
+# negative power, a non-positive base of a general power or log argument,
+# a negative sqrt argument
+_PARTIAL = {"/", "^-", "^", "pow", "log", "sqrt"}
 
 
 class _RegisterFile:
@@ -483,7 +439,7 @@ class _Lowering:
         self.variables: set[int] = set()
         self.params: set[int] = set()
         self.var_values: set[str] = set()   # value temporaries that depend on x
-        self.partial = False   # has a domain-restricted operation
+        self.partial = False   # has an operation with a domain (_PARTIAL)
 
     def new(self, prefix: str, dual_expr: str | None = None) -> str:
         """A fresh temporary; with `dual_expr`, assigned in the dual program."""
@@ -504,35 +460,32 @@ class _Lowering:
             self.params.add(e.index)
             return _Slot(f"p{e.index}", par=True)
         if isinstance(e, Unary):
-            return self.node(e, "neg", [self.lower(e.child)])
+            return self.node("neg", [self.lower(e.child)])
         if isinstance(e, Call):
-            return self.node(e, e.name, [self.lower(a) for a in e.args])
+            return self.node(e.name, [self.lower(a) for a in e.args])
         k = _int_exponent(e.right) if e.op == "^" else None
         if k is None:
-            return self.node(e, e.op, [self.lower(e.left), self.lower(e.right)])
+            return self.node(e.op, [self.lower(e.left), self.lower(e.right)])
         a = self.lower(e.left)
         # x^1 is exact, so k * x^(k-1) needs no power call when k == 2
         pk = a.v if k == 2 else f"power({a.v}, {float(k - 1)!r})"
         op = "^0" if k == 0 else "^+" if k > 0 else "^-"
-        return self.node(e, op, [a], k=repr(float(k)), pk=pk)
+        return self.node(op, [a], k=repr(float(k)), pk=pk)
 
-    def node(self, e: Node, op: str, ops: list[_Slot], **fmt) -> _Slot:
+    def node(self, op: str, ops: list[_Slot], **fmt) -> _Slot:
         var = any(s.var for s in ops)
         par = any(s.par for s in ops)
         if not (var or par):   # constant subtree: numpy scalar semantics
             ops = [_Slot(s.v if s.v in self.temps else f"_F({s.v})") for s in ops]
         rule = _RULES[op]   # fill in the defaults of a short rule
-        value, tangent, check, terms, tie = rule + (None, _TA, None)[len(rule) - 2:]
+        value, tangent, terms, tie = rule + (_TA, None)[len(rule) - 2:]
         a, b = (ops + [_Slot("")])[:2]
         out = _Slot(self.new("v"), None, None, var, par)
         if var:
             self.var_values.add(out.v)
         fmt.update(a=a.v, b=b.v, v=out.v, ta=a.t or "0.0", tb=b.t or "0.0")
         lines = self.lines
-        if check:
-            self.partial = True
-            lines.append((False, f"if strict and _any({check[1].format(**fmt)}): "
-                                 f"_fail({check[0]}, {e.pos})"))
+        self.partial |= op in _PARTIAL
         if "{w}" in value:
             fmt["w"] = w = self.new("w")
             lines.append((False, f"{w} = where({a.v} > 0, {a.v}, nan)"))
@@ -569,22 +522,23 @@ class _Lowering:
 @dataclass(frozen=True, eq=False)
 class Program:
     """An expression compiled for points in R^n with p parameters.
-    value(X, strict) gives f; dual(X, S, strict) gives (values, tangents
-    broadcastable to X.shape[:-1] + (m,) or None when zero, tie flags or
-    None). With p > 0 both take the parameters T last, of shape (..., p)
-    broadcastable against X.shape[:-1]: one vector, or one per point row.
-    Both write their intermediate values into one register file that the
-    program keeps for all its calls, so a call must not overlap another
-    (no use from two threads at once); what they return is their own."""
+    value(X) gives f at the points X (..., n); dual(X) gives (values,
+    gradients broadcastable to X.shape[:-1] + (n,) or None when zero, tie
+    flags or None). With p > 0 both take the parameters T last, of shape
+    (..., p) broadcastable against X.shape[:-1]: one vector, or one per
+    point row. A point outside the expression's domain gives a NaN (or
+    infinite) value. Both write their intermediate values into one
+    register file that the program keeps for all its calls, so a call must
+    not overlap another (no use from two threads at once); what they
+    return is their own, except that a gradient may be a read-only row of
+    the identity."""
 
     n: int
     p: int
     source: str
-    kinks: bool     # abs/min/max of x: the flag can be set
-    partial: bool   # some operation is restricted to a domain
+    partial: bool   # some operation has a domain: invalid points can exist
     value: Callable
     dual: Callable
-    seed: np.ndarray   # identity seed for full gradients
 
 
 def compile_expr(e: Node, n: int, p: int = 0) -> Program:
@@ -607,42 +561,14 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
     views += [f"p{j} = T[..., {j - 1}, None]" for j in sorted(L.params)]
     if registers:
         views.append(f"R = _registers({shape} + (1,))")
-    seeds = [f"s{j} = S[{j - 1}]" for j in sorted(L.variables)]
     value = views + [text for dual, text in lines if not dual] + [f"return {ret}"]
-    dual = views + seeds + [text for _, text in lines] \
-        + [f"return {ret}, {root.t}, {flags}"]
+    dual = views + [text for _, text in lines] + [f"return {ret}, {root.t}, {flags}"]
     T = ", T" if p else ""
-    source = "".join(f"def {name}:\n" + "".join(f"    {t}\n" for t in body)
-                     for name, body in ((f"value(X, strict{T})", value),
-                                        (f"dual(X, S, strict{T})", dual)))
+    source = "".join(f"def {name}(X{T}):\n" + "".join(f"    {t}\n" for t in body)
+                     for name, body in (("value", value), ("dual", dual)))
+    seeds = np.eye(n)
+    seeds.flags.writeable = False
     namespace = dict(_NAMESPACE, _registers=_RegisterFile(registers))
+    namespace.update((f"s{j}", seeds[j - 1]) for j in L.variables)
     exec(compile(source, "<quasicheck expression>", "exec"), namespace)
-    return Program(n, p, source, root.f is not None, L.partial,
-                   namespace["value"], namespace["dual"], np.eye(n))
-
-
-def eval_expr(e, x) -> float:
-    """Strict evaluation at one point, run as a batch of one; raises
-    EvalError with the node position."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        return float(compile_expr(e, x.shape[-1]).value(x, True))
-
-
-@dataclass(frozen=True)
-class DualResult:
-    value: float
-    deriv: float
-    nondiff: bool
-
-
-def eval_dual(e, x, d) -> DualResult:
-    """Value and directional derivative <grad f(x), d> at a point, strict."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if x.shape != d.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {d.shape}")
-    with np.errstate(all="ignore"):
-        val, der, flag = compile_expr(e, x.shape[-1]).dual(x, d[:, None], True)
-    return DualResult(float(val), 0.0 if der is None else float(der[0]),
-                      flag is not None and bool(flag))
+    return Program(n, p, source, L.partial, namespace["value"], namespace["dual"])

@@ -131,10 +131,11 @@ class ScalarField:
         return X
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Batch values over (..., n) points; NaN marks invalid points."""
+        """Batch values over (..., n) points; a NaN or infinite value marks
+        an invalid point."""
         T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
-            return self.program.value(self._points(X), False, *T)
+            return self.program.value(self._points(X), *T)
 
     def grad(self, x) -> np.ndarray:
         """grad f at one point, evaluated as a batch of one."""
@@ -146,20 +147,20 @@ class ScalarField:
 
     def grads(self, X: np.ndarray, with_values: bool = False):
         """Batch gradients over (..., n) points, from one pass of the
-        program in forward mode with the identity seed. Rows outside the
-        expression's domain and nondifferentiable points (abs/min/max
-        ties) are NaN, so samplers count them as skipped. With
-        `with_values`, returns (values, gradients), the values those of
-        the same pass, equal to `values(X)`."""
+        program in forward mode. Rows outside the expression's domain and
+        nondifferentiable points (abs/min/max ties) are NaN, so samplers
+        count them as skipped. With `with_values`, returns (values,
+        gradients), the values those of the same pass, equal to
+        `values(X)`."""
         X = self._points(X)
         prog = self.program
         T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
-            val, g, ties = prog.dual(X, prog.seed, False, *T)
+            val, g, ties = prog.dual(X, *T)
             if g is None:   # the tangent is identically zero
                 g = np.zeros(X.shape)
             elif g.shape != X.shape or g.base is not None:
-                g = np.broadcast_to(g, X.shape).copy()   # a seed row
+                g = np.broadcast_to(g, X.shape).copy()   # an identity row
             if prog.partial:
                 g[~np.isfinite(val)] = np.nan
             if ties is not None:

@@ -209,7 +209,7 @@ def test_criterion_09_parser_corpus(rng):
     total = len(tx.VALID_CORPUS) + len(tx.MALFORMED_CORPUS)
     ok = total >= 40
     for source, dim, expected in tx.VALID_CORPUS:
-        ok &= ex.ast_equal(ex.parse(source, dim), expected)
+        ok &= ex.parse(source, dim) == expected
     for source, dim, pos in tx.MALFORMED_CORPUS:
         try:
             ex.parse(source, dim)
@@ -219,7 +219,7 @@ def test_criterion_09_parser_corpus(rng):
     trips = 0
     for _ in range(1000):
         e = random_ast(rng, 3)
-        if ex.ast_equal(ex.parse(ex.pretty_print(e), 3), e):
+        if ex.parse(ex.pretty_print(e), 3) == e:
             trips += 1
     ok &= trips == 1000
     report(9, "parser corpus and round trips", ok,

@@ -153,6 +153,21 @@ def test_overflowing_literal_is_a_usage_error(tmp_path):
     assert code == EXIT_USAGE and rep is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma", "--expr", "log(x1)", "--dim", "1", "--box", "0:2"],
+    ["sigma", "--expr", "log(x1)", "--dim", "1", "--box=-1:0", "--pairs", "100"],
+    ["gradcheck", "--expr", "log(x1)", "--dim", "1", "--box=-1:0"]],
+    ids=lambda argv: argv[0])
+def test_evaluation_errors_are_reported_not_raised(argv, tmp_path, capsys):
+    # log(x1) is not finite at the lemma's endpoint 0, and on [-1, 0]
+    # nowhere: the run ends with one error line and exit code 2, not with a
+    # traceback and the exit code of a violation
+    code, rep = run(argv, tmp_path)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and rep is None
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_overflowing_field_emits_no_warning(tmp_path):
     # exp(1000*x1) overflows to inf on most of the box; those samples are
     # skipped without numpy warnings leaking out

@@ -339,9 +339,9 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
                              DomainBox.cube(-1, 1, 2))
     calls = []
 
-    def value(X, strict):
+    def value(X):
         calls.append(len(X))
-        return g.program.value(X, strict)
+        return g.program.value(X)
 
     f = replace(g, program=replace(g.program, value=value))
     X = rng.uniform(-1, 1, size=(1 << 14, 2))
@@ -379,7 +379,7 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
 def test_segment_margins_points_are_read_only(rng):
     # the kernel reuses one point buffer for every chunk: a program that
     # wrote into its input would corrupt the chunks after it
-    def value(X, strict):
+    def value(X):
         X[..., 0] = 0.0
         return np.sum(X, axis=-1)
 

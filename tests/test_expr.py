@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from quasicheck import expr as ex
-from quasicheck.expr import (Binary, Call, Const, EvalError, Param,
-                             ParseError, Unary, Var, ast_equal, eval_dual,
-                             eval_expr, parse, pretty_print)
+from quasicheck.expr import (Binary, Call, Const, Param, ParseError, Unary,
+                             Var, parse, pretty_print)
 from quasicheck.field import DomainBox, ScalarField, make_field_from_expr
 from conftest import random_ast, random_smooth_expr
 
@@ -85,7 +84,7 @@ MALFORMED_CORPUS = [
 @pytest.mark.parametrize("source,dim,expected", VALID_CORPUS,
                          ids=[s for s, _, _ in VALID_CORPUS])
 def test_parse_valid(source, dim, expected):
-    assert ast_equal(parse(source, dim), expected)
+    assert parse(source, dim) == expected
 
 
 @pytest.mark.parametrize("source,dim,pos", MALFORMED_CORPUS,
@@ -104,7 +103,7 @@ def test_corpus_size():
                          ids=[s for s, _, _ in VALID_CORPUS])
 def test_pretty_print_round_trip_corpus(source, dim, _):
     e = parse(source, dim)
-    assert ast_equal(parse(pretty_print(e), dim), e)
+    assert parse(pretty_print(e), dim) == e
 
 
 def test_pretty_print_examples():
@@ -117,133 +116,125 @@ def test_pretty_print_round_trip_random(rng):
     for _ in range(1000):
         e = random_ast(rng, n)
         s = pretty_print(e)
-        assert ast_equal(parse(s, n), e), s
+        assert parse(s, n) == e, s
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: a field's values and gradients are one compiled program's
+
+
+def field(source, n=1):
+    return make_field_from_expr(source, n, DomainBox.cube(-1, 1, n))
 
 
 def test_eval_examples():
-    assert eval_expr(parse("x1^2", 1), [3.0]) == 9
-    assert eval_expr(parse("sin(x1)", 1), [0.0]) == 0
-    assert eval_expr(parse("x1*x2 + 1", 2), [2.0, 5.0]) == 11
+    assert field("x1^2").values([3.0]) == 9
+    assert field("sin(x1)").values([0.0]) == 0
+    assert field("x1*x2 + 1", 2).values([2.0, 5.0]) == 11
 
 
 def test_eval_domain_errors():
-    with pytest.raises(EvalError):
-        eval_expr(parse("log(x1)", 1), [0.0])
-    with pytest.raises(EvalError):
-        eval_expr(parse("1/x1", 1), [0.0])
-    with pytest.raises(EvalError):
-        eval_expr(parse("sqrt(x1)", 1), [-1.0])
-    with pytest.raises(EvalError):
-        eval_expr(parse("pow(x1, 0.5)", 1), [-1.0])
+    for source, x in [("log(x1)", 0.0), ("1/x1", 0.0), ("sqrt(x1)", -1.0),
+                      ("pow(x1, 0.5)", -1.0)]:
+        f = field(source)
+        assert not np.isfinite(f.values([x])), source
+        assert np.all(np.isnan(f.grads([x]))), source
 
 
-# (source, point, message, offset of the failing node); the last case has
-# two failing nodes and the first one in left-first post-order is reported
-STRICT_ERRORS = [
-    ("1 + 1/x1", [0.0], "division by zero", 5),
-    ("1 + log(x1)", [0.0], "log of non-positive value", 4),
-    ("1 + sqrt(x1)", [-1.0], "sqrt of negative value", 4),
-    ("1 + pow(x1, 0.5)", [0.0], "pow requires positive base", 4),
-    ("1 + x1^-2", [0.0], "zero raised to a negative power", 6),
-    ("1 + x1^0.5", [-1.0], "non-integer power of non-positive base", 6),
-    ("1 + x1^log(x1)", [-1.0], "log of non-positive value", 7),
-    ("log(x1) + 1/x1", [0.0], "log of non-positive value", 0),
+# (source, a point outside its domain); every source is valid at x1 = 0.5.
+# The last two fail inside an operand, or at two nodes
+INVALID_POINTS = [
+    ("1 + 1/x1", 0.0),
+    ("1 + log(x1)", 0.0),
+    ("1 + sqrt(x1)", -1.0),
+    ("1 + pow(x1, 0.5)", 0.0),
+    ("1 + x1^-2", 0.0),
+    ("1 + x1^0.5", -1.0),
+    ("1 + x1^log(x1)", -1.0),
+    ("log(x1) + 1/x1", 0.0),
 ]
 
 
-@pytest.mark.parametrize("source,x,message,pos", STRICT_ERRORS,
-                         ids=[s for s, _, _, _ in STRICT_ERRORS])
-def test_eval_error_position(source, x, message, pos):
-    e = parse(source, 1)
-    for evaluate in (lambda: eval_expr(e, x),
-                     lambda: eval_dual(e, np.array(x), np.ones(1))):
-        with pytest.raises(EvalError) as err:
-            evaluate()
-        assert (err.value.message, err.value.pos) == (message, pos)
+@pytest.mark.parametrize("source,x", INVALID_POINTS,
+                         ids=[s for s, _ in INVALID_POINTS])
+def test_eval_error_position(source, x):
+    # an invalid point is found by its row: in a batch with valid points,
+    # only its value is not finite (NaN or an infinity) and only its
+    # gradient row is NaN
+    f = field(source)
+    X = np.array([[0.5], [x], [0.5]])
+    values, G = f.grads(X, with_values=True)
+    for v in (f.values(X), values):
+        assert np.isfinite(v).tolist() == [True, False, True]
+    assert np.all(np.isnan(G[1])) and np.all(np.isfinite(G[[0, 2]]))
 
 
 def test_power_rules():
     # integer exponents are fine on negative bases
-    assert eval_expr(parse("(0-2)^3", 1), [0.0]) == -8
-    assert eval_expr(parse("(0-2)^-2", 1), [0.0]) == 0.25
-    # non-integer exponents require a positive base
-    with pytest.raises(EvalError):
-        eval_expr(parse("(0-2)^0.5", 1), [0.0])
-    with pytest.raises(EvalError):
-        eval_expr(parse("(0-2)^x1", 1), [1.5])
-    assert eval_expr(parse("4^0.5", 1), [0.0]) == 2
+    assert field("(0-2)^3").values([0.0]) == -8
+    assert field("(0-2)^-2").values([0.0]) == 0.25
+    # non-integer exponents require a positive base; a general exponent
+    # does so even where it happens to be an integer
+    for source, x in [("(0-2)^0.5", 0.0), ("(0-2)^x1", 1.5), ("(0-2)^x1", 2.0)]:
+        f = field(source)
+        assert np.isnan(f.values([x])) and np.all(np.isnan(f.grads([x])))
+    assert field("4^0.5").values([0.0]) == 2
+    assert field("x1^0.5").values([4.0]) == 2
 
 
 def test_eval_dual_examples():
-    r = eval_dual(parse("x1^2", 1), np.array([3.0]), np.array([1.0]))
-    assert (r.value, r.deriv) == (9, 6)
-    r = eval_dual(parse("x1*x2", 2), np.array([2.0, 5.0]), np.array([0.0, 1.0]))
-    assert (r.value, r.deriv) == (10, 2)
+    v, g = field("x1^2").grads(np.array([3.0]), with_values=True)
+    assert v == 9 and g.tolist() == [6.0]
+    v, g = field("x1*x2", 2).grads(np.array([2.0, 5.0]), with_values=True)
+    assert v == 10 and g.tolist() == [5.0, 2.0]
 
 
 def test_dual_nondiff_flags():
-    r = eval_dual(parse("abs(x1)", 1), np.array([0.0]), np.array([1.0]))
-    assert r.value == 0 and r.nondiff
-    # tie propagates the first argument's derivative
-    r = eval_dual(parse("min(x1, x1*1)", 1), np.array([2.0]), np.array([1.0]))
-    assert r.nondiff and r.deriv == 1.0
-    r = eval_dual(parse("abs(x1)", 1), np.array([3.0]), np.array([1.0]))
-    assert not r.nondiff and r.deriv == 1.0
-    r = eval_dual(parse("abs(x1)", 1), np.array([-3.0]), np.array([1.0]))
-    assert r.deriv == -1.0
+    # a tie of abs/min/max makes the gradient row NaN
+    f = field("abs(x1)")
+    v, G = f.grads(np.array([[0.0], [3.0], [-3.0]]), with_values=True)
+    assert v.tolist() == [0.0, 3.0, 3.0]
+    assert np.isnan(G[0, 0]) and G[1:, 0].tolist() == [1.0, -1.0]
+    # the program propagates the first argument's derivative at the tie
+    # (2 = 2*2 - 2; d/dx1 is 1 and 2) and sets the flag
+    v, t, ties = field("min(x1, 2*x1 - 2)").program.dual(np.array([[2.0], [3.0]]))
+    assert v.tolist() == [2.0, 3.0] and t[:, 0].tolist() == [1.0, 1.0]
+    assert ties.tolist() == [True, False]
     # a kink inside a general exponent flags the power
-    r = eval_dual(parse("x1^abs(x2)", 2), np.array([2.0, 0.0]),
-                  np.array([0.0, 1.0]))
-    assert r.value == 1.0 and r.nondiff
+    v, g = field("x1^abs(x2)", 2).grads(np.array([2.0, 0.0]), with_values=True)
+    assert v == 1.0 and np.all(np.isnan(g))
 
 
 def test_dual_general_power_includes_exponent_derivative():
     # d/dx 2^x = 2^x ln 2
-    r = eval_dual(parse("2^x1", 1), np.array([3.0]), np.array([1.0]))
-    assert r.value == pytest.approx(8.0)
-    assert r.deriv == pytest.approx(8.0 * math.log(2.0))
+    v, g = field("2^x1").grads(np.array([3.0]), with_values=True)
+    assert v == pytest.approx(8.0)
+    assert g[0] == pytest.approx(8.0 * math.log(2.0))
 
 
 def test_ad_matches_central_differences(rng):
     checked = 0
     for _ in range(60):
         n = int(rng.integers(1, 4))
-        e = random_smooth_expr(rng, n)
+        f = make_field_from_expr(random_smooth_expr(rng, n), n,
+                                 DomainBox.cube(-1, 1, n))
         for _ in range(5):
             x = rng.uniform(-1, 1, size=n)
             d = rng.normal(size=n)
             d /= max(1.0, np.linalg.norm(d))
             h = 1e-5 * max(1.0, float(np.max(np.abs(x))))
-            r = eval_dual(e, x, d)
-            fd = (eval_expr(e, x + h * d) - eval_expr(e, x - h * d)) / (2 * h)
-            assert abs(r.deriv - fd) <= 1e-6, pretty_print(e)
+            fd = (f.values(x + h * d) - f.values(x - h * d)) / (2 * h)
+            assert abs(f.grads(x) @ d - fd) <= 1e-6, f.program.source
             checked += 1
     assert checked >= 200
 
 
-def test_dual_linearity(rng):
-    for _ in range(30):
-        n = int(rng.integers(1, 4))
-        e = random_smooth_expr(rng, n)
-        x = rng.uniform(-1, 1, size=n)
-        d1 = rng.normal(size=n)
-        d2 = rng.normal(size=n)
-        a, b = float(rng.normal()), float(rng.normal())
-        lhs = eval_dual(e, x, a * d1 + b * d2).deriv
-        rhs = a * eval_dual(e, x, d1).deriv + b * eval_dual(e, x, d2).deriv
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
-
-
 def test_batch_eval_matches_scalar(rng):
-    e = parse("sin(x1)*x2 + x1^2", 2)
+    f = field("sin(x1)*x2 + x1^2", 2)
     X = rng.uniform(-2, 2, size=(50, 2))
-    batch = ex.compile_expr(e, 2).value(X, False)
+    batch = f.values(X)
     for i, x in enumerate(X):
-        assert batch[i] == pytest.approx(eval_expr(e, x), rel=1e-15, abs=1e-15)
+        assert batch[i] == pytest.approx(f.value(x), rel=1e-15, abs=1e-15)
 
 
 def test_one_point_is_a_batch_of_one():
@@ -255,8 +246,8 @@ def test_one_point_is_a_batch_of_one():
     X = np.array([x, [0.5, 1.5, 0.3]])
     batch = f.values(X)[0]
     assert batch == 0.4997251511668582
-    for one in (eval_expr(e, x), f.values(x), f.value(x),
-                eval_dual(e, x, np.ones(3)).value):
+    for one in (f.program.value(x), f.values(x), f.value(x),
+                f.program.dual(x)[0], f.grads(x, with_values=True)[0]):
         assert one == batch
     assert np.array_equal(f.grad(x), f.grads(X)[0])
     assert np.array_equal(f.grads(x), f.grads(X)[0])
@@ -272,13 +263,14 @@ def test_grad_batch(rng):
     f = make_field_from_expr("x1^2 + 3*x2", 2, DomainBox.cube(-1, 1, 2))
     X = rng.uniform(-1, 1, size=(10, 2))
     G = f.grads(X)
-    assert not f.program.kinks
+    assert f.program.dual(X)[2] is None   # no tie flags
     assert np.allclose(G[:, 0], 2 * X[:, 0])
     assert np.allclose(G[:, 1], 3.0)
     # outside the domain the value is NaN, and so is the gradient
     f = make_field_from_expr("log(x1)", 1, DomainBox.cube(-1, 2, 1))
     G = f.grads(np.array([[-1.0], [2.0]]))
-    assert np.isnan(G[0, 0]) and G[1, 0] == 0.5 and not f.program.kinks
+    assert np.isnan(G[0, 0]) and G[1, 0] == 0.5
+    assert f.program.dual(np.array([[2.0]]))[2] is None
 
 
 def test_compiled_source_holds_only_numbers_and_generated_names():
@@ -288,8 +280,8 @@ def test_compiled_source_holds_only_numbers_and_generated_names():
     names = {tok.string for tok in tokenize.generate_tokens(
         io.StringIO(source).readline) if tok.type == tokenize.NAME}
     allowed = set(ex._NAMESPACE) | set(keyword.kwlist) | {
-        "value", "dual", "X", "S", "T", "R", "out", "_registers", "strict", "ndim",
-        "shape", "reshape"}
+        "value", "dual", "X", "T", "R", "out", "_registers", "ndim", "shape",
+        "reshape"}
     assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxsp]\d+", n)} == set()
 
 
@@ -297,21 +289,22 @@ def test_parameter_free_programs_are_unchanged(rng):
     # the sha256 of the programs emitted for the corpus and 300 random
     # expressions, as recorded when a node began to take over the register
     # of an operand whose last use it is, and then when a bare variable's
-    # value became a copy of the points' column (35 of the 330 programs)
+    # value became a copy of the points' column (35 of the 330 programs),
+    # and then when the strict checks and the seed argument S went (each
+    # source is the one before without its check and seed-row lines)
     h = hashlib.sha256()
     cases = [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
         + [(random_ast(rng, 3), 3) for _ in range(300)]
     for e, d in cases:
         h.update(ex.compile_expr(e, d).source.encode())
     assert h.hexdigest() == \
-        "4ef6d17bada614e868e0009c5d843ee841d54485384488d5093abab2accb751f"
+        "ac043756e7853533a9316f99e6ec75915d175d44c42701154f4de7c48aafb27e"
 
 
 def test_parameters_are_declared():
     e = parse("t1*x1 + t2^2", 1, 2)
-    assert ast_equal(e, Binary("+", Binary("*", Param(1), v(1)),
-                               Binary("^", Param(2), c(2))))
-    assert ast_equal(parse(pretty_print(e), 1, 2), e)
+    assert e == Binary("+", Binary("*", Param(1), v(1)), Binary("^", Param(2), c(2)))
+    assert parse(pretty_print(e), 1, 2) == e
     with pytest.raises(ParseError) as err:
         parse("t1 + x1*t3", 1, 2)
     assert err.value.pos == 8
@@ -335,7 +328,8 @@ def test_parameters_have_no_tangent():
     f = ScalarField("rows", prog, DomainBox.cube(-1, 2, 1), T)
     assert np.allclose(f.values(X), value, rtol=1e-15)
     g = f.grads(X)
-    assert np.allclose(g[:, 0], 2 * t1 * x + t2, rtol=1e-15) and not prog.kinks
+    assert np.allclose(g[:, 0], 2 * t1 * x + t2, rtol=1e-15)
+    assert prog.dual(X, T)[2] is None
     # one theta broadcasts against every row and gives the same bits
     for i in range(3):
         one = ScalarField("one", prog, f.domain, T[i])
@@ -343,9 +337,9 @@ def test_parameters_have_no_tangent():
         assert np.array_equal(one.grads(X)[i], g[i])
     # a program takes parameters exactly when it was compiled with them
     with pytest.raises(TypeError):
-        prog.value(X, False)
+        prog.value(X)
     with pytest.raises(TypeError):
-        ex.compile_expr(parse("x1", 1), 1).value(X, False, T)
+        ex.compile_expr(parse("x1", 1), 1).value(X, T)
 
 
 def test_parameter_only_expressions_broadcast():
@@ -355,10 +349,10 @@ def test_parameter_only_expressions_broadcast():
     X = np.zeros((4, 3, 1))
     T = np.array([[1.1, 2.0], [0.3, 2.0], [1.7, 2.0]])
     prog = ex.compile_expr(parse("t1^t2 + x1*0", 1, 2), 1, 2)
-    rows = prog.value(X, False, T)
+    rows = prog.value(X, T)
     assert rows.shape == (4, 3)
     for i in range(3):
-        assert np.all(prog.value(X, False, T[i])[:, i] == rows[:, i])
+        assert np.all(prog.value(X, T[i])[:, i] == rows[:, i])
     only = ex.compile_expr(parse("exp(t1)", 1, 1), 1, 1)
-    out = only.value(X, False, T[:, :1])
+    out = only.value(X, T[:, :1])
     assert out.shape == (4, 3) and np.all(out == np.exp(T[:, 0]))

@@ -61,13 +61,15 @@ def test_mismatched_domain_is_rejected():
 
 
 def test_gradients_are_the_callers_own():
-    # the tangent of x2 is a row of the program's identity seed: grads
-    # copies it out, so writing into the gradients leaves the seed alone
+    # the tangent of x2 is a row of the identity that the program keeps:
+    # grads copies it out, so writing into the gradients changes no later
+    # call's, also at one point, where the row has the points' shape
     f = make_field_from_expr("x2 + log(2)", 2, DomainBox.cube(-1, 1, 2))
-    G = f.grads(np.zeros((3, 2)))
-    assert G.tolist() == [[0.0, 1.0]] * 3
-    G[:] = 7.0
-    assert np.array_equal(f.program.seed, np.eye(2))
+    for shape, rows in (((3, 2), [[0.0, 1.0]] * 3), ((2,), [0.0, 1.0])):
+        G = f.grads(np.zeros(shape))
+        assert G.tolist() == rows
+        G[...] = 7.0
+        assert f.grads(np.zeros(shape)).tolist() == rows
 
 
 def test_values_are_the_callers_own():
@@ -127,8 +129,8 @@ def test_validate_grad_catalog_quadratic():
 def test_validate_grad_detects_planted_bug():
     f = catalog_field("sqnorm", 2)
 
-    def dual(X, S, strict):
-        v, _, ties = f.program.dual(X, S, strict)
+    def dual(X):
+        v, _, ties = f.program.dual(X)
         return v, 4.0 * X, ties
 
     buggy = replace(f, program=replace(f.program, dual=dual))

@@ -465,9 +465,9 @@ def test_falsify_c_evaluates_no_values():
     calls = []
     g = catalog_field("cubic_minus_x", 1)
 
-    def value(X, strict):
+    def value(X):
         calls.append(len(X))
-        return g.program.value(X, strict)
+        return g.program.value(X)
 
     f = replace(g, program=replace(g.program, value=value))
     res = falsify(f, "c", CheckConfig(), SearchBudget(max_evals=2000), seed=3)
