@@ -271,6 +271,18 @@ def _worst_a(f: ScalarField, pairs, cfg: CheckConfig):
 # Conditions (b) and (c): first-order gradient implications
 
 
+def _pairing(g: np.ndarray, D: np.ndarray):
+    """<g, D> over the last axis and whether g is finite there, one
+    coordinate plane of the gradients at a time, summed from 0.0 as np.sum
+    over a row is for n < 8 (a sum of zeros is +0.0)."""
+    G = g.transpose(-1, *range(g.ndim - 1))   # the planes that grads views
+    pairing, ok = 0.0 + G[0] * D[..., 0], np.isfinite(G[0])
+    for j in range(1, len(G)):
+        pairing += G[j] * D[..., j]
+        ok &= np.isfinite(G[j])
+    return pairing, ok
+
+
 def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
                      cfg: CheckConfig, premise_tol: float | None = None):
     """Margins and premise masks for conditions (b) and (c) on pair rows.
@@ -292,13 +304,11 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     Y = np.asarray(Y, dtype=float)
     fX, gX = f.grads(X, with_values=True)
     fY, gY = f.grads(Y, with_values=True)
-    gx_ok = np.all(np.isfinite(gX), axis=-1)
-    gy_ok = np.all(np.isfinite(gY), axis=-1)
-    ok_b = np.isfinite(fX) & np.isfinite(fY) & gy_ok
     with np.errstate(all="ignore"):
+        pairing_x, gx_ok = _pairing(gX, Y - X)
+        pairing_y, gy_ok = _pairing(gY, X - Y)
+        ok_b = np.isfinite(fX) & np.isfinite(fY) & gy_ok
         d = pnorm_batch(X - Y, cfg.penalty_norm)
-        pairing_x = np.sum(gX * (Y - X), axis=-1)
-        pairing_y = np.sum(gY * (X - Y), axis=-1)
         threshold = -0.5 * cfg.sigma * d * d
         margin = threshold - pairing_y
         premise_b = fX <= fY + pt

@@ -12,22 +12,24 @@ written x1..xn and parameters t1..tp (both 1-based; p = 0 unless the
 caller declares parameters). No implicit multiplication.
 
 `compile_expr` lowers an AST once to a program of two straight-line
-numpy functions whose intermediate values go to a register file reused by
+numpy functions whose intermediate arrays go to register files reused by
 every call: `value(X)` gives f at a batch of points, and one pass of
-`dual(X)` gives the values, the full gradient in forward mode (a tangent
-per coordinate, all at once) and a nondifferentiability mask. Nothing
+`dual(X)` gives the values, the gradient in sparse forward mode (each
+node carries the partial derivatives in only the coordinates it depends
+on, one array per coordinate) and a nondifferentiability mask. Nothing
 raises: a point outside the expression's domain evaluates to NaN or an
-infinity (`Program.partial` says whether one can exist). Nondifferentiable
-points of abs/min/max (exact ties) propagate the first branch's
-derivative and set a flag. Parameters are inputs without a tangent, so
-one program serves a family, one parameter row per point.
+infinity. Nondifferentiable points of abs/min/max (exact ties) propagate
+the first branch's derivative and set a flag. Parameters are inputs
+without a tangent, so one program serves a family, one parameter row per
+point.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -303,64 +305,78 @@ def pretty_print(e: Node) -> str:
 # ---------------------------------------------------------------------------
 # Compilation to straight-line numpy code
 #
-# One temporary per node, in left-first post-order. Values have shape
-# (..., 1), one point being a batch of one, so they broadcast against
-# tangents (..., n); x_j = X[..., j-1, None] and its tangent s_j is row j
-# of the identity, a constant of the program. A value that depends on x,
-# except the result, is written into a register of the program's register
-# file R (see `_assign_registers`), so a call allocates no array for it.
-# Parameter t_j is p_j = T[..., j-1, None], broadcast against the points,
-# with no tangent. Derivatives mirror the dual-number rules term for term;
-# subtrees free of x carry no tangent and no flag. Nothing is checked:
-# numpy's IEEE results make an invalid point NaN (or infinite). The source
-# holds only numbers and generated names.
+# One temporary per node, in left-first post-order. Values have the points'
+# shape without its last axis (a point alone has shape ()): x_j = X[..., j-1]
+# and parameter t_j is p_j = T[..., j-1], broadcast against the points. The
+# tangent of a node maps each coordinate j it depends on to a term, its
+# partial derivative in x_j, and x_j's own term is the literal 1.0, by which
+# a product is exact and dropped. Derivatives mirror the dual-number rules
+# term for term, one coordinate at a time; parameters and subtrees free of x
+# carry no tangent and no flag. An array that depends on x, except the
+# result, is written into a register (see `_assign_registers`), so a call
+# allocates only its result and the gradient. Nothing is checked: numpy's
+# IEEE results make an invalid point NaN (or infinite). The source holds only
+# numbers and generated names.
+
+
+def _power(a, b, out=None):
+    """numpy's power over a trailing axis of one, where a fresh exponent has
+    a nonzero stride: numpy's shortcuts for exponents -1, 0.5 and 2, taken
+    at stride 0 (a constant, or any point alone), never apply, so every
+    shape rounds alike."""
+    e = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)) + (1,))
+    e[..., 0] = b
+    return np.power(a[..., None], e, out=out if out is None else out[..., None])[..., 0]
+
 
 _NAMESPACE = {
-    "_F": np.float64, "_full": np.full, "_copy": np.copy,
-    "_bshape": lambda a, b: np.broadcast_shapes(np.shape(a), np.shape(b)),
+    "_F": np.float64, "_full": np.full, "_empty": np.empty, "_power": _power,
     "inf": np.inf, "nan": np.nan, "negative": np.negative, "add": np.add,
     "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide,
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "absolute": np.absolute, "minimum": np.minimum, "maximum": np.maximum,
-    "power": np.power, "where": np.where,
+    "power": np.power, "where": np.where, "greater_equal": np.greater_equal,
+    "less_equal": np.less_equal,
 }
 
 # op: (value, tangent, tangent terms, tie test). A value template is one
 # ufunc call, so that a register can be given as its out=. Templates see the
-# operand values a, b and tangents ta, tb (0.0 when zero), this value v,
-# w = a with non-positive entries as NaN, and k, pk for k * a^(k-1). Terms
-# whose tangent is zero are dropped; the rest fill the tangent's {}. Ties
-# of abs/min/max keep the first branch's derivative and set the flag.
+# operand values a, b and one coordinate's terms ta, tb of their tangents
+# (0.0 when absent), this value v, w = a with non-positive entries as NaN,
+# and k, pk for k * a^(k-1). Per coordinate, terms whose tangent is absent
+# are dropped; the rest fill the tangent's {}. A factor in [brackets] does
+# not depend on the coordinate: it is evaluated once per node. Ties of
+# abs/min/max keep the first branch's derivative and set the flag.
 _TA = [("", "{ta}")]
-_POW = ("power({w}, {bx})", "{v} * ({})",
-        [("", "{tb} * log({w})"), (" + ", "{b} * {ta} / {w}")])
+_POW = ("_power({w}, {b})", "{v} * ({})",
+        [("", "{tb} * [log({w})]"), (" + ", "{b} * {ta} / {w}")])
 _RULES = {
     "neg": ("negative({a})", "-{}"),
     "+": ("add({a}, {b})", "{}", [("", "{ta}"), (" + ", "{tb}")]),
     "-": ("subtract({a}, {b})", "{}", [("", "{ta}"), (" - ", "{tb}")]),
     "*": ("multiply({a}, {b})", "{}", [("", "{ta} * {b}"), (" + ", "{a} * {tb}")]),
-    "/": ("divide({a}, {b})", "({}) / ({b} * {b})",
+    "/": ("divide({a}, {b})", "({}) / [{b} * {b}]",
           [("", "{ta} * {b}"), (" - ", "{a} * {tb}")]),
     "^0": ("power({a}, 0.0)", None, []),
-    "^+": ("power({a}, {k})", "{k} * {pk} * {}"),
-    "^-": ("power({a}, {k})", "{k} * {pk} * {}"),
+    "^k": ("power({a}, {k})", "[{k} * {pk}] * {}"),
     "^": _POW,
     "pow": _POW,
-    "sin": ("sin({a})", "cos({a}) * {}"),
-    "cos": ("cos({a})", "-sin({a}) * {}"),
+    "sin": ("sin({a})", "[cos({a})] * {}"),
+    "cos": ("cos({a})", "[-sin({a})] * {}"),
     "exp": ("exp({a})", "{v} * {}"),
     "log": ("log({a})", "{} / {a}"),
-    "sqrt": ("sqrt({a})", "{} / (2.0 * {v})"),
-    "abs": ("absolute({a})", "where({a} >= 0, {ta}, -{ta})", _TA, "{a} == 0"),
-    "min": ("minimum({a}, {b})", "where({a} <= {b}, {ta}, {tb})",
+    "sqrt": ("sqrt({a})", "{} / [2.0 * {v}]"),
+    "abs": ("absolute({a})", "[where({a} >= 0, 1.0, -1.0)] * {}", _TA, "{a} == 0"),
+    "min": ("minimum({a}, {b})", "where([{a} <= {b}], {ta}, {tb})",
             _TA + [("", "{tb}")], "{a} == {b}"),
-    "max": ("maximum({a}, {b})", "where({a} >= {b}, {ta}, {tb})",
+    "max": ("maximum({a}, {b})", "where([{a} >= {b}], {ta}, {tb})",
             _TA + [("", "{tb}")], "{a} == {b}"),
 }
-# the operations whose domain is not all of R: a zero divisor or base of a
-# negative power, a non-positive base of a general power or log argument,
-# a negative sqrt argument
-_PARTIAL = {"/", "^-", "^", "pow", "log", "sqrt"}
+_FACTOR = re.compile(r"\[(.*?)\]")
+# the ufunc of each operator of a tangent expression
+_UFUNC = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply",
+          ast.Div: "divide", ast.USub: "negative", ast.GtE: "greater_equal",
+          ast.LtE: "less_equal"}
 
 
 class _RegisterFile:
@@ -371,41 +387,47 @@ class _RegisterFile:
     def __init__(self, count: int):
         self.count = count
         self.buffer = np.empty(0)
+        self.shape, self.views = None, []
 
-    def __call__(self, shape: tuple) -> np.ndarray:
-        size = self.count * math.prod(shape)
-        if self.buffer.size < size:
-            self.buffer = np.empty(size)
-        return self.buffer[:size].reshape((self.count, *shape))
+    def __call__(self, shape: tuple) -> list:
+        """The registers as arrays of `shape` (0-d ones for a point alone)."""
+        if shape != self.shape:
+            size = self.count * math.prod(shape)
+            if self.buffer.size < size:
+                self.buffer = np.empty(size)
+            R = self.buffer[:size].reshape((self.count, *shape))
+            self.shape, self.views = shape, [R[k, ...] for k in range(self.count)]
+        return self.views
 
 
-def _assign_registers(lines, names):
-    """Give each value temporary in `names` a register of R from its
-    assignment to its `del`, and make its node write there with out=.
-    A node takes over the register of an operand whose last use it is,
-    unless one of the node's own dual lines, which follow its value line,
-    still reads that operand (the tangent cos(a) of sin(a)).
-    Returns the lines and the number of registers."""
-    slot, free, out, count = {}, [], [], 0
+def _assign_registers(lines, names, fixed):
+    """Make the line of each temporary in `names` write with out= to the
+    array that `fixed` gives it, else to a register from its assignment to
+    its `del`: values to one of R, dual temporaries to one of S, which the
+    value program does without. A line takes over the register of its file
+    of an operand that no later line of either program reads (sin(a) keeps
+    a for its factor cos(a)); a value that a tangent term holds (the term v
+    of exp) is freed by the dual `del` of the term. Returns the lines and
+    the register counts of R and S."""
+    last = {n: i for i, (_, text) in enumerate(lines) if not text.startswith("del ")
+            for n in re.findall(r"\w+", text.partition(" = ")[2])}
+    slot, free, count, out = dict(fixed), ([], []), [0, 0], []
     for i, (dual, text) in enumerate(lines):
         name, _, call = text.partition(" = ")
-        if not dual and name in names:
-            reads, released = set(), []
-            for later_dual, later in lines[i + 1:]:
-                if later_dual:
-                    reads.update(re.findall(r"\w+", later))
-                elif later.startswith("del "):
-                    released = later[4:].split(", ")
-                else:
-                    break
-            taken = [n for n in released if n in slot and n not in reads]
-            if not (taken or free):
-                free.append(count)
-                count += 1
-            slot[name] = slot.pop(taken[0]) if taken else free.pop()
-            text = f"{name} = {call[:-1]}, out=R[{slot[name]}])"
-        elif not dual and text.startswith("del "):
-            free += [slot.pop(n) for n in text[4:].split(", ") if n in slot]
+        if name in names:
+            file = "RS"[dual]
+            taken = [n for n in re.findall(r"\w+", call)
+                     if slot.get(n, " ")[0] == file and last[n] == i]
+            if not (taken or free[dual] or name in fixed):
+                free[dual].append(f"{file}[{count[dual]}]")
+                count[dual] += 1
+            slot[name] = fixed.get(name) or (slot.pop(taken[0]) if taken
+                                             else free[dual].pop())
+            text = f"{name} = {call[:-1]}, out={slot[name]})"
+        elif text.startswith("del "):
+            for n in text[4:].split(", "):
+                if n in slot:
+                    free[slot[n][0] == "S"].append(slot.pop(n))
         out.append((dual, text))
     return out, count
 
@@ -424,7 +446,7 @@ def _int_exponent(node: Node) -> int | None:
 @dataclass
 class _Slot:
     v: str                 # value: temporary name or numeric literal
-    t: str | None = None   # tangent name; None means identically zero
+    t: dict = field(default_factory=dict)   # coordinate j: term; absent is 0
     f: str | None = None   # nondifferentiability flag name
     var: bool = False      # depends on x
     par: bool = False      # depends on a parameter
@@ -438,8 +460,8 @@ class _Lowering:
         self.temps: set[str] = set()
         self.variables: set[int] = set()
         self.params: set[int] = set()
-        self.var_values: set[str] = set()   # value temporaries that depend on x
-        self.partial = False   # has an operation with a domain (_PARTIAL)
+        # values that depend on x and dual temporaries made by a ufunc
+        self.registered: set[str] = set()
 
     def new(self, prefix: str, dual_expr: str | None = None) -> str:
         """A fresh temporary; with `dual_expr`, assigned in the dual program."""
@@ -449,13 +471,43 @@ class _Lowering:
             self.lines.append((True, f"{name} = {dual_expr}"))
         return name
 
+    def emit(self, text: str) -> str:
+        """Lower a tangent expression to dual lines of one call each, so
+        that a ufunc can write to a register, and return its result: a name,
+        or a number that numpy folds here when the part has no name. A
+        product with 1.0, a variable's own term, is exact and dropped."""
+        made = []
+
+        def walk(e):
+            if isinstance(e, (ast.Constant, ast.Name)):
+                return getattr(e, "id", None) or float(e.value)
+            fn, args = (e.func.id, e.args) if isinstance(e, ast.Call) else \
+                (_UFUNC[type(e.op)], [e.operand]) if isinstance(e, ast.UnaryOp) else \
+                (_UFUNC[type(e.op)], [e.left, e.right]) if isinstance(e, ast.BinOp) else \
+                (_UFUNC[type(e.ops[0])], [e.left, *e.comparators])
+            args = [walk(a) for a in args]
+            if not any(isinstance(a, str) for a in args):
+                with np.errstate(all="ignore"):
+                    return float(_NAMESPACE[fn](*args))
+            if fn == "multiply" and 1.0 in args:
+                return args[args[0] == 1.0]
+            name = self.new("t", f"{fn}({', '.join(map(str, args))})")
+            if isinstance(_NAMESPACE[fn], np.ufunc):
+                self.registered.add(name)
+            if dead := [a for a in args if a in made]:
+                self.lines.append((True, f"del {', '.join(dead)}"))
+            made.append(name)
+            return name
+
+        return str(walk(ast.parse(text, mode="eval").body))
+
     def lower(self, e: Node) -> _Slot:
         if isinstance(e, Const):
             lit = repr(float(e.value))
             return _Slot(f"({lit})" if lit.startswith("-") else lit)
         if isinstance(e, Var):
             self.variables.add(e.index)
-            return _Slot(f"x{e.index}", f"s{e.index}", None, True)
+            return _Slot(f"x{e.index}", {e.index: "1.0"}, var=True)
         if isinstance(e, Param):
             self.params.add(e.index)
             return _Slot(f"p{e.index}", par=True)
@@ -469,8 +521,7 @@ class _Lowering:
         a = self.lower(e.left)
         # x^1 is exact, so k * x^(k-1) needs no power call when k == 2
         pk = a.v if k == 2 else f"power({a.v}, {float(k - 1)!r})"
-        op = "^0" if k == 0 else "^+" if k > 0 else "^-"
-        return self.node(op, [a], k=repr(float(k)), pk=pk)
+        return self.node("^0" if k == 0 else "^k", [a], k=repr(float(k)), pk=pk)
 
     def node(self, op: str, ops: list[_Slot], **fmt) -> _Slot:
         var = any(s.var for s in ops)
@@ -480,40 +531,42 @@ class _Lowering:
         rule = _RULES[op]   # fill in the defaults of a short rule
         value, tangent, terms, tie = rule + (_TA, None)[len(rule) - 2:]
         a, b = (ops + [_Slot("")])[:2]
-        out = _Slot(self.new("v"), None, None, var, par)
+        out = _Slot(self.new("v"), {}, None, var, par)
         if var:
-            self.var_values.add(out.v)
-        fmt.update(a=a.v, b=b.v, v=out.v, ta=a.t or "0.0", tb=b.t or "0.0")
+            self.registered.add(out.v)
+        fmt.update(a=a.v, b=b.v, v=out.v)
         lines = self.lines
-        self.partial |= op in _PARTIAL
         if "{w}" in value:
             fmt["w"] = w = self.new("w")
             lines.append((False, f"{w} = where({a.v} > 0, {a.v}, nan)"))
-            # numpy's power takes a shortcut for exponents -1, 0.5 and 2 when
-            # the exponent's stride is 0 (a constant, or x_j at one point);
-            # a fresh array makes every shape round alike
-            fmt["bx"] = f"_copy({b.v})" if b.var else \
-                f"_full(_bshape({w}, {b.v}), {b.v})" if b.par else \
-                f"_full({w}.shape, {b.v})"
         lines.append((False, f"{out.v} = {value.format(**fmt)}"))
-        terms = [(sep, t) for sep, t in terms if (a.t if "{ta}" in t else b.t)]
-        if terms:
-            body = "".join(sep + t for sep, t in terms).format(**fmt)
-            body = "0.0" + body if terms[0][0] == " - " else body.removeprefix(" + ")
-            out.t = tangent.format(body, **fmt)
-            if not out.t.isidentifier():
-                out.t = self.new("t", out.t)
+        factors = {}
+
+        def factor(m):
+            return factors.get(m[1]) or factors.setdefault(m[1], self.emit(m[1]))
+
+        for j in sorted(a.t.keys() | b.t.keys()):
+            fmt.update(ta=a.t.get(j, "0.0"), tb=b.t.get(j, "0.0"))
+            present = [(sep, t) for sep, t in terms
+                       if j in (a.t if "{ta}" in t else b.t)]
+            if present:
+                body = "".join(sep + t for sep, t in present).format(**fmt)
+                body = "0.0" + body if present[0][0] == " - " else body.removeprefix(" + ")
+                out.t[j] = self.emit(_FACTOR.sub(factor, tangent.format(body, **fmt)))
         flags = [f for f in (a.f, b.f) if f]
         if tie and var:
             flags.append(self.new("f", tie.format(**fmt)))
         if len(flags) > 1:
             flags = [self.new("f", " | ".join(flags))]
         out.f = flags[0] if flags else None
-        # release each operand temporary at its last use, which was here
-        kept = {out.v, out.t, out.f}
+        # release each operand temporary at its last use, which was here,
+        # unless a term of this tangent holds it
+        held = {out.v, out.f, *out.t.values()}
         for dual, names in ((False, [s.v for s in ops] + [fmt.get("w")]),
-                            (True, [n for s in ops for n in (s.t, s.f)])):
-            names = [n for n in names if n in self.temps and n not in kept]
+                            (True, [n for s in ops for n in (*s.t.values(), s.f)]
+                             + list(factors.values()))):
+            names = [n for n in dict.fromkeys(names) if n in self.temps and n not in held]
+            held.update(names)
             if names:
                 lines.append((dual, f"del {', '.join(names)}"))
         return out
@@ -522,21 +575,21 @@ class _Lowering:
 @dataclass(frozen=True, eq=False)
 class Program:
     """An expression compiled for points in R^n with p parameters.
-    value(X) gives f at the points X (..., n); dual(X) gives (values,
-    gradients broadcastable to X.shape[:-1] + (n,) or None when zero, tie
-    flags or None). With p > 0 both take the parameters T last, of shape
-    (..., p) broadcastable against X.shape[:-1]: one vector, or one per
-    point row. A point outside the expression's domain gives a NaN (or
-    infinite) value. Both write their intermediate values into one
-    register file that the program keeps for all its calls, so a call must
-    not overlap another (no use from two threads at once); what they
-    return is their own, except that a gradient may be a read-only row of
-    the identity."""
+    value(X) gives f at the points X (..., n), of shape X.shape[:-1];
+    dual(X) gives (values, gradient planes, tie flags or None), the planes
+    an array (n,) + X.shape[:-1] whose plane j-1 is the partial derivative
+    in x_j, zero where f does not depend on x_j. With p > 0 both take the
+    parameters T last, of shape (..., p) broadcastable against
+    X.shape[:-1]: one vector, or one per point row. A point outside the
+    expression's domain gives a NaN (or infinite) value, its partial
+    derivatives whatever the rules give there. Both write their
+    intermediate arrays into register files that the program keeps for all
+    its calls, so a call must not overlap another (no use from two threads
+    at once); what they return is their own."""
 
     n: int
     p: int
     source: str
-    partial: bool   # some operation has a domain: invalid points can exist
     value: Callable
     dual: Callable
 
@@ -552,23 +605,24 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
         raise ValueError("expression references a parameter beyond the count")
     shape = "X.shape[:-1]"
     # a bare x_j is a view of the caller's points: its value is a copy
-    ret = f"{root.v}.reshape({shape})" if root.var and root.v in L.temps \
-        else f"_full({shape}, {root.v}[..., 0])" if root.var or root.par \
-        else f"_full({shape}, {root.v})"
-    flags = f"{root.f}.reshape({shape})" if root.f else "None"
-    lines, registers = _assign_registers(L.lines, L.var_values - {root.v})
-    views = [f"x{j} = X[..., {j - 1}, None]" for j in sorted(L.variables)]
-    views += [f"p{j} = T[..., {j - 1}, None]" for j in sorted(L.params)]
-    if registers:
-        views.append(f"R = _registers({shape} + (1,))")
+    ret = root.v if root.var and root.v in L.temps else f"_full({shape}, {root.v})"
+    # a ufunc makes a tangent term of one coordinate alone in its plane
+    terms = list(root.t.values())
+    fixed = {t: f"G[{j - 1}, ...]" for j, t in root.t.items()
+             if t[0] == "t" and t in L.registered and terms.count(t) == 1}
+    planes = [(True, f"G[{j - 1}] = {root.t.get(j, '0.0')}")
+              for j in range(1, n + 1) if root.t.get(j) not in fixed]
+    lines, (r, s) = _assign_registers(L.lines + planes, L.registered - {root.v}, fixed)
+    views = [f"x{j} = X[..., {j - 1}]" for j in sorted(L.variables)]
+    views += [f"p{j} = T[..., {j - 1}]" for j in sorted(L.params)]
+    views += [f"R = _registers({shape})"] * (r > 0)
     value = views + [text for dual, text in lines if not dual] + [f"return {ret}"]
-    dual = views + [text for _, text in lines] + [f"return {ret}, {root.t}, {flags}"]
+    dual = views + [f"S = _tangents({shape})"] * (s > 0) + [
+        f"G = _empty(({n},) + {shape})"] + [text for _, text in lines] + [
+        f"return {ret}, G, {root.f}"]
     T = ", T" if p else ""
     source = "".join(f"def {name}(X{T}):\n" + "".join(f"    {t}\n" for t in body)
                      for name, body in (("value", value), ("dual", dual)))
-    seeds = np.eye(n)
-    seeds.flags.writeable = False
-    namespace = dict(_NAMESPACE, _registers=_RegisterFile(registers))
-    namespace.update((f"s{j}", seeds[j - 1]) for j in L.variables)
+    namespace = dict(_NAMESPACE, _registers=_RegisterFile(r), _tangents=_RegisterFile(s))
     exec(compile(source, "<quasicheck expression>", "exec"), namespace)
-    return Program(n, p, source, L.partial, namespace["value"], namespace["dual"])
+    return Program(n, p, source, namespace["value"], namespace["dual"])

@@ -147,24 +147,19 @@ class ScalarField:
 
     def grads(self, X: np.ndarray, with_values: bool = False):
         """Batch gradients over (..., n) points, from one pass of the
-        program in forward mode. Rows outside the expression's domain and
-        nondifferentiable points (abs/min/max ties) are NaN, so samplers
-        count them as skipped. With `with_values`, returns (values,
-        gradients), the values those of the same pass, equal to
-        `values(X)`."""
-        X = self._points(X)
-        prog = self.program
+        program in forward mode: a (..., n) view of the program's
+        coordinate planes, the caller's own. Rows whose value is not finite
+        (outside the expression's domain) and nondifferentiable points
+        (abs/min/max ties) are NaN, so samplers count them as skipped. With
+        `with_values`, returns (values, gradients), the values those of the
+        same pass, equal to `values(X)`."""
         T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
-            val, g, ties = prog.dual(X, *T)
-            if g is None:   # the tangent is identically zero
-                g = np.zeros(X.shape)
-            elif g.shape != X.shape or g.base is not None:
-                g = np.broadcast_to(g, X.shape).copy()   # an identity row
-            if prog.partial:
-                g[~np.isfinite(val)] = np.nan
-            if ties is not None:
-                g[ties] = np.nan
+            val, G, ties = self.program.dual(self._points(X), *T)
+            bad = ~np.isfinite(val) if ties is None else ~np.isfinite(val) | ties
+            g = G.transpose(*range(1, G.ndim), 0)
+            if bad.any():
+                g[bad] = np.nan
         return (val, g) if with_values else g
 
 
@@ -173,7 +168,8 @@ def make_field_from_expr(e, n: int, box: DomainBox,
     """The field of `e`, source text or an AST in x1..xn, on `box`: the
     expression compiled once (see expr.compile_expr), so each evaluation
     is one pass of straight-line numpy code, and the gradient comes from
-    the same pass in forward mode with vector tangents."""
+    the same pass in sparse forward mode, each node carrying only the
+    partial derivatives in the coordinates it depends on."""
     if isinstance(e, str):
         e = ex.parse(e, n)
     return ScalarField(name, ex.compile_expr(e, n), box)

@@ -179,6 +179,18 @@ def test_overflowing_field_emits_no_warning(tmp_path):
     assert rep["skipped_samples"] > 0
 
 
+def test_infinite_field_has_no_gradient_witness(tmp_path):
+    # sin(3*x1) + exp(1000) is +inf on the whole box, so every pair of it is
+    # skipped: its gradient rows are NaN like its values, and the search
+    # reports no violation of (c)
+    code, rep = run(["falsify", "--expr", "sin(3*x1) + exp(1000)", "--dim", "1",
+                     "--box=0:6", "--target", "c", "--budget", "2000",
+                     "--seed", "1"], tmp_path)
+    assert code == EXIT_OK
+    assert rep["payload"]["violation_found"] is False
+    assert rep["payload"]["witness"] is None
+
+
 def test_report_round_trip_reproducible(tmp_path):
     argv = ["check", "--fn", "sqnorm", "--dim", "2", "--sigma", "2",
             "--pairs", "2000", "--seed", "13"]

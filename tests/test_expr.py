@@ -7,11 +7,13 @@ import tokenize
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicheck import expr as ex
 from quasicheck.expr import (Binary, Call, Const, Param, ParseError, Unary,
                              Var, parse, pretty_print)
-from quasicheck.field import DomainBox, ScalarField, make_field_from_expr
+from quasicheck.field import (DomainBox, ScalarField, catalog_field,
+                              make_field_from_expr)
 from conftest import random_ast, random_smooth_expr
 
 
@@ -198,7 +200,7 @@ def test_dual_nondiff_flags():
     # the program propagates the first argument's derivative at the tie
     # (2 = 2*2 - 2; d/dx1 is 1 and 2) and sets the flag
     v, t, ties = field("min(x1, 2*x1 - 2)").program.dual(np.array([[2.0], [3.0]]))
-    assert v.tolist() == [2.0, 3.0] and t[:, 0].tolist() == [1.0, 1.0]
+    assert v.tolist() == [2.0, 3.0] and t[0].tolist() == [1.0, 1.0]
     assert ties.tolist() == [True, False]
     # a kink inside a general exponent flags the power
     v, g = field("x1^abs(x2)", 2).grads(np.array([2.0, 0.0]), with_values=True)
@@ -215,7 +217,7 @@ def test_dual_general_power_includes_exponent_derivative():
 def test_ad_matches_central_differences(rng):
     checked = 0
     for _ in range(60):
-        n = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 9))
         f = make_field_from_expr(random_smooth_expr(rng, n), n,
                                  DomainBox.cube(-1, 1, n))
         for _ in range(5):
@@ -227,6 +229,81 @@ def test_ad_matches_central_differences(rng):
             assert abs(f.grads(x) @ d - fd) <= 1e-6, f.program.source
             checked += 1
     assert checked >= 200
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_non_finite_value_has_nan_gradient_row(seed, n):
+    # whatever the rules give for the partial derivatives at a point
+    # outside the expression's domain, grads reports the row as NaN; the
+    # points reach past [-1, 1] so that log, sqrt and powers leave it
+    rng = np.random.default_rng(seed)
+    f = make_field_from_expr(random_ast(rng, n), n, DomainBox.cube(-1, 1, n))
+    X = rng.uniform(-3, 3, size=(64, n))
+    X[::4] = np.round(X[::4])   # integers hit poles and zero bases
+    values, G = f.grads(X, with_values=True)
+    bad = ~np.isfinite(values)
+    assert np.all(np.isnan(G[bad]))
+
+
+_UNARY = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda a: -np.sin(a)),
+          "exp": (np.exp, np.exp), "log": (np.log, lambda a: 1.0 / a),
+          "sqrt": (np.sqrt, lambda a: 0.5 / np.sqrt(a)), "abs": (np.abs, np.sign)}
+
+
+def reference_dual(e, X):
+    """(f, grad f) at the points X by dense forward mode, one recursive
+    pass over the AST with the compiler's derivative rules."""
+    if isinstance(e, Const):
+        return np.full(X.shape[:-1], e.value), np.zeros(X.shape)
+    if isinstance(e, Var):
+        return X[..., e.index - 1], np.broadcast_to(
+            np.eye(X.shape[-1])[e.index - 1], X.shape)
+    if isinstance(e, Unary):
+        a, ta = reference_dual(e.child, X)
+        return -a, -ta
+    if isinstance(e, Call) and e.name in _UNARY:
+        (a, ta), (fn, d) = reference_dual(e.args[0], X), _UNARY[e.name]
+        return fn(a), d(a)[..., None] * ta
+    (a, ta), (b, tb) = (reference_dual(x, X) for x in
+                        (e.args if isinstance(e, Call) else (e.left, e.right)))
+    op = e.name if isinstance(e, Call) else e.op
+    k = ex._int_exponent(e.right) if op == "^" else None
+    if k is not None:
+        return a ** float(k), (k * a ** float(k - 1))[..., None] * ta
+    if op in ("^", "pow"):
+        w = np.where(a > 0, a, np.nan)
+        v = w ** b
+        return v, v[..., None] * (tb * np.log(w)[..., None] + (b / w)[..., None] * ta)
+    if op in ("min", "max"):
+        first = (a <= b) if op == "min" else (a >= b)
+        value = np.minimum(a, b) if op == "min" else np.maximum(a, b)
+        return value, np.where(first[..., None], ta, tb)
+    return {"+": (a + b, ta + tb), "-": (a - b, ta - tb),
+            "*": (a * b, ta * b[..., None] + a[..., None] * tb),
+            "/": (a / b, (ta * b[..., None] - a[..., None] * tb)
+                  / (b * b)[..., None])}[op]
+
+
+def test_gradients_match_a_reference_dual_evaluator(rng):
+    # the compiled sparse tangents against dense dual numbers: the same
+    # rules, so the same numbers up to rounding where both are finite
+    compared = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        e = random_ast(rng, n)
+        f = make_field_from_expr(e, n, DomainBox.cube(-1, 1, n))
+        X = rng.uniform(-3, 3, size=(16, n))
+        with np.errstate(all="ignore"):
+            value, G = reference_dual(e, X)
+        got_value, got = f.grads(X, with_values=True)
+        np.testing.assert_array_equal(got_value, value)
+        both = np.isfinite(got).all(-1) & np.isfinite(G).all(-1)
+        scale = np.abs(G[both]).max(initial=1.0)   # cancellation leaves ulps
+        np.testing.assert_allclose(got[both], G[both], rtol=1e-9,
+                                   atol=1e-12 * scale, err_msg=pretty_print(e))
+        compared += both.sum()
+    assert compared >= 2000
 
 
 def test_batch_eval_matches_scalar(rng):
@@ -280,9 +357,9 @@ def test_compiled_source_holds_only_numbers_and_generated_names():
     names = {tok.string for tok in tokenize.generate_tokens(
         io.StringIO(source).readline) if tok.type == tokenize.NAME}
     allowed = set(ex._NAMESPACE) | set(keyword.kwlist) | {
-        "value", "dual", "X", "T", "R", "out", "_registers", "ndim", "shape",
-        "reshape"}
-    assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxsp]\d+", n)} == set()
+        "value", "dual", "X", "T", "R", "S", "G", "out", "_registers", "_tangents",
+        "shape"}
+    assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxp]\d+", n)} == set()
 
 
 def test_parameter_free_programs_are_unchanged(rng):
@@ -291,14 +368,29 @@ def test_parameter_free_programs_are_unchanged(rng):
     # of an operand whose last use it is, and then when a bare variable's
     # value became a copy of the points' column (35 of the 330 programs),
     # and then when the strict checks and the seed argument S went (each
-    # source is the one before without its check and seed-row lines)
+    # source is the one before without its check and seed-row lines), and
+    # then when values lost their trailing axis of one and tangents became
+    # sparse coordinate maps, one ufunc call per line writing to registers
     h = hashlib.sha256()
     cases = [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
         + [(random_ast(rng, 3), 3) for _ in range(300)]
     for e, d in cases:
         h.update(ex.compile_expr(e, d).source.encode())
     assert h.hexdigest() == \
-        "ac043756e7853533a9316f99e6ec75915d175d44c42701154f4de7c48aafb27e"
+        "06d9aed6ee526d35d178d5cf18013eaa41b493736b87b21fd6bfdc643839c1c1"
+
+
+def test_tangent_lines_grow_linearly_in_n():
+    # the dual source of catalog sqnorm has one tangent line per coordinate
+    # (2*x_j, made in the gradient's plane j) and one for the planes; a
+    # tangent that carried every coordinate through each of the n - 1 sums
+    # would take O(n^2)
+    def tangent_lines(n):
+        source = catalog_field("sqnorm", n).program.source
+        value, dual = source.split("def dual")
+        return len(dual.splitlines()) - len(value.splitlines())
+
+    assert tangent_lines(20) <= 4 * tangent_lines(5) + 4
 
 
 def test_parameters_are_declared():

@@ -61,15 +61,16 @@ def test_mismatched_domain_is_rejected():
 
 
 def test_gradients_are_the_callers_own():
-    # the tangent of x2 is a row of the identity that the program keeps:
-    # grads copies it out, so writing into the gradients changes no later
-    # call's, also at one point, where the row has the points' shape
+    # the partial derivative in x2 is the literal 1.0 and the one in x1 is
+    # absent: every call fills fresh planes with them, so writing into the
+    # gradients changes no later call's, also at one point
     f = make_field_from_expr("x2 + log(2)", 2, DomainBox.cube(-1, 1, 2))
     for shape, rows in (((3, 2), [[0.0, 1.0]] * 3), ((2,), [0.0, 1.0])):
         G = f.grads(np.zeros(shape))
         assert G.tolist() == rows
         G[...] = 7.0
         assert f.grads(np.zeros(shape)).tolist() == rows
+        assert not np.shares_memory(G, f.grads(np.zeros(shape)))
 
 
 def test_values_are_the_callers_own():
@@ -131,7 +132,7 @@ def test_validate_grad_detects_planted_bug():
 
     def dual(X):
         v, _, ties = f.program.dual(X)
-        return v, 4.0 * X, ties
+        return v, 4.0 * np.moveaxis(X, -1, 0), ties
 
     buggy = replace(f, program=replace(f.program, dual=dual))
     rep = validate_grad(buggy, seed=1, count=100)
@@ -214,6 +215,15 @@ def test_catalog_matches_closed_forms(name, n, rng):
         # a few ulps of the largest entry per summed coordinate
         ulps = 4 * f.dim * np.finfo(float).eps * np.max(np.abs(want))
         np.testing.assert_allclose(got, want, rtol=0, atol=ulps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_sqnorm_gradient_is_twice_the_point_bit_for_bit(n, rng):
+    # each partial derivative 2*x_j is one product, exact in binary
+    f = catalog_field("sqnorm", n)
+    X = f.domain.lower + rng.random((50, n)) * f.domain.widths
+    assert np.array_equal(f.grads(X), 2.0 * X)
+    assert np.array_equal(f.grads(X[0]), 2.0 * X[0])
 
 
 # the golden reports' expression fields (tests/test_golden.py), then every
