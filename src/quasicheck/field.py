@@ -156,10 +156,10 @@ class ScalarField:
         T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
             val, G, ties = self.program.dual(self._points(X), *T)
-            bad = ~np.isfinite(val) if ties is None else ~np.isfinite(val) | ties
+            ok = np.isfinite(val) if ties is None else np.isfinite(val) & ~ties
             g = G.transpose(*range(1, G.ndim), 0)
-            if bad.any():
-                g[bad] = np.nan
+            if not ok.all():
+                g[~ok] = np.nan
         return (val, g) if with_values else g
 
 
