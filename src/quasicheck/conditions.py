@@ -29,6 +29,7 @@ tolerance.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -58,13 +59,33 @@ __all__ = [
     "default_lambda_grid",
 ]
 
-# points per field evaluation in segment_margins: the chunks bound memory
+# points in the buffers of segment_margins, shared by its lanes: the
+# chunks bound memory
 SEGMENT_CHUNK = 1 << 16
 
 
+# lanes of segment_margins, one per CPU this process may run on: the
+# calling thread and LANES - 1 helper threads
+LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_pool = None   # (helper count, executor), started by the first stream that needs it
+
+
+def _helpers():
+    """The executor of the LANES - 1 helper threads."""
+    global _pool
+    if _pool is None or _pool[0] != LANES - 1:
+        from concurrent.futures import ThreadPoolExecutor   # about 10 ms of import
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (LANES - 1, ThreadPoolExecutor(LANES - 1, "segment-lane"))
+    return _pool[1]
+
+
 def segment_chunk(L: int) -> int:
-    """Pairs per chunk of `segment_margins` at L lambdas per pair."""
-    return max(1, SEGMENT_CHUNK // (L + 2))
+    """Pairs per chunk of `segment_margins` at L lambdas per pair: one
+    lane's share of SEGMENT_CHUNK points."""
+    return max(1, SEGMENT_CHUNK // LANES // (L + 2))
 
 
 HOLDS = "holds"
@@ -165,6 +186,79 @@ def _checked_pair(x, y, cfg: CheckConfig):
 # Condition (a): the defining segment inequality
 
 
+def _lane(n: int, L: int, size: int) -> tuple:
+    """The buffers of one lane of `segment_margins`, for chunks of up to
+    `size` pairs in R^n at L lambdas: the coordinate-major points
+    (n, L + 2, size) and their read-only (L + 2, size, n) view, the
+    margins, the top values max{f(x), f(y)} and the finite flags."""
+    S = np.empty((n, L + 2, size))
+    points = S.transpose(1, 2, 0)
+    points.flags.writeable = False   # f must not write into the reused buffer
+    return (S, points, np.empty((L, size)), np.empty(size),
+            np.empty((L + 2, size), dtype=bool))
+
+
+def _score(f: ScalarField, lane: tuple, x, y, lam, sigma: float, penalty_norm):
+    """The margins (L, k) and ||x-y|| (k,) of the k pairs x, y, computed in
+    the buffers of `lane` on whichever thread calls it."""
+    S, points, M, top, finite = lane
+    k = x.shape[0]
+    P = S[..., :k]
+    m = M[:, :k]
+    with np.errstate(all="ignore"):
+        P[:, 0], P[:, 1] = x.T, y.T
+        np.multiply(lam, (P[:, 0] - P[:, 1])[:, None], out=P[:, 2:])
+        P[:, 2:] += P[:, 1, None]
+        v = f.values(points[:, :k])
+        # from the row-major x - y: a sum over the planes would reorder it at n >= 8
+        d = pnorm_batch(x - y, penalty_norm)
+        t = np.maximum(v[0], v[1], out=top[:k])
+        if sigma:
+            np.multiply(0.5 * sigma * lam * (1.0 - lam), d, out=m)
+            m *= d
+            np.subtract(t, m, out=m)
+            m -= v[2:]
+        else:   # the penalty is +0 for finite d: subtracting it is exact
+            np.subtract(t, v[2:], out=m)
+        ok = np.isfinite(v, out=finite[:, :k])
+        if not ok.all():
+            m[~(ok[0] & ok[1] & ok[2:])] = np.nan
+    return m, d
+
+
+def _in_lanes(run, count: int, W: int):
+    """run(c) for c = 0..count-1, yielded in order, chunk c in lane c % W:
+    lane 0 on the calling thread, the others on helper threads, except
+    that the calling thread runs a helper's chunk itself when it needs it
+    before any helper has started it, so a helper that is slow to wake
+    costs no waiting. Chunk c + W, which reuses the buffers of chunk c,
+    starts once the consumer has asked for the chunk after c, and no chunk
+    is left running when the stream ends, fails or is closed."""
+    if W == 1:
+        for c in range(count):
+            yield run(c)
+        return
+    pool = _helpers()
+    pending = {c: pool.submit(run, c) for c in range(1, W)}
+    try:
+        done = run(0)
+        for c in range(count):
+            if c % W == 0:
+                yield done
+            else:   # a chunk that no helper has started runs here
+                chunk = pending.pop(c)
+                yield run(c) if chunk.cancel() else chunk.result()
+            if c + W < count:
+                if c % W:
+                    pending[c + W] = pool.submit(run, c + W)
+                else:
+                    done = run(c + W)
+    finally:
+        for chunk in pending.values():
+            if not chunk.cancel():
+                chunk.exception()   # wait for it, dropping its failure if any
+
+
 def segment_margins(f: ScalarField, pairs, lams, sigma: float, penalty_norm=2):
     """Condition-(a) margins of a stream of pairs, chunk by chunk:
 
@@ -174,56 +268,45 @@ def segment_margins(f: ScalarField, pairs, lams, sigma: float, penalty_norm=2):
     numbered across the blocks in order. `lams` has shape (L, 1) for a
     grid shared by all pairs or (1, N) for one lambda per pair. Each chunk
     of a block evaluates f once, on x, y, then one segment point per
-    lambda: the points are stored coordinate-major, (n, L + 2, k), in one
-    buffer that serves every chunk of every block, and f gets them as a
-    read-only (L + 2, k, n) view in which each coordinate is one
-    contiguous plane. Yields (rows, margins (L, k), ||x-y|| (k,)) per
-    chunk of k pairs, rows being the chunk's slice of the pair numbering;
-    a margin is NaN where an evaluation failed. The margins live in a
-    buffer that the next chunk overwrites.
+    lambda: the points are stored coordinate-major, (n, L + 2, k), in the
+    buffer of the chunk's lane, and f gets them as a read-only
+    (L + 2, k, n) view in which each coordinate is one contiguous plane.
+    Yields (rows, margins (L, k), ||x-y|| (k,)) per chunk of k pairs, in
+    order, rows being the chunk's slice of the pair numbering; a margin is
+    NaN where an evaluation failed. The margins live in a buffer that a
+    later chunk overwrites once the consumer asks for the next chunk.
+
+    The chunks of a block run in min(LANES, chunks) lanes (see
+    `_in_lanes`), each with buffers for `segment_chunk(L)` pairs that
+    serve every block; a block of one chunk runs on the calling thread
+    alone. A block's chunks are all done before the next block is asked
+    for. The margins do not depend on the lanes or the chunking.
     """
     L = lams.shape[0]
     step = segment_chunk(L)
-    size = -1      # pairs per chunk the buffers hold
+    lanes = []     # the buffers of each lane, grown with the blocks
     first = 0      # number of the block's first pair
     for X, Y in pairs:
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        if size < min(step, len(X)):
-            size = min(step, len(X))
-            S = np.empty((X.shape[1], L + 2, size))
-            points = S.transpose(1, 2, 0)
-            points.flags.writeable = False   # f must not write into the reused buffer
-            M = np.empty((L, size))
-            top = np.empty(size)
-            finite = np.empty((L + 2, size), dtype=bool)
-        for lo in range(0, len(X), step):
-            x, y = X[lo:lo + step], Y[lo:lo + step]
-            k = x.shape[0]
-            rows = slice(first + lo, first + lo + k)
+        count = -(-len(X) // step)
+        if not count:
+            continue
+        size = min(step, len(X))
+        W = min(LANES, count)
+        for l in range(W):
+            if l == len(lanes) or lanes[l][3].size < size:
+                lanes[l:l + 1] = [_lane(X.shape[1], L, size)]
+
+        def run(c):
+            x, y = X[c * step:(c + 1) * step], Y[c * step:(c + 1) * step]
+            rows = slice(first + c * step, first + c * step + len(x))
             lam = lams if lams.shape[1] == 1 else lams[:, rows]
-            P = S[..., :k]
-            m = M[:, :k]
-            with np.errstate(all="ignore"):
-                P[:, 0], P[:, 1] = x.T, y.T
-                np.multiply(lam, (P[:, 0] - P[:, 1])[:, None], out=P[:, 2:])
-                P[:, 2:] += P[:, 1, None]
-                v = f.values(points[:, :k])
-                # from the row-major x - y: a sum over the planes would reorder it at n >= 8
-                d = pnorm_batch(x - y, penalty_norm)
-                t = np.maximum(v[0], v[1], out=top[:k])
-                if sigma:
-                    np.multiply(0.5 * sigma * lam * (1.0 - lam), d, out=m)
-                    m *= d
-                    np.subtract(t, m, out=m)
-                    m -= v[2:]
-                else:   # the penalty is +0 for finite d: subtracting it is exact
-                    np.subtract(t, v[2:], out=m)
-                ok = np.isfinite(v, out=finite[:, :k])
-                if not ok.all():
-                    m[~(ok[0] & ok[1] & ok[2:])] = np.nan
-            yield rows, m, d   # outside errstate: the consumer runs between chunks
+            return (rows, *_score(f, lanes[c % W], x, y, lam, sigma, penalty_norm))
+
+        yield from _in_lanes(run, count, W)
         first += len(X)
+        del X, Y, run   # the next block is drawn without this one
 
 
 def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
@@ -398,29 +481,30 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
     `sampler` is either an iterable of (x, y) pairs or a sampler whose
     .blocks() stream gives the pairs block by block (see search.Sampler);
     the pairs go through one block at a time, an array of pairs in
-    slices of one kernel chunk. The raw (possibly negative) value is
+    slices of one kernel chunk per lane. The raw (possibly negative) value is
     returned; clamp at 0 only when reporting.
     """
     if hasattr(sampler, "blocks"):
-        blocks = (P for _, P in sampler.blocks())
+        blocks = sampler.blocks()
     else:
         P = np.asarray(sampler if isinstance(sampler, np.ndarray) else list(sampler),
                        dtype=float)
         if P.size == 0:
             raise ValueError("sampler produced no pairs")
-        step = segment_chunk(len(cfg.lambda_grid))
-        blocks = (P[lo:lo + step] for lo in range(0, len(P), step))
+        step = segment_chunk(len(cfg.lambda_grid)) * LANES
+        blocks = ((lo, P[lo:lo + step]) for lo in range(0, len(P), step))
     kept = 0
 
     def separated():
         nonlocal kept
-        for P in blocks:
+        for _, P in blocks:
             X, Y = P[:, 0, :], P[:, 1, :]
             keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
             kept += int(np.count_nonzero(keep))
             # the kernel copies the points into its own buffer, so a block
             # that keeps every pair goes in as it is
             yield (X, Y) if keep.all() else (X[keep], Y[keep])
+            del P, X, Y, keep   # the next block is drawn without this one
 
     best = _sigma_star(f, separated(), cfg)
     if not kept:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -379,25 +380,27 @@ _UFUNC = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply",
           ast.LtE: "less_equal"}
 
 
-class _RegisterFile:
-    """The registers of one compiled program: one buffer that every call
-    reuses, grown when a call needs more. Calls must not overlap, so a
-    program must not run in two threads at once."""
+class _RegisterFile(threading.local):
+    """The registers of one compiled program: one buffer per thread that
+    every call in that thread reuses, grown when a call needs more, so one
+    program may run in several threads at once. The state is one tuple
+    (count, buffer, shape, views), read and written whole: each access to
+    a thread-local attribute costs a lookup of the thread's own."""
 
     def __init__(self, count: int):
-        self.count = count
-        self.buffer = np.empty(0)
-        self.shape, self.views = None, []
+        self.file = (count, np.empty(0), None, [])
 
     def __call__(self, shape: tuple) -> list:
         """The registers as arrays of `shape` (0-d ones for a point alone)."""
-        if shape != self.shape:
-            size = self.count * math.prod(shape)
-            if self.buffer.size < size:
-                self.buffer = np.empty(size)
-            R = self.buffer[:size].reshape((self.count, *shape))
-            self.shape, self.views = shape, [R[k, ...] for k in range(self.count)]
-        return self.views
+        count, buffer, last, views = self.file
+        if shape != last:
+            size = count * math.prod(shape)
+            if buffer.size < size:
+                buffer = np.empty(size)
+            R = buffer[:size].reshape((count, *shape))
+            views = [R[k, ...] for k in range(count)]
+            self.file = (count, buffer, shape, views)
+        return views
 
 
 def _assign_registers(lines, names, fixed):
@@ -584,8 +587,8 @@ class Program:
     expression's domain gives a NaN (or infinite) value, its partial
     derivatives whatever the rules give there. Both write their
     intermediate arrays into register files that the program keeps for all
-    its calls, so a call must not overlap another (no use from two threads
-    at once); what they return is their own."""
+    its calls, one per thread, so several threads may call one program at
+    once; what they return is their own."""
 
     n: int
     p: int

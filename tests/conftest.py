@@ -48,3 +48,21 @@ def random_ast(rng: np.random.Generator, n: int, depth: int = 4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+@pytest.fixture
+def helper_chunks(monkeypatch):
+    """The chunks that `conditions.segment_margins` hands to helper
+    threads, as their futures in the order submitted."""
+    from quasicheck import conditions
+
+    submitted = []
+    helpers = conditions._helpers
+
+    class Recording:
+        def submit(self, fn, *args):
+            submitted.append(helpers().submit(fn, *args))
+            return submitted[-1]
+
+    monkeypatch.setattr(conditions, "_helpers", Recording)
+    return submitted

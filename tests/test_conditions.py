@@ -1,10 +1,12 @@
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from quasicheck import conditions
+from quasicheck import conditions, search
 from quasicheck.conditions import (HOLDS, SKIPPED, VACUOUS, VIOLATED,
                                    CheckConfig, batch_margin_a_worst,
                                    batch_margins_bc,
@@ -13,7 +15,7 @@ from quasicheck.conditions import (HOLDS, SKIPPED, VACUOUS, VIOLATED,
                                    is_violated, margin_a, sigma_star_estimate,
                                    sigma_star_segment)
 from quasicheck.field import DomainBox, catalog_field, make_field_from_expr
-from quasicheck.search import Sampler, sample_pairs
+from quasicheck.search import Sampler, implication_harness, sample_pairs
 
 SIN = catalog_field("sin", 1)
 SQ1 = catalog_field("sqnorm", 1)
@@ -353,27 +355,36 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
 
 
 def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
+    # neither the chunk size nor the number of lanes that compute a
+    # block's chunks shows in a bit of the margins, sigma* or the
+    # harness's per-pair arrays
     f = catalog_field("sqnorm", 3)
     c = cfg(sigma=0.5)
     X = rng.uniform(-1, 1, size=(250, 3))
     Y = rng.uniform(-1, 1, size=(250, 3))
     pairs = np.stack([X, Y], axis=1)
     lam = rng.uniform(0.01, 0.99, size=(1, 250))   # one lambda per pair
+    sampler = Sampler("uniform_box", 3, 600, f.domain)
+    monkeypatch.setattr(search, "PAIR_BLOCK", 250)   # blocks of many chunks
     runs = []
-    # 65 points per chunk is one pair per chunk at the 63-point grid;
-    # 65 * 7 puts a chunk edge inside the 250 pairs
-    for chunk in (65, 65 * 7, 65 * 249, 1 << 16):
-        monkeypatch.setattr(conditions, "SEGMENT_CHUNK", chunk)
-        # the margins of a chunk live until the next chunk: copy them
-        per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
-            f, [(X, Y)], lam, c.sigma, c.penalty_norm)])
-        runs.append((*batch_margin_a_worst(f, X, Y, c),
-                     sigma_star_estimate(f, pairs, c), per_pair))
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(conditions, "LANES", lanes)
+        # 65 points per chunk is one pair per chunk at the 63-point grid;
+        # 65 * 7 puts a chunk edge inside the 250 pairs
+        for chunk in (65, 65 * 7, 65 * 249, 1 << 16):
+            monkeypatch.setattr(conditions, "SEGMENT_CHUNK", chunk)
+            # the margins of a chunk live until the next chunk: copy them
+            per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
+                f, [(X, Y)], lam, c.sigma, c.penalty_norm)])
+            harness = implication_harness(f, c, sampler).per_pair
+            runs.append([*batch_margin_a_worst(f, X, Y, c),
+                         sigma_star_estimate(f, pairs, c), per_pair,
+                         *harness.values()])
     for i in range(len(X)):
-        assert margin_a(f, X[i], Y[i], lam[0, i], c) == runs[0][-1][i]
+        assert margin_a(f, X[i], Y[i], lam[0, i], c) == runs[0][4][i]
     for run in runs[1:]:
         for a, b in zip(runs[0], run):
-            assert np.array_equal(a, b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_segment_margins_points_are_read_only(rng):
@@ -389,6 +400,84 @@ def test_segment_margins_points_are_read_only(rng):
     Y = rng.uniform(-1, 1, size=(10, 2))
     with pytest.raises(ValueError, match="read-only"):
         batch_margin_a_worst(f, X, Y, cfg())
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_segment_margins_failure_on_a_helper_reaches_the_caller(
+        monkeypatch, rng, helper_chunks, lanes):
+    # a field that fails on a chunk of a helper thread raises in the
+    # consumer what it raises on the calling thread alone, once no chunk
+    # is left running
+    caller = threading.current_thread()
+    writers = []
+
+    def writing(everywhere):
+        def value(X):
+            if everywhere or threading.current_thread() is not caller:
+                writers.append(threading.current_thread())
+                X[..., 0] = 0.0
+            else:   # a helper starts its chunk before the caller needs it
+                time.sleep(0.05)
+            return np.sum(X, axis=-1)
+        return value
+
+    f = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
+    X = rng.uniform(-1, 1, size=(10, 2))
+    Y = rng.uniform(-1, 1, size=(10, 2))
+    X3 = rng.uniform(-1, 1, size=(10, 3))
+    Y3 = rng.uniform(-1, 1, size=(10, 3))
+    errors = {}
+    for W in (1, lanes):
+        monkeypatch.setattr(conditions, "LANES", W)
+        monkeypatch.setattr(conditions, "SEGMENT_CHUNK", 65 * 4 * W)   # 4 pairs a chunk
+        writer = replace(f, program=replace(f.program, value=writing(W == 1)))
+        for name, g, P, Q in (("write", writer, X, Y), ("dimension", f, X3, Y3)):
+            with pytest.raises(ValueError) as err:
+                batch_margin_a_worst(g, P, Q, cfg())
+            errors.setdefault(name, []).append(str(err.value))
+    assert writers[0] is caller and writers[1] is not caller
+    assert "read-only" in errors["write"][0]
+    assert "(65, 4, 3)" in errors["dimension"][0]
+    for messages in errors.values():
+        assert messages[0] == messages[1]
+    assert helper_chunks and all(chunk.done() for chunk in helper_chunks)
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_segment_margins_early_exit_leaves_no_chunk_running(
+        monkeypatch, rng, helper_chunks, lanes):
+    # a consumer that stops early (margin_a's one-chunk unpack, a break,
+    # close()) leaves no chunk running, and the next stream gives the
+    # same margins
+    monkeypatch.setattr(conditions, "LANES", lanes)
+    monkeypatch.setattr(conditions, "SEGMENT_CHUNK", 65 * 8 * lanes)   # 8 pairs a chunk
+    f = catalog_field("sqnorm", 3)
+    c = cfg(sigma=0.5)
+    X = rng.uniform(-1, 1, size=(100, 3))
+    Y = rng.uniform(-1, 1, size=(100, 3))
+    lams = np.asarray(c.lambda_grid)[:, None]
+
+    def stream():
+        return conditions.segment_margins(f, [(X, Y)], lams, c.sigma, c.penalty_norm)
+
+    full = [m.copy() for _, m, _ in stream()]
+    assert len(full) == 13
+    started = len(helper_chunks)
+    margin_a(f, X[0], Y[0], 0.5, c)
+    assert len(helper_chunks) == started    # one chunk: the calling thread alone
+    for _, m, _ in stream():
+        first = m.copy()
+        break
+    assert np.array_equal(first, full[0])
+    assert all(chunk.done() for chunk in helper_chunks)
+    chunks = stream()
+    next(chunks)
+    next(chunks)
+    chunks.close()
+    assert len(helper_chunks) > started
+    assert all(chunk.done() for chunk in helper_chunks)
+    again = [m.copy() for _, m, _ in stream()]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, full))
 
 
 def test_is_violated_is_the_one_rule():

@@ -3,6 +3,7 @@ import io
 import keyword
 import math
 import re
+import threading
 import tokenize
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicheck import expr as ex
+from quasicheck.families import family_by_name
 from quasicheck.expr import (Binary, Call, Const, Param, ParseError, Unary,
                              Var, parse, pretty_print)
 from quasicheck.field import (DomainBox, ScalarField, catalog_field,
@@ -448,3 +450,42 @@ def test_parameter_only_expressions_broadcast():
     only = ex.compile_expr(parse("exp(t1)", 1, 1), 1, 1)
     out = only.value(X, T[:, :1])
     assert out.shape == (4, 3) and np.all(out == np.exp(T[:, 0]))
+
+
+def test_one_program_runs_in_two_threads_at_once(rng):
+    # each thread has its own register file: two threads calling the same
+    # programs' value and dual at once get the serial results, bit for bit
+    cases = []
+    for _ in range(12):
+        X = rng.uniform(-1, 1, size=(4096, 3))
+        cases.append((ex.compile_expr(random_ast(rng, 3), 3), X, ()))
+    fam = family_by_name("param_cubic")
+    X = fam.domain.lower + rng.random((4096, fam.domain.dim)) * fam.domain.widths
+    T = fam.param_box.lower + rng.random((4096, fam.param_box.dim)) * fam.param_box.widths
+    cases.append((fam.program, X, (T,)))
+
+    def run():
+        return [[prog.value(X, *T), *prog.dual(X, *T)] for prog, X, T in cases]
+
+    def bits(out):
+        return [[None if a is None else (a.shape, a.tobytes()) for a in results]
+                for results in out]
+
+    with np.errstate(all="ignore"):
+        serial = bits(run())
+    start = threading.Barrier(2)
+    outs = [[], []]
+
+    def work(out):
+        with np.errstate(all="ignore"):
+            start.wait()
+            for _ in range(6):
+                out.append(bits(run()))
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in outs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert [len(out) for out in outs] == [6, 6]
+    assert all(got == serial for out in outs for got in out)

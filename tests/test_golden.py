@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from quasicheck import conditions
 from quasicheck.cli import main
 
 EXPR = "x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)"
@@ -66,5 +67,14 @@ def report_sha256(argv, tmp_path) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_report(name, tmp_path):
+    argv, expected = GOLDEN[name]
+    assert report_sha256(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_at_every_lane_count(name, lanes, tmp_path, monkeypatch):
+    # the lanes that compute the (a) and sigma* chunks leave no trace
+    monkeypatch.setattr(conditions, "LANES", lanes)
     argv, expected = GOLDEN[name]
     assert report_sha256(argv, tmp_path) == expected

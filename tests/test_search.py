@@ -793,3 +793,21 @@ def test_family_witness_is_the_members_own():
                                               v.witness.pairing_y)
         if v.status != "vacuous":
             assert margins[k] == v.margin
+
+
+def test_search_paths_bypass_the_lanes(monkeypatch, tmp_path, helper_chunks):
+    # the falsify objective and margin_a run blocks of one kernel chunk,
+    # on the calling thread alone, whatever the number of lanes
+    monkeypatch.setattr(cond, "LANES", 2)
+    out = str(tmp_path / "report.json")
+    expr = ["--expr", "x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", "--dim", "2", "--box=-1:1"]
+    f = catalog_field("sqnorm", 2)
+    margin_a(f, np.array([0.1, 0.2]), np.array([-0.5, 0.3]), 0.25, CheckConfig())
+    for argv in (["falsify", *expr, "--target", "a", "--budget", "2000"],
+                 ["falsify", "--family", "param_cubic", "--budget", "20000",
+                  "--param-samples", "16"]):
+        assert main(argv + ["--seed", "5", "--out", out]) in (0, 1)
+    assert helper_chunks == []
+    # while check hands chunks to the helper
+    assert main(["check", *expr, "--pairs", "2000", "--seed", "5", "--out", out]) in (0, 1)
+    assert helper_chunks
