@@ -59,33 +59,32 @@ __all__ = [
     "default_lambda_grid",
 ]
 
-# points in the buffers of segment_margins, shared by its lanes: the
-# chunks bound memory
+# points per chunk of segment_margins: the chunks bound memory
 SEGMENT_CHUNK = 1 << 16
 
 
 # lanes of segment_margins, one per CPU this process may run on: the
-# calling thread and LANES - 1 helper threads
-LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-_pool = None   # (helper count, executor), started by the first stream that needs it
+# calling thread and LANES - 1 helper threads. At most two, the only
+# count measured: more lanes cut a block into more, smaller chunks, each
+# with the same Python cost per chunk and per hand-off.
+LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None   # the helper threads, started by the first block that needs them
 
 
 def _helpers():
-    """The executor of the LANES - 1 helper threads."""
+    """The executor of the helper threads of `segment_margins`."""
     global _pool
-    if _pool is None or _pool[0] != LANES - 1:
+    if _pool is None:
         from concurrent.futures import ThreadPoolExecutor   # about 10 ms of import
-        if _pool is not None:
-            _pool[1].shutdown()
-        _pool = (LANES - 1, ThreadPoolExecutor(LANES - 1, "segment-lane"))
-    return _pool[1]
+        _pool = ThreadPoolExecutor(max(1, LANES - 1), "segment-lane")
+    return _pool
 
 
 def segment_chunk(L: int) -> int:
-    """Pairs per chunk of `segment_margins` at L lambdas per pair: one
-    lane's share of SEGMENT_CHUNK points."""
-    return max(1, SEGMENT_CHUNK // LANES // (L + 2))
+    """Pairs per chunk of `segment_margins` at L lambdas per pair: a block
+    of at most this many pairs runs as one chunk on the calling thread."""
+    return max(1, SEGMENT_CHUNK // (L + 2))
 
 
 HOLDS = "holds"
@@ -276,27 +275,30 @@ def segment_margins(f: ScalarField, pairs, lams, sigma: float, penalty_norm=2):
     NaN where an evaluation failed. The margins live in a buffer that a
     later chunk overwrites once the consumer asks for the next chunk.
 
-    The chunks of a block run in min(LANES, chunks) lanes (see
-    `_in_lanes`), each with buffers for `segment_chunk(L)` pairs that
-    serve every block; a block of one chunk runs on the calling thread
-    alone. A block's chunks are all done before the next block is asked
-    for. The margins do not depend on the lanes or the chunking.
+    A block of at most `segment_chunk(L)` pairs is one chunk, computed on
+    the calling thread. A larger block is cut into chunks of a lane's share
+    of that, `segment_chunk(L) // LANES` pairs, which run in
+    min(LANES, chunks) lanes (see `_in_lanes`). Each lane has its own
+    buffers, which serve every block; together they hold at most
+    SEGMENT_CHUNK points. A block's chunks are all done before the next
+    block is asked for. The margins do not depend on the lanes or the
+    chunking.
     """
     L = lams.shape[0]
-    step = segment_chunk(L)
-    lanes = []     # the buffers of each lane, grown with the blocks
+    whole = segment_chunk(L)
+    lanes = []     # the buffers of each lane
     first = 0      # number of the block's first pair
     for X, Y in pairs:
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        count = -(-len(X) // step)
-        if not count:
+        if not len(X):
             continue
-        size = min(step, len(X))
+        step = len(X) if len(X) <= whole else max(1, whole // LANES)
+        count = -(-len(X) // step)
         W = min(LANES, count)
-        for l in range(W):
-            if l == len(lanes) or lanes[l][3].size < size:
-                lanes[l:l + 1] = [_lane(X.shape[1], L, size)]
+        if len(lanes) < W or lanes[0][3].size < step:
+            lanes.clear()   # freed before the new buffers are made
+            lanes.extend(_lane(X.shape[1], L, step) for _ in range(W))
 
         def run(c):
             x, y = X[c * step:(c + 1) * step], Y[c * step:(c + 1) * step]
@@ -481,8 +483,9 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
     `sampler` is either an iterable of (x, y) pairs or a sampler whose
     .blocks() stream gives the pairs block by block (see search.Sampler);
     the pairs go through one block at a time, an array of pairs in
-    slices of one kernel chunk per lane. The raw (possibly negative) value is
-    returned; clamp at 0 only when reporting.
+    slices of LANES * segment_chunk(L) pairs, which run in every lane. The
+    raw (possibly negative) value is returned; clamp at 0 only when
+    reporting.
     """
     if hasattr(sampler, "blocks"):
         blocks = sampler.blocks()

@@ -422,10 +422,11 @@ def test_segment_margins_failure_on_a_helper_reaches_the_caller(
         return value
 
     f = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
-    X = rng.uniform(-1, 1, size=(10, 2))
-    Y = rng.uniform(-1, 1, size=(10, 2))
-    X3 = rng.uniform(-1, 1, size=(10, 3))
-    Y3 = rng.uniform(-1, 1, size=(10, 3))
+    # 16 pairs: more than one whole chunk at every lane count
+    X = rng.uniform(-1, 1, size=(16, 2))
+    Y = rng.uniform(-1, 1, size=(16, 2))
+    X3 = rng.uniform(-1, 1, size=(16, 3))
+    Y3 = rng.uniform(-1, 1, size=(16, 3))
     errors = {}
     for W in (1, lanes):
         monkeypatch.setattr(conditions, "LANES", W)

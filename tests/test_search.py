@@ -795,10 +795,11 @@ def test_family_witness_is_the_members_own():
             assert margins[k] == v.margin
 
 
-def test_search_paths_bypass_the_lanes(monkeypatch, tmp_path, helper_chunks):
+@pytest.mark.parametrize("lanes", [2, 64])
+def test_search_paths_bypass_the_lanes(monkeypatch, tmp_path, helper_chunks, lanes):
     # the falsify objective and margin_a run blocks of one kernel chunk,
     # on the calling thread alone, whatever the number of lanes
-    monkeypatch.setattr(cond, "LANES", 2)
+    monkeypatch.setattr(cond, "LANES", lanes)
     out = str(tmp_path / "report.json")
     expr = ["--expr", "x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", "--dim", "2", "--box=-1:1"]
     f = catalog_field("sqnorm", 2)
@@ -809,5 +810,6 @@ def test_search_paths_bypass_the_lanes(monkeypatch, tmp_path, helper_chunks):
         assert main(argv + ["--seed", "5", "--out", out]) in (0, 1)
     assert helper_chunks == []
     # while check hands chunks to the helper
+    monkeypatch.setattr(cond, "LANES", 2)
     assert main(["check", *expr, "--pairs", "2000", "--seed", "5", "--out", out]) in (0, 1)
     assert helper_chunks
