@@ -20,8 +20,9 @@ f once per chunk on a coordinate-major point buffer that every chunk of
 the stream reuses, and
 `batch_margins_bc` gives the pairings, both premises and the shared
 (b)/(c) conclusion margin. The per-pair worst (a) margin and sigma*
-reduce over the kernel's chunks; the scalar checks `margin_a`, `check_b`,
-`check_c` and `sigma_star_segment` run the kernels on a batch of one.
+reduce over the kernel's chunks; `verdicts_bc` gives the (b)/(c) verdict
+of each pair row, and the scalar checks `margin_a`, `check_b`, `check_c`
+and `sigma_star_segment` run the kernels on a batch of one.
 Margins are raw; `is_violated` is the one rule that applies the
 tolerance.
 """
@@ -53,6 +54,7 @@ __all__ = [
     "batch_margins_bc",
     "check_b",
     "check_c",
+    "verdicts_bc",
     "sigma_star_segment",
     "sigma_star_estimate",
     "check_lemma",
@@ -403,25 +405,35 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
                 sep=d, ok_b=ok_b, ok_c=gx_ok & gy_ok, ok=ok_b & gx_ok)
 
 
-def _check_bc(f: ScalarField, x, y, cfg: CheckConfig, premise_tol, name: str,
-              witness_keys: tuple) -> Verdict:
-    """Condition `name` ('b' or 'c') at one pair, as a batch of one."""
-    x, y = _checked_pair(x, y, cfg)
-    r = batch_margins_bc(f, x[None], y[None], cfg, premise_tol)
-    if not r[f"ok_{name}"][0]:
-        return Verdict(SKIPPED, math.nan)
-    w = Witness(x=x, y=y, **{k: float(r[k][0]) for k in witness_keys})
-    if not r[f"premise_{name}"][0]:
-        return Verdict(VACUOUS, math.nan, w)
-    margin = float(r["margin"][0])
-    return Verdict(_classify(margin, cfg.tol), margin, w)
+# the witness fields of each of conditions (b) and (c)
+_WITNESS_KEYS = {"b": ("fx", "fy", "pairing_y"), "c": ("pairing_x", "pairing_y")}
+
+
+def verdicts_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray, cfg: CheckConfig,
+                name: str, premise_tol: float | None = None) -> list[Verdict]:
+    """Condition `name` ('b' or 'c') at each pair row of X, Y, from one
+    `batch_margins_bc` call: row i's verdict is `check_b`/`check_c` at
+    (X[i], Y[i]), whose witness holds views of the rows."""
+    r = batch_margins_bc(f, X, Y, cfg, premise_tol)
+    ok, premise = r[f"ok_{name}"], r[f"premise_{name}"]
+    out = []
+    for i in range(len(X)):
+        if not ok[i]:
+            out.append(Verdict(SKIPPED, math.nan))
+            continue
+        w = Witness(x=X[i], y=Y[i], **{k: float(r[k][i]) for k in _WITNESS_KEYS[name]})
+        margin = float(r["margin"][i])
+        out.append(Verdict(_classify(margin, cfg.tol), margin, w) if premise[i]
+                   else Verdict(VACUOUS, math.nan, w))
+    return out
 
 
 def check_b(f: ScalarField, x, y, cfg: CheckConfig,
             premise_tol: float | None = None) -> Verdict:
     """Condition (b) at one pair (see batch_margins_bc): premise
     f(x) <= f(y); conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>."""
-    return _check_bc(f, x, y, cfg, premise_tol, "b", ("fx", "fy", "pairing_y"))
+    x, y = _checked_pair(x, y, cfg)
+    return verdicts_bc(f, x[None], y[None], cfg, "b", premise_tol)[0]
 
 
 def check_c(f: ScalarField, x, y, cfg: CheckConfig,
@@ -429,7 +441,8 @@ def check_c(f: ScalarField, x, y, cfg: CheckConfig,
     """Condition (c) at one pair: premise <grad f(x), y-x> >
     -(sigma/2)*||x-y||^2, enforced strictly as "> +tol"; conclusion margin
     as in check_b."""
-    return _check_bc(f, x, y, cfg, premise_tol, "c", ("pairing_x", "pairing_y"))
+    x, y = _checked_pair(x, y, cfg)
+    return verdicts_bc(f, x[None], y[None], cfg, "c", premise_tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -330,8 +330,30 @@ def _power(a, b, out=None):
     return np.power(a[..., None], e, out=out if out is None else out[..., None])[..., 0]
 
 
+def _ipow(a, k, out=None):
+    """a^k for a constant integer k (a float): numpy's power of |a|, with
+    a's sign copied back for odd k. numpy's vector power takes a scalar
+    fallback for every negative base (about 17 times slower on a mixed-sign
+    array with numpy 2.4 on x86-64); |a| keeps every base on the vector
+    path, so a^k is exactly odd or even in a and within one ulp. Writes into `out` when given, reading a's sign before
+    it does, so `out` may be `a`."""
+    if out is None:   # the root, or a base free of x: a result of its own
+        r = _ipow(a, k, np.empty(np.shape(a)))
+        return r if r.ndim else r[()]
+    sign = np.copysign(1.0, a) if k % 2 and np.may_share_memory(a, out) else a
+    np.power(np.absolute(a, out=out), k, out=out)
+    return np.copysign(out, sign, out=out) if k % 2 else out
+
+
+def _int_power(k: int) -> str:
+    """The function for a^k at a constant integer k: numpy's power where it
+    is exact or takes a shortcut (k = -1, 0, 1, 2), else `_ipow`."""
+    return "power" if -1 <= k <= 2 else "_ipow"
+
+
 _NAMESPACE = {
     "_F": np.float64, "_full": np.full, "_empty": np.empty, "_power": _power,
+    "_ipow": _ipow,
     "inf": np.inf, "nan": np.nan, "negative": np.negative, "add": np.add,
     "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide,
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
@@ -344,10 +366,15 @@ _NAMESPACE = {
 # ufunc call, so that a register can be given as its out=. Templates see the
 # operand values a, b and one coordinate's terms ta, tb of their tangents
 # (0.0 when absent), this value v, w = a with non-positive entries as NaN,
-# and k, pk for k * a^(k-1). Per coordinate, terms whose tangent is absent
-# are dropped; the rest fill the tangent's {}. A factor in [brackets] does
-# not depend on the coordinate: it is evaluated once per node. Ties of
-# abs/min/max keep the first branch's derivative and set the flag.
+# and k, pk for k * a^(k-1), pw the function of a^k. Per coordinate, terms
+# whose tangent is absent are dropped; the rest fill the tangent's {}. A
+# factor in [brackets] does not depend on the coordinate: it is evaluated
+# once per node. Ties of abs/min/max keep the first branch's derivative
+# and set the flag. a^k with a constant integer k (and its factor
+# a^(k-1)) is numpy's power of |a| with a's sign for odd k (`_ipow`), so
+# it is exactly odd or even in a, within one ulp, at negative a too;
+# numpy's own power serves k = -1, 0, 1, 2. pow(a, b) and a^b with any
+# other exponent are the power of w: they need a > 0 and are NaN elsewhere.
 _TA = [("", "{ta}")]
 _POW = ("_power({w}, {b})", "{v} * ({})",
         [("", "{tb} * [log({w})]"), (" + ", "{b} * {ta} / {w}")])
@@ -359,7 +386,7 @@ _RULES = {
     "/": ("divide({a}, {b})", "({}) / [{b} * {b}]",
           [("", "{ta} * {b}"), (" - ", "{a} * {tb}")]),
     "^0": ("power({a}, 0.0)", None, []),
-    "^k": ("power({a}, {k})", "[{k} * {pk}] * {}"),
+    "^k": ("{pw}({a}, {k})", "[{k} * {pk}] * {}"),
     "^": _POW,
     "pow": _POW,
     "sin": ("sin({a})", "[cos({a})] * {}"),
@@ -495,8 +522,8 @@ class _Lowering:
             if fn == "multiply" and 1.0 in args:
                 return args[args[0] == 1.0]
             name = self.new("t", f"{fn}({', '.join(map(str, args))})")
-            if isinstance(_NAMESPACE[fn], np.ufunc):
-                self.registered.add(name)
+            if isinstance(_NAMESPACE[fn], np.ufunc) or fn == "_ipow":
+                self.registered.add(name)   # its call takes out=
             if dead := [a for a in args if a in made]:
                 self.lines.append((True, f"del {', '.join(dead)}"))
             made.append(name)
@@ -523,8 +550,9 @@ class _Lowering:
             return self.node(e.op, [self.lower(e.left), self.lower(e.right)])
         a = self.lower(e.left)
         # x^1 is exact, so k * x^(k-1) needs no power call when k == 2
-        pk = a.v if k == 2 else f"power({a.v}, {float(k - 1)!r})"
-        return self.node("^0" if k == 0 else "^k", [a], k=repr(float(k)), pk=pk)
+        pk = a.v if k == 2 else f"{_int_power(k - 1)}({a.v}, {float(k - 1)!r})"
+        return self.node("^0" if k == 0 else "^k", [a], k=repr(float(k)), pk=pk,
+                         pw=_int_power(k))
 
     def node(self, op: str, ops: list[_Slot], **fmt) -> _Slot:
         var = any(s.var for s in ops)

@@ -307,18 +307,20 @@ class _MarginObjective:
         points[:, self.poll_index, self.coord] = moved
         return points, (moved != zc) & (self.poll_index >= 2 * j[:, None])
 
-    def witness_at(self, z: np.ndarray, s: int = 0) -> Witness:
-        """The witness at the point z of search s, re-checked on its member
-        alone."""
-        x, y, lam = self.split(z)
+    def witnesses(self, Z: np.ndarray, searches) -> list[Optional[Witness]]:
+        """The witnesses at the points Z, row i of search searches[i],
+        re-checked at once: one kernel call with each row at its member's
+        parameters gives, bit for bit, what re-checking each row on its
+        member alone gives (`ScalarField.value` for target 'a',
+        `check_b`/`check_c` for 'b'/'c')."""
+        X, Y, lam = self.split(Z)
         f = self.f if self.thetas is None else \
-            replace(self.f, params=self.thetas[s])
+            replace(self.f, params=self.thetas[searches])
         if self.target == "a":
-            return Witness(x=x.copy(), y=y.copy(), lam=float(lam),
-                           fx=f.value(x), fy=f.value(y))
-        v = cond.check_b(f, x, y, self.cfg) if self.target == "b" \
-            else cond.check_c(f, x, y, self.cfg)
-        return v.witness
+            fx, fy = f.values(X), f.values(Y)
+            return [Witness(x=X[i].copy(), y=Y[i].copy(), lam=float(lam[i]),
+                            fx=float(fx[i]), fy=float(fy[i])) for i in range(len(Z))]
+        return [v.witness for v in cond.verdicts_bc(f, X, Y, self.cfg, self.target)]
 
 
 def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
@@ -514,14 +516,17 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         improved[E] = False
         j[E] = 0
 
+    # one re-check of every search's best point, each at its own member
+    found = [s for s in range(S) if math.isfinite(best_val[s])]
+    witness = dict(zip(found, obj.witnesses(np.array([best_z[s] for s in found]),
+                                            found))) if found else {}
     results = []
     for s in range(S):
-        v, z = best_val[s], best_z[s]
+        v = best_val[s]
         finite = math.isfinite(v)
         results.append(FalsificationResult(
             target=target, sigma=cfg.sigma, best_margin=v if finite else math.nan,
-            witness=obj.witness_at(z, s) if z is not None and finite else None,
-            evaluations=evals[s],
+            witness=witness.get(s), evaluations=evals[s],
             violation_found=finite and bool(cond.is_violated(v, cfg.tol))))
     return results
 
@@ -651,6 +656,9 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
             ok = per_pair["a_ok"][rows]
             np.logical_not(np.isnan(w), out=ok)
             note("a", w, np.zeros(len(w), dtype=bool), ok, X, Y, lams)
+            # the next block is drawn without this one
+            del P, X, Y, keep, r, b_vac, c_vac
+            lams = None
 
     # the number of the first pair of the block in flight, and the worst
     # lambda of each of its pairs

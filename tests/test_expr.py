@@ -5,6 +5,8 @@ import math
 import re
 import threading
 import tokenize
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from quasicheck.families import family_by_name
 from quasicheck.expr import (Binary, Call, Const, Param, ParseError, Unary,
                              Var, parse, pretty_print)
 from quasicheck.field import (DomainBox, ScalarField, catalog_field,
-                              make_field_from_expr)
+                              make_field_from_expr, validate_grad)
 from conftest import random_ast, random_smooth_expr
 
 
@@ -184,6 +186,131 @@ def test_power_rules():
         assert np.isnan(f.values([x])) and np.all(np.isnan(f.grads([x])))
     assert field("4^0.5").values([0.0]) == 2
     assert field("x1^0.5").values([4.0]) == 2
+
+
+# every integer power the compiler lowers: numpy's own power for k = -1, 1
+# and 2, |x|^k with x's sign (`_ipow`) for the others
+INT_POWERS = [k for k in range(-6, 8) if k]
+
+
+def int_power_program(k):
+    return ex.compile_expr(parse(f"x1^{k}" if k > 0 else f"x1^-{-k}", 1), 1)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, a NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+           2.2250738585072014e-308, 1e-300, 1e300, 1.5, -1.5]
+floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from(INT_POWERS),
+       xs=st.lists(floats, min_size=1, max_size=8))
+def test_integer_power_is_odd_or_even_bit_for_bit(k, xs):
+    # x^k at -x is (-1)^k x^k, and its derivative (-1)^(k-1) k x^(k-1),
+    # for every float, ±0, ±inf, NaN and subnormals included
+    prog = int_power_program(k)
+    X = np.array(xs + SPECIAL)[:, None]
+    with np.errstate(all="ignore"):
+        v, G, _ = prog.dual(X)
+        w, H, _ = prog.dual(-X)
+    odd = k % 2
+    assert _same_bits(w, -v if odd else v)
+    assert _same_bits(H, G if odd else -G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from(INT_POWERS),
+       xs=st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                             allow_subnormal=True), min_size=1, max_size=8))
+def test_integer_power_is_within_one_ulp(k, xs):
+    # every finite value is within one ulp of the exact power
+    with np.errstate(all="ignore"):
+        values = int_power_program(k).value(np.array(xs)[:, None])
+    for x, v in zip(xs, values.tolist()):
+        if math.isfinite(v) and (x or k > 0):
+            exact = Fraction(x) ** k
+            assert abs(Fraction(v) - exact) <= Fraction(math.ulp(v)), (x, k, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.sampled_from(INT_POWERS),
+       xs=st.lists(st.floats(-3, 3), min_size=2, max_size=40))
+def test_integer_power_row_equals_the_point_alone(k, xs):
+    prog = int_power_program(k)
+    X = np.array(xs)[:, None]
+    with np.errstate(all="ignore"):
+        v, G, _ = prog.dual(X)
+        for i, x in enumerate(X):
+            one, g, _ = prog.dual(x)
+            assert _same_bits(prog.value(x), v[i]) and _same_bits(one, v[i])
+            assert _same_bits(g, G[:, i])
+
+
+@pytest.mark.parametrize("k", INT_POWERS)
+def test_integer_power_gradients_match_central_differences(k):
+    # negative powers on boxes away from their pole at 0; the deviation is
+    # relative to the largest |k x^(k-1)| on the box, at one of its ends
+    boxes = [(-2.0, 2.0)] if k > 0 else [(0.5, 2.0), (-2.0, -0.5)]
+    for lo, hi in boxes:
+        f = make_field_from_expr(f"x1^{k}" if k > 0 else f"x1^-{-k}", 1,
+                                 DomainBox.cube(lo, hi, 1))
+        scale = max(abs(k * x ** (k - 1)) for x in (lo, hi))
+        assert validate_grad(f, seed=k + 10, count=50).passed(1e-8 * scale), (k, lo)
+
+
+def test_integer_power_helper_is_alias_safe():
+    # with out = a, the sign is taken before out is written
+    a = np.array([-2.0, -0.0, 0.5, -3.0, math.inf, -5e-324])
+    for k in (3.0, -3.0, 4.0, 7.0):
+        with np.errstate(all="ignore"):
+            ref = ex._ipow(a.copy(), k)
+            b = a.copy()
+            assert ex._ipow(b, k, out=b) is b and _same_bits(b, ref)
+            # a point alone: 0-d operands and registers
+            for x, r in zip(a, ref):
+                out = np.empty(())
+                assert ex._ipow(np.array(x), k, out=out) is out and _same_bits(out, r)
+                assert _same_bits(ex._ipow(np.array(x), k), r)
+    alone = ex._ipow(np.array(-2.0), 3.0)   # a scalar, as numpy's power gives
+    assert alone == -8.0 and np.ndim(alone) == 0
+
+
+def test_integer_power_of_a_constant_and_of_a_parameter():
+    # a constant subtree and a parameter-only base t1^3 run without a
+    # register, and keep the sign of a negative base
+    prog = ex.compile_expr(parse("(0-2)^3*x1 + t1^3 + t1^4", 1, 1), 1, 1)
+    for line in ("v2 = _ipow(v1, 3.0)", "v4 = _ipow(p1, 3.0)", "v6 = _ipow(p1, 4.0)"):
+        assert line + "\n" in prog.source   # no out=: none depends on x
+    X = np.array([[1.0], [2.0], [-1.0]])
+    T = np.array([[-1.5], [0.5], [-2.0]])
+    t = T[:, 0]
+    assert np.array_equal(prog.value(X, T), -8.0 * X[:, 0] + (t * t * t + t ** 4))
+    for i in range(3):
+        assert prog.value(X[i], T[i]) == prog.value(X, T)[i]
+        assert prog.value(X, T[i])[i] == prog.value(X, T)[i]
+    assert np.array_equal(prog.dual(X, T)[1][0], np.full(3, -8.0))
+
+
+def test_integer_power_allocates_no_temporary():
+    # the helper writes |a|, then |a|^k, then the sign into its register
+    a = np.linspace(-2.0, 2.0, 100_000)   # 0 left out
+    out = np.empty_like(a)
+    tracemalloc.start()
+    try:
+        for k in (3.0, 4.0, -5.0):
+            ex._ipow(a, k, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_eval_dual_examples():

@@ -14,7 +14,9 @@ EPS = np.finfo(float).eps
 def cubic_oracle(theta, X):
     p, q = theta[..., 0], theta[..., 1]
     x = X[..., 0]
-    value = x ** 3 + p * x ** 2 + q * x
+    # x^3 is compiled as |x|^3 with x's sign, which numpy's power computes
+    # on its vector path for every x
+    value = np.copysign(np.abs(x) ** 3, x) + p * x ** 2 + q * x
     p, q = p[..., None], q[..., None]
     return value, 3.0 * X ** 2 + 2.0 * p * X + q, None
 

@@ -214,6 +214,17 @@ def _polls(obj, z, step, j):
     return points[0, pending[0]], obj.coord[pending[0]]
 
 
+def _witness_alone(f, target, cfg, z):
+    """The witness at the packed point z, re-checked on the field f alone:
+    one-point values for target 'a', `check_b`/`check_c` for 'b'/'c'."""
+    n = f.dim
+    x, y = z[:n], z[n:2 * n]
+    if target == "a":
+        return cond.Witness(x=x.copy(), y=y.copy(), lam=float(z[2 * n]),
+                            fx=f.value(x), fy=f.value(y))
+    return (check_b if target == "b" else check_c)(f, x, y, cfg).witness
+
+
 def _sequential_falsify(f, target, cfg, budget, seed):
     """Reference for `falsify`: the restarts run one after another, each
     capped by the evaluations left, and each sweep's remaining polls are
@@ -267,7 +278,7 @@ def _sequential_falsify(f, target, cfg, budget, seed):
             break
     witness = None
     if best_z is not None and math.isfinite(best_val):
-        witness = obj.witness_at(best_z)
+        witness = _witness_alone(f, target, cfg, best_z)
     found = math.isfinite(best_val) and bool(cond.is_violated(best_val, cfg.tol))
     return FalsificationResult(
         target=target, sigma=cfg.sigma,
@@ -586,6 +597,20 @@ def test_memory_does_not_grow_with_the_pair_count():
     assert harness_big - harness_small <= 40 * (big.count - small.count)
 
 
+def test_harness_holds_one_block_at_a_time():
+    # a second block adds only its per_pair rows (28 B a pair): the first
+    # block's pairs, their filtered copies and (b)/(c) results are dropped
+    # before the second is drawn
+    f = catalog_field("sqnorm", 2)
+    cfg = CheckConfig()
+    one, two = (Sampler("uniform_box", 5, k * search.PAIR_BLOCK, f.domain)
+                for k in (1, 2))
+    implication_harness(f, cfg, two)   # the program's registers, once
+    extra = _traced_peak(lambda: implication_harness(f, cfg, two)) \
+        - _traced_peak(lambda: implication_harness(f, cfg, one))
+    assert extra <= 28 * search.PAIR_BLOCK + 96 * 1024
+
+
 def test_falsify_witness_rechecks_bitwise():
     # a witness from the search re-checks to the same margin, bit for bit
     f = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
@@ -775,9 +800,14 @@ def test_family_members_are_valid_fields():
             assert rep.passed(1e-6), (fam.name, theta)
 
 
+def _witness_json(w):
+    return None if w is None else json.dumps(w.to_json())
+
+
 def test_family_witness_is_the_members_own():
     # the engine scores members through one program with a parameter row
-    # per point row; a witness is re-checked on the member built alone
+    # per point row; the witnesses of all searches are re-checked in one
+    # batch, each as on the member built alone
     fam = family_by_name("param_cubic")
     thetas = np.array([[0.0, -1.0], [1.5, -2.0], [-1.0, 1.0]])
     cfg = CheckConfig()
@@ -785,14 +815,51 @@ def test_family_witness_is_the_members_own():
     z = np.array([-1.0, 0.6])
     rows = np.tile(z, (3, 1))
     margins = obj(rows, np.arange(3))
+    witnesses = obj.witnesses(rows, np.arange(3))
     for k, theta in enumerate(thetas):
         f = fam.build(theta)
-        w = obj.witness_at(z, k)
+        w = witnesses[k]
         v = check_c(f, z[:1], z[1:], cfg)
         assert (w.pairing_x, w.pairing_y) == (v.witness.pairing_x,
                                               v.witness.pairing_y)
         if v.status != "vacuous":
             assert margins[k] == v.margin
+
+
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+@pytest.mark.parametrize("name", ["perturbed_sqnorm", "bump_sum", "param_cubic"])
+def test_batched_witnesses_equal_members_alone(name, target):
+    # one re-check of many searches' points, each at its own parameter
+    # row, in any order and with repeats, equals each member alone, bit
+    # for bit, whatever the verdict (vacuous and skipped rows included)
+    fam = family_by_name(name)
+    rng = np.random.default_rng(4)
+    box = fam.param_box
+    thetas = box.lower + rng.random((12, box.dim)) * box.widths
+    cfg = CheckConfig(sigma=0.5)
+    obj = _MarginObjective(fam.build(thetas[0]), target, cfg, thetas)
+    searches = np.concatenate([rng.permutation(12), [3, 3, 7]])
+    Z = obj.lower + rng.random((searches.size, obj.nvars)) * (obj.upper - obj.lower)
+    batch = obj.witnesses(Z, searches)
+    for z, s, w in zip(Z, searches, batch):
+        alone = _witness_alone(fam.build(thetas[s]), target, cfg, z)
+        assert _witness_json(w) == _witness_json(alone)
+
+
+@pytest.mark.parametrize("name", ["perturbed_sqnorm", "bump_sum", "param_cubic"])
+def test_family_engine_rechecks_witnesses_once(monkeypatch, name):
+    # every search of an engine call is re-checked by one witness call
+    calls = []
+    batch = _MarginObjective.witnesses
+    monkeypatch.setattr(_MarginObjective, "witnesses",
+                        lambda self, Z, s: calls.append(len(Z)) or batch(self, Z, s))
+    fam = family_by_name(name)
+    f = search.ScalarField(fam.name, fam.program, fam.domain)
+    box = fam.param_box
+    thetas = box.lower + np.random.default_rng(5).random((5, box.dim)) * box.widths
+    results = _falsify_many(f, "c", CheckConfig(), SearchBudget(max_evals=300),
+                            [1, 2, 3, 4, 5], thetas)
+    assert calls == [sum(math.isfinite(r.best_margin) for r in results)] != [0]
 
 
 @pytest.mark.parametrize("lanes", [2, 64])
