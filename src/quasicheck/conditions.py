@@ -14,23 +14,30 @@ sigma = 0 recovers plain quasiconvexity (the Arrow-Enthoven condition for
 examined pairs.
 
 Each formula is written once, in a kernel over arrays of pairs:
-`segment_margins` yields the (a) margins of chunks of a stream of blocks
-of pairs, at a shared lambda grid or at one lambda per pair, evaluating
-f once per chunk on a coordinate-major point buffer that every chunk of
-the stream reuses, and
-`batch_margins_bc` gives the pairings, both premises and the shared
+`segment_margins` yields the (a) margins of chunks of a block of pairs,
+at a shared lambda grid or at one lambda per pair, evaluating f once per
+chunk on a coordinate-major point buffer that every chunk of the block
+reuses, and `batch_margins_bc` gives the pairings, both premises and the shared
 (b)/(c) conclusion margin. The per-pair worst (a) margin and sigma*
 reduce over the kernel's chunks; `verdicts_bc` gives the (b)/(c) verdict
 of each pair row, and the scalar checks `margin_a`, `check_b`, `check_c`
 and `sigma_star_segment` run the kernels on a batch of one.
 Margins are raw; `is_violated` is the one rule that applies the
 tolerance.
+
+`sigma_star_estimate` and the implication harness (search.py) cut their
+pairs into blocks and run each block end to end, drawn, filtered and
+scored, on one lane of `_in_lanes`: the calling thread and, given a
+second CPU, one helper thread. The kernels themselves run on whichever
+thread calls them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -64,28 +71,101 @@ __all__ = [
 # points per chunk of segment_margins: the chunks bound memory
 SEGMENT_CHUNK = 1 << 16
 
+# pairs in flight at once in `check` and `sigma`, over all lanes: they hold
+# this many pairs at a time, whatever the count
+PAIR_BLOCK = 1 << 14
 
-# lanes of segment_margins, one per CPU this process may run on: the
-# calling thread and LANES - 1 helper threads. At most two, the only
-# count measured: more lanes cut a block into more, smaller chunks, each
-# with the same Python cost per chunk and per hand-off.
-LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_pool = None   # the helper threads, started by the first block that needs them
+# lanes of `_in_lanes`: the calling thread and LANES - 1 helper threads,
+# set by `_lanes` on first use. At most two, the only count measured:
+# more lanes cut the pairs in flight into more, smaller blocks, each with
+# the same Python cost per block and per hand-off.
+LANES = None
+_pool = None   # the helper threads, started by the first stream that needs them
+
+
+def _cpu_max() -> str:
+    """The cgroup v2 CPU quota of this process, "quota period" or "max"
+    ("" when the file is missing or unreadable)."""
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as fh:
+            return fh.read()
+    except OSError:
+        return ""
+
+
+def _lanes() -> int:
+    """LANES, counted on first use: min(2, the CPUs this process may run
+    on, its CPU quota rounded up), where a quota of "max" or a missing,
+    unreadable or malformed file is none."""
+    global LANES
+    if LANES is None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        try:
+            quota, period = map(int, _cpu_max().split())
+            cpus = min(cpus, max(1, -(-quota // period)))
+        except (ValueError, ZeroDivisionError):
+            pass
+        LANES = min(2, cpus)
+    return LANES
 
 
 def _helpers():
-    """The executor of the helper threads of `segment_margins`."""
+    """The executor of the helper threads of `_in_lanes`."""
     global _pool
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor   # about 10 ms of import
-        _pool = ThreadPoolExecutor(max(1, LANES - 1), "segment-lane")
+        _pool = ThreadPoolExecutor(max(1, _lanes() - 1), "quasicheck-lane")
     return _pool
+
+
+def _in_lanes(work, count: int):
+    """work(lo, k) for each block of pairs lo..lo+k-1, yielded in order,
+    the blocks cutting pairs 0..count-1 into PAIR_BLOCK // LANES pairs
+    each. Block i runs in lane i % LANES: lane 0 is the calling thread, the
+    others are helper threads. The calling thread runs a helper's block
+    itself when it needs the result before any helper has started it, so a
+    helper that is slow to wake costs no waiting, and it runs its own next
+    block while it waits for a helper. At most LANES blocks, one
+    PAIR_BLOCK of pairs, are in flight, and none is left running when the
+    stream ends, fails or is closed."""
+    W = _lanes()
+    size = max(1, PAIR_BLOCK // W)
+    blocks = enumerate((lo, min(size, count - lo)) for lo in range(0, count, size))
+    flight = deque()   # [block, its future] per block in flight, in order;
+    #                    None for a block of the calling thread not yet run
+
+    def take():
+        """The result of the first block in flight, which then leaves it."""
+        block, future = flight[0]
+        if future is not None and not future.cancel() and not future.done():
+            # a helper runs it: meanwhile the calling thread runs its own block
+            from concurrent.futures import Future
+            for entry in flight:
+                if entry[1] is None:
+                    entry[1] = Future()
+                    entry[1].set_result(work(*entry[0]))
+        # a block that no lane has started runs here
+        done = work(*block) if future is None or future.cancelled() else future.result()
+        flight.popleft()
+        return done
+
+    try:
+        while True:
+            for i, block in itertools.islice(blocks, W - len(flight)):
+                flight.append([block, _helpers().submit(work, *block) if i % W else None])
+            if not flight:
+                return
+            yield take()
+    finally:
+        for _, future in flight:
+            if future is not None and not future.cancel():
+                future.exception()   # wait for it, dropping its failure if any
 
 
 def segment_chunk(L: int) -> int:
     """Pairs per chunk of `segment_margins` at L lambdas per pair: a block
-    of at most this many pairs runs as one chunk on the calling thread."""
+    of at most this many pairs runs as one chunk."""
     return max(1, SEGMENT_CHUNK // (L + 2))
 
 
@@ -183,12 +263,21 @@ def _checked_pair(x, y, cfg: CheckConfig):
     return x, y
 
 
+def _separated(P: np.ndarray, cfg: CheckConfig):
+    """The pairs P (rows (x, y)) at least min_sep apart, as X, Y, and the
+    mask of those kept: views of P when every pair is kept, since no kernel
+    writes into the points it is given."""
+    X, Y = P[:, 0], P[:, 1]
+    keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
+    return (X, Y, keep) if keep.all() else (X[keep], Y[keep], keep)
+
+
 # ---------------------------------------------------------------------------
 # Condition (a): the defining segment inequality
 
 
-def _lane(n: int, L: int, size: int) -> tuple:
-    """The buffers of one lane of `segment_margins`, for chunks of up to
+def _buffers(n: int, L: int, size: int) -> tuple:
+    """The buffers of `segment_margins`, for chunks of up to
     `size` pairs in R^n at L lambdas: the coordinate-major points
     (n, L + 2, size) and their read-only (L + 2, size, n) view, the
     margins, the top values max{f(x), f(y)} and the finite flags."""
@@ -199,10 +288,10 @@ def _lane(n: int, L: int, size: int) -> tuple:
             np.empty((L + 2, size), dtype=bool))
 
 
-def _score(f: ScalarField, lane: tuple, x, y, lam, sigma: float, penalty_norm):
+def _score(f: ScalarField, buffers: tuple, x, y, lam, sigma: float, penalty_norm):
     """The margins (L, k) and ||x-y|| (k,) of the k pairs x, y, computed in
-    the buffers of `lane` on whichever thread calls it."""
-    S, points, M, top, finite = lane
+    `buffers` (see `_buffers`)."""
+    S, points, M, top, finite = buffers
     k = x.shape[0]
     P = S[..., :k]
     m = M[:, :k]
@@ -227,90 +316,38 @@ def _score(f: ScalarField, lane: tuple, x, y, lam, sigma: float, penalty_norm):
     return m, d
 
 
-def _in_lanes(run, count: int, W: int):
-    """run(c) for c = 0..count-1, yielded in order, chunk c in lane c % W:
-    lane 0 on the calling thread, the others on helper threads, except
-    that the calling thread runs a helper's chunk itself when it needs it
-    before any helper has started it, so a helper that is slow to wake
-    costs no waiting. Chunk c + W, which reuses the buffers of chunk c,
-    starts once the consumer has asked for the chunk after c, and no chunk
-    is left running when the stream ends, fails or is closed."""
-    if W == 1:
-        for c in range(count):
-            yield run(c)
-        return
-    pool = _helpers()
-    pending = {c: pool.submit(run, c) for c in range(1, W)}
-    try:
-        done = run(0)
-        for c in range(count):
-            if c % W == 0:
-                yield done
-            else:   # a chunk that no helper has started runs here
-                chunk = pending.pop(c)
-                yield run(c) if chunk.cancel() else chunk.result()
-            if c + W < count:
-                if c % W:
-                    pending[c + W] = pool.submit(run, c + W)
-                else:
-                    done = run(c + W)
-    finally:
-        for chunk in pending.values():
-            if not chunk.cancel():
-                chunk.exception()   # wait for it, dropping its failure if any
-
-
-def segment_margins(f: ScalarField, pairs, lams, sigma: float, penalty_norm=2):
-    """Condition-(a) margins of a stream of pairs, chunk by chunk:
+def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2):
+    """Condition-(a) margins of the pairs X, Y (rows), chunk by chunk:
 
         max{f(x), f(y)} - (sigma/2)*lam*(1-lam)*||x-y||^2 - f(y + lam*(x-y))
 
-    `pairs` is an iterable of blocks (X, Y) of pair rows; the pairs are
-    numbered across the blocks in order. `lams` has shape (L, 1) for a
-    grid shared by all pairs or (1, N) for one lambda per pair. Each chunk
-    of a block evaluates f once, on x, y, then one segment point per
-    lambda: the points are stored coordinate-major, (n, L + 2, k), in the
-    buffer of the chunk's lane, and f gets them as a read-only
-    (L + 2, k, n) view in which each coordinate is one contiguous plane.
-    Yields (rows, margins (L, k), ||x-y|| (k,)) per chunk of k pairs, in
-    order, rows being the chunk's slice of the pair numbering; a margin is
-    NaN where an evaluation failed. The margins live in a buffer that a
-    later chunk overwrites once the consumer asks for the next chunk.
+    `lams` has shape (L, 1) for a grid shared by all pairs or (1, N) for
+    one lambda per pair. Each chunk evaluates f once, on x, y, then one
+    segment point per lambda: the points are stored coordinate-major,
+    (n, L + 2, k), in a buffer that every chunk reuses, and f gets them as
+    a read-only (L + 2, k, n) view in which each coordinate is one
+    contiguous plane. Yields (rows, margins (L, k), ||x-y|| (k,)) per
+    chunk of k pairs, in order, rows being the chunk's slice of the pairs;
+    a margin is NaN where an evaluation failed. The margins live in a
+    buffer that the next chunk overwrites once the consumer asks for it.
 
-    A block of at most `segment_chunk(L)` pairs is one chunk, computed on
-    the calling thread. A larger block is cut into chunks of a lane's share
-    of that, `segment_chunk(L) // LANES` pairs, which run in
-    min(LANES, chunks) lanes (see `_in_lanes`). Each lane has its own
-    buffers, which serve every block; together they hold at most
-    SEGMENT_CHUNK points. A block's chunks are all done before the next
-    block is asked for. The margins do not depend on the lanes or the
-    chunking.
+    Runs on the calling thread. At most `segment_chunk(L)` pairs are one
+    chunk; more are cut into chunks of `segment_chunk(L) // LANES` pairs,
+    so the buffers of the LANES blocks that `_in_lanes` runs at once hold
+    at most SEGMENT_CHUNK points together. The margins do not depend on
+    the chunking.
     """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     L = lams.shape[0]
     whole = segment_chunk(L)
-    lanes = []     # the buffers of each lane
-    first = 0      # number of the block's first pair
-    for X, Y in pairs:
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if not len(X):
-            continue
-        step = len(X) if len(X) <= whole else max(1, whole // LANES)
-        count = -(-len(X) // step)
-        W = min(LANES, count)
-        if len(lanes) < W or lanes[0][3].size < step:
-            lanes.clear()   # freed before the new buffers are made
-            lanes.extend(_lane(X.shape[1], L, step) for _ in range(W))
-
-        def run(c):
-            x, y = X[c * step:(c + 1) * step], Y[c * step:(c + 1) * step]
-            rows = slice(first + c * step, first + c * step + len(x))
-            lam = lams if lams.shape[1] == 1 else lams[:, rows]
-            return (rows, *_score(f, lanes[c % W], x, y, lam, sigma, penalty_norm))
-
-        yield from _in_lanes(run, count, W)
-        first += len(X)
-        del X, Y, run   # the next block is drawn without this one
+    step = max(1, len(X) if len(X) <= whole else whole // _lanes())
+    buffers = _buffers(X.shape[1], L, step)
+    for lo in range(0, len(X), step):
+        x, y = X[lo:lo + step], Y[lo:lo + step]
+        rows = slice(lo, lo + len(x))
+        lam = lams if lams.shape[1] == 1 else lams[:, rows]
+        yield (rows, *_score(f, buffers, x, y, lam, sigma, penalty_norm))
 
 
 def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
@@ -322,9 +359,8 @@ def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     x, y = _checked_pair(x, y, cfg)
-    (_, m, _), = segment_margins(f, [(x[None], y[None])],
-                                 np.array([[lam]], dtype=float), cfg.sigma,
-                                 cfg.penalty_norm)
+    (_, m, _), = segment_margins(f, x[None], y[None], np.array([[lam]], dtype=float),
+                                 cfg.sigma, cfg.penalty_norm)
     return float(m[0, 0])
 
 
@@ -336,22 +372,14 @@ def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     evaluation have ok_mask False and NaN margin. Ties go to the first
     lambda of the grid.
     """
+    lams = np.asarray(cfg.lambda_grid)[:, None]
     worst = np.empty(len(X))
     worst_lam = np.empty(len(X))
-    for rows, w, lam in _worst_a(f, [(X, Y)], cfg):
-        worst[rows] = w
-        worst_lam[rows] = lam
-    return worst, worst_lam, ~np.isnan(worst)
-
-
-def _worst_a(f: ScalarField, pairs, cfg: CheckConfig):
-    """`batch_margin_a_worst` over the stream of blocks `pairs` (see
-    `segment_margins`), one chunk at a time: yields (rows, worst margins,
-    their lambdas)."""
-    lams = np.asarray(cfg.lambda_grid)[:, None]
-    for rows, m, _ in segment_margins(f, pairs, lams, cfg.sigma, cfg.penalty_norm):
+    for rows, m, _ in segment_margins(f, X, Y, lams, cfg.sigma, cfg.penalty_norm):
         i = np.argmin(m, axis=0)   # a NaN column gives its first NaN
-        yield rows, np.take_along_axis(m, i[None], axis=0)[0], lams[i, 0]
+        worst[rows] = np.take_along_axis(m, i[None], axis=0)[0]
+        worst_lam[rows] = lams[i, 0]
+    return worst, worst_lam, ~np.isnan(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +477,15 @@ def check_c(f: ScalarField, x, y, cfg: CheckConfig,
 # sigma* estimation
 
 
-def _sigma_star(f: ScalarField, pairs, cfg: CheckConfig) -> float:
-    """min over the stream of blocks `pairs` (see `segment_margins`) and
-    the lambda grid of
+def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig) -> float:
+    """min over the pairs X, Y (rows) and the lambda grid of
     2 * (max{f(x),f(y)} - f(segment)) / (lam*(1-lam)*||x-y||^2), the
     sigma = 0 margin scaled; +inf when no sample evaluates."""
     lams = np.asarray(cfg.lambda_grid)[:, None]
     weight = lams * (1.0 - lams)
     best = math.inf
     den = np.empty(0)
-    for _, m, d in segment_margins(f, pairs, lams, 0.0, cfg.penalty_norm):
+    for _, m, d in segment_margins(f, X, Y, lams, 0.0, cfg.penalty_norm):
         if den.size < m.size:
             den = np.empty(m.size)
         with np.errstate(all="ignore"):
@@ -483,7 +510,7 @@ def sigma_star_segment(f: ScalarField, x, y, cfg: CheckConfig) -> float:
     # (the default lambda grid is symmetric about 1/2)
     if tuple(y) < tuple(x):
         x, y = y, x
-    best = _sigma_star(f, [(x[None], y[None])], cfg)
+    best = _sigma_star(f, x[None], y[None], cfg)
     if not math.isfinite(best):
         raise ArithmeticError("all lambda samples failed on this segment")
     return best
@@ -494,35 +521,28 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
     largest sigma satisfying the defining inequality on the domain.
 
     `sampler` is either an iterable of (x, y) pairs or a sampler whose
-    .blocks() stream gives the pairs block by block (see search.Sampler);
-    the pairs go through one block at a time, an array of pairs in
-    slices of LANES * segment_chunk(L) pairs, which run in every lane. The
-    raw (possibly negative) value is returned; clamp at 0 only when
-    reporting.
+    .draw(lo, k) gives its pairs lo..lo+k-1 (see search.Sampler). The pairs
+    go through in blocks, each drawn or sliced, filtered by min_sep and
+    scored on its own lane (see `_in_lanes`). The raw (possibly negative)
+    value is returned; clamp at 0 only when reporting.
     """
-    if hasattr(sampler, "blocks"):
-        blocks = sampler.blocks()
+    if hasattr(sampler, "draw"):
+        count, draw = sampler.count, sampler.draw
     else:
         P = np.asarray(sampler if isinstance(sampler, np.ndarray) else list(sampler),
                        dtype=float)
         if P.size == 0:
             raise ValueError("sampler produced no pairs")
-        step = segment_chunk(len(cfg.lambda_grid)) * LANES
-        blocks = ((lo, P[lo:lo + step]) for lo in range(0, len(P), step))
-    kept = 0
+        count, draw = len(P), lambda lo, k: P[lo:lo + k]
 
-    def separated():
-        nonlocal kept
-        for _, P in blocks:
-            X, Y = P[:, 0, :], P[:, 1, :]
-            keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
-            kept += int(np.count_nonzero(keep))
-            # the kernel copies the points into its own buffer, so a block
-            # that keeps every pair goes in as it is
-            yield (X, Y) if keep.all() else (X[keep], Y[keep])
-            del P, X, Y, keep   # the next block is drawn without this one
+    def run(lo, k):
+        """The block's sigma* and how many of its pairs pass min_sep."""
+        X, Y, _ = _separated(draw(lo, k), cfg)
+        return _sigma_star(f, X, Y, cfg), len(X)
 
-    best = _sigma_star(f, separated(), cfg)
+    best, kept = math.inf, 0
+    for block_best, block_kept in _in_lanes(run, count):
+        best, kept = min(best, block_best), kept + block_kept
     if not kept:
         raise ValueError("no pair passed the min_sep filter")
     if not math.isfinite(best):

@@ -3,13 +3,15 @@ harness.
 
 Determinism contract: pair i is a pure function of (seed, i, strategy,
 domain, min_sep) via counter-based Philox streams; a `segment_grid` pair
-is the closed form in (i, count). The sampler is a stream of blocks of
-pairs (`Sampler.blocks`): a block starting at pair lo jumps its Philox
-counter ahead to pair lo's slots in each rejection round and redraws
-only its own pending pairs, so the pairs do not depend on the block
-size, and every kernel computes each pair's margins on its own, so a
-report does not depend on how the blocks and the kernels' chunks split
-the pairs. `check` and `sigma` hold one block at a time.
+is the closed form in (i, count). A block of the sampler's pairs
+(`Sampler.draw`) starting at pair lo jumps its Philox counter ahead to
+pair lo's slots in each rejection round and redraws only its own pending
+pairs, so the pairs do not depend on the block size, and every kernel
+computes each pair's margins on its own, so a report does not depend on
+how the blocks and the kernels' chunks split the pairs. The implication
+harness runs each block end to end on one lane (`conditions._in_lanes`)
+and merges the blocks in order; `check` and `sigma` hold one
+`conditions.PAIR_BLOCK` of pairs at a time.
 
 Falsification is derivative-free compass search on the
 margin with a geometric step schedule, so with a fixed seed a larger
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,11 +67,9 @@ class Sampler:
         if self.count < 1:
             raise ValueError("count must be >= 1")
 
-    def blocks(self):
-        """The pairs as a stream of (lo, pairs lo..lo+k-1) blocks of at
-        most PAIR_BLOCK pairs, each drawn by `sample_pairs`."""
-        for lo in range(0, self.count, PAIR_BLOCK):
-            yield lo, sample_pairs(_Block(self, lo, min(PAIR_BLOCK, self.count - lo)))
+    def draw(self, lo: int, count: int) -> np.ndarray:
+        """Pairs lo..lo+count-1 of the stream (see `sample_pairs`)."""
+        return sample_pairs(self, lo, count)
 
     def to_json(self):
         return {
@@ -79,11 +79,6 @@ class Sampler:
             "domain": self.domain.to_json(),
             "min_sep": self.min_sep,
         }
-
-
-# pairs per block of the sampler stream: `check` and `sigma` hold one block
-# of pairs at a time, whatever the count
-PAIR_BLOCK = 1 << 14
 
 
 def _round_uniforms(seed: int, strategy_id: int, round_idx: int,
@@ -103,17 +98,9 @@ def _round_uniforms(seed: int, strategy_id: int, round_idx: int,
     return np.random.Generator(bg).random((count, 2, n))
 
 
-class _Block(NamedTuple):
-    """Pairs lo..lo+count-1 of a sampler's stream."""
-    sampler: Sampler
-    lo: int
-    count: int
-
-
-def sample_pairs(s: Sampler | _Block) -> np.ndarray:
-    """Array of shape (count, 2, n) with ||x - y||_2 >= min_sep per pair:
-    the pairs of a sampler, or of one block of its stream (see
-    `Sampler.blocks`), which the sampler's pairs put together equal.
+def sample_pairs(s: Sampler, lo: int = 0, count: Optional[int] = None) -> np.ndarray:
+    """Array of shape (k, 2, n) with ||x - y||_2 >= min_sep per pair: the
+    sampler's pairs lo..lo+k-1, k = count (by default all of its pairs).
 
     Pair i takes the uniforms of stream slot i of each round until it is
     accepted; a rejected pair is redrawn in the next round. So a
@@ -124,7 +111,7 @@ def sample_pairs(s: Sampler | _Block) -> np.ndarray:
     runs here, so a profile of this one function (or the benchmark
     tracer's row count) covers it.
     """
-    s, lo, k = (s, 0, s.count) if isinstance(s, Sampler) else s
+    k = s.count - lo if count is None else count
     n = s.domain.dim
     sid = _STRATEGIES[s.strategy]
     lo_box, widths = s.domain.lower, s.domain.widths
@@ -286,7 +273,7 @@ class _MarginObjective:
         if self.target == "a":
             return np.concatenate([
                 np.where((d >= cfg.min_sep) & np.isfinite(m[0]), m[0], math.inf)
-                for _, m, d in cond.segment_margins(f, [(X, Y)], lam[None],
+                for _, m, d in cond.segment_margins(f, X, Y, lam[None],
                                                     cfg.sigma, cfg.penalty_norm)])
         # premise at tolerance 0: violations found here are genuine,
         # not artifacts of the reporting premise slack
@@ -591,25 +578,49 @@ class HarnessReport:
         }
 
 
-def _tally(margins, vacuous, ok, tol):
+def _note(margins, vacuous, ok, tol, X, Y, lam=None):
+    """One condition on a block of pairs: its tally, and its first smallest
+    margin with that pair (None when no pair has an active margin)."""
     active = ok & ~vacuous
     violated = active & cond.is_violated(margins, tol)
-    return {"holds": int(np.sum(active & ~violated)),
-            "violated": int(np.sum(violated)),
-            "vacuous": int(np.sum(vacuous & ok)),
-            "skipped": int(np.sum(~ok))}
+    tally = {"holds": int(np.sum(active & ~violated)),
+             "violated": int(np.sum(violated)),
+             "vacuous": int(np.sum(vacuous & ok)),
+             "skipped": int(np.sum(~ok))}
+    masked = np.where(active, margins, np.nan)
+    if np.isnan(masked).all():
+        return tally, None
+    i = int(np.nanargmin(masked))
+    return tally, (float(margins[i]), X[i].copy(), Y[i].copy(),
+                   None if lam is None else float(lam[i]))
 
 
 def implication_harness(f: ScalarField, cfg: CheckConfig,
                         sampler: Sampler) -> HarnessReport:
     """Evaluate (a) over pairs x lambda grid, (b) and (c) over pairs.
 
-    The pairs stream through block by block (`Sampler.blocks`): each block
-    is filtered by min_sep and run through the (b)/(c) kernel, and the (a)
-    kernel takes the filtered blocks as one stream. Counts and the first
-    smallest margin of each condition are kept as running totals, so
-    memory does not grow with the count apart from `per_pair`.
+    The pairs go through in blocks, each drawn, filtered by min_sep and
+    run through the (b)/(c) and (a) kernels on its own lane (see
+    `conditions._in_lanes`). The calling thread merges the blocks in
+    order: their `per_pair` rows, the counts and the first smallest margin
+    of each condition. So memory does not grow with the count apart from
+    `per_pair`.
     """
+    def run(lo, k):
+        """The block's per_pair rows and the note of each condition."""
+        X, Y, keep = cond._separated(sample_pairs(sampler, lo, k), cfg)
+        r = cond.batch_margins_bc(f, X, Y, cfg)
+        rows = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"],
+                "b_vacuous": ~r["premise_b"], "c_vacuous": ~r["premise_c"],
+                "bc_ok": r["ok"]}
+        notes = {name: _note(r["margin"], rows[f"{name}_vacuous"], r["ok"], cfg.tol, X, Y)
+                 for name in "bc"}
+        del r   # the (a) kernel runs without the rest of the (b)/(c) results
+        rows["a_margin"], lam, rows["a_ok"] = cond.batch_margin_a_worst(f, X, Y, cfg)
+        notes["a"] = _note(rows["a_margin"], np.zeros(len(X), dtype=bool), rows["a_ok"],
+                           cfg.tol, X, Y, lam)
+        return rows, notes
+
     count = sampler.count
     per_pair = {"index": np.empty(count, dtype=np.int64), "a_margin": np.empty(count),
                 "a_ok": np.empty(count, dtype=bool), "bc_margin": np.empty(count),
@@ -620,52 +631,17 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
               for name in "abc"}
     best = {}      # condition -> (margin, x, y, lam) of its first smallest margin
     N = 0          # pairs kept so far
-
-    def note(name, margins, vacuous, ok, X, Y, lam=None):
-        for key, c in _tally(margins, vacuous, ok, cfg.tol).items():
-            counts[name][key] += c
-        masked = np.where(ok & ~vacuous, margins, np.nan)
-        if np.isnan(masked).all():
-            return
-        i = int(np.nanargmin(masked))
-        if name not in best or masked[i] < best[name][0]:
-            best[name] = (float(margins[i]), X[i].copy(), Y[i].copy(),
-                          None if lam is None else float(lam[i]))
-
-    def kept():
-        nonlocal N, first, lams
-        for lo, P in sampler.blocks():
-            X, Y = P[:, 0], P[:, 1]
-            keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
-            X, Y = X[keep], Y[keep]
-            rows = slice(N, N + len(X))
-            r = cond.batch_margins_bc(f, X, Y, cfg)
-            b_vac, c_vac = ~r["premise_b"], ~r["premise_c"]
-            per_pair["index"][rows] = lo + np.flatnonzero(keep)
-            per_pair["bc_margin"][rows] = r["margin"]
-            per_pair["bc_ok"][rows] = r["ok"]
-            per_pair["b_vacuous"][rows] = b_vac
-            per_pair["c_vacuous"][rows] = c_vac
-            note("b", r["margin"], b_vac, r["ok"], X, Y)
-            note("c", r["margin"], c_vac, r["ok"], X, Y)
-            first, lams = N, np.empty(len(X))
-            N += len(X)
-            yield X, Y
-            # the kernel asks for the next block once it is done with this one
-            w = per_pair["a_margin"][rows]
-            ok = per_pair["a_ok"][rows]
-            np.logical_not(np.isnan(w), out=ok)
-            note("a", w, np.zeros(len(w), dtype=bool), ok, X, Y, lams)
-            # the next block is drawn without this one
-            del P, X, Y, keep, r, b_vac, c_vac
-            lams = None
-
-    # the number of the first pair of the block in flight, and the worst
-    # lambda of each of its pairs
-    first, lams = 0, None
-    for rows, w, lam in cond._worst_a(f, kept(), cfg):
-        per_pair["a_margin"][rows] = w
-        lams[rows.start - first:rows.stop - first] = lam
+    for rows, notes in cond._in_lanes(run, count):
+        k = len(rows["index"])
+        for key in rows:
+            per_pair[key][N:N + k] = rows[key]
+        N += k
+        for name, (tally, first) in notes.items():
+            for key, c in tally.items():
+                counts[name][key] += c
+            if first is not None and (name not in best or first[0] < best[name][0]):
+                best[name] = first
+        del rows, notes   # the next block runs without this one
 
     worst = {}
     for name in "abc":

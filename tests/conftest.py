@@ -51,18 +51,18 @@ def rng():
 
 
 @pytest.fixture
-def helper_chunks(monkeypatch):
-    """The chunks that `conditions.segment_margins` hands to helper
-    threads, as their futures in the order submitted."""
+def helper_blocks(monkeypatch):
+    """The blocks that `conditions._in_lanes` hands to helper threads, as
+    ((lo, k), future) in the order submitted."""
     from quasicheck import conditions
 
     submitted = []
     helpers = conditions._helpers
 
     class Recording:
-        def submit(self, fn, *args):
-            submitted.append(helpers().submit(fn, *args))
-            return submitted[-1]
+        def submit(self, fn, *block):
+            submitted.append((block, helpers().submit(fn, *block)))
+            return submitted[-1][1]
 
     monkeypatch.setattr(conditions, "_helpers", Recording)
     return submitted

@@ -355,9 +355,9 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
 
 
 def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
-    # neither the chunk size nor the number of lanes that compute a
-    # block's chunks shows in a bit of the margins, sigma* or the
-    # harness's per-pair arrays
+    # neither the chunk size nor the number of lanes (which sets the size
+    # of the blocks and of a large block's chunks) shows in a bit of the
+    # margins, sigma* or the harness's per-pair arrays
     f = catalog_field("sqnorm", 3)
     c = cfg(sigma=0.5)
     X = rng.uniform(-1, 1, size=(250, 3))
@@ -365,7 +365,7 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
     pairs = np.stack([X, Y], axis=1)
     lam = rng.uniform(0.01, 0.99, size=(1, 250))   # one lambda per pair
     sampler = Sampler("uniform_box", 3, 600, f.domain)
-    monkeypatch.setattr(search, "PAIR_BLOCK", 250)   # blocks of many chunks
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", 250)   # blocks of many chunks
     runs = []
     for lanes in (1, 2, 3):
         monkeypatch.setattr(conditions, "LANES", lanes)
@@ -375,7 +375,7 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
             monkeypatch.setattr(conditions, "SEGMENT_CHUNK", chunk)
             # the margins of a chunk live until the next chunk: copy them
             per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
-                f, [(X, Y)], lam, c.sigma, c.penalty_norm)])
+                f, X, Y, lam, c.sigma, c.penalty_norm)])
             harness = implication_harness(f, c, sampler).per_pair
             runs.append([*batch_margin_a_worst(f, X, Y, c),
                          sigma_star_estimate(f, pairs, c), per_pair,
@@ -404,9 +404,9 @@ def test_segment_margins_points_are_read_only(rng):
 
 @pytest.mark.parametrize("lanes", [2, 3])
 def test_segment_margins_failure_on_a_helper_reaches_the_caller(
-        monkeypatch, rng, helper_chunks, lanes):
-    # a field that fails on a chunk of a helper thread raises in the
-    # consumer what it raises on the calling thread alone, once no chunk
+        monkeypatch, helper_blocks, lanes):
+    # a field that fails on a helper's block of check or sigma raises in
+    # the caller what it raises on the calling thread alone, once no block
     # is left running
     caller = threading.current_thread()
     writers = []
@@ -416,40 +416,78 @@ def test_segment_margins_failure_on_a_helper_reaches_the_caller(
             if everywhere or threading.current_thread() is not caller:
                 writers.append(threading.current_thread())
                 X[..., 0] = 0.0
-            else:   # a helper starts its chunk before the caller needs it
+            else:   # a helper starts its block before the caller needs it
                 time.sleep(0.05)
             return np.sum(X, axis=-1)
         return value
 
     f = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
-    # 16 pairs: more than one whole chunk at every lane count
-    X = rng.uniform(-1, 1, size=(16, 2))
-    Y = rng.uniform(-1, 1, size=(16, 2))
-    X3 = rng.uniform(-1, 1, size=(16, 3))
-    Y3 = rng.uniform(-1, 1, size=(16, 3))
+    pairs = Sampler("uniform_box", 3, 16, f.domain)
+    pairs3 = Sampler("uniform_box", 3, 16, DomainBox.cube(-1, 1, 3))   # wrong dimension
     errors = {}
     for W in (1, lanes):
         monkeypatch.setattr(conditions, "LANES", W)
-        monkeypatch.setattr(conditions, "SEGMENT_CHUNK", 65 * 4 * W)   # 4 pairs a chunk
+        monkeypatch.setattr(conditions, "PAIR_BLOCK", 4 * W)   # blocks of 4 pairs
         writer = replace(f, program=replace(f.program, value=writing(W == 1)))
-        for name, g, P, Q in (("write", writer, X, Y), ("dimension", f, X3, Y3)):
+        for name, run in (
+                ("check write", lambda: implication_harness(writer, cfg(), pairs)),
+                ("sigma write", lambda: sigma_star_estimate(writer, pairs, cfg())),
+                ("check dimension", lambda: implication_harness(f, cfg(), pairs3)),
+                ("sigma dimension", lambda: sigma_star_estimate(f, pairs3, cfg()))):
             with pytest.raises(ValueError) as err:
-                batch_margin_a_worst(g, P, Q, cfg())
+                run()
             errors.setdefault(name, []).append(str(err.value))
-    assert writers[0] is caller and writers[1] is not caller
-    assert "read-only" in errors["write"][0]
-    assert "(65, 4, 3)" in errors["dimension"][0]
+            assert all(future.done() for _, future in helper_blocks)
+    assert writers[0] is caller and writers[-1] is not caller
+    assert "read-only" in errors["check write"][0]
+    assert "(4, 3)" in errors["check dimension"][0]
+    assert "(65, 4, 3)" in errors["sigma dimension"][0]
     for messages in errors.values():
         assert messages[0] == messages[1]
-    assert helper_chunks and all(chunk.done() for chunk in helper_chunks)
+    assert helper_blocks
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_failure_on_the_callers_block_leaves_no_helper_block_running(
+        monkeypatch, helper_blocks, lanes):
+    caller = threading.current_thread()
+
+    def value(X):
+        if threading.current_thread() is caller:
+            raise ArithmeticError("the caller's block failed")
+        time.sleep(0.05)   # the helpers are still busy when it fails
+        return np.sum(X, axis=-1)
+
+    f = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
+    f = replace(f, program=replace(f.program, value=value))
+    pairs = Sampler("uniform_box", 3, 64, f.domain)
+    monkeypatch.setattr(conditions, "LANES", lanes)
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", 4 * lanes)
+
+    def second_fails(lo, k):   # the caller's second block, run while it waits
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)
+        elif lo == 0:
+            time.sleep(0.01)   # the helpers start their blocks meanwhile
+        elif lo % (4 * lanes) == 0:
+            raise ArithmeticError("the caller's block failed")
+
+    for run in (lambda: implication_harness(f, cfg(), pairs),
+                lambda: sigma_star_estimate(f, pairs, cfg()),
+                lambda: list(conditions._in_lanes(second_fails, 64))):
+        started = len(helper_blocks)
+        with pytest.raises(ArithmeticError, match="the caller's block failed"):
+            run()
+        assert len(helper_blocks) > started
+        assert all(future.done() for _, future in helper_blocks)
 
 
 @pytest.mark.parametrize("lanes", [2, 3])
 def test_segment_margins_early_exit_leaves_no_chunk_running(
-        monkeypatch, rng, helper_chunks, lanes):
-    # a consumer that stops early (margin_a's one-chunk unpack, a break,
-    # close()) leaves no chunk running, and the next stream gives the
-    # same margins
+        monkeypatch, rng, helper_blocks, lanes):
+    # segment_margins runs on the calling thread at any number of lanes,
+    # and a consumer that stops early (margin_a's one-chunk unpack, a
+    # break, close()) leaves the next stream the same margins
     monkeypatch.setattr(conditions, "LANES", lanes)
     monkeypatch.setattr(conditions, "SEGMENT_CHUNK", 65 * 8 * lanes)   # 8 pairs a chunk
     f = catalog_field("sqnorm", 3)
@@ -459,26 +497,85 @@ def test_segment_margins_early_exit_leaves_no_chunk_running(
     lams = np.asarray(c.lambda_grid)[:, None]
 
     def stream():
-        return conditions.segment_margins(f, [(X, Y)], lams, c.sigma, c.penalty_norm)
+        return conditions.segment_margins(f, X, Y, lams, c.sigma, c.penalty_norm)
 
     full = [m.copy() for _, m, _ in stream()]
     assert len(full) == 13
-    started = len(helper_chunks)
     margin_a(f, X[0], Y[0], 0.5, c)
-    assert len(helper_chunks) == started    # one chunk: the calling thread alone
     for _, m, _ in stream():
         first = m.copy()
         break
     assert np.array_equal(first, full[0])
-    assert all(chunk.done() for chunk in helper_chunks)
     chunks = stream()
     next(chunks)
     next(chunks)
     chunks.close()
-    assert len(helper_chunks) > started
-    assert all(chunk.done() for chunk in helper_chunks)
     again = [m.copy() for _, m, _ in stream()]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(again, full))
+    assert helper_blocks == []
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_lanes_run_block_i_in_lane_i_mod_lanes(monkeypatch, helper_blocks, lanes):
+    # blocks come back in order, block i runs on a helper iff i % LANES,
+    # at most LANES blocks are in flight (started and not yet consumed),
+    # and a stream closed early leaves no block running
+    monkeypatch.setattr(conditions, "LANES", lanes)
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", 3 * lanes)   # blocks of 3 pairs
+    caller = threading.current_thread()
+    started, ran_on = [], {}
+
+    def work(lo, k):
+        started.append(lo)
+        time.sleep(0.002)
+        ran_on[lo] = threading.current_thread()
+        return lo, k
+
+    blocks = [(lo, min(3, 20 - lo)) for lo in range(0, 20, 3)]
+    for i, block in enumerate(conditions._in_lanes(work, 20)):
+        assert block == blocks[i]
+        assert len(started) - i <= lanes
+    assert [block for block, _ in helper_blocks] == \
+        [block for i, block in enumerate(blocks) if i % lanes]
+    assert all(ran_on[lo] is caller for lo, _ in blocks[::lanes])
+    stream = conditions._in_lanes(work, 20)
+    next(stream)
+    stream.close()
+    assert all(future.done() for _, future in helper_blocks)
+
+
+def test_lanes_run_blocks_no_helper_has_started(monkeypatch):
+    # a helper that never wakes costs nothing: the calling thread runs
+    # every block itself
+    from concurrent.futures import Future
+
+    class Asleep:
+        def submit(self, fn, *block):
+            return Future()   # never started
+
+    monkeypatch.setattr(conditions, "_helpers", Asleep)
+    monkeypatch.setattr(conditions, "LANES", 2)
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", 4)
+    caller = threading.current_thread()
+    out = list(conditions._in_lanes(lambda lo, k: (lo, k, threading.current_thread()), 9))
+    assert out == [(0, 2, caller), (2, 2, caller), (4, 2, caller), (6, 2, caller),
+                   (8, 1, caller)]
+
+
+def test_lane_count_honours_the_cpu_quota(monkeypatch):
+    # min(2, the CPUs of the affinity mask, the cgroup v2 quota rounded up);
+    # a quota of "max" and a missing, unreadable or malformed file limit
+    # nothing
+    assert isinstance(conditions._cpu_max(), str)
+    for cpus, quota, lanes in ((4, "max 100000\n", 2), (4, "50000 100000\n", 1),
+                               (4, "150000 100000\n", 2), (4, "400000 100000\n", 2),
+                               (4, "", 2), (4, "x 100000", 2), (4, "100000 0", 2),
+                               (1, "max 100000\n", 1), (1, "150000 100000\n", 1)):
+        monkeypatch.setattr(conditions.os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        monkeypatch.setattr(conditions, "_cpu_max", lambda quota=quota: quota)
+        monkeypatch.setattr(conditions, "LANES", None)   # not yet counted
+        assert conditions._lanes() == lanes, (cpus, quota)
 
 
 def test_is_violated_is_the_one_rule():

@@ -499,14 +499,19 @@ def test_parameter_free_programs_are_unchanged(rng):
     # and then when the strict checks and the seed argument S went (each
     # source is the one before without its check and seed-row lines), and
     # then when values lost their trailing axis of one and tangents became
-    # sparse coordinate maps, one ufunc call per line writing to registers
+    # sparse coordinate maps, one ufunc call per line writing to registers,
+    # and then with a last program whose integer powers and their
+    # derivative factors (k = 3, 5, -3 and 4, -4) lower to the sign-split
+    # `_ipow`, which no other program of the corpus reaches
     h = hashlib.sha256()
     cases = [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
-        + [(random_ast(rng, 3), 3) for _ in range(300)]
+        + [(random_ast(rng, 3), 3) for _ in range(300)] \
+        + [(parse("x1^3 - x2^5 + (x1*x2)^-3", 2), 2)]
     for e, d in cases:
         h.update(ex.compile_expr(e, d).source.encode())
+    assert "_ipow(" in ex.compile_expr(*cases[-1]).source
     assert h.hexdigest() == \
-        "06d9aed6ee526d35d178d5cf18013eaa41b493736b87b21fd6bfdc643839c1c1"
+        "2d9ace55e1157791e07e400e930f2280a47412ee34cea3e7bd657b5511f37620"
 
 
 def test_tangent_lines_grow_linearly_in_n():
