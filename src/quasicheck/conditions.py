@@ -405,10 +405,9 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     (b): premise f(x) <= f(y) + premise_tol; (c): premise
     <grad f(x), y-x> > -(sigma/2)*||x-y||^2 + premise_tol. Both share the
     conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. premise_tol
-    defaults to cfg.tol (0 makes the premises exact; adversarial search
-    uses that so reported violations are genuine and not artifacts of
-    premise rounding room). f(x) and f(y) come from the program passes
-    that give the gradients.
+    defaults to cfg.tol (0 makes the premises exact; the search uses that
+    for (b), whose premise the tolerance widens). f(x) and f(y) come from
+    the program passes that give the gradients.
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
@@ -438,11 +437,11 @@ _WITNESS_KEYS = {"b": ("fx", "fy", "pairing_y"), "c": ("pairing_x", "pairing_y")
 
 
 def verdicts_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray, cfg: CheckConfig,
-                name: str, premise_tol: float | None = None) -> list[Verdict]:
+                name: str) -> list[Verdict]:
     """Condition `name` ('b' or 'c') at each pair row of X, Y, from one
     `batch_margins_bc` call: row i's verdict is `check_b`/`check_c` at
     (X[i], Y[i]), whose witness holds views of the rows."""
-    r = batch_margins_bc(f, X, Y, cfg, premise_tol)
+    r = batch_margins_bc(f, X, Y, cfg)
     ok, premise = r[f"ok_{name}"], r[f"premise_{name}"]
     out = []
     for i in range(len(X)):
@@ -456,21 +455,19 @@ def verdicts_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray, cfg: CheckConfig,
     return out
 
 
-def check_b(f: ScalarField, x, y, cfg: CheckConfig,
-            premise_tol: float | None = None) -> Verdict:
+def check_b(f: ScalarField, x, y, cfg: CheckConfig) -> Verdict:
     """Condition (b) at one pair (see batch_margins_bc): premise
     f(x) <= f(y); conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>."""
     x, y = _checked_pair(x, y, cfg)
-    return verdicts_bc(f, x[None], y[None], cfg, "b", premise_tol)[0]
+    return verdicts_bc(f, x[None], y[None], cfg, "b")[0]
 
 
-def check_c(f: ScalarField, x, y, cfg: CheckConfig,
-            premise_tol: float | None = None) -> Verdict:
+def check_c(f: ScalarField, x, y, cfg: CheckConfig) -> Verdict:
     """Condition (c) at one pair: premise <grad f(x), y-x> >
     -(sigma/2)*||x-y||^2, enforced strictly as "> +tol"; conclusion margin
     as in check_b."""
     x, y = _checked_pair(x, y, cfg)
-    return verdicts_bc(f, x[None], y[None], cfg, "c", premise_tol)[0]
+    return verdicts_bc(f, x[None], y[None], cfg, "c")[0]
 
 
 # ---------------------------------------------------------------------------

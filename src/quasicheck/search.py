@@ -13,16 +13,14 @@ harness runs each block end to end on one lane (`conditions._in_lanes`)
 and merges the blocks in order; `check` and `sigma` hold one
 `conditions.PAIR_BLOCK` of pairs at a time.
 
-Falsification is derivative-free compass search on the
-margin with a geometric step schedule, so with a fixed seed a larger
-budget can only extend the same trajectory. One lockstep engine runs many
-independent searches at once (the restarts of one `falsify`, or every
-member of a family in `open_question_search`): each round one objective
-call scores, for every live restart of every search, up to LOOKAHEAD
-sweeps, the rest of its current sweep and the sweeps a miss runs next,
-and each search's evaluations are then charged as if its restarts had
-run one after another, each sweep up to its first improving poll, so
-every result is that of the sequential search.
+Falsification is derivative-free compass search on the margin with a
+geometric step schedule. One lockstep engine runs many independent
+searches at once (the restarts of one `falsify`, or every member of a
+family in `open_question_search`): each round one objective call scores
+a group of sweeps of every live restart of every search, and every
+scored row is charged to its search. A group's depth depends only on
+the rows its search has scored, so with a fixed seed a larger budget
+only extends the run.
 """
 
 from __future__ import annotations
@@ -140,8 +138,8 @@ def sample_pairs(s: Sampler, lo: int = 0, count: Optional[int] = None) -> np.nda
         else:  # gaussian_interior: Box-Muller from the uniform slots
             u1 = np.clip(u[:, 0, :], 1e-12, 1.0)
             u2 = u[:, 1, :]
-            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-            z2 = np.sqrt(-2.0 * np.log(u1)) * np.sin(2.0 * np.pi * u2)
+            r = np.sqrt(-2.0 * np.log(u1))
+            z, z2 = r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
             cand = np.stack([center + 0.2 * widths * z,
                              center + 0.2 * widths * z2], axis=1)
             ok = s.domain.contains(cand[:, 0]) & s.domain.contains(cand[:, 1])
@@ -160,8 +158,8 @@ def sample_pairs(s: Sampler, lo: int = 0, count: Optional[int] = None) -> np.nda
 # ---------------------------------------------------------------------------
 # Falsification: compass search on the margin
 
-# sweeps per restart that one round of the lockstep engine scores: the one
-# in progress and those a miss runs next (see `_falsify_many`)
+# the most sweeps per restart that one round of the lockstep engine scores:
+# the one in progress and those a miss runs next (see `_falsify_many`)
 LOOKAHEAD = 4
 
 
@@ -256,8 +254,9 @@ class _MarginObjective:
 
     def __call__(self, Z: np.ndarray, searches=None) -> np.ndarray:
         """Margins of the rows Z; given thetas, row i is scored at
-        parameter row thetas[searches[i]]. One kernel call scores the rows
-        of all members, per kernel chunk for target 'a'."""
+        parameter row thetas[searches[i]] (without, searches is ignored).
+        One kernel call scores the rows of all members, per kernel chunk
+        for target 'a'."""
         if self.thetas is None:
             return self._margins(self.f, Z)
         T = self.thetas[searches]
@@ -275,10 +274,11 @@ class _MarginObjective:
                 np.where((d >= cfg.min_sep) & np.isfinite(m[0]), m[0], math.inf)
                 for _, m, d in cond.segment_margins(f, X, Y, lam[None],
                                                     cfg.sigma, cfg.penalty_norm)])
-        # premise at tolerance 0: violations found here are genuine,
-        # not artifacts of the reporting premise slack
+        # (c)'s premise at +cfg.tol, as the witness re-check applies it;
+        # (b)'s tolerance widens its premise (f(x) <= f(y) + tol), so (b)
+        # keeps the exact premise, which implies the re-check's
         t = self.target
-        r = cond.batch_margins_bc(f, X, Y, cfg, 0.0)
+        r = cond.batch_margins_bc(f, X, Y, cfg, 0.0 if t == "b" else None)
         active = (r["sep"] >= cfg.min_sep) & r[f"ok_{t}"] & r[f"premise_{t}"]
         return np.where(active, r["margin"], math.inf)
 
@@ -318,126 +318,81 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
     family), all searches run by one lockstep compass engine (see
     `_MarginObjective`).
 
-    Slot s*R + k (R = budget.restarts) holds restart k of the current wave
-    of search s: its point, margin, step vector, sweep coordinate j,
-    improved flag, sweep count, evaluations and live flag. Each round
-    scores, in one objective call, a group of up to LOOKAHEAD sweeps of
-    every live slot: the polls left in its current sweep, then the full
-    sweeps from the same point that it runs next if none of those polls
-    improves, each at the step the sweeps before it leave and only while
-    the slot would still be live. The first improving poll of the group is
-    accepted and the sweeps before it end; without one the whole group
-    ends. A slot of a wave just opened polls only its start point. A
-    slot's cap is the room its search had when the wave opened less what
-    the slots before it in the wave have used so far: it cuts the group's
-    polls, it only shrinks, and a slot closes once it has used it, so each
-    restart runs at least as far as the replay can charge it. In waves
-    after the first a slot also closes once the slots before it have used
-    what its search needs to reach half its budget: the replay stops
-    before it. When a search's wave has no live slot left, its restarts are
-    replayed in order (see `falsify`) and its next wave opens unless a
-    stopping rule ends the search.
+    Slot s*R + k (R = budget.restarts) holds restart k of search s's
+    current wave. Each round scores, in one objective call, a group of
+    sweeps of every live slot: the rest of its current sweep, then the
+    whole sweeps it runs next if those polls miss, each while the slot
+    would still be live. The group is one sweep deep, and one sweep deeper
+    for each R * LOOKAHEAD * 2 * nvars rows its search has scored, up to
+    LOOKAHEAD sweeps. In its wave's first round a slot scores only its
+    start point.
     """
     if not len(seeds):
         return []
     obj = _MarginObjective(f, target, cfg, thetas)
     S, R, nv = len(seeds), budget.restarts, obj.nvars
-    N = S * R
     P, G = 2 * nv, LOOKAHEAD      # polls per sweep, sweeps per group
     span = obj.upper - obj.lower
-    step0 = budget.init_step_frac * span
     half = budget.max_evals // 2
 
+    N = S * R
     Z = np.zeros((N, nv))
     val = np.empty(N)
     step = np.zeros((N, nv))
     j = np.zeros(N, dtype=np.int64)
     sweeps = np.zeros(N, dtype=np.int64)
-    used = np.zeros(N, dtype=np.int64)
     improved = np.zeros(N, dtype=bool)
     live = np.zeros(N, dtype=bool)
     fresh = np.zeros(N, dtype=bool)      # start point not scored yet
-
-    evals = [0] * S
-    wave = [-1] * S
-    best_val = [math.inf] * S
-    best_z = [None] * S
+    evals = np.zeros(S, dtype=np.int64)      # rows scored
+    wave = np.full(S, -1)
     running = np.ones(S, dtype=bool)
-    room = np.zeros(S, dtype=np.int64)       # evaluations left at wave open
-    # a slot closes once the slots before it in its wave have used this many
-    discard = np.zeros(S, dtype=np.int64)
-    opened = np.zeros(S, dtype=np.int64)     # round the wave opened in
-    # accepted points of round base + i: (slots, evaluations, margins, points)
-    history = []
-    base = 0
+    best_val = np.full(S, math.inf)
+    best_z = np.zeros((S, nv))
 
     def open_wave(s):
-        nonlocal scored_fresh
-        w = wave[s] = wave[s] + 1
+        # the R start points of the wave: one draw from the search's
+        # Philox stream 3 (the sampler's are 0-2) at the wave's counter
+        wave[s] += 1
+        bg = np.random.Philox(key=int(seeds[s]) & 0xFFFFFFFFFFFFFFFF,
+                              counter=[0, 0, 3, wave[s]])
         sl = slice(s * R, s * R + R)
-        Z[sl] = obj.lower + np.array([
-            np.random.default_rng(np.random.SeedSequence(
-                entropy=seeds[s], spawn_key=(r,))).random(nv)
-            for r in range(w * R, w * R + R)]) * span
-        step[sl] = step0
-        j[sl] = sweeps[sl] = used[sl] = 0
+        Z[sl] = obj.lower + np.random.Generator(bg).random((R, nv)) * span
+        val[sl] = math.inf
+        step[sl] = budget.init_step_frac * span
+        j[sl] = sweeps[sl] = 0
         improved[sl] = False
-        live[sl] = fresh[sl] = scored_fresh = True
-        room[s] = budget.max_evals - evals[s]
-        # the first wave keeps every restart its cap allows
-        discard[s] = half - evals[s] if w else room[s]
-        opened[s] = base + len(history)
+        live[sl] = fresh[sl] = True
 
-    def accepted_at(s, i, limit):
-        """Slot i's last accepted point within `limit` evaluations."""
-        for slots, n, v, z in reversed(history[opened[s] - base:]):
-            k = ((slots == i) & (n <= limit)).nonzero()[0]
-            if k.size:
-                return v[k[-1]], z[k[-1]]
-
-    def replay(s):
-        w = wave[s]
-        for k in range(R):
-            i = s * R + k
-            left = budget.max_evals - evals[s]
-            n = int(used[i])
-            evals[s] += min(n, left)
-            v, z = (val[i], Z[i]) if n <= left else accepted_at(s, i, left)
-            if v < best_val[s]:
-                best_val[s], best_z[s] = float(v), z.copy()
-            if (evals[s] >= budget.max_evals
-                    or (w * R + k + 1 >= R and evals[s] >= half)):
-                running[s] = False
-                return
-        if w == 3:   # 4 * restarts restarts have run
-            running[s] = False
-        else:
-            open_wave(s)
-
-    scored_fresh = False     # a wave opened since the last round
     for s in range(S):
         open_wave(s)
     while True:
-        U = used.reshape(S, R)
-        incl = U.cumsum(axis=1)
-        take = room[:, None] - incl
-        live &= ((take > 0) & (incl - U < discard[:, None])).ravel()
-        ended = (running & ~live.reshape(S, R).any(axis=1)).nonzero()[0]
-        if ended.size:
-            for s in ended:
-                replay(s)
-            if not running.any():
-                break
-            drop = int(opened[running].min()) - base
-            del history[:drop]
-            base += drop
-            take = room[:, None] - used.reshape(S, R).cumsum(axis=1)
+        # a search scores at most max_evals rows, and the slots of its
+        # waves after the first close once it has scored half of them
+        live &= np.repeat((evals < budget.max_evals)
+                          & ((wave == 0) | (evals < half)), R)
+        for s in (running & ~live.reshape(S, R).any(axis=1)).nonzero()[0]:
+            # the wave's smallest margin, at its lowest slot, replaces the
+            # best point only if it is smaller: ties go to the earlier wave
+            k = s * R + int(val[s * R:s * R + R].argmin())
+            if val[k] < best_val[s]:
+                best_val[s], best_z[s] = val[k], Z[k]
+            running[s] = evals[s] < half and wave[s] < 3
+            if running[s]:
+                open_wave(s)
+        if not running.any():
+            break
         L = live.nonzero()[0]
         ar = np.arange(L.size)
+        owner = L // R
+        # a group is one sweep deep, and one sweep deeper for each R * G * P
+        # rows (a round of whole groups) its search has scored, up to G: the
+        # rows a group scores after its hit are lost, and hits come often
+        # early in a search
+        depth = np.minimum(1 + evals[owner] // (R * G * P), G)
         # the step of each live slot after g = 0..G sweeps without a hit:
-        # the running product of the decays, as the sequential search
-        # multiplies its step in place (a sweep that improved keeps its
-        # step); and whether the slot is still live then
+        # the running product of the decays (a sweep that improved keeps
+        # its step); and whether the slot is still live then
         imp = improved[L]
         steps = np.empty((L.size, G + 1, nv))
         steps[:, 0] = step[L]
@@ -455,33 +410,33 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         cand, pending = obj.poll_points(np.repeat(Z[L], G, axis=0),
                                         steps[:, :G].reshape(-1, nv), jg.ravel())
         cand = cand.reshape(L.size, G * P, nv)
+        scored = alive[:, :G] & (np.arange(G) < depth[:, None])
         pending = (pending.reshape(L.size, G, P)
-                   & alive[:, :G, None]).reshape(L.size, G * P)
+                   & scored[:, :, None]).reshape(L.size, G * P)
         F = fresh[L]
-        if scored_fresh:
+        if F.any():
             cand[F, 0] = Z[L[F]]
             pending[F] = False
             pending[F, 0] = True
-        # one objective call scores every live slot's group, each cut to
-        # the slot's cap
+            fresh[L] = False
+        # each search's polls, slot by slot, cut to the rows it has left;
+        # every scored row is charged
         cs = pending.cumsum(axis=1)
-        polls = pending & (cs <= take.reshape(N)[L, None])
+        before = cs[:, -1].cumsum() - cs[:, -1]   # polls of the slots before
+        left = budget.max_evals - evals[owner] \
+            - (before - before[np.searchsorted(owner, owner)])
+        polls = pending & (cs <= left[:, None])
+        np.add.at(evals, owner, polls.sum(axis=1))
         V = np.full(polls.shape, math.inf)
-        if polls.any():
-            rows = cand[polls]
-            # each poll belongs to the search of its slot
-            V[polls] = obj(rows) if thetas is None \
-                else obj(rows, L[polls.nonzero()[0]] // R)
-        # the first improving poll of each slot is accepted and charged up
-        # to (a start point is always accepted); a slot without one is
-        # charged its polls
+        if polls.any():   # each poll is scored at its search's member
+            V[polls] = obj(cand[polls], owner[polls.nonzero()[0]])
+        # the first improving poll of each slot is accepted (a start point
+        # always is); a hit in sweep m ends the m sweeps before it, and a
+        # slot without one ends the depth sweeps of its group
         hit = V < val[L, None]
         first = hit.argmax(axis=1)
         has = hit[ar, first] | F
-        used[L] += np.where(has, cs[ar, first], polls.sum(axis=1))
-        # a hit in sweep m ends the m sweeps before it; a slot without one
-        # ends its whole group
-        m = np.where(has, first // P, G)
+        m = np.where(has, first // P, depth)
         step[L] = steps[ar, m]
         sweeps[L] += m
         live[L] = alive[ar, m]
@@ -489,13 +444,8 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         improved[L] = moved
         j[L] = np.where(moved, first % P // 2 + 1, 0)
         acc = has.nonzero()[0]
-        fa = first[acc]
-        za, va = cand[acc, fa], V[acc, fa]
-        Z[L[acc]] = za
-        val[L[acc]] = va
-        history.append((L[acc], used[L[acc]], va, za))
-        if scored_fresh:
-            fresh[:] = scored_fresh = False
+        Z[L[acc]] = cand[acc, first[acc]]
+        val[L[acc]] = V[acc, first[acc]]
         # a hit on the last coordinate ends its sweep, which improved
         E = L[j[L] == nv]
         sweeps[E] += 1
@@ -505,15 +455,14 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
 
     # one re-check of every search's best point, each at its own member
     found = [s for s in range(S) if math.isfinite(best_val[s])]
-    witness = dict(zip(found, obj.witnesses(np.array([best_z[s] for s in found]),
-                                            found))) if found else {}
+    witness = dict(zip(found, obj.witnesses(best_z[found], found))) if found else {}
     results = []
     for s in range(S):
-        v = best_val[s]
+        v = float(best_val[s])
         finite = math.isfinite(v)
         results.append(FalsificationResult(
             target=target, sigma=cfg.sigma, best_margin=v if finite else math.nan,
-            witness=witness.get(s), evaluations=evals[s],
+            witness=witness.get(s), evaluations=int(evals[s]),
             violation_found=finite and bool(cond.is_violated(v, cfg.tol))))
     return results
 
@@ -524,23 +473,24 @@ def falsify(f: ScalarField, target: str, cfg: CheckConfig,
     condition; a negative best margin is a confirmed violation witness.
     Never claims nonexistence: it reports the best found within budget.
 
-    The result is that of running the restarts one after another, each a
-    compass search from a seeded random point, capped by the evaluations
-    left, and stopping after a restart once at least `budget.restarts`
-    have run and half the budget is spent, or once 4 * `budget.restarts`
-    have run. A sweep polls each coordinate in turn, +step before -step,
-    and moves to the first point that improves; the next coordinate is
-    polled from there, and a sweep without a move decays the step. The
-    search runs on the lockstep engine (`_falsify_many`): the restarts run
-    in waves of `budget.restarts`, each round scoring up to LOOKAHEAD
-    sweeps of every live restart in one objective call (the rest of its
-    current sweep, then the sweeps it runs next if those polls miss) and
-    charging each restart only up to its first hit, and the sequential
-    accounting is then replayed in restart order. A capped restart's
-    trajectory is a prefix of its uncapped one, so with C evaluations left
-    a restart is charged min(its evaluations, C) and ends at its last
-    point accepted within C. Waves after the first are speculative; the
-    replay discards the restarts the stopping rules exclude.
+    The budget counts rows scored: each point whose margin is computed is
+    one evaluation. The restarts run in waves of `budget.restarts`, each a
+    compass search from a seeded random point. A sweep polls each
+    coordinate in turn, +step before -step, and moves to the first point
+    that improves; the next coordinate is polled from there, and a sweep
+    without a move decays the step. A restart ends once its step is below
+    `budget.min_step` or it has run `budget.max_iters` sweeps. The
+    restarts of a wave run in lockstep rounds (`_falsify_many`), each
+    scoring a group of up to LOOKAHEAD sweeps of every restart, one sweep
+    deep at first and deeper as the search scores rows; when a round's
+    polls exceed the evaluations left they are cut in restart order. Three
+    rules stop the search: it scores at most `budget.max_evals` rows; when
+    a wave ends, the next opens only while fewer than `max_evals // 2`
+    rows are scored and fewer than 4 waves have run; and the restarts of
+    waves after the first stop once `max_evals // 2` rows are scored. The
+    best point is the smallest margin any restart accepted, the earlier
+    wave and then the lower restart winning ties. With a fixed seed a
+    larger budget only extends the run.
     """
     return _falsify_many(f, target, cfg, budget, [seed])[0]
 
@@ -691,10 +641,9 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     (c) found no violation; and re-verify (c) with a 10x budget on the
     members whose (a) violation reaches depth <= -10*tol. A member whose
     (c) stays violation-free and whose (a) witness re-checks at that depth
-    is a candidate. Each engine call runs the family's one program, each
-    search at its own parameter row; each member keeps the seeds and
-    budgets it would get searched on its own. Candidates are evidence,
-    never proofs.
+    is a candidate. Each member's search has its own seed and its own
+    budget of rows scored (see `falsify`), so it gives what `falsify` on
+    that member alone gives. Candidates are evidence, never proofs.
     """
     if param_samples < 1:
         raise ValueError("param_samples must be >= 1")

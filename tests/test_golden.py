@@ -28,12 +28,12 @@ GOLDEN = {
     "falsify_c_expr": (
         ["falsify", "--expr", EXPR, "--dim", "2", "--box=-1:1",
          "--target", "c", "--budget", "2000", "--seed", "7"],
-        "4b7e4342a74b852f8dfb5979b8d6977f3c687073467c6ee3cc92a0fb37803769",
+        "deb685f1047fd506ede1c8ffe1ab9c92ab78dd2c0f6174e4e84590f56ae2a53c",
     ),
     "falsify_a_pow_abs": (
         ["falsify", "--expr", POW_ABS, "--dim", "2", "--box=-1:1",
          "--target", "a", "--budget", "2000", "--seed", "7"],
-        "5c8f9c8ef9579a755102c130afeb5357f97de572b2207035a86d1c06f33448c8",
+        "ee445ee497ea4c82f1d1206a8cf080db8f9a6e3a55164f89010e6f5018454cf6",
     ),
     "check_pow_abs": (
         ["check", "--expr", POW_ABS, "--dim", "2", "--box=-1:1",

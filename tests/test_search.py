@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -6,12 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicheck import conditions as cond
 from quasicheck import search
 from quasicheck.cli import main
-from quasicheck.conditions import (CheckConfig, check_b, check_c, margin_a,
-                                   sigma_star_estimate)
+from quasicheck.conditions import (VACUOUS, CheckConfig, check_b, check_c,
+                                   margin_a, sigma_star_estimate)
 from quasicheck.families import ExprFamily, family_by_name, shipped_families
 from quasicheck.field import (DomainBox, catalog, catalog_field,
                               make_field_from_expr)
@@ -182,12 +184,6 @@ def test_falsify_b_on_cubic_minus_x():
     assert abs(v.margin - res.best_margin) <= 1e-10
 
 
-def test_falsify_monotone_in_budget():
-    f = catalog_field("sin", 1)
-    cfg = CheckConfig()
-    small = falsify(f, "a", cfg, SearchBudget(max_evals=500), seed=11)
-    large = falsify(f, "a", cfg, SearchBudget(max_evals=5000), seed=11)
-    assert large.best_margin <= small.best_margin
 
 
 def test_falsify_deterministic():
@@ -204,14 +200,6 @@ def test_falsify_bad_target():
                 SearchBudget(), seed=1)
 
 
-def _polls(obj, z, step, j):
-    """The pending polls of one point from coordinate j (see
-    `_MarginObjective.poll_points`). Returns (points, coordinate of each
-    point)."""
-    points, pending = obj.poll_points(z[None], step[None], np.array([j]))
-    return points[0, pending[0]], obj.coord[pending[0]]
-
-
 def _witness_alone(f, target, cfg, z):
     """The witness at the packed point z, re-checked on the field f alone:
     one-point values for target 'a', `check_b`/`check_c` for 'b'/'c'."""
@@ -223,66 +211,93 @@ def _witness_alone(f, target, cfg, z):
     return (check_b if target == "b" else check_c)(f, x, y, cfg).witness
 
 
-def _sequential_falsify(f, target, cfg, budget, seed):
-    """Reference for `falsify`: the restarts run one after another, each
-    capped by the evaluations left, and each sweep's remaining polls are
-    scored as one batch. Returns the result and the number of restarts
-    run."""
-    obj = _MarginObjective(f, target, cfg)
-    span = obj.upper - obj.lower
-    evals = 0
-    best_val = math.inf
-    best_z = None
-    restart = 0
-    while evals < budget.max_evals:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
-        z = obj.lower + rng.random(obj.nvars) * span
-        val = float(obj(z[None])[0])
-        evals += 1
-        step = budget.init_step_frac * span.copy()
-        iters = 0
-        while evals < budget.max_evals and iters < budget.max_iters:
-            iters += 1
-            improved = False
-            j = 0
-            while j < obj.nvars and evals < budget.max_evals:
-                Z, coord = _polls(obj, z, step, j)
-                limit = budget.max_evals - evals
-                Z, coord = Z[:limit], coord[:limit]
-                if not coord.size:
-                    break
-                vals = obj(Z)
-                hit = np.flatnonzero(vals < val)
-                if not hit.size:
-                    evals += coord.size
-                    break
-                i = int(hit[0])
-                evals += i + 1
-                z, val = Z[i], float(vals[i])
-                improved = True
-                j = int(coord[i]) + 1
+def _restart_round(obj, r, budget, left, depth):
+    """One round of the restart r (a dict) with `left` rows to spend: its
+    start point, or the polls of `depth` sweeps, sweep after sweep, each
+    ending without a hit before the next starts, cut to `left` and scored
+    in one call; the first improving poll is accepted. Returns the rows
+    scored."""
+    if r["fresh"]:
+        r["fresh"] = False
+        if left < 1:
+            return 0
+        r["val"] = float(obj(r["z"][None])[0])
+        return 1
+    z, step, sweeps, improved, j = r["z"], r["step"], r["sweeps"], r["improved"], r["j"]
+    polls, alive = [], True     # (point, coordinate, step, sweeps) per poll
+    for g in range(depth + 1):
+        if g:   # the sweep before missed and ends here
             if not improved:
-                step *= budget.step_decay
-                if np.max(step) < budget.min_step:
-                    break
-        if val < best_val:
-            best_val = val
-            best_z = z
-        restart += 1
-        if restart >= budget.restarts and evals >= budget.max_evals // 2:
-            break
-        if restart >= 4 * budget.restarts:
-            break
-    witness = None
-    if best_z is not None and math.isfinite(best_val):
-        witness = _witness_alone(f, target, cfg, best_z)
-    found = math.isfinite(best_val) and bool(cond.is_violated(best_val, cfg.tol))
+                step = step * budget.step_decay
+                alive = step.max() >= budget.min_step
+            sweeps += 1
+            alive = alive and sweeps < budget.max_iters
+            improved, j = False, 0
+            if not alive or g == depth:
+                break
+        for c in range(j, obj.nvars):
+            for sign in (1.0, -1.0):
+                moved = min(max(z[c] + sign * step[c], obj.lower[c]), obj.upper[c])
+                if moved != z[c]:
+                    p = z.copy()
+                    p[c] = moved
+                    polls.append((p, c, step, sweeps))
+    polls = polls[:max(left, 0)]
+    V = obj(np.array([p for p, *_ in polls])) if polls else np.empty(0)
+    hits = np.flatnonzero(V < r["val"])
+    if not hits.size:
+        r.update(step=step, sweeps=sweeps, improved=False, j=0, live=alive)
+        return len(polls)
+    i = int(hits[0])
+    r["z"], c, r["step"], r["sweeps"] = polls[i]
+    r.update(val=float(V[i]), j=c + 1, improved=True)
+    if r["j"] == obj.nvars:   # the hit ends its sweep, which improved
+        r.update(sweeps=r["sweeps"] + 1, improved=False, j=0,
+                 live=r["sweeps"] + 1 < budget.max_iters)
+    return len(polls)
+
+
+def _restart_by_restart(f, target, cfg, budget, seed):
+    """Reference for `falsify` without lockstep arrays, which the
+    `*_match_sequential` tests compare it with: each round the live
+    restarts of the current wave run one after another (`_restart_round`),
+    each with the rows the search has left, all with the group depth of
+    the rows scored when the round began. Returns the result and the
+    number of waves run."""
+    obj = _MarginObjective(f, target, cfg)
+    R, nv = budget.restarts, obj.nvars
+    half = budget.max_evals // 2
+    evals, best_val, best_z = 0, math.inf, None
+    wave, restarts = -1, []
+    while True:
+        if evals >= budget.max_evals or (wave > 0 and evals >= half):
+            for r in restarts:
+                r["live"] = False
+        if not any(r["live"] for r in restarts):
+            for r in restarts:   # in restart order, after the earlier waves
+                if r["val"] < best_val:
+                    best_val, best_z = r["val"], r["z"]
+            if restarts and (wave == 3 or evals >= half):
+                break
+            wave += 1
+            bg = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF, counter=[0, 0, 3, wave])
+            u = np.random.Generator(bg).random((R, nv))
+            restarts = [dict(z=obj.lower + u[k] * (obj.upper - obj.lower),
+                             val=math.inf, step=budget.init_step_frac * (obj.upper - obj.lower),
+                             sweeps=0, improved=False, j=0, live=True, fresh=True)
+                        for k in range(R)]
+        G = search.LOOKAHEAD
+        depth = min(1 + evals // (R * G * 2 * nv), G)
+        for r in restarts:
+            if r["live"]:
+                evals += _restart_round(obj, r, budget, budget.max_evals - evals, depth)
+    finite = math.isfinite(best_val)
     return FalsificationResult(
-        target=target, sigma=cfg.sigma,
-        best_margin=best_val if math.isfinite(best_val) else math.nan,
-        witness=witness, evaluations=evals, violation_found=found,
-    ), restart
+        target=target, sigma=cfg.sigma, best_margin=best_val if finite else math.nan,
+        witness=_witness_alone(f, target, cfg, best_z) if finite else None,
+        evaluations=evals,
+        violation_found=finite and bool(cond.is_violated(best_val, cfg.tol)),
+    ), wave + 1
 
 
 def _assert_same_result(res, ref):
@@ -298,6 +313,11 @@ def _assert_same_result(res, ref):
 EXPR_FIELD = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
                                   DomainBox.cube(-1, 1, 2))
 
+# the `*_match_sequential` falsify tests below compare the lockstep engine,
+# bit for bit, with `_restart_by_restart`, whose restarts of a round run
+# one after another; the open-question ones compare it with
+# `_member_by_member`, whose members run one after another
+
 
 @pytest.mark.parametrize("max_evals", [50, 300, 3000])
 @pytest.mark.parametrize("restarts", [1, 3, 8])
@@ -308,16 +328,15 @@ def test_falsify_matches_sequential_restarts(target, restarts, max_evals):
     budget = SearchBudget(max_evals=max_evals, restarts=restarts)
     for seed in (4, 9):
         res = falsify(EXPR_FIELD, target, cfg, budget, seed=seed)
-        ref, _ = _sequential_falsify(EXPR_FIELD, target, cfg, budget, seed)
+        ref, _ = _restart_by_restart(EXPR_FIELD, target, cfg, budget, seed)
         _assert_same_result(res, ref)
         assert res.evaluations <= max_evals
 
 
 @pytest.mark.parametrize("target", ["a", "b", "c"])
 def test_falsify_short_restarts_match_sequential(target):
-    # with a few sweeps per restart, restarts before the one the budget
-    # cuts keep running after it has stopped, so its path reaches past its
-    # charge and its final point must be read off at the charge
+    # with a few sweeps per restart, waves end and open well inside the
+    # budget, so the cut falls on the restarts of a later wave
     cfg = CheckConfig(sigma=0.25)
     for max_evals in (40, 60, 80, 100, 150):
         for max_iters in (4, 6):
@@ -325,7 +344,7 @@ def test_falsify_short_restarts_match_sequential(target):
                                   max_iters=max_iters)
             for seed in range(5):
                 res = falsify(EXPR_FIELD, target, cfg, budget, seed=seed)
-                ref, _ = _sequential_falsify(EXPR_FIELD, target, cfg, budget,
+                ref, _ = _restart_by_restart(EXPR_FIELD, target, cfg, budget,
                                              seed)
                 _assert_same_result(res, ref)
 
@@ -334,24 +353,42 @@ def test_falsify_short_restarts_match_sequential(target):
 def test_falsify_stopping_rules_match_sequential(target):
     f = catalog_field("cubic_minus_x", 1)
     cfg = CheckConfig()
-    # short restarts: 4 * restarts of them spend under half the budget
+    # short restarts: 4 waves of them spend under half the budget
     capped = SearchBudget(max_evals=100_000, restarts=2, max_iters=3)
     res = falsify(f, target, cfg, capped, seed=6)
-    ref, ran = _sequential_falsify(f, target, cfg, capped, 6)
+    ref, waves = _restart_by_restart(f, target, cfg, capped, 6)
     _assert_same_result(res, ref)
-    assert ran == 4 * capped.restarts
+    assert waves == 4
     assert ref.evaluations < capped.max_evals // 2
-    # half the budget is spent in a later, speculative wave
-    half = SearchBudget(max_evals=150, restarts=3, max_iters=3)
-    res = falsify(f, target, cfg, half, seed=6)
-    ref, ran = _sequential_falsify(f, target, cfg, half, 6)
+    # half the budget is spent in a wave after the first, whose restarts
+    # then stop before the budget is
+    half = SearchBudget(max_evals=300, restarts=3, max_iters=3)
+    res = falsify(f, target, cfg, half, seed=0)
+    ref, waves = _restart_by_restart(f, target, cfg, half, 0)
     _assert_same_result(res, ref)
-    assert half.restarts < ran < 4 * half.restarts
+    assert 1 < waves < 4
     assert half.max_evals // 2 <= ref.evaluations < half.max_evals
 
 
+def test_falsify_ties_go_to_the_earliest_restart():
+    # every (a) margin of a constant field is 0, so no restart of the four
+    # waves moves and all tie: the best point is restart 0's start point
+    # of the first wave
+    f = catalog_field("const", 2)
+    budget = SearchBudget(max_evals=100_000, restarts=3, max_iters=2)
+    res = falsify(f, "a", CheckConfig(), budget, seed=8)
+    ref, waves = _restart_by_restart(f, "a", CheckConfig(), budget, 8)
+    _assert_same_result(res, ref)
+    assert waves == 4 and res.best_margin == 0.0
+    obj = _MarginObjective(f, "a", CheckConfig())
+    u = np.random.Generator(np.random.Philox(key=8, counter=[0, 0, 3, 0])).random(obj.nvars)
+    start = obj.lower + u * (obj.upper - obj.lower)
+    w = res.witness
+    assert np.array_equal(np.concatenate([w.x, w.y, [w.lam]]), start)
+
+
 # schedules whose sweeps end inside one round's group of LOOKAHEAD sweeps:
-# a non-dyadic decay, whose steps must be the sequential search's repeated
+# a non-dyadic decay, whose steps must be the reference's repeated
 # products; max_iters and min_step reached after a group's first sweep; a
 # first step of twice the box, whose polls clip to its faces
 GROUP_SCHEDULES = [dict(step_decay=0.3), dict(max_iters=5),
@@ -364,14 +401,14 @@ GROUP_SCHEDULES = [dict(step_decay=0.3), dict(max_iters=5),
                          ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 @pytest.mark.parametrize("target", ["a", "b", "c"])
 def test_falsify_lookahead_groups_match_sequential(target, schedule):
-    # budgets of 60 to 300 evaluations cap a restart inside a speculative
-    # sweep of its group
+    # budgets of 60 to 300 evaluations cut a restart's group inside one
+    # of its later sweeps
     cfg = CheckConfig(sigma=0.25)
     for max_evals in (60, 110, 300, 3000):
         budget = SearchBudget(max_evals=max_evals, restarts=3, **schedule)
         for seed in range(3):
             res = falsify(EXPR_FIELD, target, cfg, budget, seed=seed)
-            ref, _ = _sequential_falsify(EXPR_FIELD, target, cfg, budget, seed)
+            ref, _ = _restart_by_restart(EXPR_FIELD, target, cfg, budget, seed)
             _assert_same_result(res, ref)
 
 
@@ -390,82 +427,142 @@ def test_falsify_clipped_sweeps_match_sequential():
                                   min_step=1e-18)
             for seed in range(2):
                 res = falsify(f, target, cfg, budget, seed=seed)
-                ref, _ = _sequential_falsify(f, target, cfg, budget, seed)
+                ref, _ = _restart_by_restart(f, target, cfg, budget, seed)
                 _assert_same_result(res, ref)
 
 
-def test_falsify_cap_cuts_the_lookahead_group(monkeypatch):
+@contextlib.contextmanager
+def _scored():
+    """Inside the block, the rows of every objective call and the search
+    of each row (0 without parameter rows), one array per call."""
+    calls, searches = [], []
+    score = _MarginObjective.__call__
+
+    def counted(obj, Z, s=None):
+        calls.append(Z.copy())
+        searches.append(np.zeros(len(Z), dtype=np.int64) if s is None else s.copy())
+        return score(obj, Z, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_MarginObjective, "__call__", counted)
+        yield calls, searches
+
+
+SEARCH_FIELDS = {"const": catalog_field("const", 2), "EXPR": EXPR_FIELD}
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(sorted(SEARCH_FIELDS)), target=st.sampled_from("abc"),
+       max_evals=st.integers(1, 300), restarts=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 64 + 7))
+def test_falsify_charges_every_scored_row(field, target, max_evals, restarts, seed):
+    budget = SearchBudget(max_evals=max_evals, restarts=restarts)
+    with _scored() as (calls, _):
+        res = falsify(SEARCH_FIELDS[field], target, CheckConfig(sigma=0.25),
+                      budget, seed)
+    assert res.evaluations == sum(map(len, calls)) <= max_evals
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(["perturbed_sqnorm", "bump_sum", "param_cubic"]),
+       target=st.sampled_from("abc"), max_evals=st.integers(1, 300),
+       seed=st.integers(0, 1000))
+def test_family_engine_charges_every_scored_row(name, target, max_evals, seed):
+    # each search of one engine call is charged the rows scored for it
+    fam = family_by_name(name)
+    box = fam.param_box
+    thetas = box.lower + np.random.default_rng(seed).random((5, box.dim)) * box.widths
+    f = search.ScalarField(fam.name, fam.program, fam.domain)
+    with _scored() as (_, searches):
+        results = _falsify_many(f, target, CheckConfig(), SearchBudget(max_evals=max_evals),
+                                [seed + k for k in range(5)], thetas)
+    per_search = np.bincount(np.concatenate(searches), minlength=5)
+    assert [r.evaluations for r in results] == per_search.tolist()
+    assert per_search.max() <= max_evals
+
+
+def _is_subsequence(rows, of):
+    """Whether the rows appear in `of` in the same order."""
+    it = iter(map(bytes, of))
+    return all(any(r == o for o in it) for r in map(bytes, rows))
+
+
+@settings(max_examples=30, deadline=None)
+@given(target=st.sampled_from("abc"), small=st.integers(1, 600),
+       extra=st.integers(1, 600), seed=st.integers(0, 1000))
+def test_falsify_monotone_in_budget(target, small, extra, seed):
+    # with the seed fixed, a larger budget only extends the run: the
+    # smaller run's objective calls are the larger run's first calls, its
+    # last call cut to a subsequence, so every point it accepts the larger
+    # run accepts too, and the best margin never rises with the budget
+    cfg = CheckConfig(sigma=0.25)
+    with _scored() as (a, _):
+        res_small = falsify(EXPR_FIELD, target, cfg, SearchBudget(max_evals=small), seed)
+    with _scored() as (b, _):
+        res_large = falsify(EXPR_FIELD, target, cfg,
+                            SearchBudget(max_evals=small + extra), seed)
+    k = len(a)
+    assert k <= len(b)
+    assert all(np.array_equal(x, y) for x, y in zip(a[:k - 1], b))
+    if k:
+        assert _is_subsequence(a[-1], b[k - 1])
+    if math.isfinite(res_small.best_margin):
+        assert res_large.best_margin <= res_small.best_margin
+
+
+def test_falsify_cap_cuts_the_lookahead_group():
     # (c) is vacuous everywhere on a constant field at sigma 0, so no poll
-    # improves and one restart is charged every row it scores; the budgets
-    # put the cap at every poll of the first three groups
+    # improves and the one restart polls whole groups until the cap; the
+    # budgets put the cap at every poll of the first three groups
     f = catalog_field("const", 2)
-    rows = []
-    score = _MarginObjective.__call__
-
-    def counted(self, Z, *members):
-        rows.append(len(Z))
-        return score(self, Z, *members)
-
-    monkeypatch.setattr(_MarginObjective, "__call__", counted)
     for max_evals in range(2, 100):
-        rows.clear()
-        res = falsify(f, "c", CheckConfig(), SearchBudget(max_evals=max_evals,
-                                                          restarts=1), seed=1)
-        assert sum(rows) == res.evaluations == max_evals
+        with _scored() as (calls, _):
+            res = falsify(f, "c", CheckConfig(),
+                          SearchBudget(max_evals=max_evals, restarts=1), seed=1)
+        assert sum(map(len, calls)) == res.evaluations == max_evals
 
 
-def test_falsify_expr_takes_at_most_90_objective_calls(monkeypatch, tmp_path):
+def test_falsify_expr_takes_at_most_90_objective_calls(tmp_path):
     # the lockstep engine scores up to LOOKAHEAD sweeps of each restart per
-    # objective call: 69 calls on this command, 171 with one sweep a call
-    calls = []
-    score = _MarginObjective.__call__
-
-    def counted(self, Z, *members):
-        calls.append(len(Z))
-        return score(self, Z, *members)
-
-    monkeypatch.setattr(_MarginObjective, "__call__", counted)
-    main(["falsify", "--expr", "x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", "--dim",
-          "2", "--box=-1:1", "--target", "c", "--budget", "10000", "--seed",
-          "1", "--out", str(tmp_path / "report.json")])
+    # objective call: 49 calls on this command, 127 with one sweep a call
+    with _scored() as (calls, _):
+        main(["falsify", "--expr", "x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", "--dim",
+              "2", "--box=-1:1", "--target", "c", "--budget", "10000", "--seed",
+              "1", "--out", str(tmp_path / "report.json")])
     assert len(calls) <= 90
+
+
+# restarts, max_iters and seed of a search whose first wave of short
+# restarts stops just below max_evals // 2 rows
+JUST_BELOW_HALF = {"a": (4, 3, 13), "b": (4, 3, 10), "c": (4, 3, 25)}
 
 
 @pytest.mark.parametrize("target, max_evals", [("a", 184), ("b", 142),
                                                ("c", 138)])
-def test_falsify_scores_only_start_points_of_discarded_restarts(
-        monkeypatch, target, max_evals):
-    # the first wave of 6 short restarts uses max_evals // 2 - 1
-    # evaluations, so the second wave ends on the max_evals // 2 rule after
-    # its first restart; the other five restarts of that wave are discarded
-    # by the replay and must stop after their start point
+def test_falsify_scores_only_start_points_of_discarded_restarts(target, max_evals):
+    # the second wave opens, and its start points take the search to half
+    # its budget, so its restarts close after their start point and no
+    # third wave opens
+    restarts, max_iters, seed = JUST_BELOW_HALF[target]
     f = catalog_field("cubic_minus_x", 1)
-    budget = SearchBudget(max_evals=max_evals, restarts=6, max_iters=3)
-    rows = []
-    score = _MarginObjective.__call__
-
-    def counted(self, Z, *members):
-        rows.append(Z.copy())
-        return score(self, Z, *members)
-
-    monkeypatch.setattr(_MarginObjective, "__call__", counted)
-    ref, ran = _sequential_falsify(f, target, CheckConfig(), budget, 6)
-    assert ran == budget.restarts + 1
-    rows.clear()
-    _assert_same_result(falsify(f, target, CheckConfig(), budget, seed=6), ref)
-    scored = np.concatenate(rows)
+    budget = SearchBudget(max_evals=max_evals, restarts=restarts,
+                          max_iters=max_iters)
+    with _scored() as (calls, _):
+        res = falsify(f, target, CheckConfig(), budget, seed=seed)
+    scored = np.concatenate(calls)
+    assert res.evaluations == len(scored) >= max_evals // 2
     obj = _MarginObjective(f, target, CheckConfig())
-    for r in range(budget.restarts, 2 * budget.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=6,
-                                                           spawn_key=(r,)))
-        start = obj.lower + rng.random(obj.nvars) * (obj.upper - obj.lower)
-        moved = (scored != start).sum(axis=1)
-        # a poll of the start point moves one coordinate: the kept restart
-        # polls it, a discarded one scores its start point once and stops
-        if r == budget.restarts:
-            assert (moved == 1).any()
-        else:
-            assert (moved == 0).sum() == 1 and not (moved == 1).any()
+    for wave in range(3):
+        bg = np.random.Philox(key=seed, counter=[0, 0, 3, wave])
+        u = np.random.Generator(bg).random((restarts, obj.nvars))
+        for start in obj.lower + u * (obj.upper - obj.lower):
+            moved = (scored != start).sum(axis=1)
+            # a poll of a start point moves one coordinate
+            if wave == 0:
+                assert (moved == 1).any()
+            else:
+                assert (moved == 0).sum() == (wave == 1)
+                assert not (moved == 1).any()
 
 
 def test_falsify_c_evaluates_no_values():
@@ -643,7 +740,7 @@ def test_falsify_witness_rechecks_bitwise():
     f = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
                              DomainBox.cube(-1, 1, 2))
     cfg = CheckConfig(sigma=0.25)
-    for seed in (7, 11):
+    for seed in (7, 12):
         res = falsify(f, "a", cfg, SearchBudget(max_evals=2000), seed=seed)
         w = res.witness
         assert margin_a(f, w.x, w.y, w.lam, cfg) == res.best_margin
@@ -651,7 +748,7 @@ def test_falsify_witness_rechecks_bitwise():
         assert (w.fx, w.fy) == (f.value(w.x), f.value(w.y))
         res = falsify(f, "c", cfg, SearchBudget(max_evals=2000), seed=seed)
         w = res.witness
-        v = check_c(f, w.x, w.y, cfg, premise_tol=0.0)
+        v = check_c(f, w.x, w.y, cfg)
         assert v.margin == res.best_margin
         assert (v.witness.pairing_x, v.witness.pairing_y) == (w.pairing_x,
                                                               w.pairing_y)
@@ -661,14 +758,35 @@ def test_falsify_witness_rechecks_bitwise():
                    CheckConfig()).margin == res.best_margin
 
 
+@pytest.mark.parametrize("target", ["b", "c"])
+def test_falsify_bc_witnesses_recheck_at_the_default_tolerance(target):
+    # the search applies the re-check's premise (exactly for (b), whose
+    # tolerance widens it), so no witness it reports re-checks as vacuous
+    cfg = CheckConfig(sigma=1.0)
+    check = check_b if target == "b" else check_c
+    found = 0
+    for seed in range(10):
+        res = falsify(EXPR_FIELD, target, cfg, SearchBudget(max_evals=2000), seed)
+        if res.witness is None:
+            continue
+        found += 1
+        v = check(EXPR_FIELD, res.witness.x, res.witness.y, cfg)
+        assert v.status != VACUOUS
+        assert v.margin == res.best_margin
+    assert found > 0
+
+
 # ---------------------------------------------------------------------------
 # open-question campaign
 
 
-def _sequential_open_question(family, cfg, budget, seed, param_samples):
-    """Reference for `open_question_search`: the members are searched one
-    after another, each phase by `falsify`. Returns the candidates and the
-    number of members that reached the re-verification."""
+def _member_by_member(family, cfg, budget, seed, param_samples):
+    """Reference for `open_question_search`, which the open-question
+    `*_match_sequential` tests compare it with: the members are searched
+    one after another, each phase by `falsify` on the member alone, so the
+    family engine must give each member what a run on it alone gives.
+    Returns the candidates and the number of members that reached the
+    re-verification."""
     box = family.param_box
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(0xFA,)))
@@ -715,8 +833,8 @@ def test_open_question_matches_sequential(name):
     cfg = CheckConfig()
     budget = SearchBudget(max_evals=20_000)
     reverified = 0
-    for seed in (0, 1, 2, 8):   # param_cubic reaches the third phase at 8
-        ref, n = _sequential_open_question(fam, cfg, budget, seed, 16)
+    for seed in (0, 1, 2, 36):   # param_cubic reaches the third phase at 36
+        ref, n = _member_by_member(fam, cfg, budget, seed, 16)
         reverified += n
         assert _candidates_json(open_question_search(fam, cfg, budget, seed, 16)) \
             == _candidates_json(ref)
@@ -731,7 +849,7 @@ def test_open_question_lookahead_groups_match_sequential(name):
                      dict(min_step=1e-3, init_step_frac=2.0)):
         budget = SearchBudget(max_evals=4_000, restarts=3, **schedule)
         for seed in (0, 3):
-            ref, _ = _sequential_open_question(fam, CheckConfig(), budget, seed, 8)
+            ref, _ = _member_by_member(fam, CheckConfig(), budget, seed, 8)
             cands = open_question_search(fam, CheckConfig(), budget, seed, 8)
             assert _candidates_json(cands) == _candidates_json(ref)
 
@@ -739,23 +857,33 @@ def test_open_question_lookahead_groups_match_sequential(name):
 def test_open_question_candidate_matches_sequential():
     fam = family_by_name("perturbed_sqnorm")
     budget = SearchBudget(max_evals=20_000)
-    ref, _ = _sequential_open_question(fam, CheckConfig(), budget, 13, 16)
+    ref, _ = _member_by_member(fam, CheckConfig(), budget, 20, 16)
     assert len(ref) == 1
-    cands = open_question_search(fam, CheckConfig(), budget, 13, 16)
+    cands = open_question_search(fam, CheckConfig(), budget, 20, 16)
     assert _candidates_json(cands) == _candidates_json(ref)
 
 
 @pytest.mark.parametrize("chunk", [3, 3 * 7, 3 * 50])
 def test_open_question_kernel_chunks_match_sequential(monkeypatch, chunk):
     # a target-(a) batch of several members spans several kernel chunks of
-    # chunk // 3 rows; each row must still reach its own member
-    monkeypatch.setattr(cond, "SEGMENT_CHUNK", chunk)
+    # chunk // 3 rows; each row must still reach its own member, so the
+    # family engine reports what it reports at the default chunk size
     budget = SearchBudget(max_evals=4_000)
     for name, seed in (("bump_sum", 1), ("param_cubic", 2)):
         fam = family_by_name(name)
-        ref, _ = _sequential_open_question(fam, CheckConfig(), budget, seed, 8)
-        cands = open_question_search(fam, CheckConfig(), budget, seed, 8)
-        assert _candidates_json(cands) == _candidates_json(ref)
+        box = fam.param_box
+        thetas = box.lower + np.random.default_rng(seed).random((8, box.dim)) * box.widths
+        f = search.ScalarField(fam.name, fam.program, fam.domain)
+        runs = []
+        for size in (cond.SEGMENT_CHUNK, chunk):
+            monkeypatch.setattr(cond, "SEGMENT_CHUNK", size)
+            runs.append([json.dumps(r.to_json()) for r in
+                         _falsify_many(f, "a", CheckConfig(), budget, range(8), thetas)])
+            runs[-1].append(_candidates_json(
+                open_question_search(fam, CheckConfig(), budget, seed, 8)))
+        assert runs[1] == runs[0]
+        ref, _ = _member_by_member(fam, CheckConfig(), budget, seed, 8)
+        assert runs[1][-1] == _candidates_json(ref)
 
 
 LOGS = ExprFamily("logs", "x1^2 + x2^2 + t2*sin(3*x1)*exp(x2) + log(x1 - t1)",
