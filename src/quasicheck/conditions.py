@@ -27,9 +27,11 @@ tolerance.
 
 `sigma_star_estimate` and the implication harness (search.py) cut their
 pairs into blocks and run each block end to end, drawn, filtered and
-scored, on one lane of `_in_lanes`: the calling thread and, given a
-second CPU, one helper thread. The kernels themselves run on whichever
-thread calls them.
+scored, on one lane of `_in_lanes`: every block goes to one queue, which
+a helper thread (given a second CPU) takes from, and the calling thread
+takes the earliest block no helper has started whenever the result it
+needs next is not done. The kernels themselves run on whichever thread
+calls them.
 """
 
 from __future__ import annotations
@@ -71,8 +73,10 @@ __all__ = [
 # points per chunk of segment_margins: the chunks bound memory
 SEGMENT_CHUNK = 1 << 16
 
-# pairs in flight at once in `check` and `sigma`, over all lanes: they hold
-# this many pairs at a time, whatever the count
+# pairs scored at once in `check` and `sigma`, over all lanes: the LANES
+# blocks that run at once hold this many pairs, whatever the count; the
+# one more block in flight is queued (nothing drawn yet) or done, when it
+# holds only its result (see `_in_lanes`)
 PAIR_BLOCK = 1 << 14
 
 # lanes of `_in_lanes`: the calling thread and LANES - 1 helper threads,
@@ -122,44 +126,35 @@ def _helpers():
 def _in_lanes(work, count: int):
     """work(lo, k) for each block of pairs lo..lo+k-1, yielded in order,
     the blocks cutting pairs 0..count-1 into PAIR_BLOCK // LANES pairs
-    each. Block i runs in lane i % LANES: lane 0 is the calling thread, the
-    others are helper threads. The calling thread runs a helper's block
-    itself when it needs the result before any helper has started it, so a
-    helper that is slow to wake costs no waiting, and it runs its own next
-    block while it waits for a helper. At most LANES blocks, one
-    PAIR_BLOCK of pairs, are in flight, and none is left running when the
-    stream ends, fails or is closed."""
+    each. Every block goes to the helper threads' queue; while the first
+    block in flight is not done, the calling thread runs the earliest
+    block that no helper has started, so no lane idles while a block waits
+    to be consumed. At most LANES + 1 blocks are in flight (queued,
+    running, or done and not yet consumed) and at most LANES run at once;
+    none is left running when the stream ends, fails or is closed. At one
+    lane nothing is queued: the calling thread runs every block."""
+    from concurrent.futures import Future   # about 10 ms of import
     W = _lanes()
     size = max(1, PAIR_BLOCK // W)
-    blocks = enumerate((lo, min(size, count - lo)) for lo in range(0, count, size))
-    flight = deque()   # [block, its future] per block in flight, in order;
-    #                    None for a block of the calling thread not yet run
-
-    def take():
-        """The result of the first block in flight, which then leaves it."""
-        block, future = flight[0]
-        if future is not None and not future.cancel() and not future.done():
-            # a helper runs it: meanwhile the calling thread runs its own block
-            from concurrent.futures import Future
-            for entry in flight:
-                if entry[1] is None:
-                    entry[1] = Future()
-                    entry[1].set_result(work(*entry[0]))
-        # a block that no lane has started runs here
-        done = work(*block) if future is None or future.cancelled() else future.result()
-        flight.popleft()
-        return done
-
+    blocks = ((lo, min(size, count - lo)) for lo in range(0, count, size))
+    queue = _helpers().submit if W > 1 else lambda *_: Future()
+    flight = deque()   # [block, its future] per block in flight, in order
     try:
         while True:
-            for i, block in itertools.islice(blocks, W - len(flight)):
-                flight.append([block, _helpers().submit(work, *block) if i % W else None])
+            for block in itertools.islice(blocks, W + 1 - len(flight)):
+                flight.append([block, queue(work, *block)])
             if not flight:
                 return
-            yield take()
+            for entry in flight:
+                if flight[0][1].done():
+                    break
+                if entry[1].cancel():   # no helper has started it: run it here
+                    entry[1] = Future()
+                    entry[1].set_result(work(*entry[0]))
+            yield flight.popleft()[1].result()
     finally:
         for _, future in flight:
-            if future is not None and not future.cancel():
+            if not future.cancel():
                 future.exception()   # wait for it, dropping its failure if any
 
 

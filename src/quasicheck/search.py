@@ -9,9 +9,11 @@ pair lo's slots in each rejection round and redraws only its own pending
 pairs, so the pairs do not depend on the block size, and every kernel
 computes each pair's margins on its own, so a report does not depend on
 how the blocks and the kernels' chunks split the pairs. The implication
-harness runs each block end to end on one lane (`conditions._in_lanes`)
-and merges the blocks in order; `check` and `sigma` hold one
-`conditions.PAIR_BLOCK` of pairs at a time.
+harness runs each block end to end on whichever lane takes it from the
+queue (`conditions._in_lanes`); a block writes its per-pair rows in place
+and the calling thread merges the blocks' counts and witnesses in block
+order, so the blocks may finish in any order. `check` and `sigma` score
+one `conditions.PAIR_BLOCK` of pairs at a time.
 
 Falsification is derivative-free compass search on the margin with a
 geometric step schedule. One lockstep engine runs many independent
@@ -550,14 +552,25 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
     """Evaluate (a) over pairs x lambda grid, (b) and (c) over pairs.
 
     The pairs go through in blocks, each drawn, filtered by min_sep and
-    run through the (b)/(c) and (a) kernels on its own lane (see
-    `conditions._in_lanes`). The calling thread merges the blocks in
-    order: their `per_pair` rows, the counts and the first smallest margin
-    of each condition. So memory does not grow with the count apart from
-    `per_pair`.
+    run through the (b)/(c) and (a) kernels on whichever lane takes it
+    (see `conditions._in_lanes`). A block writes its `per_pair` rows in
+    place, from its first pair's position on, and hands back only how
+    many pairs it kept, the counts and the first smallest margin of each
+    condition. The calling thread merges these in block order; where
+    min_sep dropped pairs, it moves each block's rows down to follow the
+    rows before them. So a finished block holds nothing but its notes, and
+    memory does not grow with the count apart from `per_pair`.
     """
+    count = sampler.count
+    per_pair = {"index": np.empty(count, dtype=np.int64), "a_margin": np.empty(count),
+                "a_ok": np.empty(count, dtype=bool), "bc_margin": np.empty(count),
+                "b_vacuous": np.empty(count, dtype=bool),
+                "c_vacuous": np.empty(count, dtype=bool),
+                "bc_ok": np.empty(count, dtype=bool)}
+
     def run(lo, k):
-        """The block's per_pair rows and the note of each condition."""
+        """The block's notes: its first pair, how many pairs it kept and the
+        note of each condition; its per_pair rows go in place, from lo on."""
         X, Y, keep = cond._separated(sample_pairs(sampler, lo, k), cfg)
         r = cond.batch_margins_bc(f, X, Y, cfg)
         rows = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"],
@@ -569,29 +582,24 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
         rows["a_margin"], lam, rows["a_ok"] = cond.batch_margin_a_worst(f, X, Y, cfg)
         notes["a"] = _note(rows["a_margin"], np.zeros(len(X), dtype=bool), rows["a_ok"],
                            cfg.tol, X, Y, lam)
-        return rows, notes
+        for key, v in rows.items():
+            per_pair[key][lo:lo + len(X)] = v
+        return lo, len(X), notes
 
-    count = sampler.count
-    per_pair = {"index": np.empty(count, dtype=np.int64), "a_margin": np.empty(count),
-                "a_ok": np.empty(count, dtype=bool), "bc_margin": np.empty(count),
-                "b_vacuous": np.empty(count, dtype=bool),
-                "c_vacuous": np.empty(count, dtype=bool),
-                "bc_ok": np.empty(count, dtype=bool)}
     counts = {name: {"holds": 0, "violated": 0, "vacuous": 0, "skipped": 0}
               for name in "abc"}
     best = {}      # condition -> (margin, x, y, lam) of its first smallest margin
     N = 0          # pairs kept so far
-    for rows, notes in cond._in_lanes(run, count):
-        k = len(rows["index"])
-        for key in rows:
-            per_pair[key][N:N + k] = rows[key]
+    for lo, k, notes in cond._in_lanes(run, count):
+        if N < lo:   # min_sep dropped pairs: this block's rows move down to N
+            for v in per_pair.values():
+                v[N:N + k] = v[lo:lo + k]
         N += k
         for name, (tally, first) in notes.items():
             for key, c in tally.items():
                 counts[name][key] += c
             if first is not None and (name not in best or first[0] < best[name][0]):
                 best[name] = first
-        del rows, notes   # the next block runs without this one
 
     worst = {}
     for name in "abc":

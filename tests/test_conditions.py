@@ -516,32 +516,61 @@ def test_segment_margins_early_exit_leaves_no_chunk_running(
 
 
 @pytest.mark.parametrize("lanes", [2, 3])
-def test_lanes_run_block_i_in_lane_i_mod_lanes(monkeypatch, helper_blocks, lanes):
-    # blocks come back in order, block i runs on a helper iff i % LANES,
-    # at most LANES blocks are in flight (started and not yet consumed),
-    # and a stream closed early leaves no block running
-    monkeypatch.setattr(conditions, "LANES", lanes)
-    monkeypatch.setattr(conditions, "PAIR_BLOCK", 3 * lanes)   # blocks of 3 pairs
+def test_lanes_run_block_i_in_lane_i_mod_lanes(monkeypatch, lanes):
+    # (the name predates the shared queue; it now pins the queue's contract)
+    # blocks come back in order; at most LANES + 1 are in flight (queued,
+    # running, or done and not yet consumed) and at most LANES run at
+    # once; while a slowed helper runs the first block, the calling thread
+    # runs the blocks queued behind it; a stream closed early leaves no
+    # block running; at one lane nothing is queued
     caller = threading.current_thread()
-    started, ran_on = [], {}
+    lock = threading.Lock()
+    helper_started = threading.Event()
+    submitted, running, most, finished = [], [0], [0], []
+    helpers = conditions._helpers
+
+    class FirstBlockOnAHelper:
+        def submit(self, fn, *block):
+            submitted.append(helpers().submit(fn, *block))
+            if block[0] == 0:   # a helper takes it before the caller can
+                assert helper_started.wait(10)
+            return submitted[-1]
 
     def work(lo, k):
-        started.append(lo)
-        time.sleep(0.002)
-        ran_on[lo] = threading.current_thread()
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        if threading.current_thread() is not caller:
+            helper_started.set()
+        time.sleep(0.3 if lo == 0 and threading.current_thread() is not caller
+                   else 0.002)
+        with lock:
+            running[0] -= 1
+            finished.append((lo, threading.current_thread() is caller))
         return lo, k
 
+    monkeypatch.setattr(conditions, "_helpers", FirstBlockOnAHelper)
     blocks = [(lo, min(3, 20 - lo)) for lo in range(0, 20, 3)]
+    monkeypatch.setattr(conditions, "LANES", 1)
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", 3)   # blocks of 3 pairs
+    assert list(conditions._in_lanes(work, 20)) == blocks
+    assert submitted == [] and all(on_caller for _, on_caller in finished)
+    finished.clear()
+    monkeypatch.setattr(conditions, "LANES", lanes)
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", 3 * lanes)
     for i, block in enumerate(conditions._in_lanes(work, 20)):
         assert block == blocks[i]
-        assert len(started) - i <= lanes
-    assert [block for block, _ in helper_blocks] == \
-        [block for i, block in enumerate(blocks) if i % lanes]
-    assert all(ran_on[lo] is caller for lo, _ in blocks[::lanes])
+        assert len(submitted) - i <= lanes + 1
+    assert len(submitted) == len(blocks) and most[0] <= lanes
+    # the blocks queued behind the slowed first block ran, some of them on
+    # the calling thread, before it finished
+    first = [lo for lo, _ in finished].index(0)
+    assert {lo for lo, _ in finished[:first]} >= {lo for lo, _ in blocks[1:lanes + 1]}
+    assert any(on_caller for _, on_caller in finished[:first])
     stream = conditions._in_lanes(work, 20)
     next(stream)
     stream.close()
-    assert all(future.done() for _, future in helper_blocks)
+    assert all(future.done() for future in submitted) and running == [0]
 
 
 def test_lanes_run_blocks_no_helper_has_started(monkeypatch):
