@@ -394,21 +394,19 @@ def _pairing(g: np.ndarray, D: np.ndarray):
 
 
 def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                     cfg: CheckConfig, premise_tol: float | None = None):
+                     cfg: CheckConfig):
     """Margins and premise masks for conditions (b) and (c) on pair rows.
 
-    (b): premise f(x) <= f(y) + premise_tol; (c): premise
-    <grad f(x), y-x> > -(sigma/2)*||x-y||^2 + premise_tol. Both share the
-    conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. premise_tol
-    defaults to cfg.tol (0 makes the premises exact; the search uses that
-    for (b), whose premise the tolerance widens). f(x) and f(y) come from
-    the program passes that give the gradients.
+    (b): premise f(x) <= f(y) - tol; (c): premise
+    <grad f(x), y-x> > -(sigma/2)*||x-y||^2 + tol. The tolerance narrows
+    both premises, so rounding never makes a premise hold. Both share the
+    conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. f(x) and
+    f(y) come from the program passes that give the gradients.
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
     finite), ok_c (both gradients finite) and ok (both).
     """
-    pt = cfg.tol if premise_tol is None else premise_tol
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     fX, gX = f.grads(X, with_values=True)
@@ -420,8 +418,8 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
         d = pnorm_batch(X - Y, cfg.penalty_norm)
         threshold = -0.5 * cfg.sigma * d * d
         margin = threshold - pairing_y
-        premise_b = fX <= fY + pt
-        premise_c = pairing_x > threshold + pt
+        premise_b = fX <= fY - cfg.tol
+        premise_c = pairing_x > threshold + cfg.tol
     return dict(fx=fX, fy=fY, pairing_x=pairing_x, pairing_y=pairing_y,
                 margin=margin, premise_b=premise_b, premise_c=premise_c,
                 sep=d, ok_b=ok_b, ok_c=gx_ok & gy_ok, ok=ok_b & gx_ok)
@@ -452,7 +450,8 @@ def verdicts_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray, cfg: CheckConfig,
 
 def check_b(f: ScalarField, x, y, cfg: CheckConfig) -> Verdict:
     """Condition (b) at one pair (see batch_margins_bc): premise
-    f(x) <= f(y); conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>."""
+    f(x) <= f(y), enforced as "<= f(y) - tol"; conclusion margin
+    -(sigma/2)*||x-y||^2 - <grad f(y), x-y>."""
     x, y = _checked_pair(x, y, cfg)
     return verdicts_bc(f, x[None], y[None], cfg, "b")[0]
 

@@ -276,11 +276,8 @@ class _MarginObjective:
                 np.where((d >= cfg.min_sep) & np.isfinite(m[0]), m[0], math.inf)
                 for _, m, d in cond.segment_margins(f, X, Y, lam[None],
                                                     cfg.sigma, cfg.penalty_norm)])
-        # (c)'s premise at +cfg.tol, as the witness re-check applies it;
-        # (b)'s tolerance widens its premise (f(x) <= f(y) + tol), so (b)
-        # keeps the exact premise, which implies the re-check's
         t = self.target
-        r = cond.batch_margins_bc(f, X, Y, cfg, 0.0 if t == "b" else None)
+        r = cond.batch_margins_bc(f, X, Y, cfg)
         active = (r["sep"] >= cfg.min_sep) & r[f"ok_{t}"] & r[f"premise_{t}"]
         return np.where(active, r["margin"], math.inf)
 

@@ -114,14 +114,17 @@ def test_check_b_vacuous():
 
 
 def test_check_b_cubic_minus_x_violation():
-    v = check_b(CUBIC_MX, [-1.0], [0.0], cfg())
+    # f(-1.1) = -0.231 < f(0) = 0, and f'(0) = -1
+    v = check_b(CUBIC_MX, [-1.1], [0.0], cfg())
     assert v.status == VIOLATED
-    assert v.margin == pytest.approx(-1.0)
-    # grid oracle: f is not quasiconvex on the segment [-1, 0]
+    assert v.margin == pytest.approx(-1.1)
+    # grid oracle: f is not quasiconvex on the segment [-1.1, 0]
     ts = np.linspace(0, 1, 101)[1:-1]
-    seg = -1.0 + ts * 1.0
+    seg = -1.1 + ts * 1.1
     f = seg ** 3 - seg
-    assert np.max(f) > max(CUBIC_MX.value([-1.0]), CUBIC_MX.value([0.0]))
+    assert np.max(f) > max(CUBIC_MX.value([-1.1]), CUBIC_MX.value([0.0]))
+    # f(-1) = f(0) is within tol of the premise's boundary: no witness
+    assert check_b(CUBIC_MX, [-1.0], [0.0], cfg()).status == VACUOUS
 
 
 def test_check_c_sqnorm_example():
@@ -137,18 +140,18 @@ def test_check_c_const_vacuous():
 
 
 def test_check_c_cubic_minus_x_violation():
-    v = check_c(CUBIC_MX, [0.0], [-1.0], cfg())
+    v = check_c(CUBIC_MX, [0.0], [-1.1], cfg())
     assert v.status == VIOLATED
-    assert v.margin == pytest.approx(-2.0)
+    assert v.margin == pytest.approx(-(3 * 1.1 ** 2 - 1) * 1.1)
     # contrapositive of the gradient-implication proof: the swapped pair
     # must violate the value-premise condition as well
-    swapped = check_b(CUBIC_MX, [-1.0], [0.0], cfg())
+    swapped = check_b(CUBIC_MX, [-1.1], [0.0], cfg())
     assert swapped.status == VIOLATED
 
 
 def test_witness_reproducibility():
     c = cfg()
-    v = check_b(CUBIC_MX, [-1.0], [0.0], c)
+    v = check_b(CUBIC_MX, [-1.1], [0.0], c)
     again = check_b(CUBIC_MX, v.witness.x, v.witness.y, c)
     assert abs(again.margin - v.margin) <= 1e-12
 
@@ -299,18 +302,22 @@ def _match_closed_form(f, oracle, rng):
     for key, want in (("fx", fx), ("fy", fy), ("pairing_x", px),
                       ("pairing_y", py), ("margin", -0.5 * c.sigma * d2 - py)):
         np.testing.assert_allclose(r[key], want, rtol=0, atol=1e-12, err_msg=key)
-    # premises, away from their boundaries where rounding decides
-    slack_b = fy + c.tol - fx
+    # premises, tol on their strict side, away from their boundaries where
+    # rounding decides
+    slack_b = fy - c.tol - fx
     slack_c = px - (-0.5 * c.sigma * d2 + c.tol)
     clear = np.abs(slack_b) > 1e-9
     assert np.array_equal(r["premise_b"][clear], slack_b[clear] >= 0)
     clear = np.abs(slack_c) > 1e-9
     assert np.array_equal(r["premise_c"][clear], slack_c[clear] > 0)
-    # premise_tol = 0 makes the premises exact and leaves the margin alone
-    r0 = batch_margins_bc(f, X, Y, c, premise_tol=0.0)
-    clear = np.abs(fy - fx) > 1e-12
-    assert np.array_equal(r0["premise_b"][clear], (fx <= fy)[clear])
-    assert np.array_equal(r0["margin"], r["margin"])
+
+
+def test_b_premise_within_tol_is_vacuous():
+    # f(x) = 1.25e-10 > f(y) = -7.29e-10 on the monotone cubic: the
+    # premise fails, yet f(x) <= f(y) + tol holds, which once made the
+    # pair a violation (margin -3.4e-9) on a quasiconvex field
+    v = check_b(catalog_field("cubic", 1), [5e-4], [-9e-4], cfg())
+    assert v.status == VACUOUS and v.witness.fx > v.witness.fy
 
 
 def test_scalar_checks_are_batches_of_one(rng):
