@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -720,13 +721,18 @@ def test_reports_do_not_depend_on_the_order_blocks_finish_in(monkeypatch):
     s = Sampler("uniform_box", 3, 2000, f.domain)
     monkeypatch.setattr(cond, "PAIR_BLOCK", 200)
     runs = []
-    for lanes in (1, 2, 3):
-        monkeypatch.setattr(cond, "LANES", lanes)
-        rep = implication_harness(f, cfg, s)
-        runs.append((json.dumps(rep.to_json(), sort_keys=True),
-                     [v.tobytes() for v in rep.per_pair.values()],
-                     sigma_star_estimate(f, s, cfg).hex()))
-        assert 0 < rep.sample_count < s.count
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # the lanes' threads interleave often
+    try:
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(cond, "LANES", lanes)
+            rep = implication_harness(f, cfg, s)
+            runs.append((json.dumps(rep.to_json(), sort_keys=True),
+                         [v.tobytes() for v in rep.per_pair.values()],
+                         sigma_star_estimate(f, s, cfg).hex()))
+            assert 0 < rep.sample_count < s.count
+    finally:
+        sys.setswitchinterval(switch)
     assert on_helpers
     assert all(run == runs[0] for run in runs[1:])
 
