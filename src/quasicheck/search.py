@@ -566,8 +566,8 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
                 "bc_ok": np.empty(count, dtype=bool)}
 
     def run(lo, k):
-        """The block's notes: its first pair, how many pairs it kept and the
-        note of each condition; its per_pair rows go in place, from lo on."""
+        """lo, how many of the block's pairs it kept and the note of each
+        condition; the block's per_pair rows go in place, from lo on."""
         X, Y, keep = cond._separated(sample_pairs(sampler, lo, k), cfg)
         r = cond.batch_margins_bc(f, X, Y, cfg)
         rows = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"],
