@@ -17,13 +17,13 @@ Each formula is written once, in a kernel over arrays of pairs:
 `segment_margins` yields the (a) margins of chunks of a block of pairs,
 at a shared lambda grid or at one lambda per pair, evaluating f once per
 chunk on a coordinate-major point buffer that every chunk of the block
-reuses, and `batch_margins_bc` gives the pairings, both premises and the shared
-(b)/(c) conclusion margin. The per-pair worst (a) margin and sigma*
+reuses, and `batch_margins_bc` gives the pairings, both premises and the
+shared (b)/(c) conclusion margin from one program pass over x and y
+stacked as coordinate planes. The per-pair worst (a) margin and sigma*
 reduce over the kernel's chunks; `verdicts_bc` gives the (b)/(c) verdict
 of each pair row, and the scalar checks `margin_a`, `check_b`, `check_c`
-and `sigma_star_segment` run the kernels on a batch of one.
-Margins are raw; `is_violated` is the one rule that applies the
-tolerance.
+and `sigma_star_segment` run the kernels on a batch of one. Margins are
+raw; `is_violated` is the one rule that applies the tolerance.
 
 `sigma_star_estimate` and the implication harness (search.py) cut their
 pairs into blocks and run each block end to end, drawn, filtered and
@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .field import ScalarField
-from .vecmath import as_vec, pnorm_batch
+from .vecmath import as_vec
 
 __all__ = [
     "CheckConfig",
@@ -248,11 +248,35 @@ def _classify(margin: float, tol: float) -> str:
     return VIOLATED if is_violated(margin, tol) else HOLDS
 
 
+def _plane_norm(D: np.ndarray, p=2) -> np.ndarray:
+    """The p-norm of vectors stored as coordinate planes (D[j] holds
+    coordinate j of each), summed in coordinate order as np.sum over a row
+    of fewer than 8 entries is; for p = 2, vectors whose squares under- or
+    overflow are rescaled by their largest entry."""
+    if p in ("inf", math.inf):
+        return np.max(np.abs(D), axis=0)
+    if p not in (1, 2):
+        raise ValueError(f"unsupported norm selector: {p!r}")
+    term = np.abs if p == 1 else np.square
+    acc = term(D[0])
+    for j in range(1, len(D)):
+        acc += term(D[j])
+    if p == 1:
+        return acc
+    d = np.sqrt(acc, out=acc)
+    odd = (d < 1e-150) | (d > 1e150)
+    if odd.any():
+        m = np.max(np.abs(D), axis=0)
+        odd &= (m > 0) & (m < math.inf)
+        d[odd] = m[odd] * _plane_norm(D[:, odd] / m[odd])
+    return d
+
+
 def _checked_pair(x, y, cfg: CheckConfig):
     """x and y as vectors, rejecting a pair closer than min_sep."""
     x = as_vec(x)
     y = as_vec(y)
-    d = float(pnorm_batch(x - y, cfg.penalty_norm))
+    d = float(_plane_norm((x - y)[:, None], cfg.penalty_norm)[0])
     if d < cfg.min_sep:
         raise ValueError(f"||x-y|| = {d} below min_sep {cfg.min_sep}")
     return x, y
@@ -263,7 +287,7 @@ def _separated(P: np.ndarray, cfg: CheckConfig):
     mask of those kept: views of P when every pair is kept, since no kernel
     writes into the points it is given."""
     X, Y = P[:, 0], P[:, 1]
-    keep = pnorm_batch(X - Y, cfg.penalty_norm) >= cfg.min_sep
+    keep = _plane_norm((X - Y).T, cfg.penalty_norm) >= cfg.min_sep
     return (X, Y, keep) if keep.all() else (X[keep], Y[keep], keep)
 
 
@@ -292,11 +316,11 @@ def _score(f: ScalarField, buffers: tuple, x, y, lam, sigma: float, penalty_norm
     m = M[:, :k]
     with np.errstate(all="ignore"):
         P[:, 0], P[:, 1] = x.T, y.T
-        np.multiply(lam, (P[:, 0] - P[:, 1])[:, None], out=P[:, 2:])
+        D = P[:, 0] - P[:, 1]
+        np.multiply(lam, D[:, None], out=P[:, 2:])
         P[:, 2:] += P[:, 1, None]
         v = f.values(points[:, :k])
-        # from the row-major x - y: a sum over the planes would reorder it at n >= 8
-        d = pnorm_batch(x - y, penalty_norm)
+        d = _plane_norm(D, penalty_norm)
         t = np.maximum(v[0], v[1], out=top[:k])
         if sigma:
             np.multiply(0.5 * sigma * lam * (1.0 - lam), d, out=m)
@@ -381,18 +405,6 @@ def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
 # Conditions (b) and (c): first-order gradient implications
 
 
-def _pairing(g: np.ndarray, D: np.ndarray):
-    """<g, D> over the last axis and whether g is finite there, one
-    coordinate plane of the gradients at a time, summed from 0.0 as np.sum
-    over a row is for n < 8 (a sum of zeros is +0.0)."""
-    G = g.transpose(-1, *range(g.ndim - 1))   # the planes that grads views
-    pairing, ok = 0.0 + G[0] * D[..., 0], np.isfinite(G[0])
-    for j in range(1, len(G)):
-        pairing += G[j] * D[..., j]
-        ok &= np.isfinite(G[j])
-    return pairing, ok
-
-
 def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
                      cfg: CheckConfig):
     """Margins and premise masks for conditions (b) and (c) on pair rows.
@@ -400,27 +412,34 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     (b): premise f(x) <= f(y) - tol; (c): premise
     <grad f(x), y-x> > -(sigma/2)*||x-y||^2 + tol. The tolerance narrows
     both premises, so rounding never makes a premise hold. Both share the
-    conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. f(x) and
-    f(y) come from the program passes that give the gradients.
+    conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. One
+    program pass over the pairs, copied into coordinate planes (n, 2, k),
+    gives f and grad f at x and y; the pairings are summed plane by plane
+    from 0.0 (a sum of zeros is +0.0), ||x-y|| by `_plane_norm`.
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
     finite), ok_c (both gradients finite) and ok (both).
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    fX, gX = f.grads(X, with_values=True)
-    fY, gY = f.grads(Y, with_values=True)
+    S = np.empty((np.shape(X)[1], 2, len(X)))
+    S[:, 0], S[:, 1] = np.transpose(X), np.transpose(Y)
+    (fx, fy), g = f.grads(S.transpose(1, 2, 0), with_values=True)
+    G = g.transpose(2, 0, 1)   # the program's planes: G[j, 0] at x, G[j, 1] at y
     with np.errstate(all="ignore"):
-        pairing_x, gx_ok = _pairing(gX, Y - X)
-        pairing_y, gy_ok = _pairing(gY, X - Y)
-        ok_b = np.isfinite(fX) & np.isfinite(fY) & gy_ok
-        d = pnorm_batch(X - Y, cfg.penalty_norm)
+        D = S[:, ::-1] - S   # planes of y - x, then of x - y
+        d = _plane_norm(D[:, 0], cfg.penalty_norm)
+        GD = np.multiply(G, D, out=D)   # the terms of the pairings
+        pairing = 0.0 + GD[0]
+        for j in range(1, len(GD)):
+            pairing += GD[j]
+        pairing_x, pairing_y = pairing
+        gx_ok, gy_ok = np.isfinite(G).all(axis=0)
+        ok_b = np.isfinite(fx) & gy_ok   # grads makes a non-finite f(y)'s row NaN
         threshold = -0.5 * cfg.sigma * d * d
         margin = threshold - pairing_y
-        premise_b = fX <= fY - cfg.tol
+        premise_b = fx <= fy - cfg.tol
         premise_c = pairing_x > threshold + cfg.tol
-    return dict(fx=fX, fy=fY, pairing_x=pairing_x, pairing_y=pairing_y,
+    return dict(fx=fx, fy=fy, pairing_x=pairing_x, pairing_y=pairing_y,
                 margin=margin, premise_b=premise_b, premise_c=premise_c,
                 sep=d, ok_b=ok_b, ok_c=gx_ok & gy_ok, ok=ok_b & gx_ok)
 

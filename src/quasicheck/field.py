@@ -95,9 +95,9 @@ class ScalarField:
     expr.Program) at its parameter values `params`, when it has any: one
     vector for every point, or one row per point row.
 
-    The arrays values and grads receive may be non-contiguous, read-only
-    views (`segment_margins` passes views of a point buffer it reuses for
-    every chunk): the program must not write into its input or keep it.
+    The arrays values and grads receive may be non-contiguous or read-only
+    views (of the point buffers of `segment_margins` and `batch_margins_bc`):
+    the program must not write into its input or keep it.
     """
 
     name: str
@@ -148,11 +148,12 @@ class ScalarField:
     def grads(self, X: np.ndarray, with_values: bool = False):
         """Batch gradients over (..., n) points, from one pass of the
         program in forward mode: a (..., n) view of the program's
-        coordinate planes, the caller's own. Rows whose value is not finite
-        (outside the expression's domain) and nondifferentiable points
-        (abs/min/max ties) are NaN, so samplers count them as skipped. With
-        `with_values`, returns (values, gradients), the values those of the
-        same pass, equal to `values(X)`."""
+        coordinate planes, the caller's own, so both points of k pairs,
+        given as one (2, k, n) array, take one pass. Rows whose value is
+        not finite (outside the expression's domain) and nondifferentiable
+        points (abs/min/max ties) are NaN, so samplers count them as
+        skipped. With `with_values`, returns (values, gradients), the
+        values those of the same pass, equal to `values(X)`."""
         T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
             val, G, ties = self.program.dual(self._points(X), *T)

@@ -36,7 +36,6 @@ import numpy as np
 from . import conditions as cond
 from .conditions import CheckConfig, Verdict, Witness
 from .field import DomainBox, ScalarField
-from .vecmath import pnorm_batch
 
 __all__ = [
     "Sampler",
@@ -119,7 +118,7 @@ def sample_pairs(s: Sampler, lo: int = 0, count: Optional[int] = None) -> np.nda
         t = 0.5 * (np.arange(lo, lo + k) + 1) / (s.count + 1)  # in (0, 0.5)
         X = lo_box + t[:, None] * widths
         Y = s.domain.upper - t[:, None] * widths
-        if np.any(pnorm_batch(X - Y, 2) < s.min_sep):
+        if np.any(cond._plane_norm((X - Y).T) < s.min_sep):
             raise ValueError("segment_grid produced a pair below min_sep; "
                              "reduce count or enlarge the box")
         return np.stack([X, Y], axis=1)
@@ -145,7 +144,7 @@ def sample_pairs(s: Sampler, lo: int = 0, count: Optional[int] = None) -> np.nda
             cand = np.stack([center + 0.2 * widths * z,
                              center + 0.2 * widths * z2], axis=1)
             ok = s.domain.contains(cand[:, 0]) & s.domain.contains(cand[:, 1])
-        ok &= pnorm_batch(cand[:, 0] - cand[:, 1], 2) >= s.min_sep
+        ok &= cond._plane_norm((cand[:, 0] - cand[:, 1]).T) >= s.min_sep
         if out is None:   # round 0 draws every pair
             out = cand
         else:

@@ -342,23 +342,35 @@ def test_scalar_checks_are_batches_of_one(rng):
 
 
 def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
-    # one program pass per point set: f(x) and f(y) are the values of the
-    # two gradient passes, equal to the value program's bit for bit
+    # one program pass per kernel call: x and y go through one dual pass,
+    # stacked as (2, k, n) points, and f(x) and f(y) are its values, equal
+    # to the value program's bit for bit; the (b)/(c) search objective
+    # makes one pass per call as well
     g = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
                              DomainBox.cube(-1, 1, 2))
-    calls = []
+    calls, duals = [], []
 
     def value(X):
         calls.append(len(X))
         return g.program.value(X)
 
-    f = replace(g, program=replace(g.program, value=value))
+    def dual(X):
+        duals.append(X.shape)
+        return g.program.dual(X)
+
+    f = replace(g, program=replace(g.program, value=value, dual=dual))
     X = rng.uniform(-1, 1, size=(1 << 14, 2))
     Y = rng.uniform(-1, 1, size=(1 << 14, 2))
     r = batch_margins_bc(f, X, Y, cfg())
-    assert calls == []
+    assert calls == [] and duals == [(2, 1 << 14, 2)]
     assert np.array_equal(r["fx"], g.values(X))
     assert np.array_equal(r["fy"], g.values(Y))
+    Z = np.concatenate([X[:115], Y[:115]], axis=1)   # rows of packed x, y
+    for target in "bc":
+        objective = search._MarginObjective(f, target, cfg())
+        duals.clear()
+        objective(Z)
+        assert calls == [] and duals == [(2, 115, 2)]
 
 
 def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
@@ -447,7 +459,7 @@ def test_segment_margins_failure_on_a_helper_reaches_the_caller(
             assert all(future.done() for _, future in helper_blocks)
     assert writers[0] is caller and writers[-1] is not caller
     assert "read-only" in errors["check write"][0]
-    assert "(4, 3)" in errors["check dimension"][0]
+    assert "(2, 4, 3)" in errors["check dimension"][0]   # x and y stacked
     assert "(65, 4, 3)" in errors["sigma dimension"][0]
     for messages in errors.values():
         assert messages[0] == messages[1]

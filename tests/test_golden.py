@@ -49,6 +49,18 @@ GOLDEN = {
          "--pairs", "5000", "--seed", "7"],
         "239d4cd78eb3d6d90f6b5451a0ccb50bfdbf800e5684b4637902c2fcfd15ae32",
     ),
+    # n >= 8: ||x-y|| is summed over the coordinate planes in order, where
+    # np.sum over a row would sum pairwise (see CHANGES.md for the bits)
+    "check_sqrtnorm_10d": (
+        ["check", "--fn", "sqrtnorm", "--dim", "10", "--sigma", "0.1",
+         "--pairs", "3000", "--seed", "7"],
+        "b063d45f7c81c045d18ff52d8502d05e0727e32be6e692cc3cd5cc5dfc77d130",
+    ),
+    "falsify_c_sqnorm_10d": (
+        ["falsify", "--fn", "sqnorm", "--dim", "10", "--target", "c",
+         "--budget", "2000", "--seed", "7"],
+        "ec680423431f7153eeedb7319afd99a83cefa183038173845d28aef29fecd7e5",
+    ),
     "family_param_cubic": (
         ["falsify", "--family", "param_cubic", "--budget", "20000",
          "--param-samples", "16", "--seed", "5"],

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quasicheck.vecmath import as_vec, pnorm_batch
+from quasicheck.conditions import _plane_norm
+from quasicheck.vecmath import as_vec
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -21,7 +22,8 @@ def paired(draw_dim=st.integers(1, 6)):
 
 
 def norm(a, p):
-    return float(pnorm_batch(np.asarray(a, dtype=float)[None], p)[0])
+    # one vector as coordinate planes of one entry each
+    return float(_plane_norm(np.asarray(a, dtype=float)[:, None], p)[0])
 
 
 def test_as_vec_validation():
@@ -40,7 +42,7 @@ def test_pnorm_examples():
 
 def test_pnorm_bad_selector():
     with pytest.raises(ValueError):
-        pnorm_batch(np.array([[1.0]]), 3)
+        _plane_norm(np.array([[1.0]]), 3)
 
 
 @given(paired())
@@ -67,14 +69,16 @@ def test_pnorm_batch_large_entries():
 
 
 def test_pnorm_batch_matches_scalar(rng):
-    # closed-form per-row oracle in plain Python floats
+    # closed-form per-vector oracle in plain Python floats
     A = rng.normal(size=(20, 3))
     for p, scalar in ((1, lambda r: math.fsum(abs(t) for t in r)),
                       (2, lambda r: math.sqrt(math.fsum(t * t for t in r))),
                       ("inf", lambda r: max(abs(t) for t in r))):
-        batch = pnorm_batch(A, p)
+        batch = _plane_norm(A.T, p)
         for i, row in enumerate(A.tolist()):
             assert batch[i] == pytest.approx(scalar(row), rel=1e-15)
-        # any leading shape: rows of a 3-D batch match the 2-D result
-        assert np.array_equal(pnorm_batch(A.reshape(4, 5, 3), p),
+        # any shape behind the planes: vectors of a 3-D batch match the 2-D result
+        assert np.array_equal(_plane_norm(A.T.reshape(3, 4, 5), p),
                               batch.reshape(4, 5))
+        # contiguous or strided planes give the same bits
+        assert np.array_equal(_plane_norm(np.ascontiguousarray(A.T), p), batch)
