@@ -152,36 +152,25 @@ def cmd_check(args) -> int:
     skipped = sum(c["skipped"] for c in report.counts.values())
     out = build_report(args, report.to_json(),
                        echo_config(args, f, cfg, sampler), skipped)
-    csv_rows = _csv_rows(report, cfg.tol) if args.csv else None
+    csv_rows = _csv_rows(report) if args.csv else None
     write_outputs(out, args, csv_rows)
     return EXIT_VIOLATIONS if report.total_violations > 0 else EXIT_OK
 
 
-def _csv_rows(report, tol: float):
+def _csv_rows(report):
     """Rows (pair_index, condition, margin, status) for the pairs the
-    report counted; pair_index is the pair's position in the sampler.
-    Generated a few thousand pairs at a time, so that the rows of a run
-    are never all in memory at once."""
+    report counted; pair_index is the pair's position in the sampler, and
+    the margin is blank unless the status is holds or violated. Generated
+    a few thousand pairs at a time, so that the rows of a run are never
+    all in memory at once."""
     p = report.per_pair
-
-    def row(i, name, margin, violated, ok, vacuous=False):
-        if not ok:
-            return [i, name, "", "skipped"]
-        if vacuous:
-            return [i, name, "", "vacuous"]
-        return [i, name, repr(margin), "violated" if violated else "holds"]
-
     for lo in range(0, len(p["index"]), 4096):
-        part = {k: v[lo:lo + 4096] for k, v in p.items()}
-        part["a_violated"] = cond.is_violated(part["a_margin"], tol)
-        part["bc_violated"] = cond.is_violated(part["bc_margin"], tol)
-        part = {k: v.tolist() for k, v in part.items()}
+        part = {k: v[lo:lo + 4096].tolist() for k, v in p.items()}
         for k, i in enumerate(part["index"]):
-            yield row(i, "a", part["a_margin"][k], part["a_violated"][k],
-                      part["a_ok"][k])
-            for name in ("b", "c"):
-                yield row(i, name, part["bc_margin"][k], part["bc_violated"][k],
-                          part["bc_ok"][k], part[f"{name}_vacuous"][k])
+            for name in "abc":
+                s = part[f"{name}_status"][k]
+                margin = part["a_margin" if name == "a" else "bc_margin"][k]
+                yield [i, name, repr(margin) if s < 2 else "", cond.STATUSES[s]]
 
 
 def cmd_sigma(args) -> int:
@@ -199,6 +188,10 @@ def cmd_falsify(args) -> int:
     cfg = make_config(args)
     budget = srch.SearchBudget(max_evals=args.budget, restarts=args.restarts)
     if args.family:
+        ignored = [f"--{k}" for k in ("fn", "expr", "box", "target") if getattr(args, k)]
+        if ignored:
+            raise UsageError(f"--family takes no {', '.join(ignored)}: it searches the "
+                             "family's own domain, with its own targets")
         try:
             fam = family_by_name(args.family)
         except KeyError as e:
@@ -217,7 +210,7 @@ def cmd_falsify(args) -> int:
         write_outputs(out, args)
         return EXIT_VIOLATIONS if cands else EXIT_OK
     f = resolve_field(args)
-    res = srch.falsify(f, args.target, cfg, budget, seed=args.seed)
+    res = srch.falsify(f, args.target or "a", cfg, budget, seed=args.seed)
     config = echo_config(args, f, cfg)
     config["budget"] = budget.to_json()
     out = build_report(args, res.to_json(), config)
@@ -317,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("falsify", help="adversarial search for violations")
     _add_field_args(p)
     _add_check_args(p)
-    p.add_argument("--target", choices=["a", "b", "c"], default="a")
+    p.add_argument("--target", choices=["a", "b", "c"],
+                   help="condition to falsify (default a; not with --family)")
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--family", help="open-question mode on a shipped family")

@@ -23,7 +23,11 @@ stacked as coordinate planes. The per-pair worst (a) margin and sigma*
 reduce over the kernel's chunks; `verdicts_bc` gives the (b)/(c) verdict
 of each pair row, and the scalar checks `margin_a`, `check_b`, `check_c`
 and `sigma_star_segment` run the kernels on a batch of one. Margins are
-raw; `is_violated` is the one rule that applies the tolerance.
+raw; `is_violated` is the one rule that applies the tolerance, and
+`statuses` the one rule that maps a kernel row to holds, violated,
+vacuous or skipped. A condition skips a pair only when an evaluation it
+reads fails: f at x, y and the segment points for (a); f(x), f(y) and
+grad f(y) for (b); both gradients for (c).
 
 `sigma_star_estimate` and the implication harness (search.py) cut their
 pairs into blocks and run each block end to end, drawn, filtered and
@@ -40,7 +44,7 @@ import itertools
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -56,7 +60,9 @@ __all__ = [
     "VIOLATED",
     "VACUOUS",
     "SKIPPED",
+    "STATUSES",
     "is_violated",
+    "statuses",
     "segment_margins",
     "margin_a",
     "batch_margin_a_worst",
@@ -158,16 +164,13 @@ def _in_lanes(work, count: int):
                 future.exception()   # wait for it, dropping its failure if any
 
 
-def segment_chunk(L: int) -> int:
-    """Pairs per chunk of `segment_margins` at L lambdas per pair: a block
-    of at most this many pairs runs as one chunk."""
-    return max(1, SEGMENT_CHUNK // (L + 2))
-
-
 HOLDS = "holds"
 VIOLATED = "violated"
 VACUOUS = "vacuous"
 SKIPPED = "skipped"
+# the statuses in the order of the reports' counts; a status code (see
+# `statuses`) indexes this tuple, and only the first two carry a margin
+STATUSES = (HOLDS, VIOLATED, VACUOUS, SKIPPED)
 
 
 def default_lambda_grid(k: int = 64) -> tuple[float, ...]:
@@ -192,6 +195,10 @@ class CheckConfig:
         if not grid or min(grid) <= 0 or max(grid) >= 1:
             raise ValueError("lambda grid must lie strictly inside (0, 1)")
         object.__setattr__(self, "lambda_grid", grid)
+        norm = self.penalty_norm
+        if norm not in (1, 2, "inf", math.inf):
+            raise ValueError(f"unsupported norm selector: {norm!r}")
+        object.__setattr__(self, "penalty_norm", norm if norm in (1, 2) else math.inf)
 
     def to_json(self):
         p = self.penalty_norm
@@ -200,7 +207,7 @@ class CheckConfig:
             "tol": self.tol,
             "min_sep": self.min_sep,
             "lambda_grid_size": len(self.lambda_grid),
-            "penalty_norm": "inf" if p in ("inf", math.inf, np.inf) else p,
+            "penalty_norm": "inf" if p == math.inf else p,
         }
 
 
@@ -244,8 +251,12 @@ def is_violated(margin, tol):
     return np.less(margin, -tol)
 
 
-def _classify(margin: float, tol: float) -> str:
-    return VIOLATED if is_violated(margin, tol) else HOLDS
+def statuses(margin, premise, ok, tol) -> np.ndarray:
+    """The status of each row of a condition, as an int8 index into
+    STATUSES: skipped where not ok, else vacuous where the premise fails,
+    else violated or holds by `is_violated`."""
+    code = np.where(premise, is_violated(margin, tol), 2)
+    return np.where(ok, code, 3).astype(np.int8)
 
 
 def _plane_norm(D: np.ndarray, p=2) -> np.ndarray:
@@ -253,7 +264,7 @@ def _plane_norm(D: np.ndarray, p=2) -> np.ndarray:
     coordinate j of each), summed in coordinate order as np.sum over a row
     of fewer than 8 entries is; for p = 2, vectors whose squares under- or
     overflow are rescaled by their largest entry."""
-    if p in ("inf", math.inf):
+    if p == math.inf:
         return np.max(np.abs(D), axis=0)
     if p not in (1, 2):
         raise ValueError(f"unsupported norm selector: {p!r}")
@@ -349,24 +360,27 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2):
     chunk of k pairs, in order, rows being the chunk's slice of the pairs;
     a margin is NaN where an evaluation failed. The margins live in a
     buffer that the next chunk overwrites once the consumer asks for it.
+    Parameter rows of f, one per pair, are sliced as lambdas are.
 
-    Runs on the calling thread. At most `segment_chunk(L)` pairs are one
-    chunk; more are cut into chunks of `segment_chunk(L) // LANES` pairs,
-    so the buffers of the LANES blocks that `_in_lanes` runs at once hold
-    at most SEGMENT_CHUNK points together. The margins do not depend on
-    the chunking.
+    Runs on the calling thread. At most SEGMENT_CHUNK // (L + 2) pairs
+    are one chunk; more are cut into chunks of a LANES-th of that, so the
+    buffers of the LANES blocks that `_in_lanes` runs at once hold at most
+    SEGMENT_CHUNK points together. The margins do not depend on the
+    chunking.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     L = lams.shape[0]
-    whole = segment_chunk(L)
+    whole = max(1, SEGMENT_CHUNK // (L + 2))
     step = max(1, len(X) if len(X) <= whole else whole // _lanes())
     buffers = _buffers(X.shape[1], L, step)
+    rowwise = np.ndim(f.params) == 2
     for lo in range(0, len(X), step):
         x, y = X[lo:lo + step], Y[lo:lo + step]
         rows = slice(lo, lo + len(x))
         lam = lams if lams.shape[1] == 1 else lams[:, rows]
-        yield (rows, *_score(f, buffers, x, y, lam, sigma, penalty_norm))
+        g = replace(f, params=f.params[rows]) if rowwise else f
+        yield (rows, *_score(g, buffers, x, y, lam, sigma, penalty_norm))
 
 
 def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
@@ -419,7 +433,8 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
-    finite), ok_c (both gradients finite) and ok (both).
+    finite) and ok_c (both gradients finite, which implies ok_b: `grads`
+    makes the gradient row of a non-finite value NaN).
     """
     S = np.empty((np.shape(X)[1], 2, len(X)))
     S[:, 0], S[:, 1] = np.transpose(X), np.transpose(Y)
@@ -441,7 +456,7 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
         premise_c = pairing_x > threshold + cfg.tol
     return dict(fx=fx, fy=fy, pairing_x=pairing_x, pairing_y=pairing_y,
                 margin=margin, premise_b=premise_b, premise_c=premise_c,
-                sep=d, ok_b=ok_b, ok_c=gx_ok & gy_ok, ok=ok_b & gx_ok)
+                sep=d, ok_b=ok_b, ok_c=gx_ok & gy_ok)
 
 
 # the witness fields of each of conditions (b) and (c)
@@ -454,16 +469,14 @@ def verdicts_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray, cfg: CheckConfig,
     `batch_margins_bc` call: row i's verdict is `check_b`/`check_c` at
     (X[i], Y[i]), whose witness holds views of the rows."""
     r = batch_margins_bc(f, X, Y, cfg)
-    ok, premise = r[f"ok_{name}"], r[f"premise_{name}"]
     out = []
-    for i in range(len(X)):
-        if not ok[i]:
+    for i, s in enumerate(statuses(r["margin"], r[f"premise_{name}"], r[f"ok_{name}"],
+                                   cfg.tol).tolist()):
+        if STATUSES[s] == SKIPPED:
             out.append(Verdict(SKIPPED, math.nan))
             continue
         w = Witness(x=X[i], y=Y[i], **{k: float(r[k][i]) for k in _WITNESS_KEYS[name]})
-        margin = float(r["margin"][i])
-        out.append(Verdict(_classify(margin, cfg.tol), margin, w) if premise[i]
-                   else Verdict(VACUOUS, math.nan, w))
+        out.append(Verdict(STATUSES[s], float(r["margin"][i]) if s < 2 else math.nan, w))
     return out
 
 
@@ -596,7 +609,7 @@ def check_lemma(phi: ScalarField, grid, tol: float = 1e-9) -> Verdict:
         return Verdict(SKIPPED, math.nan)
     margin = fa - fb
     w = Witness(x=np.array([a]), y=np.array([b]), fx=fa, fy=fb)
-    return Verdict(_classify(margin, tol), margin, w)
+    return Verdict(VIOLATED if is_violated(margin, tol) else HOLDS, margin, w)
 
 
 def check_lemma_refined(phi: ScalarField, initial_points: int = 63,

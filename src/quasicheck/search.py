@@ -253,23 +253,18 @@ class _MarginObjective:
         lam = Z[..., 2 * n] if self.target == "a" else None
         return Z[..., :n], Z[..., n:2 * n], lam
 
-    def __call__(self, Z: np.ndarray, searches=None) -> np.ndarray:
-        """Margins of the rows Z; given thetas, row i is scored at
-        parameter row thetas[searches[i]] (without, searches is ignored).
-        One kernel call scores the rows of all members, per kernel chunk
-        for target 'a'."""
-        if self.thetas is None:
-            return self._margins(self.f, Z)
-        T = self.thetas[searches]
-        block = cond.segment_chunk(1) if self.target == "a" else len(Z)
-        return np.concatenate([
-            self._margins(replace(self.f, params=T[lo:lo + block]),
-                          Z[lo:lo + block])
-            for lo in range(0, len(Z), block)])
+    def member(self, searches) -> ScalarField:
+        """The field that scores row i of search searches[i]: f, or given
+        thetas, f with row i at parameter row thetas[searches[i]]."""
+        return self.f if self.thetas is None else \
+            replace(self.f, params=self.thetas[searches])
 
-    def _margins(self, f: ScalarField, Z: np.ndarray) -> np.ndarray:
+    def __call__(self, Z: np.ndarray, searches=None) -> np.ndarray:
+        """Margins of the rows Z, row i scored at `member(searches)`'s row
+        i (without thetas, searches is ignored): one kernel call for all
+        rows, whichever members they belong to."""
         X, Y, lam = self.split(Z)
-        cfg = self.cfg
+        f, cfg = self.member(searches), self.cfg
         if self.target == "a":
             return np.concatenate([
                 np.where((d >= cfg.min_sep) & np.isfinite(m[0]), m[0], math.inf)
@@ -299,8 +294,7 @@ class _MarginObjective:
         member alone gives (`ScalarField.value` for target 'a',
         `check_b`/`check_c` for 'b'/'c')."""
         X, Y, lam = self.split(Z)
-        f = self.f if self.thetas is None else \
-            replace(self.f, params=self.thetas[searches])
+        f = self.member(searches)
         if self.target == "a":
             fx, fy = f.values(X), f.values(Y)
             return [Witness(x=X[i].copy(), y=Y[i].copy(), lam=float(lam[i]),
@@ -506,8 +500,8 @@ class HarnessReport:
     worst: dict             # condition -> {"margin": float, "witness": {...}}
     theorem_tension: bool   # (b)/(c) violations without any (a) violation
     # per counted pair, not part of the JSON report: "index" (position in
-    # the sampler's stream), "a_margin", "a_ok", "bc_margin", "b_vacuous",
-    # "c_vacuous", "bc_ok"
+    # the sampler's stream), "a_margin", "a_status", "bc_margin",
+    # "b_status", "c_status" (status codes, see `conditions.statuses`)
     per_pair: dict = dc_field(repr=False, compare=False)
 
     @property
@@ -526,16 +520,11 @@ class HarnessReport:
         }
 
 
-def _note(margins, vacuous, ok, tol, X, Y, lam=None):
+def _note(status, margins, X, Y, lam=None):
     """One condition on a block of pairs: its tally, and its first smallest
-    margin with that pair (None when no pair has an active margin)."""
-    active = ok & ~vacuous
-    violated = active & cond.is_violated(margins, tol)
-    tally = {"holds": int(np.sum(active & ~violated)),
-             "violated": int(np.sum(violated)),
-             "vacuous": int(np.sum(vacuous & ok)),
-             "skipped": int(np.sum(~ok))}
-    masked = np.where(active, margins, np.nan)
+    margin with that pair (None when no pair holds or is violated)."""
+    tally = np.bincount(status, minlength=len(cond.STATUSES))
+    masked = np.where(status < 2, margins, np.nan)   # the rows with a margin
     if np.isnan(masked).all():
         return tally, None
     i = int(np.nanargmin(masked))
@@ -559,31 +548,30 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
     """
     count = sampler.count
     per_pair = {"index": np.empty(count, dtype=np.int64), "a_margin": np.empty(count),
-                "a_ok": np.empty(count, dtype=bool), "bc_margin": np.empty(count),
-                "b_vacuous": np.empty(count, dtype=bool),
-                "c_vacuous": np.empty(count, dtype=bool),
-                "bc_ok": np.empty(count, dtype=bool)}
+                "a_status": np.empty(count, dtype=np.int8), "bc_margin": np.empty(count),
+                "b_status": np.empty(count, dtype=np.int8),
+                "c_status": np.empty(count, dtype=np.int8)}
 
     def run(lo, k):
         """lo, how many of the block's pairs it kept and the note of each
         condition; the block's per_pair rows go in place, from lo on."""
         X, Y, keep = cond._separated(sample_pairs(sampler, lo, k), cfg)
         r = cond.batch_margins_bc(f, X, Y, cfg)
-        rows = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"],
-                "b_vacuous": ~r["premise_b"], "c_vacuous": ~r["premise_c"],
-                "bc_ok": r["ok"]}
-        notes = {name: _note(r["margin"], rows[f"{name}_vacuous"], r["ok"], cfg.tol, X, Y)
-                 for name in "bc"}
+        rows = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"]}
+        for name in "bc":
+            rows[f"{name}_status"] = cond.statuses(r["margin"], r[f"premise_{name}"],
+                                                   r[f"ok_{name}"], cfg.tol)
         del r   # the (a) kernel runs without the rest of the (b)/(c) results
-        rows["a_margin"], lam, rows["a_ok"] = cond.batch_margin_a_worst(f, X, Y, cfg)
-        notes["a"] = _note(rows["a_margin"], np.zeros(len(X), dtype=bool), rows["a_ok"],
-                           cfg.tol, X, Y, lam)
+        rows["a_margin"], lam, ok = cond.batch_margin_a_worst(f, X, Y, cfg)
+        rows["a_status"] = cond.statuses(rows["a_margin"], True, ok, cfg.tol)
+        notes = {name: _note(rows[f"{name}_status"], rows["bc_margin"], X, Y)
+                 for name in "bc"}
+        notes["a"] = _note(rows["a_status"], rows["a_margin"], X, Y, lam)
         for key, v in rows.items():
             per_pair[key][lo:lo + len(X)] = v
         return lo, len(X), notes
 
-    counts = {name: {"holds": 0, "violated": 0, "vacuous": 0, "skipped": 0}
-              for name in "abc"}
+    tallies = {name: np.zeros(len(cond.STATUSES), dtype=np.int64) for name in "abc"}
     best = {}      # condition -> (margin, x, y, lam) of its first smallest margin
     N = 0          # pairs kept so far
     for lo, k, notes in cond._in_lanes(run, count):
@@ -592,11 +580,11 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
                 v[N:N + k] = v[lo:lo + k]
         N += k
         for name, (tally, first) in notes.items():
-            for key, c in tally.items():
-                counts[name][key] += c
+            tallies[name] += tally
             if first is not None and (name not in best or first[0] < best[name][0]):
                 best[name] = first
 
+    counts = {name: dict(zip(cond.STATUSES, t.tolist())) for name, t in tallies.items()}
     worst = {}
     for name in "abc":
         if name in best:

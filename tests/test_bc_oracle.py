@@ -3,7 +3,8 @@
 and summed ||x-y|| over coordinate planes, kept here verbatim (with the
 row-wise norm it used). Every key of the result must match it bit for
 bit, signed zeros and NaNs included, at n < 8, where np.sum over a row
-adds its entries in coordinate order."""
+adds its entries in coordinate order; the oracle's `ok` key, since
+deleted from the kernel, must equal the kernel's `ok_c`."""
 
 import math
 from functools import lru_cache
@@ -148,6 +149,9 @@ def test_bc_kernel_matches_the_frozen_two_pass_kernel_bit_for_bit(case):
     X, Y = P[:, 0], P[:, 1]
     got = batch_margins_bc(f, X, Y, cfg)
     want = oracle_margins_bc(f, X, Y, cfg)
+    # the frozen kernel's combined mask is the new ok_c: grads makes the
+    # gradient row of a non-finite value NaN, so ok_c implies ok_b
+    assert want.pop("ok").tobytes() == got["ok_c"].tobytes()
     assert sorted(got) == sorted(want)
     for key, w in want.items():
         g = np.asarray(got[key])

@@ -277,6 +277,25 @@ def test_config_file_mistyped_value_is_a_usage_error(tmp_path, data):
                  "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", [
+    ["--fn", "sqnorm"], ["--expr", "x1"], ["--box=5:6"], ["--target", "b"],
+    ["--target", "a"], ["--expr", "x1", "--box=5:6", "--target", "b"]], ids=" ".join)
+def test_family_rejects_the_flags_it_ignores(tmp_path, capsys, flags):
+    # the open-question search runs on the family's own domain and picks
+    # its own targets, so a field, a box or a target is a usage error
+    code, rep = run(["falsify", "--family", "param_cubic", "--budget", "2000",
+                     "--param-samples", "2", *flags], tmp_path)
+    assert code == EXIT_USAGE and rep is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for flag in flags:
+        if flag.startswith("--"):
+            assert flag.split("=")[0] in err
+    # a plain falsify still targets (a) by default
+    code, rep = run(["falsify", "--fn", "sin", "--budget", "200"], tmp_path)
+    assert rep["payload"]["target"] == "a"
+
+
 def test_open_question_cli(tmp_path):
     code, rep = run(["falsify", "--family", "param_cubic", "--budget", "6000",
                      "--param-samples", "4", "--seed", "1", "--tol", "1e-8",

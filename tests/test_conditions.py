@@ -39,6 +39,20 @@ def test_config_validation():
     assert len(grid) == 63 and grid[0] == 1 / 64 and grid[-1] == 63 / 64
 
 
+@pytest.mark.parametrize("norm", [0, 3, 2.5, "2", "max", None])
+def test_config_rejects_an_unsupported_norm_when_built(norm):
+    with pytest.raises(ValueError, match="unsupported norm selector"):
+        CheckConfig(penalty_norm=norm)
+
+
+@pytest.mark.parametrize("spelling", ["inf", math.inf, np.inf, float("inf")])
+def test_config_stores_the_max_norm_as_math_inf(spelling):
+    c = CheckConfig(penalty_norm=spelling)
+    assert c.penalty_norm == math.inf and type(c.penalty_norm) is float
+    assert c.to_json()["penalty_norm"] == "inf"
+    assert [CheckConfig(penalty_norm=p).to_json()["penalty_norm"] for p in (1, 2)] == [1, 2]
+
+
 # ---------------------------------------------------------------------------
 # margin_a
 
@@ -165,6 +179,10 @@ def test_skipped_needs_only_the_evaluations_a_check_uses():
     assert check_c(f, [0.0], [0.5], cfg()).status == SKIPPED
     assert check_b(f, [0.5], [0.0], cfg()).status == SKIPPED
     assert check_c(f, [0.5], [0.0], cfg()).status == SKIPPED
+    # and so does check: x = -0.5 is the kink of abs(x1 + 0.5)
+    g = make_field_from_expr("abs(x1 + 0.5)", 1, DomainBox.cube(-1, 1, 1))
+    counts = implication_harness(g, cfg(), Sampler("segment_grid", 0, 1, g.domain)).counts
+    assert (counts["b"]["holds"], counts["c"]["skipped"]) == (1, 1)
 
 
 def test_min_sep_enforced():
@@ -297,7 +315,7 @@ def _match_closed_form(f, oracle, rng):
 
     _, fx, fy, px, py, d2 = oracle(X, Y, 0.5, c.sigma)
     r = batch_margins_bc(f, X, Y, c)
-    assert r["ok"].all() and r["ok_b"].all() and r["ok_c"].all()
+    assert r["ok_b"].all() and r["ok_c"].all()
     np.testing.assert_allclose(r["sep"] ** 2, d2, rtol=1e-14)
     for key, want in (("fx", fx), ("fy", fy), ("pairing_x", px),
                       ("pairing_y", py), ("margin", -0.5 * c.sigma * d2 - py)):
@@ -624,6 +642,22 @@ def test_lane_count_honours_the_cpu_quota(monkeypatch):
         monkeypatch.setattr(conditions, "_cpu_max", lambda quota=quota: quota)
         monkeypatch.setattr(conditions, "LANES", None)   # not yet counted
         assert conditions._lanes() == lanes, (cpus, quota)
+
+
+def test_statuses_is_the_one_status_rule():
+    # skipped where not ok, else vacuous where the premise fails, else
+    # violated or holds by is_violated; codes index STATUSES, the order of
+    # the reports' counts
+    assert conditions.STATUSES == (HOLDS, VIOLATED, VACUOUS, SKIPPED)
+    m = np.array([0.5, -1.0, -1.0, -1.0, np.nan, -1e-9, -np.inf])
+    premise = np.array([True, True, False, False, True, True, True])
+    ok = np.array([True, True, True, False, False, True, True])
+    s = conditions.statuses(m, premise, ok, 1e-9)
+    assert s.dtype == np.int8
+    assert [conditions.STATUSES[k] for k in s] == [
+        HOLDS, VIOLATED, VACUOUS, SKIPPED, SKIPPED, HOLDS, VIOLATED]
+    # a condition without a premise, such as (a)
+    assert conditions.statuses(m[:2], True, True, 1e-9).tolist() == [0, 1]
 
 
 def test_is_violated_is_the_one_rule():

@@ -739,7 +739,7 @@ def test_reports_do_not_depend_on_the_order_blocks_finish_in(monkeypatch):
 
 def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
     # sigma* holds one block of pairs at a time; the harness adds only its
-    # per_pair arrays (28 B per pair)
+    # per_pair arrays (27 B per pair)
     f = catalog_field("sqnorm", 3)
     cfg = CheckConfig()
     small, big = (Sampler("uniform_box", 5, count, f.domain)
@@ -759,7 +759,7 @@ def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
 
 
 def test_harness_holds_one_block_at_a_time(monkeypatch):
-    # a second block adds only its per_pair rows (28 B a pair): the first
+    # a second block adds only its per_pair rows (27 B a pair): the first
     # block's pairs, their filtered copies and (b)/(c) results are dropped
     # before the second is drawn
     f = catalog_field("sqnorm", 2)
@@ -775,7 +775,7 @@ def test_harness_holds_one_block_at_a_time(monkeypatch):
         monkeypatch.setattr(cond, "LANES", lanes)
         implication_harness(f, cfg, two)   # the program's registers, once
         extra = peak(two) - peak(one)
-        assert extra <= 28 * cond.PAIR_BLOCK + 96 * 1024
+        assert extra <= 27 * cond.PAIR_BLOCK + 96 * 1024
 
 
 def test_falsify_witness_rechecks_bitwise():
@@ -1042,6 +1042,30 @@ def test_batched_witnesses_equal_members_alone(name, target):
     for z, s, w in zip(Z, searches, batch):
         alone = _witness_alone(fam.build(thetas[s]), target, cfg, z)
         assert _witness_json(w) == _witness_json(alone)
+
+
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+def test_family_scoring_over_many_kernel_chunks_equals_members_alone(target):
+    # 50,000 rows span several chunks of the segment kernel (a chunk holds
+    # at most SEGMENT_CHUNK // 3 rows at one lambda per row), and each
+    # chunk scores its own parameter rows: one call over all 64 members
+    # equals each member scoring its own rows, bit for bit
+    fam = family_by_name("perturbed_sqnorm")
+    rng = np.random.default_rng(6)
+    box = fam.param_box
+    thetas = box.lower + rng.random((64, box.dim)) * box.widths
+    cfg = CheckConfig(sigma=0.5)
+    f = search.ScalarField(fam.name, fam.program, fam.domain)
+    obj = _MarginObjective(f, target, cfg, thetas)
+    searches = rng.integers(0, 64, 50_000)
+    assert searches.size > 2 * (cond.SEGMENT_CHUNK // 3)
+    Z = obj.lower + rng.random((searches.size, obj.nvars)) * (obj.upper - obj.lower)
+    want = np.empty(searches.size)
+    for k, theta in enumerate(thetas):
+        rows = searches == k
+        want[rows] = _MarginObjective(fam.build(theta), target, cfg)(Z[rows])
+    assert np.isfinite(want).any() and (want < 0).any()
+    assert obj(Z, searches).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["perturbed_sqnorm", "bump_sum", "param_cubic"])
