@@ -56,9 +56,10 @@ def parse_box(spec: str, n: int) -> DomainBox:
 def resolve_field(args):
     if args.fn and args.expr:
         raise UsageError("give exactly one of --fn and --expr")
+    n = args.dim or 2   # --dim's default, given only where a field needs it
     if args.fn:
         try:
-            f = catalog_field(args.fn, args.dim)
+            f = catalog_field(args.fn, n)
         except KeyError as e:
             raise UsageError(str(e))
         if args.box:
@@ -69,9 +70,9 @@ def resolve_field(args):
     if args.expr:
         if not args.box:
             raise UsageError("--expr requires --box")
-        box = parse_box(args.box, args.dim)
+        box = parse_box(args.box, n)
         try:
-            return make_field_from_expr(args.expr, args.dim, box,
+            return make_field_from_expr(args.expr, n, box,
                                         name=f"expr:{args.expr}")
         except ParseError as e:
             raise UsageError(f"cannot parse expression: {e}")
@@ -149,7 +150,8 @@ def cmd_check(args) -> int:
     cfg = make_config(args)
     sampler = make_sampler(args, f.domain)
     report = srch.implication_harness(f, cfg, sampler)
-    skipped = sum(c["skipped"] for c in report.counts.values())
+    codes = np.stack([report.per_pair[f"{name}_status"] for name in "abc"])
+    skipped = int(np.count_nonzero((codes == cond.STATUSES.index(cond.SKIPPED)).any(axis=0)))
     out = build_report(args, report.to_json(),
                        echo_config(args, f, cfg, sampler), skipped)
     csv_rows = _csv_rows(report) if args.csv else None
@@ -188,7 +190,7 @@ def cmd_falsify(args) -> int:
     cfg = make_config(args)
     budget = srch.SearchBudget(max_evals=args.budget, restarts=args.restarts)
     if args.family:
-        ignored = [f"--{k}" for k in ("fn", "expr", "box", "target") if getattr(args, k)]
+        ignored = [f"--{k}" for k in ("fn", "expr", "dim", "box", "target") if getattr(args, k)]
         if ignored:
             raise UsageError(f"--family takes no {', '.join(ignored)}: it searches the "
                              "family's own domain, with its own targets")
@@ -265,7 +267,7 @@ def cmd_catalog(args) -> int:
 def _add_field_args(p):
     p.add_argument("--fn", help="catalog field name")
     p.add_argument("--expr", help="expression in x1..xn, e.g. 'x1^2 + x2^2'")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, help="dimension (default 2)")
     p.add_argument("--box", help="domain box lo:hi[,lo:hi...] (broadcasts)")
 
 
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = apply_config_file(ap.parse_args(argv), argv)
-        if args.dim < 1:
+        if args.dim is not None and args.dim < 1:
             raise UsageError(f"--dim must be at least 1, got {args.dim}")
         return args.func(args)
     except (UsageError, ValueError, ArithmeticError) as e:

@@ -19,15 +19,18 @@ at a shared lambda grid or at one lambda per pair, evaluating f once per
 chunk on a coordinate-major point buffer that every chunk of the block
 reuses, and `batch_margins_bc` gives the pairings, both premises and the
 shared (b)/(c) conclusion margin from one program pass over x and y
-stacked as coordinate planes. The per-pair worst (a) margin and sigma*
-reduce over the kernel's chunks; `verdicts_bc` gives the (b)/(c) verdict
-of each pair row, and the scalar checks `margin_a`, `check_b`, `check_c`
-and `sigma_star_segment` run the kernels on a batch of one. Margins are
+stacked as coordinate planes, seeded with the directions y - x and x - y:
+each pairing is one directional derivative, and no gradient is formed.
+The per-pair worst (a) margin and sigma* reduce over the kernel's
+chunks; `verdicts_bc` gives the (b)/(c) verdict of each pair row, and
+the scalar checks `margin_a`, `check_b`, `check_c` and
+`sigma_star_segment` run the kernels on a batch of one. Margins are
 raw; `is_violated` is the one rule that applies the tolerance, and
 `statuses` the one rule that maps a kernel row to holds, violated,
 vacuous or skipped. A condition skips a pair only when an evaluation it
 reads fails: f at x, y and the segment points for (a); f(x), f(y) and
-grad f(y) for (b); both gradients for (c).
+<grad f(y), x-y> for (b); both pairings for (c). A pairing that
+overflows counts as failed.
 
 `sigma_star_estimate` and the implication harness (search.py) cut their
 pairs into blocks and run each block end to end, drawn, filtered and
@@ -426,37 +429,33 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     (b): premise f(x) <= f(y) - tol; (c): premise
     <grad f(x), y-x> > -(sigma/2)*||x-y||^2 + tol. The tolerance narrows
     both premises, so rounding never makes a premise hold. Both share the
-    conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. One
-    program pass over the pairs, copied into coordinate planes (n, 2, k),
-    gives f and grad f at x and y; the pairings are summed plane by plane
-    from 0.0 (a sum of zeros is +0.0), ||x-y|| by `_plane_norm`.
+    conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. The pairs
+    are copied into coordinate planes (n, 2, k), and one `slopes` pass over
+    them, seeded with the planes of y - x at x and of x - y at y, gives f
+    and both pairings; ||x-y|| comes from the same planes (`_plane_norm`).
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
-    premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
-    finite) and ok_c (both gradients finite, which implies ok_b: `grads`
-    makes the gradient row of a non-finite value NaN).
+    premise_b, premise_c, sep (||x-y||), ok_b (f(x) and the pairing at y
+    finite) and ok_c (both pairings finite, which implies ok_b: `slopes`
+    makes the slope of a non-finite value NaN). A pairing that overflows
+    is not finite, so its pair is skipped.
     """
     S = np.empty((np.shape(X)[1], 2, len(X)))
     S[:, 0], S[:, 1] = np.transpose(X), np.transpose(Y)
-    (fx, fy), g = f.grads(S.transpose(1, 2, 0), with_values=True)
-    G = g.transpose(2, 0, 1)   # the program's planes: G[j, 0] at x, G[j, 1] at y
     with np.errstate(all="ignore"):
         D = S[:, ::-1] - S   # planes of y - x, then of x - y
-        d = _plane_norm(D[:, 0], cfg.penalty_norm)
-        GD = np.multiply(G, D, out=D)   # the terms of the pairings
-        pairing = 0.0 + GD[0]
-        for j in range(1, len(GD)):
-            pairing += GD[j]
+        (fx, fy), pairing = f.slopes(S.transpose(1, 2, 0), D.transpose(1, 2, 0))
         pairing_x, pairing_y = pairing
-        gx_ok, gy_ok = np.isfinite(G).all(axis=0)
-        ok_b = np.isfinite(fx) & gy_ok   # grads makes a non-finite f(y)'s row NaN
+        d = _plane_norm(D[:, 0], cfg.penalty_norm)
+        finite = np.isfinite(pairing)
+        ok_b = np.isfinite(fx) & finite[1]   # a non-finite f(y) makes its slope NaN
         threshold = -0.5 * cfg.sigma * d * d
         margin = threshold - pairing_y
         premise_b = fx <= fy - cfg.tol
         premise_c = pairing_x > threshold + cfg.tol
     return dict(fx=fx, fy=fy, pairing_x=pairing_x, pairing_y=pairing_y,
                 margin=margin, premise_b=premise_b, premise_c=premise_c,
-                sep=d, ok_b=ok_b, ok_c=gx_ok & gy_ok)
+                sep=d, ok_b=ok_b, ok_c=finite[0] & finite[1])
 
 
 # the witness fields of each of conditions (b) and (c)
@@ -595,8 +594,7 @@ def check_lemma(phi: ScalarField, grid, tol: float = 1e-9) -> Verdict:
         raise ValueError("grid must be non-empty and strictly inside (a, b)")
     fa = phi.value(np.array([a]))
     fb = phi.value(np.array([b]))
-    vals, ders = phi.grads(grid[:, None], with_values=True)
-    ders = ders[:, 0]
+    vals, ders = phi.slopes(grid[:, None], np.ones((grid.size, 1)))
     ok = np.isfinite(vals) & np.isfinite(ders)
     hyp = (ders <= tol) | (vals <= fa + tol)
     bad = ok & ~hyp

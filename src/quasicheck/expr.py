@@ -14,14 +14,14 @@ caller declares parameters). No implicit multiplication.
 `compile_expr` lowers an AST once to a program of two straight-line
 numpy functions whose intermediate arrays go to register files reused by
 every call: `value(X)` gives f at a batch of points, and one pass of
-`dual(X)` gives the values, the gradient in sparse forward mode (each
-node carries the partial derivatives in only the coordinates it depends
-on, one array per coordinate) and a nondifferentiability mask. Nothing
-raises: a point outside the expression's domain evaluates to NaN or an
-infinity. Nondifferentiable points of abs/min/max (exact ties) propagate
-the first branch's derivative and set a flag. Parameters are inputs
-without a tangent, so one program serves a family, one parameter row per
-point.
+`dual(X, D)` gives the values, the directional derivatives <grad f, d>
+at each point along its direction d (forward mode with one tangent per
+node, seeded with d, so a pass costs the same for any n) and a
+nondifferentiability mask. Nothing raises: a point outside the
+expression's domain evaluates to NaN or an infinity. Nondifferentiable
+points of abs/min/max (exact ties) propagate the first branch's
+derivative and set a flag. Parameters are inputs without a tangent, so
+one program serves a family, one parameter row per point.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import ast
 import math
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -309,15 +309,14 @@ def pretty_print(e: Node) -> str:
 # One temporary per node, in left-first post-order. Values have the points'
 # shape without its last axis (a point alone has shape ()): x_j = X[..., j-1]
 # and parameter t_j is p_j = T[..., j-1], broadcast against the points. The
-# tangent of a node maps each coordinate j it depends on to a term, its
-# partial derivative in x_j, and x_j's own term is the literal 1.0, by which
-# a product is exact and dropped. Derivatives mirror the dual-number rules
-# term for term, one coordinate at a time; parameters and subtrees free of x
-# carry no tangent and no flag. An array that depends on x, except the
-# result, is written into a register (see `_assign_registers`), so a call
-# allocates only its result and the gradient. Nothing is checked: numpy's
-# IEEE results make an invalid point NaN (or infinite). The source holds only
-# numbers and generated names.
+# tangent of a node is one term, its derivative along the direction D, and
+# x_j's own term is its seed d_j = D[..., j-1]. Derivatives mirror the
+# dual-number rules term for term; parameters and subtrees free of x carry
+# no tangent and no flag. An array that depends on x, except the results,
+# is written into a register (see `_assign_registers`), so a call
+# allocates only its results. Nothing is checked: numpy's IEEE results make
+# an invalid point NaN (or infinite). The source holds only numbers and
+# generated names.
 
 
 def _power(a, b, out=None):
@@ -352,7 +351,7 @@ def _int_power(k: int) -> str:
 
 
 _NAMESPACE = {
-    "_F": np.float64, "_full": np.full, "_empty": np.empty, "_power": _power,
+    "_F": np.float64, "_full": np.full, "_power": _power,
     "_ipow": _ipow,
     "inf": np.inf, "nan": np.nan, "negative": np.negative, "add": np.add,
     "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide,
@@ -364,43 +363,42 @@ _NAMESPACE = {
 
 # op: (value, tangent, tangent terms, tie test). A value template is one
 # ufunc call, so that a register can be given as its out=. Templates see the
-# operand values a, b and one coordinate's terms ta, tb of their tangents
-# (0.0 when absent), this value v, w = a with non-positive entries as NaN,
-# and k, pk for k * a^(k-1), pw the function of a^k. Per coordinate, terms
-# whose tangent is absent are dropped; the rest fill the tangent's {}. A
-# factor in [brackets] does not depend on the coordinate: it is evaluated
-# once per node. Ties of abs/min/max keep the first branch's derivative
-# and set the flag. a^k with a constant integer k (and its factor
-# a^(k-1)) is numpy's power of |a| with a's sign for odd k (`_ipow`), so
-# it is exactly odd or even in a, within one ulp, at negative a too;
-# numpy's own power serves k = -1, 0, 1, 2. pow(a, b) and a^b with any
-# other exponent are the power of w: they need a > 0 and are NaN elsewhere.
+# operand values a, b and their tangents ta, tb (0.0 when absent), this
+# value v, w = a with non-positive entries as NaN, and k, pk for
+# k * a^(k-1), pw the function of a^k. Terms whose tangent is absent are
+# dropped; the rest fill the tangent's {}, and a node all of whose terms
+# are absent has no tangent. Ties of abs/min/max keep the first branch's
+# derivative and set the flag. a^k with a constant integer k (and its
+# factor a^(k-1)) is numpy's power of |a| with a's sign for odd k
+# (`_ipow`), so it is exactly odd or even in a, within one ulp, at
+# negative a too; numpy's own power serves k = -1, 0, 1, 2. pow(a, b) and
+# a^b with any other exponent are the power of w: they need a > 0 and are
+# NaN elsewhere.
 _TA = [("", "{ta}")]
 _POW = ("_power({w}, {b})", "{v} * ({})",
-        [("", "{tb} * [log({w})]"), (" + ", "{b} * {ta} / {w}")])
+        [("", "{tb} * log({w})"), (" + ", "{b} * {ta} / {w}")])
 _RULES = {
     "neg": ("negative({a})", "-{}"),
     "+": ("add({a}, {b})", "{}", [("", "{ta}"), (" + ", "{tb}")]),
     "-": ("subtract({a}, {b})", "{}", [("", "{ta}"), (" - ", "{tb}")]),
     "*": ("multiply({a}, {b})", "{}", [("", "{ta} * {b}"), (" + ", "{a} * {tb}")]),
-    "/": ("divide({a}, {b})", "({}) / [{b} * {b}]",
+    "/": ("divide({a}, {b})", "({}) / ({b} * {b})",
           [("", "{ta} * {b}"), (" - ", "{a} * {tb}")]),
     "^0": ("power({a}, 0.0)", None, []),
-    "^k": ("{pw}({a}, {k})", "[{k} * {pk}] * {}"),
+    "^k": ("{pw}({a}, {k})", "({k} * {pk}) * {}"),
     "^": _POW,
     "pow": _POW,
-    "sin": ("sin({a})", "[cos({a})] * {}"),
-    "cos": ("cos({a})", "[-sin({a})] * {}"),
+    "sin": ("sin({a})", "cos({a}) * {}"),
+    "cos": ("cos({a})", "-sin({a}) * {}"),
     "exp": ("exp({a})", "{v} * {}"),
     "log": ("log({a})", "{} / {a}"),
-    "sqrt": ("sqrt({a})", "{} / [2.0 * {v}]"),
-    "abs": ("absolute({a})", "[where({a} >= 0, 1.0, -1.0)] * {}", _TA, "{a} == 0"),
-    "min": ("minimum({a}, {b})", "where([{a} <= {b}], {ta}, {tb})",
+    "sqrt": ("sqrt({a})", "{} / (2.0 * {v})"),
+    "abs": ("absolute({a})", "where({a} >= 0, 1.0, -1.0) * {}", _TA, "{a} == 0"),
+    "min": ("minimum({a}, {b})", "where({a} <= {b}, {ta}, {tb})",
             _TA + [("", "{tb}")], "{a} == {b}"),
-    "max": ("maximum({a}, {b})", "where([{a} >= {b}], {ta}, {tb})",
+    "max": ("maximum({a}, {b})", "where({a} >= {b}, {ta}, {tb})",
             _TA + [("", "{tb}")], "{a} == {b}"),
 }
-_FACTOR = re.compile(r"\[(.*?)\]")
 # the ufunc of each operator of a tangent expression
 _UFUNC = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply",
           ast.Div: "divide", ast.USub: "negative", ast.GtE: "greater_equal",
@@ -430,29 +428,28 @@ class _RegisterFile(threading.local):
         return views
 
 
-def _assign_registers(lines, names, fixed):
-    """Make the line of each temporary in `names` write with out= to the
-    array that `fixed` gives it, else to a register from its assignment to
-    its `del`: values to one of R, dual temporaries to one of S, which the
-    value program does without. A line takes over the register of its file
-    of an operand that no later line of either program reads (sin(a) keeps
-    a for its factor cos(a)); a value that a tangent term holds (the term v
-    of exp) is freed by the dual `del` of the term. Returns the lines and
-    the register counts of R and S."""
+def _assign_registers(lines, names):
+    """Make the line of each temporary in `names` write with out= to a
+    register from its assignment to its `del`: values to one of R, dual
+    temporaries to one of S, which the value program does without. A line
+    takes over the register of its file of an operand that no later line
+    of either program reads (sin(a) keeps a for its factor cos(a)); a
+    value that a tangent term holds (the term v of exp) is freed by the
+    dual `del` of the term. Returns the lines and the register counts of R
+    and S."""
     last = {n: i for i, (_, text) in enumerate(lines) if not text.startswith("del ")
             for n in re.findall(r"\w+", text.partition(" = ")[2])}
-    slot, free, count, out = dict(fixed), ([], []), [0, 0], []
+    slot, free, count, out = {}, ([], []), [0, 0], []
     for i, (dual, text) in enumerate(lines):
         name, _, call = text.partition(" = ")
         if name in names:
             file = "RS"[dual]
             taken = [n for n in re.findall(r"\w+", call)
                      if slot.get(n, " ")[0] == file and last[n] == i]
-            if not (taken or free[dual] or name in fixed):
+            if not (taken or free[dual]):
                 free[dual].append(f"{file}[{count[dual]}]")
                 count[dual] += 1
-            slot[name] = fixed.get(name) or (slot.pop(taken[0]) if taken
-                                             else free[dual].pop())
+            slot[name] = slot.pop(taken[0]) if taken else free[dual].pop()
             text = f"{name} = {call[:-1]}, out={slot[name]})"
         elif text.startswith("del "):
             for n in text[4:].split(", "):
@@ -476,7 +473,7 @@ def _int_exponent(node: Node) -> int | None:
 @dataclass
 class _Slot:
     v: str                 # value: temporary name or numeric literal
-    t: dict = field(default_factory=dict)   # coordinate j: term; absent is 0
+    t: str | None = None   # tangent <grad, d>: a name; absent is 0
     f: str | None = None   # nondifferentiability flag name
     var: bool = False      # depends on x
     par: bool = False      # depends on a parameter
@@ -505,7 +502,7 @@ class _Lowering:
         """Lower a tangent expression to dual lines of one call each, so
         that a ufunc can write to a register, and return its result: a name,
         or a number that numpy folds here when the part has no name. A
-        product with 1.0, a variable's own term, is exact and dropped."""
+        product with the constant 1.0 is exact and dropped."""
         made = []
 
         def walk(e):
@@ -537,7 +534,7 @@ class _Lowering:
             return _Slot(f"({lit})" if lit.startswith("-") else lit)
         if isinstance(e, Var):
             self.variables.add(e.index)
-            return _Slot(f"x{e.index}", {e.index: "1.0"}, var=True)
+            return _Slot(f"x{e.index}", f"d{e.index}", var=True)
         if isinstance(e, Param):
             self.params.add(e.index)
             return _Slot(f"p{e.index}", par=True)
@@ -562,7 +559,7 @@ class _Lowering:
         rule = _RULES[op]   # fill in the defaults of a short rule
         value, tangent, terms, tie = rule + (_TA, None)[len(rule) - 2:]
         a, b = (ops + [_Slot("")])[:2]
-        out = _Slot(self.new("v"), {}, None, var, par)
+        out = _Slot(self.new("v"), None, None, var, par)
         if var:
             self.registered.add(out.v)
         fmt.update(a=a.v, b=b.v, v=out.v)
@@ -571,19 +568,12 @@ class _Lowering:
             fmt["w"] = w = self.new("w")
             lines.append((False, f"{w} = where({a.v} > 0, {a.v}, nan)"))
         lines.append((False, f"{out.v} = {value.format(**fmt)}"))
-        factors = {}
-
-        def factor(m):
-            return factors.get(m[1]) or factors.setdefault(m[1], self.emit(m[1]))
-
-        for j in sorted(a.t.keys() | b.t.keys()):
-            fmt.update(ta=a.t.get(j, "0.0"), tb=b.t.get(j, "0.0"))
-            present = [(sep, t) for sep, t in terms
-                       if j in (a.t if "{ta}" in t else b.t)]
-            if present:
-                body = "".join(sep + t for sep, t in present).format(**fmt)
-                body = "0.0" + body if present[0][0] == " - " else body.removeprefix(" + ")
-                out.t[j] = self.emit(_FACTOR.sub(factor, tangent.format(body, **fmt)))
+        fmt.update(ta=a.t or "0.0", tb=b.t or "0.0")
+        present = [(sep, t) for sep, t in terms if (a.t if "{ta}" in t else b.t)]
+        if present:
+            body = "".join(sep + t for sep, t in present).format(**fmt)
+            body = "0.0" + body if present[0][0] == " - " else body.removeprefix(" + ")
+            out.t = self.emit(tangent.format(body, **fmt))
         flags = [f for f in (a.f, b.f) if f]
         if tie and var:
             flags.append(self.new("f", tie.format(**fmt)))
@@ -592,10 +582,9 @@ class _Lowering:
         out.f = flags[0] if flags else None
         # release each operand temporary at its last use, which was here,
         # unless a term of this tangent holds it
-        held = {out.v, out.f, *out.t.values()}
+        held = {out.v, out.f, out.t}
         for dual, names in ((False, [s.v for s in ops] + [fmt.get("w")]),
-                            (True, [n for s in ops for n in (*s.t.values(), s.f)]
-                             + list(factors.values()))):
+                            (True, [n for s in ops for n in (s.t, s.f)])):
             names = [n for n in dict.fromkeys(names) if n in self.temps and n not in held]
             held.update(names)
             if names:
@@ -607,16 +596,17 @@ class _Lowering:
 class Program:
     """An expression compiled for points in R^n with p parameters.
     value(X) gives f at the points X (..., n), of shape X.shape[:-1];
-    dual(X) gives (values, gradient planes, tie flags or None), the planes
-    an array (n,) + X.shape[:-1] whose plane j-1 is the partial derivative
-    in x_j, zero where f does not depend on x_j. With p > 0 both take the
-    parameters T last, of shape (..., p) broadcastable against
-    X.shape[:-1]: one vector, or one per point row. A point outside the
-    expression's domain gives a NaN (or infinite) value, its partial
-    derivatives whatever the rules give there. Both write their
-    intermediate arrays into register files that the program keeps for all
-    its calls, one per thread, so several threads may call one program at
-    once; what they return is their own."""
+    dual(X, D) gives (values, slopes, tie flags or None) at the points X
+    and the directions D, one per point, of X's shape: the slope of a point
+    x along its d is <grad f(x), d>, from one forward-mode pass seeded with
+    d_j = D[..., j-1], and is zero where f does not depend on x. With
+    p > 0 both take the parameters T last, of shape (..., p) broadcastable
+    against X.shape[:-1]: one vector, or one per point row. A point outside
+    the expression's domain gives a NaN (or infinite) value, its slope
+    whatever the rules give there. Both write their intermediate arrays
+    into register files that the program keeps for all its calls, one per
+    thread, so several threads may call one program at once; what they
+    return is their own."""
 
     n: int
     p: int
@@ -635,25 +625,21 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
     if max(L.params, default=0) > p:
         raise ValueError("expression references a parameter beyond the count")
     shape = "X.shape[:-1]"
-    # a bare x_j is a view of the caller's points: its value is a copy
+    # a bare x_j or d_j is a view of the caller's points or directions, and
+    # a constant has no array: what is returned is a copy, or a new array
     ret = root.v if root.var and root.v in L.temps else f"_full({shape}, {root.v})"
-    # a ufunc makes a tangent term of one coordinate alone in its plane
-    terms = list(root.t.values())
-    fixed = {t: f"G[{j - 1}, ...]" for j, t in root.t.items()
-             if t[0] == "t" and t in L.registered and terms.count(t) == 1}
-    planes = [(True, f"G[{j - 1}] = {root.t.get(j, '0.0')}")
-              for j in range(1, n + 1) if root.t.get(j) not in fixed]
-    lines, (r, s) = _assign_registers(L.lines + planes, L.registered - {root.v}, fixed)
+    slope = root.t if root.t in L.temps else f"_full({shape}, {root.t or 0.0})"
+    lines, (r, s) = _assign_registers(L.lines, L.registered - {root.v, root.t})
     views = [f"x{j} = X[..., {j - 1}]" for j in sorted(L.variables)]
     views += [f"p{j} = T[..., {j - 1}]" for j in sorted(L.params)]
     views += [f"R = _registers({shape})"] * (r > 0)
+    seeds = [f"d{j} = D[..., {j - 1}]" for j in sorted(L.variables)]
     value = views + [text for dual, text in lines if not dual] + [f"return {ret}"]
-    dual = views + [f"S = _tangents({shape})"] * (s > 0) + [
-        f"G = _empty(({n},) + {shape})"] + [text for _, text in lines] + [
-        f"return {ret}, G, {root.f}"]
+    dual = views + seeds + [f"S = _tangents({shape})"] * (s > 0) + [
+        text for _, text in lines] + [f"return {ret}, {slope}, {root.f}"]
     T = ", T" if p else ""
-    source = "".join(f"def {name}(X{T}):\n" + "".join(f"    {t}\n" for t in body)
-                     for name, body in (("value", value), ("dual", dual)))
+    source = "".join(f"def {name}(X{args}{T}):\n" + "".join(f"    {t}\n" for t in body)
+                     for name, args, body in (("value", "", value), ("dual", ", D", dual)))
     namespace = dict(_NAMESPACE, _registers=_RegisterFile(r), _tangents=_RegisterFile(s))
     exec(compile(source, "<quasicheck expression>", "exec"), namespace)
     return Program(n, p, source, namespace["value"], namespace["dual"])

@@ -2,7 +2,8 @@
 
 A ScalarField is one compiled program (see expr) at its parameter values
 on a DomainBox, plus the analytically known quasiconvexity status where
-one exists; its batch values and gradients are calls of that program.
+one exists; its batch values and directional derivatives are calls of
+that program.
 The built-in catalog is a table of expressions with their known status;
 `catalog_field` compiles only the entry it is asked for. Invalid
 evaluations (domain errors, nondifferentiable points) surface as NaN in
@@ -91,11 +92,11 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """f and its gradient on a box: the compiled expression `program` (see
-    expr.Program) at its parameter values `params`, when it has any: one
-    vector for every point, or one row per point row.
+    """f and its derivatives on a box: the compiled expression `program`
+    (see expr.Program) at its parameter values `params`, when it has any:
+    one vector for every point, or one row per point row.
 
-    The arrays values and grads receive may be non-contiguous or read-only
+    The arrays values and slopes receive may be non-contiguous or read-only
     views (of the point buffers of `segment_margins` and `batch_margins_bc`):
     the program must not write into its input or keep it.
     """
@@ -145,32 +146,39 @@ class ScalarField:
             raise EvaluationError(f"{self.name}: non-finite gradient at {x.tolist()}")
         return g
 
-    def grads(self, X: np.ndarray, with_values: bool = False):
-        """Batch gradients over (..., n) points, from one pass of the
-        program in forward mode: a (..., n) view of the program's
-        coordinate planes, the caller's own, so both points of k pairs,
-        given as one (2, k, n) array, take one pass. Rows whose value is
-        not finite (outside the expression's domain) and nondifferentiable
-        points (abs/min/max ties) are NaN, so samplers count them as
-        skipped. With `with_values`, returns (values, gradients), the
-        values those of the same pass, equal to `values(X)`."""
+    def slopes(self, X: np.ndarray, D: np.ndarray):
+        """(values, slopes) over (..., n) points X along the directions D,
+        one per point, of X's shape: the slope at x along d is
+        <grad f(x), d>, from one forward-mode pass of the program, so both
+        points of k pairs, given as one (2, k, n) array, take one pass. The
+        slope is NaN where the value is not finite (outside the
+        expression's domain) and at nondifferentiable points (abs/min/max
+        ties), so samplers count them as skipped. The values equal
+        `values(X)` bit for bit."""
         T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
-            val, G, ties = self.program.dual(self._points(X), *T)
+            val, slope, ties = self.program.dual(self._points(X), D, *T)
             ok = np.isfinite(val) if ties is None else np.isfinite(val) & ~ties
-            g = G.transpose(*range(1, G.ndim), 0)
             if not ok.all():
-                g[~ok] = np.nan
-        return (val, g) if with_values else g
+                slope = np.where(ok, slope, np.nan)
+        return val, slope
+
+    def grads(self, X: np.ndarray, with_values: bool = False):
+        """Batch gradients over (..., n) points, one `slopes` pass along
+        each unit vector, NaN where `slopes` is. With `with_values`,
+        returns (values, gradients)."""
+        G = np.empty(self._points(X).shape)
+        for j, e in enumerate(np.eye(self.dim)):
+            val, G[..., j] = self.slopes(X, np.broadcast_to(e, G.shape))
+        return (val, G) if with_values else G
 
 
 def make_field_from_expr(e, n: int, box: DomainBox,
                          name: str = "expr") -> ScalarField:
     """The field of `e`, source text or an AST in x1..xn, on `box`: the
     expression compiled once (see expr.compile_expr), so each evaluation
-    is one pass of straight-line numpy code, and the gradient comes from
-    the same pass in sparse forward mode, each node carrying only the
-    partial derivatives in the coordinates it depends on."""
+    is one pass of straight-line numpy code, and a directional derivative
+    comes from the same pass in forward mode, one tangent per node."""
     if isinstance(e, str):
         e = ex.parse(e, n)
     return ScalarField(name, ex.compile_expr(e, n), box)

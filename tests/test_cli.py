@@ -180,6 +180,16 @@ def test_overflowing_field_emits_no_warning(tmp_path):
     assert rep["skipped_samples"] > 0
 
 
+def test_skipped_samples_counts_each_pair_once(tmp_path):
+    # log(x1) is not finite on [-1, 0]: every condition skips those pairs,
+    # and the report counts each of them once, not once per condition
+    _, rep = run(["check", "--expr", "log(x1)", "--dim", "1", "--box=-1:1",
+                  "--pairs", "100", "--seed", "1"], tmp_path)
+    counts = rep["payload"]["counts"]
+    assert [counts[name]["skipped"] for name in "abc"] == [74, 74, 74]
+    assert rep["skipped_samples"] == 74 <= rep["payload"]["sample_count"]
+
+
 def test_infinite_field_has_no_gradient_witness(tmp_path):
     # sin(3*x1) + exp(1000) is +inf on the whole box, so every pair of it is
     # skipped: its gradient rows are NaN like its values, and the search
@@ -279,10 +289,12 @@ def test_config_file_mistyped_value_is_a_usage_error(tmp_path, data):
 
 @pytest.mark.parametrize("flags", [
     ["--fn", "sqnorm"], ["--expr", "x1"], ["--box=5:6"], ["--target", "b"],
-    ["--target", "a"], ["--expr", "x1", "--box=5:6", "--target", "b"]], ids=" ".join)
+    ["--target", "a"], ["--expr", "x1", "--box=5:6", "--target", "b"],
+    ["--dim", "5"]], ids=" ".join)
 def test_family_rejects_the_flags_it_ignores(tmp_path, capsys, flags):
     # the open-question search runs on the family's own domain and picks
-    # its own targets, so a field, a box or a target is a usage error
+    # its own targets, so a field, a dimension, a box or a target is a
+    # usage error
     code, rep = run(["falsify", "--family", "param_cubic", "--budget", "2000",
                      "--param-samples", "2", *flags], tmp_path)
     assert code == EXIT_USAGE and rep is None

@@ -372,9 +372,9 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
         calls.append(len(X))
         return g.program.value(X)
 
-    def dual(X):
+    def dual(X, D):
         duals.append(X.shape)
-        return g.program.dual(X)
+        return g.program.dual(X, D)
 
     f = replace(g, program=replace(g.program, value=value, dual=dual))
     X = rng.uniform(-1, 1, size=(1 << 14, 2))

@@ -218,9 +218,10 @@ def test_integer_power_is_odd_or_even_bit_for_bit(k, xs):
     # for every float, ±0, ±inf, NaN and subnormals included
     prog = int_power_program(k)
     X = np.array(xs + SPECIAL)[:, None]
+    one = np.ones_like(X)
     with np.errstate(all="ignore"):
-        v, G, _ = prog.dual(X)
-        w, H, _ = prog.dual(-X)
+        v, G, _ = prog.dual(X, one)
+        w, H, _ = prog.dual(-X, one)
     odd = k % 2
     assert _same_bits(w, -v if odd else v)
     assert _same_bits(H, G if odd else -G)
@@ -247,11 +248,11 @@ def test_integer_power_row_equals_the_point_alone(k, xs):
     prog = int_power_program(k)
     X = np.array(xs)[:, None]
     with np.errstate(all="ignore"):
-        v, G, _ = prog.dual(X)
+        v, G, _ = prog.dual(X, np.ones_like(X))
         for i, x in enumerate(X):
-            one, g, _ = prog.dual(x)
+            one, g, _ = prog.dual(x, np.ones(1))
             assert _same_bits(prog.value(x), v[i]) and _same_bits(one, v[i])
-            assert _same_bits(g, G[:, i])
+            assert _same_bits(g, G[i])
 
 
 @pytest.mark.parametrize("k", INT_POWERS)
@@ -287,7 +288,7 @@ def test_integer_power_of_a_constant_and_of_a_parameter():
     # a constant subtree and a parameter-only base t1^3 run without a
     # register, and keep the sign of a negative base
     prog = ex.compile_expr(parse("(0-2)^3*x1 + t1^3 + t1^4", 1, 1), 1, 1)
-    for line in ("v2 = _ipow(v1, 3.0)", "v4 = _ipow(p1, 3.0)", "v6 = _ipow(p1, 4.0)"):
+    for line in ("v2 = _ipow(v1, 3.0)", "v5 = _ipow(p1, 3.0)", "v7 = _ipow(p1, 4.0)"):
         assert line + "\n" in prog.source   # no out=: none depends on x
     X = np.array([[1.0], [2.0], [-1.0]])
     T = np.array([[-1.5], [0.5], [-2.0]])
@@ -296,7 +297,7 @@ def test_integer_power_of_a_constant_and_of_a_parameter():
     for i in range(3):
         assert prog.value(X[i], T[i]) == prog.value(X, T)[i]
         assert prog.value(X, T[i])[i] == prog.value(X, T)[i]
-    assert np.array_equal(prog.dual(X, T)[1][0], np.full(3, -8.0))
+    assert np.array_equal(prog.dual(X, np.ones_like(X), T)[1], np.full(3, -8.0))
 
 
 def test_integer_power_allocates_no_temporary():
@@ -328,8 +329,9 @@ def test_dual_nondiff_flags():
     assert np.isnan(G[0, 0]) and G[1:, 0].tolist() == [1.0, -1.0]
     # the program propagates the first argument's derivative at the tie
     # (2 = 2*2 - 2; d/dx1 is 1 and 2) and sets the flag
-    v, t, ties = field("min(x1, 2*x1 - 2)").program.dual(np.array([[2.0], [3.0]]))
-    assert v.tolist() == [2.0, 3.0] and t[0].tolist() == [1.0, 1.0]
+    X = np.array([[2.0], [3.0]])
+    v, t, ties = field("min(x1, 2*x1 - 2)").program.dual(X, np.ones_like(X))
+    assert v.tolist() == [2.0, 3.0] and t.tolist() == [1.0, 1.0]
     assert ties.tolist() == [True, False]
     # a kink inside a general exponent flags the power
     v, g = field("x1^abs(x2)", 2).grads(np.array([2.0, 0.0]), with_values=True)
@@ -380,21 +382,24 @@ _UNARY = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda a: -np.sin(a)),
           "sqrt": (np.sqrt, lambda a: 0.5 / np.sqrt(a)), "abs": (np.abs, np.sign)}
 
 
-def reference_dual(e, X):
+def reference_dual(e, X, D=None):
     """(f, grad f) at the points X by dense forward mode, one recursive
-    pass over the AST with the compiler's derivative rules."""
+    pass over the AST with the compiler's derivative rules; given
+    directions D (one per point), (f, <grad f, d>) by the same pass seeded
+    with D instead of the unit vectors."""
+    seeds = np.eye(X.shape[-1]) if D is None else D[..., None]
     if isinstance(e, Const):
-        return np.full(X.shape[:-1], e.value), np.zeros(X.shape)
+        return np.full(X.shape[:-1], e.value), np.zeros(X.shape[:-1] + seeds.shape[-1:])
     if isinstance(e, Var):
         return X[..., e.index - 1], np.broadcast_to(
-            np.eye(X.shape[-1])[e.index - 1], X.shape)
+            seeds[..., e.index - 1, :], X.shape[:-1] + seeds.shape[-1:])
     if isinstance(e, Unary):
-        a, ta = reference_dual(e.child, X)
+        a, ta = reference_dual(e.child, X, D)
         return -a, -ta
     if isinstance(e, Call) and e.name in _UNARY:
-        (a, ta), (fn, d) = reference_dual(e.args[0], X), _UNARY[e.name]
+        (a, ta), (fn, d) = reference_dual(e.args[0], X, D), _UNARY[e.name]
         return fn(a), d(a)[..., None] * ta
-    (a, ta), (b, tb) = (reference_dual(x, X) for x in
+    (a, ta), (b, tb) = (reference_dual(x, X, D) for x in
                         (e.args if isinstance(e, Call) else (e.left, e.right)))
     op = e.name if isinstance(e, Call) else e.op
     k = ex._int_exponent(e.right) if op == "^" else None
@@ -415,8 +420,9 @@ def reference_dual(e, X):
 
 
 def test_gradients_match_a_reference_dual_evaluator(rng):
-    # the compiled sparse tangents against dense dual numbers: the same
-    # rules, so the same numbers up to rounding where both are finite
+    # the gradients from one slope pass per unit vector against dense dual
+    # numbers: the same rules, so the same numbers up to rounding where
+    # both are finite
     compared = 0
     for _ in range(400):
         n = int(rng.integers(1, 6))
@@ -433,6 +439,95 @@ def test_gradients_match_a_reference_dual_evaluator(rng):
                                    atol=1e-12 * scale, err_msg=pretty_print(e))
         compared += both.sum()
     assert compared >= 2000
+
+
+def clean_rows(prog, X, D):
+    """The rows of the points X where no array that prog.dual(X, D) makes
+    on the way over- or underflows: the program's source run again with
+    every function of its namespace watched, a row kept while each result
+    is finite and zero or normal there."""
+    rows = np.ones(X.shape[:-1], dtype=bool)
+
+    def watch(fn):
+        def call(*args, **kwargs):
+            nonlocal rows
+            r = np.asarray(fn(*args, **kwargs))
+            if r.dtype == float:
+                rows = rows & np.isfinite(r) & ((r == 0) | (np.abs(r) >= np.finfo(float).tiny))
+            return r
+        return call
+
+    namespace = {k: watch(v) if callable(v) and not isinstance(v, type) else v
+                 for k, v in ex._NAMESPACE.items()}
+    namespace.update(_registers=ex._RegisterFile(256), _tangents=ex._RegisterFile(256))
+    exec(prog.source, namespace)
+    with np.errstate(all="ignore"):
+        namespace["dual"](X, D)
+    return rows
+
+
+def random_case(seed, n, rows=64):
+    """A random expression's field and AST, points reaching past [-1, 1]
+    (every fourth an integer point: poles, zero bases and ties) and random
+    directions."""
+    rng = np.random.default_rng(seed)
+    e = random_ast(rng, n)
+    X = rng.uniform(-3, 3, size=(rows, n))
+    X[::4] = np.round(X[::4])
+    return make_field_from_expr(e, n, DomainBox.cube(-1, 1, n)), e, X, \
+        rng.normal(size=(rows, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), k=st.integers(-40, 40))
+def test_slopes_scale_with_the_direction_bit_for_bit(seed, n, k):
+    # a slope is linear in its direction, and every tangent operation (a
+    # sum, a product or quotient with a value, a choice) commutes with
+    # scaling by 2^k exactly, wherever no array of either pass over- or
+    # underflows
+    f, _, X, D = random_case(seed, n)
+    scaled = 2.0 ** k * D
+    clean = clean_rows(f.program, X, D) & clean_rows(f.program, X, scaled)
+    (_, one), (_, slope) = f.slopes(X, D), f.slopes(X, scaled)
+    assert _same_bits(slope[clean], 2.0 ** k * one[clean])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_slopes_match_a_reference_dual_evaluator(seed, n):
+    # the compiled one-tangent pass against dense dual numbers seeded with
+    # the same directions: the same rules, so the same numbers up to
+    # rounding where both are finite
+    f, e, X, D = random_case(seed, n)
+    with np.errstate(all="ignore"):
+        value, slope = reference_dual(e, X, D)
+        G = reference_dual(e, X)[1]
+    got_value, got = f.slopes(X, D)
+    np.testing.assert_array_equal(got_value, value)
+    slope = slope[..., 0]
+    both = np.isfinite(got) & np.isfinite(slope) & np.isfinite(G).all(-1)
+    scale = np.sum(np.abs(G * D), axis=-1)[both].max(initial=1.0)
+    np.testing.assert_allclose(got[both], slope[both], rtol=1e-9,
+                               atol=1e-12 * scale, err_msg=pretty_print(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_nan_slopes_fall_on_non_finite_values_and_ties(seed, n):
+    # the rows that slopes makes NaN are those that grads makes NaN: a
+    # value that is not finite, or a tie of abs/min/max; elsewhere a slope
+    # or a partial derivative is NaN only where the arithmetic makes it so,
+    # never where the reference evaluator's slope and gradient are finite
+    f, e, X, D = random_case(seed, n)
+    with np.errstate(all="ignore"):
+        value, _, ties = f.program.dual(X, D)
+        ref, G = reference_dual(e, X, D)[1][..., 0], reference_dual(e, X)[1]
+    by_rule = ~np.isfinite(value) | (False if ties is None else ties)
+    _, slope = f.slopes(X, D)
+    grads = f.grads(X)
+    assert np.isnan(slope[by_rule]).all() and np.isnan(grads[by_rule]).all()
+    finite = ~by_rule & np.isfinite(ref) & np.isfinite(G).all(-1)
+    assert not np.isnan(slope[finite]).any() and not np.isnan(grads[finite]).any()
 
 
 def test_batch_eval_matches_scalar(rng):
@@ -453,7 +548,8 @@ def test_one_point_is_a_batch_of_one():
     batch = f.values(X)[0]
     assert batch == 0.4997251511668582
     for one in (f.program.value(x), f.values(x), f.value(x),
-                f.program.dual(x)[0], f.grads(x, with_values=True)[0]):
+                f.program.dual(x, x)[0], f.slopes(x, x)[0],
+                f.grads(x, with_values=True)[0]):
         assert one == batch
     assert np.array_equal(f.grad(x), f.grads(X)[0])
     assert np.array_equal(f.grads(x), f.grads(X)[0])
@@ -469,14 +565,14 @@ def test_grad_batch(rng):
     f = make_field_from_expr("x1^2 + 3*x2", 2, DomainBox.cube(-1, 1, 2))
     X = rng.uniform(-1, 1, size=(10, 2))
     G = f.grads(X)
-    assert f.program.dual(X)[2] is None   # no tie flags
+    assert f.program.dual(X, X)[2] is None   # no tie flags
     assert np.allclose(G[:, 0], 2 * X[:, 0])
     assert np.allclose(G[:, 1], 3.0)
     # outside the domain the value is NaN, and so is the gradient
     f = make_field_from_expr("log(x1)", 1, DomainBox.cube(-1, 2, 1))
     G = f.grads(np.array([[-1.0], [2.0]]))
     assert np.isnan(G[0, 0]) and G[1, 0] == 0.5
-    assert f.program.dual(np.array([[2.0]]))[2] is None
+    assert f.program.dual(np.array([[2.0]]), np.ones((1, 1)))[2] is None
 
 
 def test_compiled_source_holds_only_numbers_and_generated_names():
@@ -486,9 +582,9 @@ def test_compiled_source_holds_only_numbers_and_generated_names():
     names = {tok.string for tok in tokenize.generate_tokens(
         io.StringIO(source).readline) if tok.type == tokenize.NAME}
     allowed = set(ex._NAMESPACE) | set(keyword.kwlist) | {
-        "value", "dual", "X", "T", "R", "S", "G", "out", "_registers", "_tangents",
+        "value", "dual", "X", "D", "T", "R", "S", "out", "_registers", "_tangents",
         "shape"}
-    assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxp]\d+", n)} == set()
+    assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxpd]\d+", n)} == set()
 
 
 def test_parameter_free_programs_are_unchanged(rng):
@@ -502,7 +598,8 @@ def test_parameter_free_programs_are_unchanged(rng):
     # sparse coordinate maps, one ufunc call per line writing to registers,
     # and then with a last program whose integer powers and their
     # derivative factors (k = 3, 5, -3 and 4, -4) lower to the sign-split
-    # `_ipow`, which no other program of the corpus reaches
+    # `_ipow`, which no other program of the corpus reaches, and then when
+    # a node's tangent became one term, its slope along the seeds D
     h = hashlib.sha256()
     cases = [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
         + [(random_ast(rng, 3), 3) for _ in range(300)] \
@@ -511,12 +608,12 @@ def test_parameter_free_programs_are_unchanged(rng):
         h.update(ex.compile_expr(e, d).source.encode())
     assert "_ipow(" in ex.compile_expr(*cases[-1]).source
     assert h.hexdigest() == \
-        "2d9ace55e1157791e07e400e930f2280a47412ee34cea3e7bd657b5511f37620"
+        "693542ee268f47b78d45df8424ffd64dea0bedd2dbafb98b1271f0107b233522"
 
 
 def test_tangent_lines_grow_linearly_in_n():
-    # the dual source of catalog sqnorm has one tangent line per coordinate
-    # (2*x_j, made in the gradient's plane j) and one for the planes; a
+    # the dual source of catalog sqnorm has a few tangent lines per
+    # coordinate (2*x_j, its product with the seed d_j and the sum); a
     # tangent that carried every coordinate through each of the n - 1 sums
     # would take O(n^2)
     def tangent_lines(n):
@@ -555,7 +652,7 @@ def test_parameters_have_no_tangent():
     assert np.allclose(f.values(X), value, rtol=1e-15)
     g = f.grads(X)
     assert np.allclose(g[:, 0], 2 * t1 * x + t2, rtol=1e-15)
-    assert prog.dual(X, T)[2] is None
+    assert prog.dual(X, X, T)[2] is None
     # one theta broadcasts against every row and gives the same bits
     for i in range(3):
         one = ScalarField("one", prog, f.domain, T[i])
@@ -597,7 +694,7 @@ def test_one_program_runs_in_two_threads_at_once(rng):
     cases.append((fam.program, X, (T,)))
 
     def run():
-        return [[prog.value(X, *T), *prog.dual(X, *T)] for prog, X, T in cases]
+        return [[prog.value(X, *T), *prog.dual(X, X[::-1], *T)] for prog, X, T in cases]
 
     def bits(out):
         return [[None if a is None else (a.shape, a.tobytes()) for a in results]

@@ -61,8 +61,8 @@ def test_mismatched_domain_is_rejected():
 
 
 def test_gradients_are_the_callers_own():
-    # the partial derivative in x2 is the literal 1.0 and the one in x1 is
-    # absent: every call fills fresh planes with them, so writing into the
+    # the slope of x2 + log(2) is the seed d2 itself, and x1 has none:
+    # every call returns a fresh copy, so writing into the slopes or the
     # gradients changes no later call's, also at one point
     f = make_field_from_expr("x2 + log(2)", 2, DomainBox.cube(-1, 1, 2))
     for shape, rows in (((3, 2), [[0.0, 1.0]] * 3), ((2,), [0.0, 1.0])):
@@ -71,6 +71,9 @@ def test_gradients_are_the_callers_own():
         G[...] = 7.0
         assert f.grads(np.zeros(shape)).tolist() == rows
         assert not np.shares_memory(G, f.grads(np.zeros(shape)))
+        D = np.full(shape, 3.0)
+        _, slope = f.slopes(np.zeros(shape), D)
+        assert not np.shares_memory(slope, D) and np.all(slope == 3.0)
 
 
 def test_values_are_the_callers_own():
@@ -130,9 +133,9 @@ def test_validate_grad_catalog_quadratic():
 def test_validate_grad_detects_planted_bug():
     f = catalog_field("sqnorm", 2)
 
-    def dual(X):
-        v, _, ties = f.program.dual(X)
-        return v, 4.0 * np.moveaxis(X, -1, 0), ties
+    def dual(X, D):
+        v, _, ties = f.program.dual(X, D)
+        return v, 4.0 * np.sum(X * D, axis=-1), ties
 
     buggy = replace(f, program=replace(f.program, dual=dual))
     rep = validate_grad(buggy, seed=1, count=100)

@@ -23,12 +23,12 @@ GOLDEN = {
     "check_expr": (
         ["check", "--expr", EXPR, "--dim", "2", "--box=-1:1",
          "--sigma", "0.25", "--pairs", "10000", "--seed", "7"],
-        "9c53196508346955bbe7d7e4a0e823041eadd371cdddd35f017880b935bad3c0",
+        "e778d81500cf61dac6e233d6c62c68296b7585157146cd08086086e6a35db230",
     ),
     "falsify_c_expr": (
         ["falsify", "--expr", EXPR, "--dim", "2", "--box=-1:1",
          "--target", "c", "--budget", "2000", "--seed", "7"],
-        "deb685f1047fd506ede1c8ffe1ab9c92ab78dd2c0f6174e4e84590f56ae2a53c",
+        "42606f233ce9d86963757a1d9ad0d57bde7f34f4c74b54b7d95bf881f4e09d94",
     ),
     "falsify_a_pow_abs": (
         ["falsify", "--expr", POW_ABS, "--dim", "2", "--box=-1:1",
@@ -47,7 +47,7 @@ GOLDEN = {
     "check_sqrtnorm_3d": (
         ["check", "--fn", "sqrtnorm", "--dim", "3", "--sigma", "0.1",
          "--pairs", "5000", "--seed", "7"],
-        "239d4cd78eb3d6d90f6b5451a0ccb50bfdbf800e5684b4637902c2fcfd15ae32",
+        "7444f5702d8ac12f9b98d03c3b7d66000c9b998e439d11f72fae7cdb7c68e970",
     ),
     # n >= 8: ||x-y|| is summed over the coordinate planes in order, where
     # np.sum over a row would sum pairwise (see CHANGES.md for the bits)
