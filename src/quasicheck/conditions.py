@@ -377,7 +377,8 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2):
     whole = max(1, SEGMENT_CHUNK // (L + 2))
     step = max(1, len(X) if len(X) <= whole else whole // _lanes())
     buffers = _buffers(X.shape[1], L, step)
-    rowwise = np.ndim(f.params) == 2
+    # parameter rows are sliced only when the pairs take several chunks
+    rowwise = np.ndim(f.params) == 2 and step < len(X)
     for lo in range(0, len(X), step):
         x, y = X[lo:lo + step], Y[lo:lo + step]
         rows = slice(lo, lo + len(x))

@@ -642,4 +642,7 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
                      for name, args, body in (("value", "", value), ("dual", ", D", dual)))
     namespace = dict(_NAMESPACE, _registers=_RegisterFile(r), _tangents=_RegisterFile(s))
     exec(compile(source, "<quasicheck expression>", "exec"), namespace)
-    return Program(n, p, source, namespace["value"], namespace["dual"])
+    # the functions hold their namespace as __globals__: taken out of it,
+    # they and their registers die with the program, not at the next
+    # collection of reference cycles
+    return Program(n, p, source, namespace.pop("value"), namespace.pop("dual"))

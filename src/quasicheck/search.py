@@ -303,12 +303,21 @@ class _MarginObjective:
 
 
 def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
-                  budget: SearchBudget, seeds,
-                  thetas=None) -> list[FalsificationResult]:
+                  budget: SearchBudget, seeds, thetas=None,
+                  until_violation: bool = False) -> list[FalsificationResult]:
     """`falsify(f, target, cfg, budget, seeds[s])` for every s, with f at
     parameter row thetas[s] when thetas is given (the members of one
     family), all searches run by one lockstep compass engine (see
     `_MarginObjective`).
+
+    With `until_violation`, a search ends in the round where one of its
+    restarts accepts a violated margin (`conditions.is_violated`): its
+    slots stop, its wave's best point is recorded as at any wave end, and
+    no later wave opens. Its `violation_found` is still `falsify`'s, since
+    the search runs as `falsify`'s up to that round, an accepted margin
+    only falls and the best point is the smallest margin accepted; a
+    search that finds no violation gives `falsify`'s whole result. The
+    other fields of a stopped search are not `falsify`'s.
 
     Slot s*R + k (R = budget.restarts) holds restart k of search s's
     current wave. Each round scores, in one objective call, a group of
@@ -356,6 +365,13 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         improved[sl] = False
         live[sl] = fresh[sl] = True
 
+    def close_wave(s):
+        # the wave's smallest margin, at its lowest slot, replaces the best
+        # point only if it is smaller: ties go to the earlier wave
+        k = s * R + int(val[s * R:s * R + R].argmin())
+        if val[k] < best_val[s]:
+            best_val[s], best_z[s] = val[k], Z[k]
+
     for s in range(S):
         open_wave(s)
     while True:
@@ -364,11 +380,7 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         live &= np.repeat((evals < budget.max_evals)
                           & ((wave == 0) | (evals < half)), R)
         for s in (running & ~live.reshape(S, R).any(axis=1)).nonzero()[0]:
-            # the wave's smallest margin, at its lowest slot, replaces the
-            # best point only if it is smaller: ties go to the earlier wave
-            k = s * R + int(val[s * R:s * R + R].argmin())
-            if val[k] < best_val[s]:
-                best_val[s], best_z[s] = val[k], Z[k]
+            close_wave(s)
             running[s] = evals[s] < half and wave[s] < 3
             if running[s]:
                 open_wave(s)
@@ -444,6 +456,12 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         live[E] = sweeps[E] < budget.max_iters
         improved[E] = False
         j[E] = 0
+        if until_violation:
+            # a search whose restart accepted a violated margin ends here
+            for s in set(owner[acc[cond.is_violated(val[L[acc]], cfg.tol)]].tolist()):
+                close_wave(s)
+                running[s] = False
+                live[s * R:s * R + R] = False
 
     # one re-check of every search's best point, each at its own member
     found = [s for s in range(S) if math.isfinite(best_val[s])]
@@ -634,8 +652,12 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     members whose (a) violation reaches depth <= -10*tol. A member whose
     (c) stays violation-free and whose (a) witness re-checks at that depth
     is a candidate. Each member's search has its own seed and its own
-    budget of rows scored (see `falsify`), so it gives what `falsify` on
-    that member alone gives. Candidates are evidence, never proofs.
+    budget of rows scored (see `falsify`). A (c) search stops at its first
+    violation (`_falsify_many`'s `until_violation`), so it finds a
+    violation exactly when `falsify` on that member alone does, and gives
+    `falsify`'s whole result when it finds none; an (a) search gives what
+    `falsify` on that member alone gives. So the candidates are those of
+    `falsify` run member by member. Candidates are evidence, never proofs.
     """
     if param_samples < 1:
         raise ValueError("param_samples must be >= 1")
@@ -649,8 +671,10 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     f = ScalarField(family.name, family.program, family.domain)
 
     def phase(ks, target, b, offset):
+        # a (c) phase reads only whether each search found a violation, so
+        # a search stops at its first; the (a) phase reports its best points
         return _falsify_many(f, target, cfg, b, [seed + offset + k for k in ks],
-                             thetas[ks])
+                             thetas[ks], until_violation=target == "c")
 
     ks = range(param_samples)
     # members that visibly fail (c) are not interesting for (c)=>(a)

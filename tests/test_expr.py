@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import keyword
@@ -6,6 +7,7 @@ import re
 import threading
 import tokenize
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -718,3 +720,21 @@ def test_one_program_runs_in_two_threads_at_once(rng):
         t.join()
     assert [len(out) for out in outs] == [6, 6]
     assert all(got == serial for out in outs for got in out)
+
+
+def test_a_program_dies_with_its_last_reference():
+    # the compiled functions are not left in the namespace they run in, so
+    # no reference cycle keeps them, or the register buffers that their
+    # namespace holds, alive after the program: without the cyclic
+    # collector, both functions go with the last reference to the program
+    gc.disable()
+    try:
+        prog = ex.compile_expr(parse("x1^2 + sin(3*x1)*exp(x2)", 2), 2)
+        X = np.ones((8, 2))
+        prog.value(X)
+        prog.dual(X, X)
+        refs = [weakref.ref(prog.value), weakref.ref(prog.dual)]
+        del prog
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -950,6 +950,54 @@ def test_falsify_many_isolates_members():
         assert any(r.violation_found for r in results)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["perturbed_sqnorm", "bump_sum", "param_cubic"])
+def test_stop_at_the_first_violation_keeps_violation_found(name, sigma):
+    # a search that stops at its first violation finds one exactly when the
+    # full search does, scores no more rows, and gives the full result when
+    # it finds none; each member's result is that of its stopped search alone
+    fam = family_by_name(name)
+    f = search.ScalarField(fam.name, fam.program, fam.domain)
+    box = fam.param_box
+    cfg = CheckConfig(sigma=sigma)
+    budget = SearchBudget(max_evals=1_000, restarts=4)
+    stopped = clean = saved = 0
+    for seed in (0, 1, 2):
+        thetas = box.lower + np.random.default_rng(seed).random((8, box.dim)) * box.widths
+        seeds = [seed + 10 * k for k in range(8)]
+        for target in "bc":
+            full = _falsify_many(f, target, cfg, budget, seeds, thetas)
+            stop = _falsify_many(f, target, cfg, budget, seeds, thetas,
+                                 until_violation=True)
+            for k, (res, ref) in enumerate(zip(stop, full)):
+                assert res.violation_found == ref.violation_found
+                assert res.evaluations <= ref.evaluations
+                if ref.violation_found:
+                    stopped += 1
+                    saved += res.evaluations < ref.evaluations
+                else:
+                    clean += 1
+                    _assert_same_result(res, ref)
+                alone, = _falsify_many(f, target, cfg, budget, seeds[k:k + 1],
+                                       thetas[k:k + 1], until_violation=True)
+                _assert_same_result(res, alone)
+    assert stopped and clean and saved
+
+
+def test_only_the_c_phases_stop_at_the_first_violation(monkeypatch):
+    # the (a) phase reports its best margins and witnesses, so it runs whole
+    calls = []
+    many = search._falsify_many
+    monkeypatch.setattr(search, "_falsify_many", lambda *a, **k: calls.append(
+        (a[1], k.get("until_violation", False))) or many(*a, **k))
+    open_question_search(family_by_name("param_cubic"), CheckConfig(),
+                         SearchBudget(max_evals=20_000), 36, 16)
+    assert calls == [("c", True), ("a", False), ("c", True)]
+    calls.clear()
+    falsify(EXPR_FIELD, "c", CheckConfig(), SearchBudget(max_evals=300), 1)
+    assert calls == [("c", False)]
+
+
 @pytest.mark.parametrize("target", ["a", "b", "c"])
 def test_one_search_runs_at_its_theta_row(target):
     # a family phase with one search left runs at that search's row, not
