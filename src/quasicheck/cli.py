@@ -1,15 +1,18 @@
 """Command-line surface: reproducible runs with JSON reports.
 
 Exit codes: 0 = completed, no violations; 1 = violations found (still a
-successful run); 2 = usage, config or evaluation error.
+successful run); 2 = usage, config or evaluation error, or an output
+file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
+import os
 import sys
 
 import numpy as np
@@ -62,6 +65,9 @@ def resolve_field(args):
             f = catalog_field(args.fn, n)
         except KeyError as e:
             raise UsageError(str(e))
+        if args.dim not in (None, f.dim):
+            raise UsageError(f"--fn {args.fn} is {f.dim}-dimensional: it takes no "
+                             f"--dim {args.dim}")
         if args.box:
             box = parse_box(args.box, f.dim)
             from dataclasses import replace
@@ -127,18 +133,45 @@ def build_report(args, payload: dict, config: dict, skipped: int = 0) -> dict:
     }
 
 
-def write_outputs(report: dict, args, csv_rows=None):
+def write_outputs(report: dict, args):
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if getattr(args, "csv", None) and csv_rows is not None:
-        with open(args.csv, "w", newline="") as fh:
+
+
+@contextlib.contextmanager
+def csv_sink(path):
+    """A `rows=` sink for `implication_harness` (None when path is None)
+    that writes the rows (pair_index, condition, margin, status) of each
+    record to the CSV file `path`: pair_index is the pair's position in
+    the sampler, and the margin is blank unless the status is holds or
+    violated. The rows go to a temporary file beside `path`, opened here,
+    that replaces it when the with block completes and is removed when it
+    fails, so a failed run leaves `path` as it was."""
+    if path is None:
+        yield None
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["pair_index", "condition", "margin", "status"])
-            w.writerows(csv_rows)
+
+            def write(record):
+                p = {k: v.tolist() for k, v in record.items()}
+                for k, i in enumerate(p["index"]):
+                    for name in "abc":
+                        s = p[f"{name}_status"][k]
+                        margin = p["a_margin" if name == "a" else "bc_margin"][k]
+                        w.writerow([i, name, repr(margin) if s < 2 else "", cond.STATUSES[s]])
+            yield write
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):   # gone once it replaced path
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -149,30 +182,12 @@ def cmd_check(args) -> int:
     f = resolve_field(args)
     cfg = make_config(args)
     sampler = make_sampler(args, f.domain)
-    report = srch.implication_harness(f, cfg, sampler)
-    codes = np.stack([report.per_pair[f"{name}_status"] for name in "abc"])
-    skipped = int(np.count_nonzero((codes == cond.STATUSES.index(cond.SKIPPED)).any(axis=0)))
-    out = build_report(args, report.to_json(),
-                       echo_config(args, f, cfg, sampler), skipped)
-    csv_rows = _csv_rows(report) if args.csv else None
-    write_outputs(out, args, csv_rows)
+    with csv_sink(args.csv) as rows:
+        report = srch.implication_harness(f, cfg, sampler, rows)
+        out = build_report(args, report.to_json(),
+                           echo_config(args, f, cfg, sampler), report.skipped)
+        write_outputs(out, args)
     return EXIT_VIOLATIONS if report.total_violations > 0 else EXIT_OK
-
-
-def _csv_rows(report):
-    """Rows (pair_index, condition, margin, status) for the pairs the
-    report counted; pair_index is the pair's position in the sampler, and
-    the margin is blank unless the status is holds or violated. Generated
-    a few thousand pairs at a time, so that the rows of a run are never
-    all in memory at once."""
-    p = report.per_pair
-    for lo in range(0, len(p["index"]), 4096):
-        part = {k: v[lo:lo + 4096].tolist() for k, v in p.items()}
-        for k, i in enumerate(part["index"]):
-            for name in "abc":
-                s = part[f"{name}_status"][k]
-                margin = part["a_margin" if name == "a" else "bc_margin"][k]
-                yield [i, name, repr(margin) if s < 2 else "", cond.STATUSES[s]]
 
 
 def cmd_sigma(args) -> int:
@@ -395,7 +410,7 @@ def main(argv=None) -> int:
         if args.dim is not None and args.dim < 1:
             raise UsageError(f"--dim must be at least 1, got {args.dim}")
         return args.func(args)
-    except (UsageError, ValueError, ArithmeticError) as e:
+    except (UsageError, ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,7 +24,8 @@ each pairing is one directional derivative, and no gradient is formed.
 The per-pair worst (a) margin and sigma* reduce over the kernel's
 chunks; `verdicts_bc` gives the (b)/(c) verdict of each pair row, and
 the scalar checks `margin_a`, `check_b`, `check_c` and
-`sigma_star_segment` run the kernels on a batch of one. Margins are
+`sigma_star_segment` run the kernels on a batch of one, after checking
+that x and y have f's dimension and lie min_sep apart. Margins are
 raw; `is_violated` is the one rule that applies the tolerance, and
 `statuses` the one rule that maps a kernel row to holds, violated,
 vacuous or skipped. A condition skips a pair only when an evaluation it
@@ -38,7 +39,8 @@ scored, on one lane of `_in_lanes`: every block goes to one queue, which
 a helper thread (given a second CPU) takes from, and the calling thread
 takes the earliest block no helper has started whenever the result it
 needs next is not done. The kernels themselves run on whichever thread
-calls them.
+calls them, and a block hands back only its own results, so neither
+keeps an array whose length grows with the pair count.
 """
 
 from __future__ import annotations
@@ -286,10 +288,14 @@ def _plane_norm(D: np.ndarray, p=2) -> np.ndarray:
     return d
 
 
-def _checked_pair(x, y, cfg: CheckConfig):
-    """x and y as vectors, rejecting a pair closer than min_sep."""
+def _checked_pair(f: ScalarField, x, y, cfg: CheckConfig):
+    """x and y as vectors, rejecting a pair whose lengths are not f's
+    dimension or that lies closer than min_sep."""
     x = as_vec(x)
     y = as_vec(y)
+    if not len(x) == len(y) == f.dim:
+        raise ValueError(f"points of lengths {len(x)} and {len(y)} for a "
+                         f"{f.dim}-dimensional field")
     d = float(_plane_norm((x - y)[:, None], cfg.penalty_norm)[0])
     if d < cfg.min_sep:
         raise ValueError(f"||x-y|| = {d} below min_sep {cfg.min_sep}")
@@ -395,7 +401,7 @@ def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    x, y = _checked_pair(x, y, cfg)
+    x, y = _checked_pair(f, x, y, cfg)
     (_, m, _), = segment_margins(f, x[None], y[None], np.array([[lam]], dtype=float),
                                  cfg.sigma, cfg.penalty_norm)
     return float(m[0, 0])
@@ -484,7 +490,7 @@ def check_b(f: ScalarField, x, y, cfg: CheckConfig) -> Verdict:
     """Condition (b) at one pair (see batch_margins_bc): premise
     f(x) <= f(y), enforced as "<= f(y) - tol"; conclusion margin
     -(sigma/2)*||x-y||^2 - <grad f(y), x-y>."""
-    x, y = _checked_pair(x, y, cfg)
+    x, y = _checked_pair(f, x, y, cfg)
     return verdicts_bc(f, x[None], y[None], cfg, "b")[0]
 
 
@@ -492,7 +498,7 @@ def check_c(f: ScalarField, x, y, cfg: CheckConfig) -> Verdict:
     """Condition (c) at one pair: premise <grad f(x), y-x> >
     -(sigma/2)*||x-y||^2, enforced strictly as "> +tol"; conclusion margin
     as in check_b."""
-    x, y = _checked_pair(x, y, cfg)
+    x, y = _checked_pair(f, x, y, cfg)
     return verdicts_bc(f, x[None], y[None], cfg, "c")[0]
 
 
@@ -528,7 +534,7 @@ def sigma_star_segment(f: ScalarField, x, y, cfg: CheckConfig) -> float:
 
     Negative values mean f is not even quasiconvex on this segment.
     """
-    x, y = _checked_pair(x, y, cfg)
+    x, y = _checked_pair(f, x, y, cfg)
     # canonical pair order makes the result bitwise swap-invariant
     # (the default lambda grid is symmetric about 1/2)
     if tuple(y) < tuple(x):

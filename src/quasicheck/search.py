@@ -10,10 +10,10 @@ pairs, so the pairs do not depend on the block size, and every kernel
 computes each pair's margins on its own, so a report does not depend on
 how the blocks and the kernels' chunks split the pairs. The implication
 harness runs each block end to end on whichever lane takes it from the
-queue (`conditions._in_lanes`); a block writes its per-pair rows in place
-and the calling thread merges the blocks' counts and witnesses in block
-order, so the blocks may finish in any order. `check` and `sigma` score
-one `conditions.PAIR_BLOCK` of pairs at a time.
+queue (`conditions._in_lanes`); the calling thread merges the blocks'
+counts and witnesses, and hands their per-pair records to an optional
+sink, in block order, so the blocks may finish in any order. `check` and
+`sigma` score one `conditions.PAIR_BLOCK` of pairs at a time.
 
 Falsification is derivative-free compass search on the margin with a
 geometric step schedule. One lockstep engine runs many independent
@@ -28,7 +28,7 @@ only extends the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -517,10 +517,7 @@ class HarnessReport:
     counts: dict            # condition -> {holds, violated, vacuous, skipped}
     worst: dict             # condition -> {"margin": float, "witness": {...}}
     theorem_tension: bool   # (b)/(c) violations without any (a) violation
-    # per counted pair, not part of the JSON report: "index" (position in
-    # the sampler's stream), "a_margin", "a_status", "bc_margin",
-    # "b_status", "c_status" (status codes, see `conditions.statuses`)
-    per_pair: dict = dc_field(repr=False, compare=False)
+    skipped: int            # pairs that any condition skipped; not in to_json
 
     @property
     def total_violations(self) -> int:
@@ -550,57 +547,51 @@ def _note(status, margins, X, Y, lam=None):
                    None if lam is None else float(lam[i]))
 
 
-def implication_harness(f: ScalarField, cfg: CheckConfig,
-                        sampler: Sampler) -> HarnessReport:
+def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
+                        rows=None) -> HarnessReport:
     """Evaluate (a) over pairs x lambda grid, (b) and (c) over pairs.
 
     The pairs go through in blocks, each drawn, filtered by min_sep and
     run through the (b)/(c) and (a) kernels on whichever lane takes it
-    (see `conditions._in_lanes`). A block writes its `per_pair` rows in
-    place, from its first pair's position on, and hands back only how
-    many pairs it kept, the counts and the first smallest margin of each
-    condition. The calling thread merges these in block order; where
-    min_sep dropped pairs, it moves each block's rows down to follow the
-    rows before them. So a finished block holds nothing but its notes, and
-    memory does not grow with the count apart from `per_pair`.
+    (see `conditions._in_lanes`). A block hands back how many of its
+    pairs any condition skipped, the counts and first smallest margin of
+    each condition and, when the sink `rows` is given, its record: one
+    row per pair it kept, in keys "index" (the pair's position in the
+    sampler's stream), "a_margin", "a_status", "bc_margin", "b_status"
+    and "c_status" (status codes, see `conditions.statuses`). The calling
+    thread merges the blocks in block order and passes each record to
+    `rows` as it merges, so memory does not grow with the count.
     """
-    count = sampler.count
-    per_pair = {"index": np.empty(count, dtype=np.int64), "a_margin": np.empty(count),
-                "a_status": np.empty(count, dtype=np.int8), "bc_margin": np.empty(count),
-                "b_status": np.empty(count, dtype=np.int8),
-                "c_status": np.empty(count, dtype=np.int8)}
-
     def run(lo, k):
-        """lo, how many of the block's pairs it kept and the note of each
-        condition; the block's per_pair rows go in place, from lo on."""
         X, Y, keep = cond._separated(sample_pairs(sampler, lo, k), cfg)
         r = cond.batch_margins_bc(f, X, Y, cfg)
-        rows = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"]}
+        record = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"]}
         for name in "bc":
-            rows[f"{name}_status"] = cond.statuses(r["margin"], r[f"premise_{name}"],
-                                                   r[f"ok_{name}"], cfg.tol)
+            record[f"{name}_status"] = cond.statuses(r["margin"], r[f"premise_{name}"],
+                                                     r[f"ok_{name}"], cfg.tol)
         del r   # the (a) kernel runs without the rest of the (b)/(c) results
-        rows["a_margin"], lam, ok = cond.batch_margin_a_worst(f, X, Y, cfg)
-        rows["a_status"] = cond.statuses(rows["a_margin"], True, ok, cfg.tol)
-        notes = {name: _note(rows[f"{name}_status"], rows["bc_margin"], X, Y)
+        record["a_margin"], lam, ok = cond.batch_margin_a_worst(f, X, Y, cfg)
+        record["a_status"] = cond.statuses(record["a_margin"], True, ok, cfg.tol)
+        notes = {name: _note(record[f"{name}_status"], record["bc_margin"], X, Y)
                  for name in "bc"}
-        notes["a"] = _note(rows["a_status"], rows["a_margin"], X, Y, lam)
-        for key, v in rows.items():
-            per_pair[key][lo:lo + len(X)] = v
-        return lo, len(X), notes
+        notes["a"] = _note(record["a_status"], record["a_margin"], X, Y, lam)
+        # per pair, how many conditions skipped it
+        skips = sum(record[f"{name}_status"] == cond.STATUSES.index(cond.SKIPPED)
+                    for name in "abc")
+        return record if rows else None, int(np.count_nonzero(skips)), notes
 
     tallies = {name: np.zeros(len(cond.STATUSES), dtype=np.int64) for name in "abc"}
     best = {}      # condition -> (margin, x, y, lam) of its first smallest margin
-    N = 0          # pairs kept so far
-    for lo, k, notes in cond._in_lanes(run, count):
-        if N < lo:   # min_sep dropped pairs: this block's rows move down to N
-            for v in per_pair.values():
-                v[N:N + k] = v[lo:lo + k]
-        N += k
+    skipped = 0    # pairs that any condition skipped
+    for record, skips, notes in cond._in_lanes(run, sampler.count):
+        skipped += skips
         for name, (tally, first) in notes.items():
             tallies[name] += tally
             if first is not None and (name not in best or first[0] < best[name][0]):
                 best[name] = first
+        if rows:
+            rows(record)
+        del record   # not held while the next block runs
 
     counts = {name: dict(zip(cond.STATUSES, t.tolist())) for name, t in tallies.items()}
     worst = {}
@@ -611,9 +602,9 @@ def implication_harness(f: ScalarField, cfg: CheckConfig,
                            "witness": Witness(x=x, y=y, lam=lam).to_json()}
     tension = (counts["a"]["violated"] == 0
                and (counts["b"]["violated"] > 0 or counts["c"]["violated"] > 0))
-    return HarnessReport(sample_count=N, sigma=cfg.sigma, seed=sampler.seed,
-                         counts=counts, worst=worst, theorem_tension=tension,
-                         per_pair={k: v[:N] for k, v in per_pair.items()})
+    return HarnessReport(sample_count=sum(counts["a"].values()), sigma=cfg.sigma,
+                         seed=sampler.seed, counts=counts, worst=worst,
+                         theorem_tension=tension, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

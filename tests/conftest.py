@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasicheck import expr as ex
+from quasicheck.search import implication_harness
 
 
 def random_smooth_expr(rng: np.random.Generator, n: int, depth: int = 3):
@@ -43,6 +44,14 @@ def random_ast(rng: np.random.Generator, n: int, depth: int = 4):
     name = binary[int(rng.integers(0, len(binary)))]
     return ex.Call(name, (random_ast(rng, n, depth - 1),
                           random_ast(rng, n, depth - 1)))
+
+
+def harness_with_record(f, cfg, sampler):
+    """`implication_harness`'s report and its record of every counted
+    pair: the blocks' `rows=` records, concatenated key by key."""
+    records = []
+    report = implication_harness(f, cfg, sampler, records.append)
+    return report, {k: np.concatenate([r[k] for r in records]) for k in records[0]}
 
 
 @pytest.fixture

@@ -242,6 +242,42 @@ def test_csv_rows_match_counted_pairs(tmp_path):
         assert {s: statuses.count(s) for s in counts} == counts
 
 
+def test_failed_check_leaves_no_partial_csv(tmp_path, capsys):
+    # segment_grid pairs draw closer as the index grows, so a later block
+    # fails min_sep after earlier blocks' rows were written: the CSV is
+    # left as it was, and no temporary file stays beside it
+    csv_path = tmp_path / "margins.csv"
+    csv_path.write_text("before\n")
+    code = main(["check", "--fn", "sqnorm", "--dim", "2", "--strategy", "segment_grid",
+                 "--pairs", "40000", "--min-sep", "1", "--csv", str(csv_path),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_USAGE
+    assert "below min_sep" in capsys.readouterr().err
+    assert csv_path.read_text() == "before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["margins.csv"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, flag):
+    # exit 2, not the violations code 1; the CSV is opened before the run,
+    # so the JSON report does not reach stdout either
+    missing = str(tmp_path / "no such directory" / "r")
+    code = main(["check", "--fn", "sqnorm", "--pairs", "10", flag, missing])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "no such directory" in err
+    assert out == ""
+
+
+def test_dim_of_a_fixed_dimension_entry(tmp_path, capsys):
+    # sin is 1-D: --dim 5 is a usage error, --dim 1 is the entry's own
+    code, rep = run(["check", "--fn", "sin", "--dim", "5", "--pairs", "10"], tmp_path)
+    assert code == EXIT_USAGE and rep is None
+    assert "--dim 5" in capsys.readouterr().err
+    code, rep = run(["check", "--fn", "sin", "--dim", "1", "--pairs", "10"], tmp_path)
+    assert code == EXIT_VIOLATIONS and rep["config"]["field"]["dim"] == 1
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"fn": "sqnorm", "dim": 1, "pairs": 500,

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import harness_with_record
 
 from quasicheck import conditions, search
 from quasicheck.conditions import (HOLDS, SKIPPED, VACUOUS, VIOLATED,
@@ -190,6 +191,19 @@ def test_min_sep_enforced():
         check_b(SQ1, [0.5], [0.5 + 1e-9], cfg())
     with pytest.raises(ValueError):
         check_c(SQ1, [0.5], [0.5 + 1e-9], cfg())
+
+
+@pytest.mark.parametrize("x, y", [([0.5, 0.5], [0.1]), ([0.1], [0.5, 0.5]),
+                                  ([0.5], [0.1]), ([0.5, 0.5, 0.5], [0.1, 0.1, 0.1])],
+                         ids=["y short", "x short", "both 1-D", "both 3-D"])
+def test_scalar_checks_reject_points_of_the_wrong_length(x, y):
+    # numpy would broadcast a 1-vector over the other point: (0.1) would
+    # be checked as (0.1, 0.1)
+    for check in (lambda: margin_a(SQ2, x, y, 0.5, cfg()), lambda: check_b(SQ2, x, y, cfg()),
+                  lambda: check_c(SQ2, x, y, cfg()),
+                  lambda: sigma_star_segment(SQ2, x, y, cfg())):
+        with pytest.raises(ValueError, match="points of lengths"):
+            check()
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +408,7 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
 def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
     # neither the chunk size nor the number of lanes (which sets the size
     # of the blocks and of a large block's chunks) shows in a bit of the
-    # margins, sigma* or the harness's per-pair arrays
+    # margins, sigma* or the harness's per-pair record
     f = catalog_field("sqnorm", 3)
     c = cfg(sigma=0.5)
     X = rng.uniform(-1, 1, size=(250, 3))
@@ -413,7 +427,7 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
             # the margins of a chunk live until the next chunk: copy them
             per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
                 f, X, Y, lam, c.sigma, c.penalty_norm)])
-            harness = implication_harness(f, c, sampler).per_pair
+            _, harness = harness_with_record(f, c, sampler)
             runs.append([*batch_margin_a_worst(f, X, Y, c),
                          sigma_star_estimate(f, pairs, c), per_pair,
                          *harness.values()])

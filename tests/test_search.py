@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import harness_with_record
 from hypothesis import given, settings, strategies as st
 
 from quasicheck import conditions as cond
@@ -661,12 +662,12 @@ def test_harness_chunks_identical(monkeypatch):
                          (65 * 1001, 4999)):
         monkeypatch.setattr(cond, "SEGMENT_CHUNK", chunk)
         monkeypatch.setattr(cond, "PAIR_BLOCK", block)
-        reports.append(implication_harness(f, cfg, s))
+        reports.append(harness_with_record(f, cfg, s))
         sigmas.append(sigma_star_estimate(f, s, cfg).hex())
-    for rep in reports[1:]:
-        assert rep.to_json() == reports[0].to_json()
-        for key, arr in reports[0].per_pair.items():
-            assert np.array_equal(rep.per_pair[key], arr), key
+    for rep, record in reports[1:]:
+        assert rep.to_json() == reports[0][0].to_json()
+        for key, arr in reports[0][1].items():
+            assert np.array_equal(record[key], arr), key
     assert set(sigmas) == {sigmas[0]}
 
 
@@ -684,7 +685,7 @@ def _traced_peak(fn) -> int:
 def test_reports_do_not_depend_on_the_lanes_or_the_block_size(monkeypatch, strategy):
     # each block draws its own pairs (rejection rounds included) on its
     # own lane, so neither the number of lanes nor the block size shows in
-    # a bit of check's report, its per_pair arrays or sigma*; 2001 pairs
+    # a bit of check's report, its per-pair record or sigma*; 2001 pairs
     # end in a partial block at every size below, an odd number of blocks
     # at most of them
     cfg = CheckConfig(sigma=0.25)
@@ -694,9 +695,9 @@ def test_reports_do_not_depend_on_the_lanes_or_the_block_size(monkeypatch, strat
         for block in (250, 600, 1 << 14):
             monkeypatch.setattr(cond, "LANES", lanes)
             monkeypatch.setattr(cond, "PAIR_BLOCK", block)
-            rep = implication_harness(EXPR_FIELD, cfg, s)
+            rep, record = harness_with_record(EXPR_FIELD, cfg, s)
             runs.append((json.dumps(rep.to_json(), sort_keys=True),
-                         [v.tobytes() for v in rep.per_pair.values()],
+                         [v.tobytes() for v in record.values()],
                          sigma_star_estimate(EXPR_FIELD, s, cfg).hex()))
     assert all(run == runs[0] for run in runs[1:])
 
@@ -705,7 +706,7 @@ def test_reports_do_not_depend_on_the_order_blocks_finish_in(monkeypatch):
     # a helper that is slow on every block makes the calling thread finish
     # the blocks queued behind it first; ties everywhere (a constant field)
     # and pairs dropped by min_sep show any merge out of block order, in
-    # the first smallest witness or in where per_pair's rows land
+    # the first smallest witness or in the order of the record's rows
     caller = threading.current_thread()
     on_helpers = []
     g = catalog_field("const", 2)
@@ -726,9 +727,9 @@ def test_reports_do_not_depend_on_the_order_blocks_finish_in(monkeypatch):
     try:
         for lanes in (1, 2, 3):
             monkeypatch.setattr(cond, "LANES", lanes)
-            rep = implication_harness(f, cfg, s)
+            rep, record = harness_with_record(f, cfg, s)
             runs.append((json.dumps(rep.to_json(), sort_keys=True),
-                         [v.tobytes() for v in rep.per_pair.values()],
+                         [v.tobytes() for v in record.values()],
                          sigma_star_estimate(f, s, cfg).hex()))
             assert 0 < rep.sample_count < s.count
     finally:
@@ -738,8 +739,7 @@ def test_reports_do_not_depend_on_the_order_blocks_finish_in(monkeypatch):
 
 
 def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
-    # sigma* holds one block of pairs at a time; the harness adds only its
-    # per_pair arrays (27 B per pair)
+    # sigma* and the harness hold one block of pairs at a time
     f = catalog_field("sqnorm", 3)
     cfg = CheckConfig()
     small, big = (Sampler("uniform_box", 5, count, f.domain)
@@ -755,13 +755,19 @@ def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
         assert sigma_big <= sigma_small + 64 * 1024
         harness_small = peak(lambda: implication_harness(f, cfg, small))
         harness_big = peak(lambda: implication_harness(f, cfg, big))
-        assert harness_big - harness_small <= 40 * (big.count - small.count)
+        assert harness_big <= harness_small + 64 * 1024
+        # a sink adds only the record of a block that finishes while the
+        # block before it still runs on the other lane (27 B a pair), held
+        # until it merges
+        waiting = (lanes - 1) * 27 * (cond.PAIR_BLOCK // lanes)
+        sink_big = peak(lambda: implication_harness(f, cfg, big, lambda record: None))
+        assert sink_big <= harness_big + waiting + 64 * 1024
 
 
 def test_harness_holds_one_block_at_a_time(monkeypatch):
-    # a second block adds only its per_pair rows (27 B a pair): the first
-    # block's pairs, their filtered copies and (b)/(c) results are dropped
-    # before the second is drawn
+    # a second block adds nothing: the first block's pairs, their filtered
+    # copies, (b)/(c) results and record are dropped before the second is
+    # drawn
     f = catalog_field("sqnorm", 2)
     cfg = CheckConfig()
     one, two = (Sampler("uniform_box", 5, k * cond.PAIR_BLOCK, f.domain)
@@ -775,7 +781,7 @@ def test_harness_holds_one_block_at_a_time(monkeypatch):
         monkeypatch.setattr(cond, "LANES", lanes)
         implication_harness(f, cfg, two)   # the program's registers, once
         extra = peak(two) - peak(one)
-        assert extra <= 27 * cond.PAIR_BLOCK + 96 * 1024
+        assert extra <= 96 * 1024
 
 
 def test_falsify_witness_rechecks_bitwise():

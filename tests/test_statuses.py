@@ -1,5 +1,5 @@
 """One status rule for every condition row: the harness's counts, its
-per-pair record, the `check --csv` rows and `check_b`/`check_c` agree on
+per-pair records, the `check --csv` rows and `check_b`/`check_c` agree on
 which pairs each condition counts, on fields with kinks (abs, min, max)
 and domain edges (sqrt, log, division), where a condition that does not
 read a failed evaluation must not skip the pair."""
@@ -10,13 +10,14 @@ import os
 import tempfile
 
 import numpy as np
+from conftest import harness_with_record
 from hypothesis import example, given, settings, strategies as st
 
 from quasicheck import conditions as cond
 from quasicheck.cli import main
 from quasicheck.conditions import CheckConfig, check_b, check_c
 from quasicheck.field import DomainBox, make_field_from_expr
-from quasicheck.search import Sampler, implication_harness, sample_pairs
+from quasicheck.search import Sampler, sample_pairs
 
 # terms of a field in x1 (and x2), each with a kink or a domain edge at a
 # dyadic constant c, where segment_grid points land
@@ -49,12 +50,14 @@ def test_check_counts_csv_and_pair_checks_agree(case):
     f = make_field_from_expr(expr, n, box)
     cfg = CheckConfig(sigma=sigma)
     sampler = Sampler("segment_grid", 0, count, box)
-    rep = implication_harness(f, cfg, sampler)
-    p = rep.per_pair
+    rep, p = harness_with_record(f, cfg, sampler)
     # the JSON counts tally the per-pair statuses
     for name in "abc":
         tally = np.bincount(p[f"{name}_status"], minlength=4).tolist()
         assert rep.counts[name] == dict(zip(cond.STATUSES, tally)), name
+    # skipped counts each pair that any condition skipped once
+    codes = np.stack([p[f"{name}_status"] for name in "abc"])
+    assert rep.skipped == np.count_nonzero((codes == cond.STATUSES.index(cond.SKIPPED)).any(axis=0))
     # each (b)/(c) status and margin is check_b's/check_c's on that pair
     P = sample_pairs(sampler)
     for j, i in enumerate(p["index"]):
