@@ -121,7 +121,7 @@ def echo_config(args, f=None, cfg=None, sampler=None) -> dict:
     return out
 
 
-def build_report(args, payload: dict, config: dict, skipped: int = 0) -> dict:
+def build_report(payload: dict, config: dict, skipped: int = 0) -> dict:
     return {
         "schema": 1,
         "tool": "quasicheck",
@@ -184,8 +184,7 @@ def cmd_check(args) -> int:
     sampler = make_sampler(args, f.domain)
     with csv_sink(args.csv) as rows:
         report = srch.implication_harness(f, cfg, sampler, rows)
-        out = build_report(args, report.to_json(),
-                           echo_config(args, f, cfg, sampler), report.skipped)
+        out = build_report(report.to_json(), echo_config(args, f, cfg, sampler), report.skipped)
         write_outputs(out, args)
     return EXIT_VIOLATIONS if report.total_violations > 0 else EXIT_OK
 
@@ -196,7 +195,7 @@ def cmd_sigma(args) -> int:
     sampler = make_sampler(args, f.domain)
     raw = cond.sigma_star_estimate(f, sampler, cfg)
     payload = {"sigma_star_raw": raw, "sigma_star": max(0.0, raw)}
-    out = build_report(args, payload, echo_config(args, f, cfg, sampler))
+    out = build_report(payload, echo_config(args, f, cfg, sampler))
     write_outputs(out, args)
     return EXIT_VIOLATIONS if cond.is_violated(raw, cfg.tol) else EXIT_OK
 
@@ -213,8 +212,9 @@ def cmd_falsify(args) -> int:
             fam = family_by_name(args.family)
         except KeyError as e:
             raise UsageError(str(e))
-        cands = srch.open_question_search(fam, cfg, budget, seed=args.seed,
-                                          param_samples=args.param_samples)
+        cands = srch.open_question_search(
+            fam, cfg, budget, seed=args.seed,
+            param_samples=32 if args.param_samples is None else args.param_samples)
         payload = {
             "mode": "open_question",
             "family": fam.to_json(),
@@ -223,14 +223,16 @@ def cmd_falsify(args) -> int:
         }
         config = echo_config(args, cfg=cfg)
         config["budget"] = budget.to_json()
-        out = build_report(args, payload, config)
+        out = build_report(payload, config)
         write_outputs(out, args)
         return EXIT_VIOLATIONS if cands else EXIT_OK
+    if args.param_samples is not None:
+        raise UsageError("--param-samples needs --family: a single field has no members")
     f = resolve_field(args)
     res = srch.falsify(f, args.target or "a", cfg, budget, seed=args.seed)
     config = echo_config(args, f, cfg)
     config["budget"] = budget.to_json()
-    out = build_report(args, res.to_json(), config)
+    out = build_report(res.to_json(), config)
     write_outputs(out, args)
     return EXIT_VIOLATIONS if res.violation_found else EXIT_OK
 
@@ -240,7 +242,7 @@ def cmd_gradcheck(args) -> int:
     rep = validate_grad(f, seed=args.seed, count=args.points)
     payload = rep.to_json()
     payload["passed"] = rep.passed(args.tol)
-    out = build_report(args, payload, echo_config(args, f), rep.skipped)
+    out = build_report(payload, echo_config(args, f), rep.skipped)
     write_outputs(out, args)
     return EXIT_OK if rep.passed(args.tol) else EXIT_VIOLATIONS
 
@@ -254,7 +256,7 @@ def cmd_lemma(args) -> int:
     payload = verdict.to_json()
     if verdict.status == cond.VIOLATED:
         payload["note"] = "candidate contradiction - refine grid"
-    out = build_report(args, payload, echo_config(args, f))
+    out = build_report(payload, echo_config(args, f))
     write_outputs(out, args)
     return EXIT_VIOLATIONS if verdict.status == cond.VIOLATED else EXIT_OK
 
@@ -270,8 +272,7 @@ def cmd_catalog(args) -> int:
             "known_sigma": f.known_sigma,
         })
     fams = [fam.to_json() for fam in shipped_families()]
-    out = build_report(args, {"fields": entries, "families": fams},
-                       echo_config(args))
+    out = build_report({"fields": entries, "families": fams}, echo_config(args))
     write_outputs(out, args)
     return EXIT_OK
 
@@ -286,8 +287,9 @@ def _add_field_args(p):
     p.add_argument("--box", help="domain box lo:hi[,lo:hi...] (broadcasts)")
 
 
-def _add_check_args(p):
-    p.add_argument("--sigma", type=float, default=0.0)
+def _add_check_args(p, sigma=True):
+    if sigma:   # sigma* is estimated at sigma = 0
+        p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--min-sep", dest="min_sep", type=float, default=1e-6)
     p.add_argument("--lambda-points", dest="lambda_points", type=int,
@@ -320,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", help="estimate sigma* on sampled segments")
     _add_field_args(p)
-    _add_check_args(p)
+    _add_check_args(p, sigma=False)
     _add_sampler_args(p)
-    p.set_defaults(func=cmd_sigma, **common)
+    p.set_defaults(func=cmd_sigma, sigma=0.0, **common)
 
     p = sub.add_parser("falsify", help="adversarial search for violations")
     _add_field_args(p)
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--family", help="open-question mode on a shipped family")
     p.add_argument("--param-samples", dest="param_samples", type=int,
-                   default=32)
+                   help="family members to search (default 32; only with --family)")
     p.set_defaults(func=cmd_falsify, **common)
 
     p = sub.add_parser("gradcheck", help="validate gradients against "
@@ -353,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.set_defaults(func=cmd_catalog, **common)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, default=7)
+    for name, sp in sub.choices.items():
+        if name not in ("lemma", "catalog"):   # they draw nothing at random
+            sp.add_argument("--seed", type=int, default=7)
         sp.add_argument("--out", help="write the JSON report to this path")
         sp.add_argument("--config",
                         help="JSON file with default flag values "

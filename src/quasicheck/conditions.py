@@ -618,15 +618,15 @@ def check_lemma(phi: ScalarField, grid, tol: float = 1e-9) -> Verdict:
 
 
 def check_lemma_refined(phi: ScalarField, initial_points: int = 63,
-                        tol: float = 1e-9, max_rounds: int = 6) -> Verdict:
+                        tol: float = 1e-9) -> Verdict:
     """check_lemma with grid-doubling: a violated verdict is only kept if
-    it survives refinement (otherwise refinement finds the hypothesis
-    failure and the verdict turns vacuous)."""
+    it survives refinement, up to six grids (otherwise refinement finds
+    the hypothesis failure and the verdict turns vacuous)."""
     a = float(phi.domain.lower[0])
     b = float(phi.domain.upper[0])
     k = initial_points + 1
     verdict = None
-    for _ in range(max_rounds):
+    for _ in range(6):
         grid = a + (b - a) * np.arange(1, k) / k
         verdict = check_lemma(phi, grid, tol)
         if verdict.status != VIOLATED:

@@ -312,9 +312,10 @@ def pretty_print(e: Node) -> str:
 # tangent of a node is one term, its derivative along the direction D, and
 # x_j's own term is its seed d_j = D[..., j-1]. Derivatives mirror the
 # dual-number rules term for term; parameters and subtrees free of x carry
-# no tangent and no flag. An array that depends on x, except the results,
-# is written into a register (see `_assign_registers`), so a call
-# allocates only its results. Nothing is checked: numpy's IEEE results make
+# no tangent and no flag. An array that depends on x (or on the seeds) and
+# is made by a function that takes out=, except the results, is written
+# into a register (see `_assign_registers`), so a call allocates little
+# more than its results. Nothing is checked: numpy's IEEE results make
 # an invalid point NaN (or infinite). The source holds only numbers and
 # generated names.
 
@@ -360,6 +361,8 @@ _NAMESPACE = {
     "power": np.power, "where": np.where, "greater_equal": np.greater_equal,
     "less_equal": np.less_equal,
 }
+# the functions that take out=
+_OUT = {k for k, f in _NAMESPACE.items() if isinstance(f, np.ufunc)} | {"_ipow", "_power"}
 
 # op: (value, tangent, tangent terms, tie test). A value template is one
 # ufunc call, so that a register can be given as its out=. Templates see the
@@ -428,34 +431,39 @@ class _RegisterFile(threading.local):
         return views
 
 
-def _assign_registers(lines, names):
-    """Make the line of each temporary in `names` write with out= to a
-    register from its assignment to its `del`: values to one of R, dual
-    temporaries to one of S, which the value program does without. A line
-    takes over the register of its file of an operand that no later line
-    of either program reads (sin(a) keeps a for its factor cos(a)); a
-    value that a tangent term holds (the term v of exp) is freed by the
-    dual `del` of the term. Returns the lines and the register counts of R
-    and S."""
-    last = {n: i for i, (_, text) in enumerate(lines) if not text.startswith("del ")
-            for n in re.findall(r"\w+", text.partition(" = ")[2])}
-    slot, free, count, out = {}, ([], []), [0, 0], []
-    for i, (dual, text) in enumerate(lines):
-        name, _, call = text.partition(" = ")
-        if name in names:
+def _assign_registers(lines, results):
+    """The lines with their registers and `del`s, and the register counts
+    of R and S. A line that depends on x (or on a seed d_j) and calls a
+    function that takes out= writes to a register: a value line to one of
+    R, a dual line to one of S, which the value program does without. It
+    takes over the register of its file of an operand whose last use is
+    that line (sin(a) keeps a for its factor cos(a)). Right after its last
+    use in either program each temporary but the `results` is deleted and
+    its register freed: in both programs if a value line made it, else in
+    the dual program only."""
+    lines = [(dual, *text.split(" = ", 1)) for dual, text in lines]
+    made = {name: dual for dual, name, _ in lines}
+    last = {n: i for i, (_, name, call) in enumerate(lines)
+            for n in (name, *re.findall(r"\w+", call))}
+    varies, slot, free, count, out = set(), {}, ([], []), [0, 0], []
+    for i, (dual, name, call) in enumerate(lines):
+        words = list(dict.fromkeys(re.findall(r"\w+", call)))
+        if any(n in varies or re.fullmatch(r"[xd]\d+", n) for n in words):
+            varies.add(name)
+        if name in varies and name not in results and call.partition("(")[0] in _OUT:
             file = "RS"[dual]
-            taken = [n for n in re.findall(r"\w+", call)
-                     if slot.get(n, " ")[0] == file and last[n] == i]
+            taken = [n for n in words if slot.get(n, " ")[0] == file and last[n] == i]
             if not (taken or free[dual]):
                 free[dual].append(f"{file}[{count[dual]}]")
                 count[dual] += 1
             slot[name] = slot.pop(taken[0]) if taken else free[dual].pop()
-            text = f"{name} = {call[:-1]}, out={slot[name]})"
-        elif text.startswith("del "):
-            for n in text[4:].split(", "):
-                if n in slot:
-                    free[slot[n][0] == "S"].append(slot.pop(n))
-        out.append((dual, text))
+            call = f"{call[:-1]}, out={slot[name]})"
+        out.append((dual, f"{name} = {call}"))
+        dead = [n for n in words + [name] if n in made and last[n] == i and n not in results]
+        for program in (False, True):
+            if names := [n for n in dead if made[n] == program]:
+                out.append((program, f"del {', '.join(names)}"))
+                free[program].extend(slot.pop(n) for n in names if n in slot)
     return out, count
 
 
@@ -480,15 +488,14 @@ class _Slot:
 
 
 class _Lowering:
-    """Collects (dual_only, line) pairs; the value program skips dual lines."""
+    """Collects (dual_only, line) pairs of arithmetic; the value program
+    skips dual lines, and `_assign_registers` adds registers and `del`s."""
 
     def __init__(self):
         self.lines: list[tuple[bool, str]] = []
         self.temps: set[str] = set()
         self.variables: set[int] = set()
         self.params: set[int] = set()
-        # values that depend on x and dual temporaries made by a ufunc
-        self.registered: set[str] = set()
 
     def new(self, prefix: str, dual_expr: str | None = None) -> str:
         """A fresh temporary; with `dual_expr`, assigned in the dual program."""
@@ -503,8 +510,6 @@ class _Lowering:
         that a ufunc can write to a register, and return its result: a name,
         or a number that numpy folds here when the part has no name. A
         product with the constant 1.0 is exact and dropped."""
-        made = []
-
         def walk(e):
             if isinstance(e, (ast.Constant, ast.Name)):
                 return getattr(e, "id", None) or float(e.value)
@@ -518,13 +523,7 @@ class _Lowering:
                     return float(_NAMESPACE[fn](*args))
             if fn == "multiply" and 1.0 in args:
                 return args[args[0] == 1.0]
-            name = self.new("t", f"{fn}({', '.join(map(str, args))})")
-            if isinstance(_NAMESPACE[fn], np.ufunc) or fn == "_ipow":
-                self.registered.add(name)   # its call takes out=
-            if dead := [a for a in args if a in made]:
-                self.lines.append((True, f"del {', '.join(dead)}"))
-            made.append(name)
-            return name
+            return self.new("t", f"{fn}({', '.join(map(str, args))})")
 
         return str(walk(ast.parse(text, mode="eval").body))
 
@@ -560,8 +559,6 @@ class _Lowering:
         value, tangent, terms, tie = rule + (_TA, None)[len(rule) - 2:]
         a, b = (ops + [_Slot("")])[:2]
         out = _Slot(self.new("v"), None, None, var, par)
-        if var:
-            self.registered.add(out.v)
         fmt.update(a=a.v, b=b.v, v=out.v)
         lines = self.lines
         if "{w}" in value:
@@ -580,15 +577,6 @@ class _Lowering:
         if len(flags) > 1:
             flags = [self.new("f", " | ".join(flags))]
         out.f = flags[0] if flags else None
-        # release each operand temporary at its last use, which was here,
-        # unless a term of this tangent holds it
-        held = {out.v, out.f, out.t}
-        for dual, names in ((False, [s.v for s in ops] + [fmt.get("w")]),
-                            (True, [n for s in ops for n in (s.t, s.f)])):
-            names = [n for n in dict.fromkeys(names) if n in self.temps and n not in held]
-            held.update(names)
-            if names:
-                lines.append((dual, f"del {', '.join(names)}"))
         return out
 
 
@@ -629,7 +617,7 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
     # a constant has no array: what is returned is a copy, or a new array
     ret = root.v if root.var and root.v in L.temps else f"_full({shape}, {root.v})"
     slope = root.t if root.t in L.temps else f"_full({shape}, {root.t or 0.0})"
-    lines, (r, s) = _assign_registers(L.lines, L.registered - {root.v, root.t})
+    lines, (r, s) = _assign_registers(L.lines, {root.v, root.t, root.f})
     views = [f"x{j} = X[..., {j - 1}]" for j in sorted(L.variables)]
     views += [f"p{j} = T[..., {j - 1}]" for j in sorted(L.params)]
     views += [f"R = _registers({shape})"] * (r > 0)

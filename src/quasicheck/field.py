@@ -74,12 +74,9 @@ class DomainBox:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, X: np.ndarray, atol: float = 0.0) -> np.ndarray:
+    def contains(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return np.all((X >= self.lower - atol) & (X <= self.upper + atol), axis=-1)
-
-    def clip(self, X: np.ndarray) -> np.ndarray:
-        return np.clip(X, self.lower, self.upper)
+        return np.all((X >= self.lower) & (X <= self.upper), axis=-1)
 
     def shrunk(self, margin: float) -> "DomainBox":
         """Box pulled in by `margin` on every side (for interior sampling)."""

@@ -344,6 +344,33 @@ def test_family_rejects_the_flags_it_ignores(tmp_path, capsys, flags):
     assert rep["payload"]["target"] == "a"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["sigma", "--fn", "sqnorm", "--sigma", "0.5"], "--sigma"),
+    (["falsify", "--fn", "sin", "--param-samples", "4"], "--param-samples"),
+    (["lemma", "--fn", "cubic", "--seed", "3"], "--seed"),
+    (["catalog", "--seed", "3"], "--seed")], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_flags_that_change_nothing_are_refused(tmp_path, capsys, argv, flag):
+    # sigma* is estimated at sigma = 0, a single field has no members, and
+    # lemma and catalog draw nothing at random: each flag, on the command
+    # line or as a --config key, is a usage error that names it
+    try:
+        code, rep = run(argv, tmp_path)
+    except SystemExit as e:   # argparse's own usage error
+        code, rep = e.code, None
+    assert code == EXIT_USAGE and rep is None
+    assert flag in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag[2:]: argv[argv.index(flag) + 1]}))
+    code, rep = run(argv[:argv.index(flag)] + ["--config", str(cfg)], tmp_path)
+    assert code == EXIT_USAGE and rep is None
+    assert flag[2:] in capsys.readouterr().err
+    # without the flag each command runs and echoes the old defaults
+    code, rep = run(argv[:argv.index(flag)], tmp_path)
+    assert code in (EXIT_OK, EXIT_VIOLATIONS)
+    assert rep["config"]["seed"] == 7 and rep["config"]["sigma"] == (
+        0.0 if argv[0] in ("sigma", "falsify") else None)
+
+
 def test_open_question_cli(tmp_path):
     code, rep = run(["falsify", "--family", "param_cubic", "--budget", "6000",
                      "--param-samples", "4", "--seed", "1", "--tol", "1e-8",
