@@ -12,6 +12,7 @@ import contextlib
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,6 @@ from . import __version__
 from . import conditions as cond
 from . import search as srch
 from .conditions import CheckConfig
-from .expr import ParseError
 from .families import family_by_name, shipped_families
 from .field import (DomainBox, catalog, catalog_field, make_field_from_expr,
                     validate_grad)
@@ -76,33 +76,21 @@ def resolve_field(args):
     if args.expr:
         if not args.box:
             raise UsageError("--expr requires --box")
-        box = parse_box(args.box, n)
-        try:
-            return make_field_from_expr(args.expr, n, box,
-                                        name=f"expr:{args.expr}")
-        except ParseError as e:
-            raise UsageError(f"cannot parse expression: {e}")
+        return make_field_from_expr(args.expr, n, parse_box(args.box, n),
+                                    name=f"expr:{args.expr}")
     raise UsageError("a field is required: --fn <catalog name> or --expr <text>")
 
 
 def make_config(args) -> CheckConfig:
     grid = cond.default_lambda_grid(args.lambda_points + 1)
     norm = args.norm if args.norm == "inf" else int(args.norm)
-    try:
-        return CheckConfig(sigma=args.sigma, tol=args.tol,
-                           min_sep=args.min_sep, lambda_grid=grid,
-                           penalty_norm=norm)
-    except ValueError as e:
-        raise UsageError(str(e))
+    return CheckConfig(sigma=args.sigma, tol=args.tol, min_sep=args.min_sep,
+                       lambda_grid=grid, penalty_norm=norm)
 
 
 def make_sampler(args, domain: DomainBox) -> srch.Sampler:
-    try:
-        return srch.Sampler(strategy=args.strategy, seed=args.seed,
-                            count=args.pairs, domain=domain,
-                            min_sep=args.min_sep)
-    except ValueError as e:
-        raise UsageError(str(e))
+    return srch.Sampler(strategy=args.strategy, seed=args.seed, count=args.pairs,
+                        domain=domain, min_sep=args.min_sep)
 
 
 def echo_config(args, f=None, cfg=None, sampler=None) -> dict:
@@ -133,8 +121,17 @@ def build_report(payload: dict, config: dict, skipped: int = 0) -> dict:
     }
 
 
+def _finite(obj):
+    """obj with each non-finite float as None: JSON has no NaN or infinity."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_outputs(report: dict, args):
-    text = json.dumps(report, indent=2)
+    text = json.dumps(_finite(report), indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -249,8 +246,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_lemma(args) -> int:
     f = resolve_field(args)
-    if f.dim != 1:
-        raise UsageError("lemma requires a 1-D field")
     verdict = cond.check_lemma_refined(f, initial_points=args.grid_points,
                                        tol=args.tol)
     payload = verdict.to_json()
@@ -287,13 +282,14 @@ def _add_field_args(p):
     p.add_argument("--box", help="domain box lo:hi[,lo:hi...] (broadcasts)")
 
 
-def _add_check_args(p, sigma=True):
+def _add_check_args(p, sigma=True, lambda_points=True):
     if sigma:   # sigma* is estimated at sigma = 0
         p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--min-sep", dest="min_sep", type=float, default=1e-6)
-    p.add_argument("--lambda-points", dest="lambda_points", type=int,
-                   default=63, help="interior lambda grid size")
+    if lambda_points:   # falsify draws lambda continuously
+        p.add_argument("--lambda-points", dest="lambda_points", type=int,
+                       default=63, help="interior lambda grid size")
     p.add_argument("--norm", choices=["1", "2", "inf"], default="2",
                    type=str)
 
@@ -311,24 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "of differentiable functions on box domains.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def add_parser(name, help):   # a flag, like a --config key, is spelled in full
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
     common = dict(seed=7, out=None)
 
-    p = sub.add_parser("check", help="run the (a)/(b)/(c) implication harness")
+    p = add_parser("check", help="run the (a)/(b)/(c) implication harness")
     _add_field_args(p)
     _add_check_args(p)
     _add_sampler_args(p)
     p.add_argument("--csv", help="write per-sample margin rows")
     p.set_defaults(func=cmd_check, **common)
 
-    p = sub.add_parser("sigma", help="estimate sigma* on sampled segments")
+    p = add_parser("sigma", help="estimate sigma* on sampled segments")
     _add_field_args(p)
     _add_check_args(p, sigma=False)
     _add_sampler_args(p)
     p.set_defaults(func=cmd_sigma, sigma=0.0, **common)
 
-    p = sub.add_parser("falsify", help="adversarial search for violations")
+    p = add_parser("falsify", help="adversarial search for violations")
     _add_field_args(p)
-    _add_check_args(p)
+    _add_check_args(p, lambda_points=False)
     p.add_argument("--target", choices=["a", "b", "c"],
                    help="condition to falsify (default a; not with --family)")
     p.add_argument("--budget", type=int, default=10_000)
@@ -336,22 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="open-question mode on a shipped family")
     p.add_argument("--param-samples", dest="param_samples", type=int,
                    help="family members to search (default 32; only with --family)")
-    p.set_defaults(func=cmd_falsify, **common)
+    p.set_defaults(func=cmd_falsify, lambda_points=63, **common)
 
-    p = sub.add_parser("gradcheck", help="validate gradients against "
-                                         "central differences")
+    p = add_parser("gradcheck", help="validate gradients against central differences")
     _add_field_args(p)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_gradcheck, **common)
 
-    p = sub.add_parser("lemma", help="scalar monotone-bound lemma check")
+    p = add_parser("lemma", help="scalar monotone-bound lemma check")
     _add_field_args(p)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=63)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_lemma, **common)
 
-    p = sub.add_parser("catalog", help="list built-in fields and families")
+    p = add_parser("catalog", help="list built-in fields and families")
     p.add_argument("--dim", type=int, default=2)
     p.set_defaults(func=cmd_catalog, **common)
 
@@ -365,51 +363,37 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def apply_config_file(args, argv):
-    """--config gives defaults; explicit flags override, in any spelling
-    argparse accepts (`--budget 3000`, `--budget=3000`). A file value must
-    be a JSON string or number; it is converted and checked as the flag's
-    text would be."""
-    if not args.config:
-        return args
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"cannot read config file: {e}")
+def config_flags(path) -> list:
+    """The flags a --config file stands for: each key k with value v is
+    the token `--k=v`, with the underscores of k as dashes and a JSON
+    number written as its repr, for argparse to parse and check as it
+    would the command line."""
+    with open(path) as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    # argparse has no public accessor for a parser's options
-    ap = build_parser()
-    sub, = (a.choices[args.command] for a in ap._actions
-            if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub._actions
-             if a.option_strings and a.dest not in ("help", "config")}
-    defaults = {}
+    flags = []
     for key, value in data.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None:
-            raise UsageError(f"unknown config key {key!r}")
+        if key in ("config", "help"):
+            raise UsageError(f"config key {key!r} is not a run setting")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(f"config key {key!r}: expected a string or a "
                              f"number, got {value!r}")
         text = value if isinstance(value, str) else repr(value)
-        try:
-            value = action.type(text) if action.type else text
-        except ValueError:
-            raise UsageError(f"config key {key!r}: invalid value {text!r}")
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"config key {key!r}: {text!r} is not one of "
-                             f"{list(action.choices)}")
-        defaults[action.dest] = value
-    sub.set_defaults(**defaults)
-    return ap.parse_args(argv)
+        flags.append(f"--{key.replace('_', '-')}={text}")
+    return flags
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
     try:
-        args = apply_config_file(ap.parse_args(argv), argv)
+        args = ap.parse_args(argv)
+        if args.config:   # explicit flags come last, so they override the file
+            try:
+                args = ap.parse_args(argv[:1] + config_flags(args.config) + argv[1:])
+            except SystemExit as e:   # argparse refused a key or its value
+                return e.code
         if args.dim is not None and args.dim < 1:
             raise UsageError(f"--dim must be at least 1, got {args.dim}")
         return args.func(args)

@@ -242,9 +242,7 @@ class Verdict:
     witness: Optional[Witness] = None
 
     def to_json(self):
-        # JSON has no NaN or infinity: a non-finite margin is written as null
-        margin = self.margin if math.isfinite(self.margin) else None
-        out = {"status": self.status, "margin": margin}
+        out = {"status": self.status, "margin": self.margin}
         if self.witness is not None:
             out["witness"] = self.witness.to_json()
         return out

@@ -222,13 +222,12 @@ class GradReport:
         }
 
 
-def validate_grad(f: ScalarField, seed: int, count: int = 100,
-                  h: float | None = None) -> GradReport:
+def validate_grad(f: ScalarField, seed: int, count: int = 100) -> GradReport:
     """Compare the field gradient against central differences at seeded
     interior points; the report carries the worst deviation."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    base_h = h if h is not None else 1e-5 * max(1.0, float(np.max(np.abs(
+    base_h = 1e-5 * max(1.0, float(np.max(np.abs(
         np.stack([f.domain.lower, f.domain.upper])))))
     inner_box = f.domain.shrunk(2.0 * base_h)
     rng = np.random.default_rng(seed)
@@ -239,10 +238,9 @@ def validate_grad(f: ScalarField, seed: int, count: int = 100,
     skipped = 0
     checked = 0
     for x in X:
-        step = h if h is not None else default_fd_step(x)
         try:
             g = f.grad(x)
-            g_fd = fd_grad(f, x, step)
+            g_fd = fd_grad(f, x, default_fd_step(x))
         except EvaluationError:
             skipped += 1
             continue

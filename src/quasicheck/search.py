@@ -204,9 +204,7 @@ class FalsificationResult:
         return {
             "target": self.target,
             "sigma": self.sigma,
-            # JSON has no NaN or infinity: a non-finite margin is null
-            "best_margin": self.best_margin
-            if math.isfinite(self.best_margin) else None,
+            "best_margin": self.best_margin,
             "witness": self.witness.to_json() if self.witness else None,
             "evaluations": self.evaluations,
             "violation_found": self.violation_found,

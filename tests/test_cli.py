@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -104,6 +105,19 @@ def test_reports_are_strict_json(tmp_path, argv, key):
     main(argv + ["--out", str(out)])
     rep = json.loads(out.read_text(), parse_constant=_reject)
     assert rep["payload"][key] is None
+
+
+def test_overflowing_margin_is_written_as_null(tmp_path):
+    # the (a) margin of this field overflows to -inf: the report writes it
+    # as null and keeps its counts
+    code, rep = run(["check", "--expr", "1.7e308*sin(x1)", "--dim", "1", "--box=-2:5",
+                     "--pairs", "2000", "--seed", "1"], tmp_path)
+    rep = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject)
+    assert code == EXIT_VIOLATIONS and rep["payload"]["worst"]["a"]["margin"] is None
+    assert rep["payload"]["counts"] == {
+        "a": {"holds": 1031, "violated": 969, "vacuous": 0, "skipped": 0},
+        "b": {"holds": 371, "violated": 147, "vacuous": 583, "skipped": 899},
+        "c": {"holds": 252, "violated": 93, "vacuous": 369, "skipped": 1286}}
 
 
 def test_catalog_command(tmp_path):
@@ -323,6 +337,79 @@ def test_config_file_mistyped_value_is_a_usage_error(tmp_path, data):
                  "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
 
 
+def without_timestamp(path) -> str:
+    return "".join(line for line in path.read_text().splitlines(keepends=True)
+                   if not line.lstrip().startswith('"timestamp"'))
+
+
+def as_config(argv, spell) -> dict:
+    """The --config object of argv's flags, keys spelled by spell(name) and
+    values that read as JSON numbers written as numbers."""
+    data, i = {}, 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        if not eq:
+            value, i = argv[i + 1], i + 1
+        try:
+            number = json.loads(value)
+        except ValueError:
+            number = None
+        data[spell(flag[2:])] = number if isinstance(number, (int, float)) else value
+        i += 1
+    return data
+
+
+@pytest.mark.parametrize("argv,flag,value,abbrev", [
+    (["check", "--fn", "sqnorm", "--dim", "3", "--sigma", "2", "--pairs", "400",
+      "--min-sep", "1e-5", "--strategy", "segment_grid", "--seed", "3"], "--pairs", "300", "--pai"),
+    (["sigma", "--expr", "x1^2 + x2^2", "--box=-1:2", "--pairs", "400",
+      "--lambda-points", "15", "--seed", "4"], "--pairs", "300", "--pai"),
+    (["falsify", "--fn", "sin", "--target", "b", "--budget", "500", "--min-sep", "1e-5",
+      "--norm", "inf", "--seed", "2"], "--budget", "300", "--bud"),
+    (["falsify", "--family", "param_cubic", "--budget", "2000", "--param-samples", "2",
+      "--tol", "1e-8", "--seed", "5"], "--budget", "1000", "--bud"),
+    (["gradcheck", "--expr", "x1^2 + sin(x2)", "--dim", "2", "--box=-1:1", "--points", "20",
+      "--tol", "1e-5", "--seed", "3"], "--points", "10", "--poi"),
+    (["lemma", "--expr", "(x1 - 1)^2", "--dim", "1", "--box", "0:2", "--grid-points", "31",
+      "--tol", "1e-8"], "--box", "0:3", "--bo"),
+    (["catalog", "--dim", "3"], "--dim", "4", "--di")],
+    ids=lambda a: " ".join(a[:3]) if isinstance(a, list) else a)
+def test_config_keys_are_the_flags_they_name(tmp_path, capsys, argv, flag, value, abbrev):
+    # a --config file stands for its flags: a key is a flag's name, with
+    # dashes or underscores, spelled in full; explicit flags override it
+    explicit, out = tmp_path / "explicit.json", tmp_path / "from_config.json"
+    assert main(argv + ["--out", str(explicit)]) in (EXIT_OK, EXIT_VIOLATIONS)
+    cfg = tmp_path / "run.json"
+    for spell in (str, lambda k: k.replace("-", "_")):
+        cfg.write_text(json.dumps(as_config(argv, spell)))
+        code = main([argv[0], "--config", str(cfg), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_VIOLATIONS)
+        assert without_timestamp(out) == without_timestamp(explicit)
+    i = argv.index(flag)
+    main(argv[:i + 1] + [value] + argv[i + 2:] + ["--out", str(explicit)])
+    assert without_timestamp(out) != without_timestamp(explicit)
+    main([argv[0], "--config", str(cfg), flag, value, "--out", str(out)])
+    assert without_timestamp(out) == without_timestamp(explicit)
+    # an abbreviation is refused, as a flag and as a key
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(argv[:i] + [abbrev, value] + argv[i + 2:] + ["--out", str(out)])
+    assert e.value.code == EXIT_USAGE and abbrev in capsys.readouterr().err
+    cfg.write_text(json.dumps({abbrev[2:]: value}))
+    assert main(argv[:i] + argv[i + 2:] + ["--config", str(cfg)]) == EXIT_USAGE
+    assert abbrev in capsys.readouterr().err
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch):
+    # as the console script calls it: main() parses sys.argv[1:]
+    cfg, out = tmp_path / "run.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"dim": 4}))
+    monkeypatch.setattr(sys, "argv", ["quasicheck", "catalog", "--config", str(cfg),
+                                      "--out", str(out)])
+    assert main() == EXIT_OK
+    assert json.loads(out.read_text())["payload"]["fields"][0]["dim"] == 4
+
+
 @pytest.mark.parametrize("flags", [
     ["--fn", "sqnorm"], ["--expr", "x1"], ["--box=5:6"], ["--target", "b"],
     ["--target", "a"], ["--expr", "x1", "--box=5:6", "--target", "b"],
@@ -348,11 +435,15 @@ def test_family_rejects_the_flags_it_ignores(tmp_path, capsys, flags):
     (["sigma", "--fn", "sqnorm", "--sigma", "0.5"], "--sigma"),
     (["falsify", "--fn", "sin", "--param-samples", "4"], "--param-samples"),
     (["lemma", "--fn", "cubic", "--seed", "3"], "--seed"),
-    (["catalog", "--seed", "3"], "--seed")], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+    (["catalog", "--seed", "3"], "--seed"),
+    (["falsify", "--fn", "sin", "--budget", "300", "--lambda-points", "5"], "--lambda-points"),
+    (["falsify", "--family", "param_cubic", "--budget", "300", "--param-samples", "1",
+      "--lambda-points", "5"], "--lambda-points")], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
 def test_flags_that_change_nothing_are_refused(tmp_path, capsys, argv, flag):
-    # sigma* is estimated at sigma = 0, a single field has no members, and
-    # lemma and catalog draw nothing at random: each flag, on the command
-    # line or as a --config key, is a usage error that names it
+    # sigma* is estimated at sigma = 0, a single field has no members,
+    # lemma and catalog draw nothing at random, and falsify draws lambda
+    # continuously (a family re-check uses the witness's): each flag, on
+    # the command line or as a --config key, is a usage error that names it
     try:
         code, rep = run(argv, tmp_path)
     except SystemExit as e:   # argparse's own usage error
@@ -374,14 +465,13 @@ def test_flags_that_change_nothing_are_refused(tmp_path, capsys, argv, flag):
 def test_open_question_cli(tmp_path):
     code, rep = run(["falsify", "--family", "param_cubic", "--budget", "6000",
                      "--param-samples", "4", "--seed", "1", "--tol", "1e-8",
-                     "--min-sep", "1e-5", "--lambda-points", "31",
-                     "--norm", "inf"], tmp_path)
+                     "--min-sep", "1e-5", "--norm", "inf"], tmp_path)
     assert code in (EXIT_OK, EXIT_VIOLATIONS)
     assert rep["payload"]["mode"] == "open_question"
     assert rep["payload"]["family"]["expression"] == "x1^3 + t1*x1^2 + t2*x1"
     # the report says which check settings the campaign ran with
     assert rep["config"]["check"] == {"sigma": 0.0, "tol": 1e-8, "min_sep": 1e-5,
-                                      "lambda_grid_size": 31,
+                                      "lambda_grid_size": 63,
                                       "penalty_norm": "inf"}
     for cand in rep["payload"]["candidates"]:
         assert cand["reverified"]

@@ -69,10 +69,14 @@ GOLDEN = {
 }
 
 
+def refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def report_sha256(argv, tmp_path) -> str:
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) in (0, 1)
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(), parse_constant=refuse)   # strict JSON
     report.pop("timestamp")
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
