@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-sample margin rows")
     p.set_defaults(func=cmd_check, **common)
 
-    p = add_parser("sigma", help="estimate sigma* on sampled segments")
+    p = add_parser("sigma", help="an upper bound on sigma*, taken over sampled segments")
     _add_field_args(p)
     _add_check_args(p, sigma=False)
     _add_sampler_args(p)
@@ -369,7 +369,10 @@ def config_flags(path) -> list:
     number written as its repr, for argparse to parse and check as it
     would the command line."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"config file {path}: {e}") from None
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
     flags = []

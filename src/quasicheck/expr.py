@@ -14,14 +14,14 @@ caller declares parameters). No implicit multiplication.
 `compile_expr` lowers an AST once to a program of two straight-line
 numpy functions whose intermediate arrays go to register files reused by
 every call: `value(X)` gives f at a batch of points, and one pass of
-`dual(X, D)` gives the values, the directional derivatives <grad f, d>
-at each point along its direction d (forward mode with one tangent per
-node, seeded with d, so a pass costs the same for any n) and a
-nondifferentiability mask. Nothing raises: a point outside the
-expression's domain evaluates to NaN or an infinity. Nondifferentiable
-points of abs/min/max (exact ties) propagate the first branch's
-derivative and set a flag. Parameters are inputs without a tangent, so
-one program serves a family, one parameter row per point.
+`dual(X, D)` gives the values and the directional derivatives
+<grad f, d> at each point along its direction d (forward mode with one
+tangent per node, seeded with d, so a pass costs the same for any n).
+Nothing raises: a point outside the expression's domain evaluates to NaN
+or an infinity, and an exact tie of abs/min/max that f takes has a NaN
+slope (a kink in a branch that min/max does not take has none).
+Parameters are inputs without a tangent, so one program serves a family,
+one parameter row per point.
 """
 
 from __future__ import annotations
@@ -312,10 +312,10 @@ def pretty_print(e: Node) -> str:
 # tangent of a node is one term, its derivative along the direction D, and
 # x_j's own term is its seed d_j = D[..., j-1]. Derivatives mirror the
 # dual-number rules term for term; parameters and subtrees free of x carry
-# no tangent and no flag. An array that depends on x (or on the seeds) and
-# is made by a function that takes out=, except the results, is written
-# into a register (see `_assign_registers`), so a call allocates little
-# more than its results. Nothing is checked: numpy's IEEE results make
+# no tangent. An array that depends on x (or on the seeds) and is made by
+# a function that takes out=, except the results, is written into a
+# register (see `_assign_registers`), so a call allocates little more than
+# its results. Nothing is checked: numpy's IEEE results make
 # an invalid point NaN (or infinite). The source holds only numbers and
 # generated names.
 
@@ -359,24 +359,25 @@ _NAMESPACE = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "absolute": np.absolute, "minimum": np.minimum, "maximum": np.maximum,
     "power": np.power, "where": np.where, "greater_equal": np.greater_equal,
-    "less_equal": np.less_equal,
+    "less_equal": np.less_equal, "not_equal": np.not_equal,
 }
 # the functions that take out=
 _OUT = {k for k, f in _NAMESPACE.items() if isinstance(f, np.ufunc)} | {"_ipow", "_power"}
 
-# op: (value, tangent, tangent terms, tie test). A value template is one
-# ufunc call, so that a register can be given as its out=. Templates see the
-# operand values a, b and their tangents ta, tb (0.0 when absent), this
-# value v, w = a with non-positive entries as NaN, and k, pk for
-# k * a^(k-1), pw the function of a^k. Terms whose tangent is absent are
-# dropped; the rest fill the tangent's {}, and a node all of whose terms
-# are absent has no tangent. Ties of abs/min/max keep the first branch's
-# derivative and set the flag. a^k with a constant integer k (and its
-# factor a^(k-1)) is numpy's power of |a| with a's sign for odd k
-# (`_ipow`), so it is exactly odd or even in a, within one ulp, at
-# negative a too; numpy's own power serves k = -1, 0, 1, 2. pow(a, b) and
-# a^b with any other exponent are the power of w: they need a > 0 and are
-# NaN elsewhere.
+# op: (value, tangent, tangent terms). A value template is one ufunc call,
+# so that a register can be given as its out=. Templates see the operand
+# values a, b and their tangents ta, tb (0.0 when absent), this value v,
+# w = a with non-positive entries as NaN, and k, pk for k * a^(k-1), pw
+# the function of a^k. Terms whose tangent is absent are dropped; the rest
+# fill the tangent's {}, and a node all of whose terms are absent has no
+# tangent. At a tie of abs/min/max the tangent is NaN: abs's factor a/|a|
+# is exactly +-1 elsewhere and 0/0 there, and min/max take the tangent of
+# the branch they take where a != b and NaN where a == b. a^k with a
+# constant integer k (and its factor a^(k-1)) is numpy's power of |a| with
+# a's sign for odd k (`_ipow`), so it is exactly odd or even in a, within
+# one ulp, at negative a too; numpy's own power serves k = -1, 0, 1, 2.
+# pow(a, b) and a^b with any other exponent are the power of w: they need
+# a > 0 and are NaN elsewhere.
 _TA = [("", "{ta}")]
 _POW = ("_power({w}, {b})", "{v} * ({})",
         [("", "{tb} * log({w})"), (" + ", "{b} * {ta} / {w}")])
@@ -396,16 +397,16 @@ _RULES = {
     "exp": ("exp({a})", "{v} * {}"),
     "log": ("log({a})", "{} / {a}"),
     "sqrt": ("sqrt({a})", "{} / (2.0 * {v})"),
-    "abs": ("absolute({a})", "where({a} >= 0, 1.0, -1.0) * {}", _TA, "{a} == 0"),
-    "min": ("minimum({a}, {b})", "where({a} <= {b}, {ta}, {tb})",
-            _TA + [("", "{tb}")], "{a} == {b}"),
-    "max": ("maximum({a}, {b})", "where({a} >= {b}, {ta}, {tb})",
-            _TA + [("", "{tb}")], "{a} == {b}"),
+    "abs": ("absolute({a})", "{a} / {v} * {}"),
+    "min": ("minimum({a}, {b})", "where({a} != {b}, where({a} <= {b}, {ta}, {tb}), nan)",
+            _TA + [("", "{tb}")]),
+    "max": ("maximum({a}, {b})", "where({a} != {b}, where({a} >= {b}, {ta}, {tb}), nan)",
+            _TA + [("", "{tb}")]),
 }
 # the ufunc of each operator of a tangent expression
 _UFUNC = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply",
           ast.Div: "divide", ast.USub: "negative", ast.GtE: "greater_equal",
-          ast.LtE: "less_equal"}
+          ast.LtE: "less_equal", ast.NotEq: "not_equal"}
 
 
 class _RegisterFile(threading.local):
@@ -482,7 +483,6 @@ def _int_exponent(node: Node) -> int | None:
 class _Slot:
     v: str                 # value: temporary name or numeric literal
     t: str | None = None   # tangent <grad, d>: a name; absent is 0
-    f: str | None = None   # nondifferentiability flag name
     var: bool = False      # depends on x
     par: bool = False      # depends on a parameter
 
@@ -556,9 +556,9 @@ class _Lowering:
         if not (var or par):   # constant subtree: numpy scalar semantics
             ops = [_Slot(s.v if s.v in self.temps else f"_F({s.v})") for s in ops]
         rule = _RULES[op]   # fill in the defaults of a short rule
-        value, tangent, terms, tie = rule + (_TA, None)[len(rule) - 2:]
+        value, tangent, terms = rule + (_TA,)[len(rule) - 2:]
         a, b = (ops + [_Slot("")])[:2]
-        out = _Slot(self.new("v"), None, None, var, par)
+        out = _Slot(self.new("v"), None, var, par)
         fmt.update(a=a.v, b=b.v, v=out.v)
         lines = self.lines
         if "{w}" in value:
@@ -571,12 +571,6 @@ class _Lowering:
             body = "".join(sep + t for sep, t in present).format(**fmt)
             body = "0.0" + body if present[0][0] == " - " else body.removeprefix(" + ")
             out.t = self.emit(tangent.format(body, **fmt))
-        flags = [f for f in (a.f, b.f) if f]
-        if tie and var:
-            flags.append(self.new("f", tie.format(**fmt)))
-        if len(flags) > 1:
-            flags = [self.new("f", " | ".join(flags))]
-        out.f = flags[0] if flags else None
         return out
 
 
@@ -584,13 +578,14 @@ class _Lowering:
 class Program:
     """An expression compiled for points in R^n with p parameters.
     value(X) gives f at the points X (..., n), of shape X.shape[:-1];
-    dual(X, D) gives (values, slopes, tie flags or None) at the points X
-    and the directions D, one per point, of X's shape: the slope of a point
-    x along its d is <grad f(x), d>, from one forward-mode pass seeded with
-    d_j = D[..., j-1], and is zero where f does not depend on x. With
-    p > 0 both take the parameters T last, of shape (..., p) broadcastable
-    against X.shape[:-1]: one vector, or one per point row. A point outside
-    the expression's domain gives a NaN (or infinite) value, its slope
+    dual(X, D) gives (values, slopes) at the points X and the directions
+    D, one per point, of X's shape: the slope of x along its d is
+    <grad f(x), d>, from one forward-mode pass seeded with d_j =
+    D[..., j-1], zero where f does not depend on x and NaN at a tie of
+    abs/min/max that f takes (see `_RULES`). With p > 0 both take the
+    parameters T last, of shape (..., p) broadcastable against
+    X.shape[:-1]: one vector, or one per point row. A point outside the
+    expression's domain gives a NaN (or infinite) value, its slope
     whatever the rules give there. Both write their intermediate arrays
     into register files that the program keeps for all its calls, one per
     thread, so several threads may call one program at once; what they
@@ -617,14 +612,14 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
     # a constant has no array: what is returned is a copy, or a new array
     ret = root.v if root.var and root.v in L.temps else f"_full({shape}, {root.v})"
     slope = root.t if root.t in L.temps else f"_full({shape}, {root.t or 0.0})"
-    lines, (r, s) = _assign_registers(L.lines, {root.v, root.t, root.f})
+    lines, (r, s) = _assign_registers(L.lines, {root.v, root.t})
     views = [f"x{j} = X[..., {j - 1}]" for j in sorted(L.variables)]
     views += [f"p{j} = T[..., {j - 1}]" for j in sorted(L.params)]
     views += [f"R = _registers({shape})"] * (r > 0)
     seeds = [f"d{j} = D[..., {j - 1}]" for j in sorted(L.variables)]
     value = views + [text for dual, text in lines if not dual] + [f"return {ret}"]
     dual = views + seeds + [f"S = _tangents({shape})"] * (s > 0) + [
-        text for _, text in lines] + [f"return {ret}, {slope}, {root.f}"]
+        text for _, text in lines] + [f"return {ret}, {slope}"]
     T = ", T" if p else ""
     source = "".join(f"def {name}(X{args}{T}):\n" + "".join(f"    {t}\n" for t in body)
                      for name, args, body in (("value", "", value), ("dual", ", D", dual)))

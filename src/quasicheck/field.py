@@ -148,26 +148,25 @@ class ScalarField:
         one per point, of X's shape: the slope at x along d is
         <grad f(x), d>, from one forward-mode pass of the program, so both
         points of k pairs, given as one (2, k, n) array, take one pass. The
-        slope is NaN where the value is not finite (outside the
-        expression's domain) and at nondifferentiable points (abs/min/max
-        ties), so samplers count them as skipped. The values equal
-        `values(X)` bit for bit."""
+        slope is NaN at nondifferentiable points (the program makes it NaN
+        at the abs/min/max ties that f takes) and is set to NaN where the
+        value is not finite (outside the expression's domain), so samplers
+        count both as skipped. The values equal `values(X)` bit for bit."""
         T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
-            val, slope, ties = self.program.dual(self._points(X), D, *T)
-            ok = np.isfinite(val) if ties is None else np.isfinite(val) & ~ties
+            val, slope = self.program.dual(self._points(X), D, *T)
+            ok = np.isfinite(val)
             if not ok.all():
                 slope = np.where(ok, slope, np.nan)
         return val, slope
 
-    def grads(self, X: np.ndarray, with_values: bool = False):
+    def grads(self, X: np.ndarray) -> np.ndarray:
         """Batch gradients over (..., n) points, one `slopes` pass along
-        each unit vector, NaN where `slopes` is. With `with_values`,
-        returns (values, gradients)."""
+        each unit vector, NaN where `slopes` is."""
         G = np.empty(self._points(X).shape)
         for j, e in enumerate(np.eye(self.dim)):
-            val, G[..., j] = self.slopes(X, np.broadcast_to(e, G.shape))
-        return (val, G) if with_values else G
+            G[..., j] = self.slopes(X, np.broadcast_to(e, G.shape))[1]
+        return G
 
 
 def make_field_from_expr(e, n: int, box: DomainBox,

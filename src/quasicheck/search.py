@@ -314,8 +314,8 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
     no later wave opens. Its `violation_found` is still `falsify`'s, since
     the search runs as `falsify`'s up to that round, an accepted margin
     only falls and the best point is the smallest margin accepted; a
-    search that finds no violation gives `falsify`'s whole result. The
-    other fields of a stopped search are not `falsify`'s.
+    search that finds no violation gives `falsify`'s result. No witness
+    is re-checked (each is None); a stopped search's other fields differ.
 
     Slot s*R + k (R = budget.restarts) holds restart k of search s's
     current wave. Each round scores, in one objective call, a group of
@@ -462,7 +462,7 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
                 live[s * R:s * R + R] = False
 
     # one re-check of every search's best point, each at its own member
-    found = [s for s in range(S) if math.isfinite(best_val[s])]
+    found = [] if until_violation else [s for s in range(S) if math.isfinite(best_val[s])]
     witness = dict(zip(found, obj.witnesses(best_z[found], found))) if found else {}
     results = []
     for s in range(S):
@@ -644,9 +644,9 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     budget of rows scored (see `falsify`). A (c) search stops at its first
     violation (`_falsify_many`'s `until_violation`), so it finds a
     violation exactly when `falsify` on that member alone does, and gives
-    `falsify`'s whole result when it finds none; an (a) search gives what
-    `falsify` on that member alone gives. So the candidates are those of
-    `falsify` run member by member. Candidates are evidence, never proofs.
+    `falsify`'s best margin when it finds none (no witness); an (a) search
+    gives what `falsify` on that member alone gives. So the candidates are
+    those of `falsify` run member by member: evidence, never proofs.
     """
     if param_samples < 1:
         raise ValueError("param_samples must be >= 1")
@@ -660,8 +660,8 @@ def open_question_search(family, cfg: CheckConfig, budget: SearchBudget,
     f = ScalarField(family.name, family.program, family.domain)
 
     def phase(ks, target, b, offset):
-        # a (c) phase reads only whether each search found a violation, so
-        # a search stops at its first; the (a) phase reports its best points
+        # (c) reads only violation_found and best_margin: a search stops at
+        # its first violation and re-checks none; (a) reports its best points
         return _falsify_many(f, target, cfg, b, [seed + offset + k for k in ks],
                              thetas[ks], until_violation=target == "c")
 

@@ -65,7 +65,8 @@ def oracle_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     <grad f(x), y-x> > -(sigma/2)*||x-y||^2 + tol. The tolerance narrows
     both premises, so rounding never makes a premise hold. Both share the
     conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. f(x) and
-    f(y) come from the program passes that give the gradients.
+    f(y) come from the value program, which the slope passes equal bit
+    for bit.
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x), f(y) and grad f(y)
@@ -73,8 +74,8 @@ def oracle_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    fX, gX = f.grads(X, with_values=True)
-    fY, gY = f.grads(Y, with_values=True)
+    fX, gX = f.values(X), f.grads(X)
+    fY, gY = f.values(Y), f.grads(Y)
     with np.errstate(all="ignore"):
         pairing_x, gx_ok = _pairing(gX, Y - X)
         pairing_y, gy_ok = _pairing(gY, X - Y)

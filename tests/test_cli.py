@@ -337,6 +337,15 @@ def test_config_file_mistyped_value_is_a_usage_error(tmp_path, data):
                  "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
 
 
+def test_malformed_config_file_is_named_in_its_error(tmp_path, capsys):
+    # a config file that is not JSON is a usage error that names the file
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{bad")
+    assert main(["catalog", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {cfg}: Expecting property name")
+
+
 def without_timestamp(path) -> str:
     return "".join(line for line in path.read_text().splitlines(keepends=True)
                    if not line.lstrip().startswith('"timestamp"'))

@@ -171,9 +171,8 @@ def test_eval_error_position(source, x):
     # gradient row is NaN
     f = field(source)
     X = np.array([[0.5], [x], [0.5]])
-    values, G = f.grads(X, with_values=True)
-    for v in (f.values(X), values):
-        assert np.isfinite(v).tolist() == [True, False, True]
+    assert np.isfinite(f.values(X)).tolist() == [True, False, True]
+    G = f.grads(X)
     assert np.all(np.isnan(G[1])) and np.all(np.isfinite(G[[0, 2]]))
 
 
@@ -222,8 +221,8 @@ def test_integer_power_is_odd_or_even_bit_for_bit(k, xs):
     X = np.array(xs + SPECIAL)[:, None]
     one = np.ones_like(X)
     with np.errstate(all="ignore"):
-        v, G, _ = prog.dual(X, one)
-        w, H, _ = prog.dual(-X, one)
+        v, G = prog.dual(X, one)
+        w, H = prog.dual(-X, one)
     odd = k % 2
     assert _same_bits(w, -v if odd else v)
     assert _same_bits(H, G if odd else -G)
@@ -250,9 +249,9 @@ def test_integer_power_row_equals_the_point_alone(k, xs):
     prog = int_power_program(k)
     X = np.array(xs)[:, None]
     with np.errstate(all="ignore"):
-        v, G, _ = prog.dual(X, np.ones_like(X))
+        v, G = prog.dual(X, np.ones_like(X))
         for i, x in enumerate(X):
-            one, g, _ = prog.dual(x, np.ones(1))
+            one, g = prog.dual(x, np.ones(1))
             assert _same_bits(prog.value(x), v[i]) and _same_bits(one, v[i])
             assert _same_bits(g, G[i])
 
@@ -317,34 +316,56 @@ def test_integer_power_allocates_no_temporary():
 
 
 def test_eval_dual_examples():
-    v, g = field("x1^2").grads(np.array([3.0]), with_values=True)
-    assert v == 9 and g.tolist() == [6.0]
-    v, g = field("x1*x2", 2).grads(np.array([2.0, 5.0]), with_values=True)
-    assert v == 10 and g.tolist() == [5.0, 2.0]
+    x = np.array([3.0])
+    assert field("x1^2").program.dual(x, np.ones(1)) == (9.0, 6.0)
+    assert field("x1^2").grads(x).tolist() == [6.0]
+    x = np.array([2.0, 5.0])
+    assert field("x1*x2", 2).program.dual(x, np.array([1.0, -1.0])) == (10.0, 3.0)
+    assert field("x1*x2", 2).grads(x).tolist() == [5.0, 2.0]
 
 
-def test_dual_nondiff_flags():
-    # a tie of abs/min/max makes the gradient row NaN
-    f = field("abs(x1)")
-    v, G = f.grads(np.array([[0.0], [3.0], [-3.0]]), with_values=True)
-    assert v.tolist() == [0.0, 3.0, 3.0]
+# (source, dimension, point, direction, slope along it or NaN): a tie of
+# abs/min/max that f takes gives a NaN slope, in every direction, even
+# along the tie; a kink where f equals another branch (or 1, for a^0)
+# near the point leaves f differentiable there
+TIES = [
+    ("abs(x1)", 1, [0.0], [1.0], math.nan),
+    ("abs(x1)", 1, [-0.0], [1.0], math.nan),
+    ("abs(x1)", 1, [3.0], [2.0], 2.0),
+    ("abs(x1)", 1, [-3.0], [2.0], -2.0),
+    ("abs(x1 - x2)", 2, [0.5, 0.5], [1.0, 1.0], math.nan),
+    ("min(x1, 2*x1 - 2)", 1, [2.0], [1.0], math.nan),
+    ("min(x1, 2*x1 - 2)", 1, [3.0], [1.0], 1.0),
+    ("min(abs(x1), 0.5)", 1, [0.0], [1.0], math.nan),
+    ("min(abs(x1), 0.5)", 1, [-0.5], [1.0], math.nan),
+    ("x1^abs(x2)", 2, [2.0, 0.0], [1.0, 0.0], math.nan),
+    ("max(abs(x1), 0.5)", 1, [0.0], [1.0], 0.0),
+    ("max(x1, abs(x1 - x2))", 2, [2.0, 2.0], [1.0, -1.0], 1.0),
+    ("abs(x1)^0", 1, [0.0], [1.0], 0.0),
+]
+
+
+def test_a_tie_that_f_takes_gives_a_nan_slope():
+    for source, n, x, d, slope in TIES:
+        f = field(source, n)
+        x, d = np.array(x), np.array(d)
+        with np.errstate(invalid="ignore"):   # 0/0 and NaN * 1.0 at a tie
+            value, got = f.program.dual(x, d)
+        assert value == f.values(x) and np.isfinite(value), source
+        if math.isnan(slope):
+            assert np.isnan(got) and np.isnan(f.grads(x)).all(), source
+        else:
+            assert got == slope and np.isfinite(f.grads(x)).all(), source
+    # in a batch only the tie's row is NaN
+    G = field("abs(x1)").grads(np.array([[0.0], [3.0], [-3.0]]))
     assert np.isnan(G[0, 0]) and G[1:, 0].tolist() == [1.0, -1.0]
-    # the program propagates the first argument's derivative at the tie
-    # (2 = 2*2 - 2; d/dx1 is 1 and 2) and sets the flag
-    X = np.array([[2.0], [3.0]])
-    v, t, ties = field("min(x1, 2*x1 - 2)").program.dual(X, np.ones_like(X))
-    assert v.tolist() == [2.0, 3.0] and t.tolist() == [1.0, 1.0]
-    assert ties.tolist() == [True, False]
-    # a kink inside a general exponent flags the power
-    v, g = field("x1^abs(x2)", 2).grads(np.array([2.0, 0.0]), with_values=True)
-    assert v == 1.0 and np.all(np.isnan(g))
 
 
 def test_dual_general_power_includes_exponent_derivative():
     # d/dx 2^x = 2^x ln 2
-    v, g = field("2^x1").grads(np.array([3.0]), with_values=True)
-    assert v == pytest.approx(8.0)
-    assert g[0] == pytest.approx(8.0 * math.log(2.0))
+    f = field("2^x1")
+    assert f.values(np.array([3.0])) == pytest.approx(8.0)
+    assert f.grads(np.array([3.0]))[0] == pytest.approx(8.0 * math.log(2.0))
 
 
 def test_ad_matches_central_differences(rng):
@@ -374,24 +395,26 @@ def test_non_finite_value_has_nan_gradient_row(seed, n):
     f = make_field_from_expr(random_ast(rng, n), n, DomainBox.cube(-1, 1, n))
     X = rng.uniform(-3, 3, size=(64, n))
     X[::4] = np.round(X[::4])   # integers hit poles and zero bases
-    values, G = f.grads(X, with_values=True)
-    bad = ~np.isfinite(values)
+    bad = ~np.isfinite(f.values(X))
+    G = f.grads(X)
     assert np.all(np.isnan(G[bad]))
 
 
 _UNARY = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda a: -np.sin(a)),
           "exp": (np.exp, np.exp), "log": (np.log, lambda a: 1.0 / a),
-          "sqrt": (np.sqrt, lambda a: 0.5 / np.sqrt(a)), "abs": (np.abs, np.sign)}
+          "sqrt": (np.sqrt, lambda a: 0.5 / np.sqrt(a))}
 
 
-def reference_dual(e, X, D=None):
+def reference_dual(e, X, D=None, tie=math.nan):
     """(f, grad f, m) at the points X by dense forward mode, one recursive
     pass over the AST with the compiler's derivative rules; given
     directions D (one per point), (f, <grad f, d>, m) by the same pass
     seeded with D instead of the unit vectors. m is the tangent of the same
     pass over |seeds| with each term's factor taken in absolute value and
     the terms added: it bounds every term the pass sums on the way, carried
-    to the root, so rounding of the tangent is a few ulps of m."""
+    to the root, so rounding of the tangent is a few ulps of m. At an exact
+    tie of abs (a == 0) or min/max (a == b) the derivative factor is `tie`,
+    NaN as in the compiler by default."""
     seeds = np.eye(X.shape[-1]) if D is None else D[..., None]
     if isinstance(e, Const):
         zero = np.zeros(X.shape[:-1] + seeds.shape[-1:])
@@ -400,12 +423,16 @@ def reference_dual(e, X, D=None):
         seed = np.broadcast_to(seeds[..., e.index - 1, :], X.shape[:-1] + seeds.shape[-1:])
         return X[..., e.index - 1], seed, np.abs(seed)
     if isinstance(e, Unary):
-        a, ta, ma = reference_dual(e.child, X, D)
+        a, ta, ma = reference_dual(e.child, X, D, tie)
         return -a, -ta, ma
     if isinstance(e, Call) and e.name in _UNARY:
-        (a, ta, ma), (fn, d) = reference_dual(e.args[0], X, D), _UNARY[e.name]
+        (a, ta, ma), (fn, d) = reference_dual(e.args[0], X, D, tie), _UNARY[e.name]
         return fn(a), d(a)[..., None] * ta, np.abs(d(a))[..., None] * ma
-    (a, ta, ma), (b, tb, mb) = (reference_dual(x, X, D) for x in
+    if isinstance(e, Call) and e.name == "abs":
+        a, ta, ma = reference_dual(e.args[0], X, D, tie)
+        sign = np.where(a == 0, tie, np.sign(a))[..., None]
+        return np.abs(a), sign * ta, np.abs(sign) * ma
+    (a, ta, ma), (b, tb, mb) = (reference_dual(x, X, D, tie) for x in
                                 (e.args if isinstance(e, Call) else (e.left, e.right)))
     op = e.name if isinstance(e, Call) else e.op
     k = ex._int_exponent(e.right) if op == "^" else None
@@ -419,8 +446,9 @@ def reference_dual(e, X, D=None):
             np.abs(v)[..., None] * (mb * np.abs(log_w) + np.abs(b_w) * ma)
     if op in ("min", "max"):
         first = ((a <= b) if op == "min" else (a >= b))[..., None]
+        one = np.where(a == b, tie, 1.0)[..., None]
         value = np.minimum(a, b) if op == "min" else np.maximum(a, b)
-        return value, np.where(first, ta, tb), np.where(first, ma, mb)
+        return value, np.where(first, ta, tb) * one, np.where(first, ma, mb) * np.abs(one)
     m = ma * np.abs(b)[..., None] + np.abs(a)[..., None] * mb
     return {"+": (a + b, ta + tb, ma + mb), "-": (a - b, ta - tb, ma + mb),
             "*": (a * b, ta * b[..., None] + a[..., None] * tb, m),
@@ -440,8 +468,8 @@ def test_gradients_match_a_reference_dual_evaluator(rng):
         X = rng.uniform(-3, 3, size=(16, n))
         with np.errstate(all="ignore"):
             value, G, _ = reference_dual(e, X)
-        got_value, got = f.grads(X, with_values=True)
-        np.testing.assert_array_equal(got_value, value)
+        np.testing.assert_array_equal(f.values(X), value)
+        got = f.grads(X)
         both = np.isfinite(got).all(-1) & np.isfinite(G).all(-1)
         scale = np.abs(G[both]).max(initial=1.0)   # cancellation leaves ulps
         np.testing.assert_allclose(got[both], G[both], rtol=1e-9,
@@ -526,15 +554,16 @@ def test_slopes_match_a_reference_dual_evaluator(seed, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
 def test_nan_slopes_fall_on_non_finite_values_and_ties(seed, n):
     # the rows that slopes makes NaN are those that grads makes NaN: a
-    # value that is not finite, or a tie of abs/min/max; elsewhere a slope
+    # value that is not finite, or a tie of abs/min/max that f takes (the
+    # reference's slope is NaN by its tie rule alone); elsewhere a slope
     # or a partial derivative is NaN only where the arithmetic makes it so,
     # never where the reference evaluator's slope and gradient are finite
     f, e, X, D = random_case(seed, n)
     with np.errstate(all="ignore"):
-        value, _, ties = f.program.dual(X, D)
         ref, G = reference_dual(e, X, D)[1][..., 0], reference_dual(e, X)[1]
-    by_rule = ~np.isfinite(value) | (False if ties is None else ties)
-    _, slope = f.slopes(X, D)
+        untied = reference_dual(e, X, D, tie=1.0)[1][..., 0]
+    value, slope = f.slopes(X, D)
+    by_rule = ~np.isfinite(value) | (np.isnan(ref) & ~np.isnan(untied))
     grads = f.grads(X)
     assert np.isnan(slope[by_rule]).all() and np.isnan(grads[by_rule]).all()
     finite = ~by_rule & np.isfinite(ref) & np.isfinite(G).all(-1)
@@ -559,8 +588,7 @@ def test_one_point_is_a_batch_of_one():
     batch = f.values(X)[0]
     assert batch == 0.4997251511668582
     for one in (f.program.value(x), f.values(x), f.value(x),
-                f.program.dual(x, x)[0], f.slopes(x, x)[0],
-                f.grads(x, with_values=True)[0]):
+                f.program.dual(x, x)[0], f.slopes(x, x)[0]):
         assert one == batch
     assert np.array_equal(f.grad(x), f.grads(X)[0])
     assert np.array_equal(f.grads(x), f.grads(X)[0])
@@ -576,14 +604,12 @@ def test_grad_batch(rng):
     f = make_field_from_expr("x1^2 + 3*x2", 2, DomainBox.cube(-1, 1, 2))
     X = rng.uniform(-1, 1, size=(10, 2))
     G = f.grads(X)
-    assert f.program.dual(X, X)[2] is None   # no tie flags
     assert np.allclose(G[:, 0], 2 * X[:, 0])
     assert np.allclose(G[:, 1], 3.0)
     # outside the domain the value is NaN, and so is the gradient
     f = make_field_from_expr("log(x1)", 1, DomainBox.cube(-1, 2, 1))
     G = f.grads(np.array([[-1.0], [2.0]]))
     assert np.isnan(G[0, 0]) and G[1, 0] == 0.5
-    assert f.program.dual(np.array([[2.0]]), np.ones((1, 1)))[2] is None
 
 
 def test_compiled_source_holds_only_numbers_and_generated_names():
@@ -595,7 +621,7 @@ def test_compiled_source_holds_only_numbers_and_generated_names():
     allowed = set(ex._NAMESPACE) | set(keyword.kwlist) | {
         "value", "dual", "X", "D", "T", "R", "S", "out", "_registers", "_tangents",
         "shape"}
-    assert {n for n in names - allowed if not re.fullmatch(r"[vtfwxpd]\d+", n)} == set()
+    assert {n for n in names - allowed if not re.fullmatch(r"[vtwxpd]\d+", n)} == set()
 
 
 def assert_each_temporary_dies_once_after_its_last_read(source):
@@ -615,7 +641,7 @@ def assert_each_temporary_dies_once_after_its_last_read(source):
                 continue
             name, _, call = line.partition(" = ")
             assert not dead & set(re.findall(r"\w+", call)), line
-            if re.fullmatch(r"[vtfw]\d+", name):
+            if re.fullmatch(r"[vtw]\d+", name):
                 made.add(name)
         assert made - results == dead, body
 
@@ -635,6 +661,14 @@ def test_random_programs_delete_each_temporary_once(seed, n):
     assert_each_temporary_dies_once_after_its_last_read(ex.compile_expr(e, n).source)
 
 
+def pinned_corpus(rng):
+    """The corpus, 300 random expressions and a last program whose integer
+    powers lower to `_ipow`, with their dimensions."""
+    return [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
+        + [(random_ast(rng, 3), 3) for _ in range(300)] \
+        + [(parse("x1^3 - x2^5 + (x1*x2)^-3", 2), 2)]
+
+
 def test_parameter_free_programs_are_unchanged(rng):
     # the sha256 of the programs emitted for the corpus and 300 random
     # expressions, as recorded when a node began to take over the register
@@ -651,16 +685,35 @@ def test_parameter_free_programs_are_unchanged(rng):
     # then when one liveness pass placed every register and `del`: each
     # `del` follows its temporary's last use, and a tangent line free of x
     # and the seeds (b*b of a constant divisor) takes no register, so the
-    # corpus needs 382 value and 412 tangent registers (398 and 418 before)
+    # corpus needs 382 value and 412 tangent registers (398 and 418 before),
+    # and then when a tie of abs/min/max became a NaN tangent and the tie
+    # flags went: abs's factor is a / |a| and min/max select NaN where
+    # a == b (472 tangent registers)
     h = hashlib.sha256()
-    cases = [(parse(s, d), d) for s, d, _ in VALID_CORPUS] \
-        + [(random_ast(rng, 3), 3) for _ in range(300)] \
-        + [(parse("x1^3 - x2^5 + (x1*x2)^-3", 2), 2)]
+    cases = pinned_corpus(rng)
     for e, d in cases:
         h.update(ex.compile_expr(e, d).source.encode())
     assert "_ipow(" in ex.compile_expr(*cases[-1]).source
     assert h.hexdigest() == \
-        "0205e6f735ec892e01a98ea0ca7fabe29dee433e55c13484c5b5f1518adce2a8"
+        "5b48f5b7db4f3dcc0ec5a3aae62c0b2f3137b40f775cfe5275a612cdbea5ff2f"
+
+
+def test_slopes_off_ties_are_unchanged(rng):
+    # the sha256 of the slopes of the pinned corpus at seeded uniform
+    # points along normal directions, every NaN written as numpy's, as
+    # pinned when tie flags still marked the ties: the NaN tangent of a tie
+    # moved no slope by a bit. Three programs meet a tie at every row
+    # (max(x1, x1), min(x2, x2)), each in a branch that f takes, so those
+    # slopes are NaN either way
+    points = np.random.default_rng(26)
+    h = hashlib.sha256()
+    for e, d in pinned_corpus(rng):
+        f = make_field_from_expr(e, d, DomainBox.cube(-2, 2, d))
+        X = points.uniform(-2, 2, size=(64, d))
+        _, slope = f.slopes(X, points.normal(size=(64, d)))
+        h.update(np.where(np.isnan(slope), np.nan, slope).tobytes())
+    assert h.hexdigest() == \
+        "e93cb9ea1591d0ef68460ec4af37569104e87c330256d17c35cd8ade83f863b6"
 
 
 def test_tangent_lines_grow_linearly_in_n():
@@ -691,8 +744,8 @@ def test_parameters_are_declared():
 
 
 def test_parameters_have_no_tangent():
-    # d/dx of t1*x1^2 + t2*x1 + sin(t1) + abs(t2) is 2*t1*x1 + t2, with no
-    # nondifferentiability flag from the parameter-only abs
+    # d/dx of t1*x1^2 + t2*x1 + sin(t1) + abs(t2) is 2*t1*x1 + t2, finite
+    # at the first row's t2 = 0, a tie of the parameter-only abs
     e = parse("t1*x1^2 + t2*x1 + sin(t1) + abs(t2)", 1, 2)
     prog = ex.compile_expr(e, 1, 2)
     X = np.array([[0.5], [-1.0], [2.0]])
@@ -704,7 +757,6 @@ def test_parameters_have_no_tangent():
     assert np.allclose(f.values(X), value, rtol=1e-15)
     g = f.grads(X)
     assert np.allclose(g[:, 0], 2 * t1 * x + t2, rtol=1e-15)
-    assert prog.dual(X, X, T)[2] is None
     # one theta broadcasts against every row and gives the same bits
     for i in range(3):
         one = ScalarField("one", prog, f.domain, T[i])
@@ -749,8 +801,7 @@ def test_one_program_runs_in_two_threads_at_once(rng):
         return [[prog.value(X, *T), *prog.dual(X, X[::-1], *T)] for prog, X, T in cases]
 
     def bits(out):
-        return [[None if a is None else (a.shape, a.tobytes()) for a in results]
-                for results in out]
+        return [[(a.shape, a.tobytes()) for a in results] for results in out]
 
     with np.errstate(all="ignore"):
         serial = bits(run())

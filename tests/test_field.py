@@ -80,7 +80,7 @@ def test_values_are_the_callers_own():
     X = np.array([[0.5, -0.25], [0.75, 1.0]])
     f = make_field_from_expr("x1", 2, DomainBox.cube(-1, 1, 2))
     assert not np.shares_memory(f.values(X), X)
-    val, _ = f.grads(X, with_values=True)
+    val, _ = f.slopes(X, X)
     assert not np.shares_memory(val, X)
     assert val.tolist() == f.values(X).tolist() == [0.5, 0.75]
 
@@ -133,8 +133,8 @@ def test_validate_grad_detects_planted_bug():
     f = catalog_field("sqnorm", 2)
 
     def dual(X, D):
-        v, _, ties = f.program.dual(X, D)
-        return v, 4.0 * np.sum(X * D, axis=-1), ties
+        v, _ = f.program.dual(X, D)
+        return v, 4.0 * np.sum(X * D, axis=-1)
 
     buggy = replace(f, program=replace(f.program, dual=dual))
     rep = validate_grad(buggy, seed=1, count=100)
@@ -245,8 +245,8 @@ def test_values_do_not_depend_on_point_layout(f, rng):
     V.flags.writeable = False
     np.testing.assert_array_equal(f.values(V), f.values(P))
     np.testing.assert_array_equal(f.grads(V), f.grads(P))
-    # the gradient pass's values are the values, bit for bit
-    np.testing.assert_array_equal(f.grads(V, with_values=True)[0], f.values(P))
+    # the slope pass's values are the values, bit for bit
+    np.testing.assert_array_equal(f.slopes(V, V)[0], f.values(P))
 
 
 def test_default_fd_step():

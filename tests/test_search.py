@@ -772,15 +772,25 @@ def test_harness_holds_one_block_at_a_time(monkeypatch):
     cfg = CheckConfig()
     one, two = (Sampler("uniform_box", 5, k * cond.PAIR_BLOCK, f.domain)
                 for k in (1, 2))
-    # two lanes reach their joint peak only when their chunks' values
-    # are live at once, which one run need not do: a peak is the largest
-    # of three runs
-    peak = lambda s: max(_traced_peak(lambda: implication_harness(f, cfg, s))
-                         for _ in range(3))
     for lanes in (1, 2):
         monkeypatch.setattr(cond, "LANES", lanes)
+        # two lanes reach their joint peak only when their chunks are live
+        # at once. In the one-block reference each lane runs one block of
+        # the same calls, and each program call holds its result until the
+        # other lane's call of the same rank returns, so the reference
+        # reaches that peak under any load; the two-block peak is the
+        # largest of three free runs
+        met = threading.Barrier(lanes, timeout=60)
+
+        def held(fn):
+            return lambda *args: (fn(*args), met.wait())[0]
+
+        lockstep = replace(f, program=replace(f.program, value=held(f.program.value),
+                                              dual=held(f.program.dual)))
         implication_harness(f, cfg, two)   # the program's registers, once
-        extra = peak(two) - peak(one)
+        reference = _traced_peak(lambda: implication_harness(lockstep, cfg, one))
+        extra = max(_traced_peak(lambda: implication_harness(f, cfg, two))
+                    for _ in range(3)) - reference
         assert extra <= 96 * 1024
 
 
@@ -960,8 +970,9 @@ def test_falsify_many_isolates_members():
 @pytest.mark.parametrize("name", ["perturbed_sqnorm", "bump_sum", "param_cubic"])
 def test_stop_at_the_first_violation_keeps_violation_found(name, sigma):
     # a search that stops at its first violation finds one exactly when the
-    # full search does, scores no more rows, and gives the full result when
-    # it finds none; each member's result is that of its stopped search alone
+    # full search does, scores no more rows, and gives the full result but
+    # the witness, which it does not re-check, when it finds none; each
+    # member's result is that of its stopped search alone
     fam = family_by_name(name)
     f = search.ScalarField(fam.name, fam.program, fam.domain)
     box = fam.param_box
@@ -978,12 +989,13 @@ def test_stop_at_the_first_violation_keeps_violation_found(name, sigma):
             for k, (res, ref) in enumerate(zip(stop, full)):
                 assert res.violation_found == ref.violation_found
                 assert res.evaluations <= ref.evaluations
+                assert res.witness is None
                 if ref.violation_found:
                     stopped += 1
                     saved += res.evaluations < ref.evaluations
                 else:
                     clean += 1
-                    _assert_same_result(res, ref)
+                    _assert_same_result(res, replace(ref, witness=None))
                 alone, = _falsify_many(f, target, cfg, budget, seeds[k:k + 1],
                                        thetas[k:k + 1], until_violation=True)
                 _assert_same_result(res, alone)
@@ -1002,6 +1014,17 @@ def test_only_the_c_phases_stop_at_the_first_violation(monkeypatch):
     calls.clear()
     falsify(EXPR_FIELD, "c", CheckConfig(), SearchBudget(max_evals=300), 1)
     assert calls == [("c", False)]
+
+
+def test_only_the_a_phase_rechecks_witnesses(monkeypatch):
+    # the (c) phases read no witness, so their searches re-check none
+    targets = []
+    witnesses = search._MarginObjective.witnesses
+    monkeypatch.setattr(search._MarginObjective, "witnesses", lambda obj, *a: (
+        targets.append(obj.target) or witnesses(obj, *a)))
+    open_question_search(family_by_name("param_cubic"), CheckConfig(),
+                         SearchBudget(max_evals=20_000), 36, 16)
+    assert targets == ["a"]
 
 
 @pytest.mark.parametrize("target", ["a", "b", "c"])
