@@ -15,12 +15,17 @@ examined pairs.
 
 Each formula is written once, in a kernel over arrays of pairs:
 `segment_margins` yields the (a) margins of chunks of a block of pairs,
-at a shared lambda grid or at one lambda per pair, evaluating f once per
-chunk on a coordinate-major point buffer that every chunk of the block
-reuses, and `batch_margins_bc` gives the pairings, both premises and the
-shared (b)/(c) conclusion margin from one program pass over x and y
-stacked as coordinate planes, seeded with the directions y - x and x - y:
-each pairing is one directional derivative, and no gradient is formed.
+at a shared lambda grid or at one lambda per pair. Its pair work is done
+once per block: the planes of x - y, ||x-y|| and max{f(x), f(y)} (NaN
+where either failed), where the caller may hand in ||x-y|| and f(x), f(y).
+Each chunk then fills only its segment points (one per pair and lambda)
+into a coordinate-major point buffer that every chunk of the block
+reuses, and evaluates f once on them (with x and y in the same call when
+f(x), f(y) were not handed in). `batch_margins_bc` gives the pairings,
+both premises and the shared (b)/(c) conclusion margin from one program
+pass over x and y stacked as coordinate planes, seeded with the
+directions y - x and x - y: each pairing is one directional derivative,
+and no gradient is formed; its values are f(x) and f(y).
 The per-pair worst (a) margin and sigma* reduce over the kernel's
 chunks; `verdicts_bc` gives the (b)/(c) verdict of each pair row, and
 the scalar checks `margin_a`, `check_b`, `check_c` and
@@ -35,10 +40,12 @@ overflows counts as failed.
 
 `sigma_star_estimate` and the implication harness (search.py) cut their
 pairs into blocks and run each block end to end, drawn, filtered and
-scored, on one lane of `_in_lanes`: every block goes to one queue, which
-a helper thread (given a second CPU) takes from, and the calling thread
-takes the earliest block no helper has started whenever the result it
-needs next is not done. The kernels themselves run on whichever thread
+scored, on one lane of `_in_lanes`. The min_sep filter gives the block's
+||x-y||, which the kernels read; (a) takes f(x), f(y) from the (b)/(c)
+pass in `check` and from one `values` call in `sigma`. Every block goes
+to one queue, which a helper thread (given a second CPU) takes from, and
+the calling thread takes the earliest block no helper has started
+whenever the result it needs next is not done. The kernels themselves run on whichever thread
 calls them, and a block hands back only its own results, so neither
 keeps an array whose length grows with the pair count.
 """
@@ -301,12 +308,21 @@ def _checked_pair(f: ScalarField, x, y, cfg: CheckConfig):
 
 
 def _separated(P: np.ndarray, cfg: CheckConfig):
-    """The pairs P (rows (x, y)) at least min_sep apart, as X, Y, and the
-    mask of those kept: views of P when every pair is kept, since no kernel
-    writes into the points it is given."""
+    """The pairs P (rows (x, y)) at least min_sep apart, as X, Y, the mask
+    of those kept and their ||x-y||: views of P when every pair is kept,
+    since no kernel writes into the points it is given."""
     X, Y = P[:, 0], P[:, 1]
-    keep = _plane_norm((X - Y).T, cfg.penalty_norm) >= cfg.min_sep
-    return (X, Y, keep) if keep.all() else (X[keep], Y[keep], keep)
+    d = _plane_norm((X - Y).T, cfg.penalty_norm)
+    keep = d >= cfg.min_sep
+    return (X, Y, keep, d) if keep.all() else (X[keep], Y[keep], keep, d[keep])
+
+
+def _stacked(X, Y) -> np.ndarray:
+    """The points x and y of the pairs X, Y (rows) as coordinate planes
+    (n, 2, k): S[j, 0] holds coordinate j of each x, S[j, 1] of each y."""
+    S = np.empty((np.shape(X)[1], 2, len(X)))
+    S[:, 0], S[:, 1] = np.transpose(X), np.transpose(Y)
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -314,81 +330,97 @@ def _separated(P: np.ndarray, cfg: CheckConfig):
 
 
 def _buffers(n: int, L: int, size: int) -> tuple:
-    """The buffers of `segment_margins`, for chunks of up to
+    """The per-chunk buffers of `segment_margins`, for chunks of up to
     `size` pairs in R^n at L lambdas: the coordinate-major points
-    (n, L + 2, size) and their read-only (L + 2, size, n) view, the
-    margins, the top values max{f(x), f(y)} and the finite flags."""
+    (n, L + 2, size) (x, y, then one segment point per lambda) and their
+    read-only (L + 2, size, n) view, the margins (L, size) and the flat
+    buffer of the points' finite flags ((L + 2) * size). The per-block
+    arrays (the planes of x - y, ||x-y|| and max{f(x), f(y)}) are the
+    caller's."""
     S = np.empty((n, L + 2, size))
     points = S.transpose(1, 2, 0)
     points.flags.writeable = False   # f must not write into the reused buffer
-    return (S, points, np.empty((L, size)), np.empty(size),
-            np.empty((L + 2, size), dtype=bool))
+    return S, points, np.empty((L, size)), np.empty((L + 2) * size, dtype=bool)
 
 
-def _score(f: ScalarField, buffers: tuple, x, y, lam, sigma: float, penalty_norm):
-    """The margins (L, k) and ||x-y|| (k,) of the k pairs x, y, computed in
-    `buffers` (see `_buffers`)."""
-    S, points, M, top, finite = buffers
-    k = x.shape[0]
-    P = S[..., :k]
-    m = M[:, :k]
-    with np.errstate(all="ignore"):
-        P[:, 0], P[:, 1] = x.T, y.T
-        D = P[:, 0] - P[:, 1]
-        np.multiply(lam, D[:, None], out=P[:, 2:])
-        P[:, 2:] += P[:, 1, None]
-        v = f.values(points[:, :k])
-        d = _plane_norm(D, penalty_norm)
-        t = np.maximum(v[0], v[1], out=top[:k])
-        if sigma:
-            np.multiply(0.5 * sigma * lam * (1.0 - lam), d, out=m)
-            m *= d
-            np.subtract(t, m, out=m)
-            m -= v[2:]
-        else:   # the penalty is +0 for finite d: subtracting it is exact
-            np.subtract(t, v[2:], out=m)
-        ok = np.isfinite(v, out=finite[:, :k])
-        if not ok.all():
-            m[~(ok[0] & ok[1] & ok[2:])] = np.nan
-    return m, d
-
-
-def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2):
+def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2, *,
+                    ends=None, sep=None):
     """Condition-(a) margins of the pairs X, Y (rows), chunk by chunk:
 
         max{f(x), f(y)} - (sigma/2)*lam*(1-lam)*||x-y||^2 - f(y + lam*(x-y))
 
     `lams` has shape (L, 1) for a grid shared by all pairs or (1, N) for
-    one lambda per pair. Each chunk evaluates f once, on x, y, then one
-    segment point per lambda: the points are stored coordinate-major,
-    (n, L + 2, k), in a buffer that every chunk reuses, and f gets them as
-    a read-only (L + 2, k, n) view in which each coordinate is one
-    contiguous plane. Yields (rows, margins (L, k), ||x-y|| (k,)) per
-    chunk of k pairs, in order, rows being the chunk's slice of the pairs;
-    a margin is NaN where an evaluation failed. The margins live in a
-    buffer that the next chunk overwrites once the consumer asks for it.
-    Parameter rows of f, one per pair, are sliced as lambdas are.
+    one lambda per pair. The work that does not depend on lambda is done
+    once per call (one block): the planes of x - y, ||x-y|| (unless `sep`
+    gives it) and, when `ends` = (f(x), f(y)) is given, their max, NaN
+    where either failed. Each chunk copies in its pairs' y, fills one
+    segment point per lambda and calls f once, on the segment points
+    alone, or without `ends` on x and y as well (planes 0 and 1), so a
+    caller with no f(x), f(y) makes no second call. The points are stored
+    coordinate-major, (n, L + 2, k), in a buffer that every chunk reuses,
+    and f gets a read-only (planes, k, n) view of them in which each
+    coordinate is one contiguous plane. Yields (rows, margins (L, k),
+    ||x-y|| (k,)) per chunk of k pairs, in order, rows being the chunk's
+    slice of the pairs; a margin is NaN where an evaluation failed. The
+    margins live in a buffer that the next chunk overwrites once the
+    consumer asks for it. Parameter rows of f, one per pair, are sliced
+    as lambdas are.
 
     Runs on the calling thread. At most SEGMENT_CHUNK // (L + 2) pairs
     are one chunk; more are cut into chunks of a LANES-th of that, so the
     buffers of the LANES blocks that `_in_lanes` runs at once hold at most
-    SEGMENT_CHUNK points together. The margins do not depend on the
-    chunking.
+    SEGMENT_CHUNK points together. The margins depend neither on the
+    chunking nor on whether `ends` and `sep` (f's values and
+    `_plane_norm`'s norms) are given.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    L = lams.shape[0]
+    N, L = len(X), lams.shape[0]
     whole = max(1, SEGMENT_CHUNK // (L + 2))
-    step = max(1, len(X) if len(X) <= whole else whole // _lanes())
-    buffers = _buffers(X.shape[1], L, step)
+    step = max(1, N if N <= whole else whole // _lanes())
+    Xt, Yt = X.T, Y.T
+    with np.errstate(all="ignore"):
+        D = np.subtract(Xt, Yt, order="C")
+        d = _plane_norm(D, penalty_norm) if sep is None else sep
+        weight = 0.5 * sigma * lams * (1.0 - lams) if sigma else None
+        if ends is not None:   # NaN where f(x) or f(y) failed: so are its margins
+            fx, fy = ends
+            top = np.maximum(fx, fy)
+            failed = ~(np.isfinite(fx) & np.isfinite(fy))
+            if failed.any():
+                top[failed] = np.nan
+    ride = 2 if ends is None else 0   # x and y ride in f's call, as planes 0 and 1
+    S, points, M, finite = _buffers(X.shape[1], L, step)
     # parameter rows are sliced only when the pairs take several chunks
-    rowwise = np.ndim(f.params) == 2 and step < len(X)
-    for lo in range(0, len(X), step):
-        x, y = X[lo:lo + step], Y[lo:lo + step]
-        rows = slice(lo, lo + len(x))
-        lam = lams if lams.shape[1] == 1 else lams[:, rows]
+    rowwise = np.ndim(f.params) == 2 and step < N
+    per_pair = lams.shape[1] > 1   # one lambda per pair: sliced as the pairs
+    for lo in range(0, N, step):
+        rows = slice(lo, min(lo + step, N))
+        k = rows.stop - lo
+        P, m, dk = S[..., :k], M[:, :k], d[rows]
+        lam = lams[:, rows] if per_pair else lams
         g = replace(f, params=f.params[rows]) if rowwise else f
-        yield (rows, *_score(g, buffers, x, y, lam, sigma, penalty_norm))
+        with np.errstate(all="ignore"):
+            if ride:
+                P[:, 0] = Xt[:, rows]
+            P[:, 1] = Yt[:, rows]
+            np.multiply(lam, D[:, None, rows], out=P[:, 2:])
+            P[:, 2:] += P[:, 1, None]
+            v = g.values(points[2 - ride:, :k])
+            t = np.maximum(v[0], v[1]) if ride else top[rows]
+            if sigma:
+                np.multiply(weight[:, rows] if per_pair else weight, dk, out=m)
+                m *= dk
+                np.subtract(t, m, out=m)
+                m -= v[ride:]
+            else:   # the penalty is +0 for finite d: subtracting it is exact
+                np.subtract(t, v[ride:], out=m)
+            # a contiguous out: numpy 2.4's isfinite writes a strided bool
+            # out, such as the flags of a one-pair chunk, wrongly (AVX-512)
+            ok = np.isfinite(v, out=finite[:v.size].reshape(v.shape))
+            if not ok.all():
+                m[~(ok[0] & ok[1] & ok[2:] if ride else ok)] = np.nan
+        yield rows, m, dk
 
 
 def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
@@ -406,19 +438,22 @@ def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
 
 
 def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                         cfg: CheckConfig):
+                         cfg: CheckConfig, *, ends=None, sep=None):
     """Per-pair worst condition-(a) margin over the lambda grid.
 
     Returns (worst_margin, worst_lam, ok_mask); rows with any failed
     evaluation have ok_mask False and NaN margin. Ties go to the first
-    lambda of the grid.
+    lambda of the grid. `ends` = (f(x), f(y)) and `sep` = ||x-y||, when
+    the caller has them, spare the kernel that work (see
+    `segment_margins`); by default it computes them.
     """
     lams = np.asarray(cfg.lambda_grid)[:, None]
     worst = np.empty(len(X))
     worst_lam = np.empty(len(X))
-    for rows, m, _ in segment_margins(f, X, Y, lams, cfg.sigma, cfg.penalty_norm):
+    for rows, m, _ in segment_margins(f, X, Y, lams, cfg.sigma, cfg.penalty_norm,
+                                      ends=ends, sep=sep):
         i = np.argmin(m, axis=0)   # a NaN column gives its first NaN
-        worst[rows] = np.take_along_axis(m, i[None], axis=0)[0]
+        worst[rows] = m[i, np.arange(len(i))]
         worst_lam[rows] = lams[i, 0]
     return worst, worst_lam, ~np.isnan(worst)
 
@@ -428,7 +463,7 @@ def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
 
 
 def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                     cfg: CheckConfig):
+                     cfg: CheckConfig, *, sep=None):
     """Margins and premise masks for conditions (b) and (c) on pair rows.
 
     (b): premise f(x) <= f(y) - tol; (c): premise
@@ -437,7 +472,8 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. The pairs
     are copied into coordinate planes (n, 2, k), and one `slopes` pass over
     them, seeded with the planes of y - x at x and of x - y at y, gives f
-    and both pairings; ||x-y|| comes from the same planes (`_plane_norm`).
+    and both pairings; ||x-y|| is `sep` when the caller has it, else it
+    comes from the same planes (`_plane_norm`).
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x) and the pairing at y
@@ -445,13 +481,12 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     makes the slope of a non-finite value NaN). A pairing that overflows
     is not finite, so its pair is skipped.
     """
-    S = np.empty((np.shape(X)[1], 2, len(X)))
-    S[:, 0], S[:, 1] = np.transpose(X), np.transpose(Y)
+    S = _stacked(X, Y)
     with np.errstate(all="ignore"):
         D = S[:, ::-1] - S   # planes of y - x, then of x - y
         (fx, fy), pairing = f.slopes(S.transpose(1, 2, 0), D.transpose(1, 2, 0))
         pairing_x, pairing_y = pairing
-        d = _plane_norm(D[:, 0], cfg.penalty_norm)
+        d = _plane_norm(D[:, 0], cfg.penalty_norm) if sep is None else sep
         finite = np.isfinite(pairing)
         ok_b = np.isfinite(fx) & finite[1]   # a non-finite f(y) makes its slope NaN
         threshold = -0.5 * cfg.sigma * d * d
@@ -504,15 +539,18 @@ def check_c(f: ScalarField, x, y, cfg: CheckConfig) -> Verdict:
 # sigma* estimation
 
 
-def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig) -> float:
+def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig, *, ends=None,
+                sep=None) -> float:
     """min over the pairs X, Y (rows) and the lambda grid of
     2 * (max{f(x),f(y)} - f(segment)) / (lam*(1-lam)*||x-y||^2), the
-    sigma = 0 margin scaled; +inf when no sample evaluates."""
+    sigma = 0 margin scaled; +inf when no sample evaluates. `ends` and
+    `sep` are passed to `segment_margins`."""
     lams = np.asarray(cfg.lambda_grid)[:, None]
     weight = lams * (1.0 - lams)
     best = math.inf
     den = np.empty(0)
-    for _, m, d in segment_margins(f, X, Y, lams, 0.0, cfg.penalty_norm):
+    for _, m, d in segment_margins(f, X, Y, lams, 0.0, cfg.penalty_norm,
+                                   ends=ends, sep=sep):
         if den.size < m.size:
             den = np.empty(m.size)
         with np.errstate(all="ignore"):
@@ -520,9 +558,13 @@ def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig) -> float:
             q *= d
             ratio = np.multiply(m, 2.0, out=m)
             ratio /= q
-        # the minimum over the finite ratios: the others count as +inf
-        np.copyto(ratio, math.inf, where=~np.isfinite(ratio))
-        best = min(best, float(ratio.min()))
+        # the minimum over the finite ratios, the others counting as +inf:
+        # fmin skips NaN, so only a -inf or an all-NaN chunk needs the copy
+        low = np.fmin.reduce(ratio, axis=None)
+        if not low > -math.inf:
+            np.copyto(ratio, math.inf, where=~np.isfinite(ratio))
+            low = ratio.min()
+        best = min(best, float(low))
     return best
 
 
@@ -563,9 +605,11 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
         count, draw = len(P), lambda lo, k: P[lo:lo + k]
 
     def run(lo, k):
-        """The block's sigma* and how many of its pairs pass min_sep."""
-        X, Y, _ = _separated(draw(lo, k), cfg)
-        return _sigma_star(f, X, Y, cfg), len(X)
+        """The block's sigma* and how many of its pairs pass min_sep: f(x)
+        and f(y) from one `values` call, ||x-y|| from the filter."""
+        X, Y, _, d = _separated(draw(lo, k), cfg)
+        ends = f.values(_stacked(X, Y).transpose(1, 2, 0))
+        return _sigma_star(f, X, Y, cfg, ends=ends, sep=d), len(X)
 
     best, kept = math.inf, 0
     for block_best, block_kept in _in_lanes(run, count):

@@ -537,10 +537,17 @@ def _note(status, margins, X, Y, lam=None):
     """One condition on a block of pairs: its tally, and its first smallest
     margin with that pair (None when no pair holds or is violated)."""
     tally = np.bincount(status, minlength=len(cond.STATUSES))
-    masked = np.where(status < 2, margins, np.nan)   # the rows with a margin
-    if np.isnan(masked).all():
+    if not tally[:2].any():
         return tally, None
-    i = int(np.nanargmin(masked))
+    # one argmin over the rows with a margin (the others +inf); where it
+    # lands on a NaN margin or on a masked row, nanargmin decides
+    masked = np.where(status < 2, margins, math.inf)
+    i = int(masked.argmin())
+    if status[i] >= 2 or np.isnan(masked[i]):
+        masked[status >= 2] = np.nan
+        if np.isnan(masked).all():
+            return tally, None
+        i = int(np.nanargmin(masked))
     return tally, (float(margins[i]), X[i].copy(), Y[i].copy(),
                    None if lam is None else float(lam[i]))
 
@@ -551,24 +558,29 @@ def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
 
     The pairs go through in blocks, each drawn, filtered by min_sep and
     run through the (b)/(c) and (a) kernels on whichever lane takes it
-    (see `conditions._in_lanes`). A block hands back how many of its
-    pairs any condition skipped, the counts and first smallest margin of
-    each condition and, when the sink `rows` is given, its record: one
-    row per pair it kept, in keys "index" (the pair's position in the
-    sampler's stream), "a_margin", "a_status", "bc_margin", "b_status"
-    and "c_status" (status codes, see `conditions.statuses`). The calling
-    thread merges the blocks in block order and passes each record to
-    `rows` as it merges, so memory does not grow with the count.
+    (see `conditions._in_lanes`). The block's ||x-y|| is computed once, by
+    the filter, and f(x), f(y) once, by the (b)/(c) kernel's `slopes`
+    pass, whose values the (a) kernel reads. A block hands back how many
+    of its pairs any condition skipped, the counts and first smallest
+    margin of each condition and, when the sink `rows` is given, its
+    record: one row per pair it kept, in keys "index" (the pair's
+    position in the sampler's stream), "a_margin", "a_status",
+    "bc_margin", "b_status" and "c_status" (status codes, see
+    `conditions.statuses`). The calling thread merges the blocks in block
+    order and passes each record to `rows` as it merges, so memory does
+    not grow with the count.
     """
     def run(lo, k):
-        X, Y, keep = cond._separated(sample_pairs(sampler, lo, k), cfg)
-        r = cond.batch_margins_bc(f, X, Y, cfg)
+        X, Y, keep, d = cond._separated(sample_pairs(sampler, lo, k), cfg)
+        r = cond.batch_margins_bc(f, X, Y, cfg, sep=d)
         record = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"]}
         for name in "bc":
             record[f"{name}_status"] = cond.statuses(r["margin"], r[f"premise_{name}"],
                                                      r[f"ok_{name}"], cfg.tol)
+        ends = r["fx"], r["fy"]
         del r   # the (a) kernel runs without the rest of the (b)/(c) results
-        record["a_margin"], lam, ok = cond.batch_margin_a_worst(f, X, Y, cfg)
+        record["a_margin"], lam, ok = cond.batch_margin_a_worst(f, X, Y, cfg,
+                                                                ends=ends, sep=d)
         record["a_status"] = cond.statuses(record["a_margin"], True, ok, cfg.tol)
         notes = {name: _note(record[f"{name}_status"], record["bc_margin"], X, Y)
                  for name in "bc"}

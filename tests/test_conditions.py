@@ -15,7 +15,8 @@ from quasicheck.conditions import (HOLDS, SKIPPED, VACUOUS, VIOLATED,
                                    check_lemma_refined, default_lambda_grid,
                                    is_violated, margin_a, sigma_star_estimate,
                                    sigma_star_segment)
-from quasicheck.field import DomainBox, catalog_field, make_field_from_expr
+from quasicheck.families import family_by_name
+from quasicheck.field import DomainBox, ScalarField, catalog_field, make_field_from_expr
 from quasicheck.search import Sampler, implication_harness, sample_pairs
 
 SIN = catalog_field("sin", 1)
@@ -377,7 +378,9 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
     # one program pass per kernel call: x and y go through one dual pass,
     # stacked as (2, k, n) points, and f(x) and f(y) are its values, equal
     # to the value program's bit for bit; the (b)/(c) search objective
-    # makes one pass per call as well
+    # makes one pass per call as well. The harness's (a) kernel reads f(x)
+    # and f(y) from that pass and evaluates segment points only, while the
+    # (a) objective, which has no f(x), f(y), still makes one value call
     g = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
                              DomainBox.cube(-1, 1, 2))
     calls, duals = [], []
@@ -403,39 +406,111 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
         duals.clear()
         objective(Z)
         assert calls == [] and duals == [(2, 115, 2)]
+    objective = search._MarginObjective(f, "a", cfg())
+    objective(np.concatenate([Z, np.full((115, 1), 0.5)], axis=1))
+    assert calls == [3] and duals == [(2, 115, 2)]   # x, y and the segment point
+    calls.clear()
+    implication_harness(f, cfg(), Sampler("uniform_box", 1, 100, f.domain))
+    assert calls == [63]
+
+
+def _reference_norm(diff):
+    """The 2-norm of one vector, summed in coordinate order."""
+    return math.sqrt(sum(c * c for c in diff.tolist()))
+
+
+def _reference_a(f, X, Y, lams, sigma):
+    """The (a) margins (L, N) of the pairs X, Y at lams ((L, 1), or (1, N)
+    for one lambda per pair), one pair at a time: f at x, y and the pair's
+    segment points in one row-major call (at the pair's parameter row, if
+    f has one per pair), the 2-norm and the penalty in scalar arithmetic,
+    in the kernel's order of operations; NaN where f fails at x, y or the
+    segment point."""
+    M = np.empty((lams.shape[0], len(X)))
+    for i in range(len(X)):
+        lam = lams[:, i] if lams.shape[1] > 1 else lams[:, 0]
+        g = replace(f, params=f.params[i]) if np.ndim(f.params) == 2 else f
+        diff = X[i] - Y[i]
+        d = _reference_norm(diff)
+        v = g.values(np.vstack([X[i], Y[i], lam[:, None] * diff + Y[i]]))
+        top = np.maximum(v[0], v[1])
+        for j, l in enumerate(lam.tolist()):
+            ok = np.isfinite(v[[0, 1, 2 + j]]).all()
+            M[j, i] = (top - 0.5 * sigma * l * (1.0 - l) * d * d) - v[2 + j] if ok else math.nan
+    return M
+
+
+def _reference_worst(M, lams):
+    """Per column of M: the first NaN, else the first smallest margin, and
+    its lambda (np.argmin's rule, written out)."""
+    worst, worst_lam = [], []
+    for col in M.T.tolist():
+        nan = [j for j, m in enumerate(col) if math.isnan(m)]
+        j = nan[0] if nan else col.index(min(col))
+        worst.append(col[j])
+        worst_lam.append(lams[j, 0])
+    return np.array(worst), np.array(worst_lam)
 
 
 def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
-    # neither the chunk size nor the number of lanes (which sets the size
-    # of the blocks and of a large block's chunks) shows in a bit of the
-    # margins, sigma* or the harness's per-pair record
-    f = catalog_field("sqnorm", 3)
+    # neither the chunk size, the number of lanes (which sets the size of
+    # the blocks and of a large block's chunks) nor f(x), f(y) and ||x-y||
+    # handed in by the caller show in a bit of the margins, worst lambdas,
+    # ok masks, sigma* or the harness's per-pair record: all match a plain
+    # pair-by-pair reference. The fields include two that fail at x or y
+    # on part of the box while the segment still evaluates, and one with a
+    # parameter row per pair (which sigma* and the harness do not take)
     c = cfg(sigma=0.5)
-    X = rng.uniform(-1, 1, size=(250, 3))
-    Y = rng.uniform(-1, 1, size=(250, 3))
-    pairs = np.stack([X, Y], axis=1)
+    family = family_by_name("perturbed_sqnorm")
+    thetas = family.param_box.lower + rng.random((250, 2)) * family.param_box.widths
+    fields = [catalog_field("sqnorm", 3),
+              make_field_from_expr("log(x1 + 0.5) + x2^2", 2, DomainBox.cube(-1, 1, 2)),
+              make_field_from_expr("sqrt(x1)", 1, DomainBox.cube(-1, 1, 1)),
+              ScalarField(family.name, family.program, family.domain, thetas)]
+    grid = np.asarray(c.lambda_grid)[:, None]
     lam = rng.uniform(0.01, 0.99, size=(1, 250))   # one lambda per pair
-    sampler = Sampler("uniform_box", 3, 600, f.domain)
     monkeypatch.setattr(conditions, "PAIR_BLOCK", 250)   # blocks of many chunks
-    runs = []
-    for lanes in (1, 2, 3):
-        monkeypatch.setattr(conditions, "LANES", lanes)
-        # 65 points per chunk is one pair per chunk at the 63-point grid;
-        # 65 * 7 puts a chunk edge inside the 250 pairs
-        for chunk in (65, 65 * 7, 65 * 249, 1 << 16):
-            monkeypatch.setattr(conditions, "SEGMENT_CHUNK", chunk)
-            # the margins of a chunk live until the next chunk: copy them
-            per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
-                f, X, Y, lam, c.sigma, c.penalty_norm)])
-            _, harness = harness_with_record(f, c, sampler)
-            runs.append([*batch_margin_a_worst(f, X, Y, c),
-                         sigma_star_estimate(f, pairs, c), per_pair,
-                         *harness.values()])
-    for i in range(len(X)):
-        assert margin_a(f, X[i], Y[i], lam[0, i], c) == runs[0][4][i]
-    for run in runs[1:]:
-        for a, b in zip(runs[0], run):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    for f in fields:
+        rowwise = np.ndim(f.params) == 2
+        X = rng.uniform(-1, 1, size=(250, f.dim))
+        Y = rng.uniform(-1, 1, size=(250, f.dim))
+        sampler = Sampler("uniform_box", 3, 600, f.domain)
+        worst, worst_lam = _reference_worst(_reference_a(f, X, Y, grid, c.sigma), grid)
+        d = np.array([_reference_norm(diff) for diff in X - Y])
+        ratio = 2.0 * _reference_a(f, X, Y, grid, 0.0) / (grid * (1.0 - grid) * d * d)
+        expected = [worst, worst_lam, ~np.isnan(worst), _reference_a(f, X, Y, lam, c.sigma)[0]]
+        if not rowwise:
+            expected.append(ratio[np.isfinite(ratio)].min())
+            P = sample_pairs(sampler)
+            harness_worst = _reference_worst(
+                _reference_a(f, P[:, 0], P[:, 1], grid, c.sigma), grid)[0]
+        bc = batch_margins_bc(f, X, Y, c)
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(conditions, "LANES", lanes)
+            # 65 points per chunk is one pair per chunk at the 63-point
+            # grid; 65 * 7 and 65 * 8 put chunk edges inside the 250 pairs,
+            # and from 65 * 1000 on the pairs are one chunk
+            for chunk in (65, 65 * 7, 65 * 8, 65 * 249, 65 * 1000, 1 << 16):
+                monkeypatch.setattr(conditions, "SEGMENT_CHUNK", chunk)
+                # the margins of a chunk live until the next chunk: copy them
+                per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
+                    f, X, Y, lam, c.sigma, c.penalty_norm)])
+                given = batch_margin_a_worst(f, X, Y, c, ends=(bc["fx"], bc["fy"]),
+                                             sep=bc["sep"])
+                runs = [[*batch_margin_a_worst(f, X, Y, c), per_pair], [*given[:3], per_pair]]
+                if not rowwise:
+                    runs = [run + [sigma_star_estimate(f, np.stack([X, Y], axis=1), c)]
+                            for run in runs]
+                    report, record = harness_with_record(f, c, sampler)
+                    assert record["index"].tolist() == list(range(sampler.count))
+                    assert record["a_margin"].tobytes() == harness_worst.tobytes()
+                for run in runs:
+                    for a, b in zip(expected, run):
+                        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for i in range(len(X)):
+            g = replace(f, params=thetas[i]) if rowwise else f
+            assert np.float64(margin_a(g, X[i], Y[i], lam[0, i], c)).tobytes() == \
+                expected[3][i].tobytes()
 
 
 def test_segment_margins_points_are_read_only(rng):
@@ -491,8 +566,9 @@ def test_segment_margins_failure_on_a_helper_reaches_the_caller(
             assert all(future.done() for _, future in helper_blocks)
     assert writers[0] is caller and writers[-1] is not caller
     assert "read-only" in errors["check write"][0]
-    assert "(2, 4, 3)" in errors["check dimension"][0]   # x and y stacked
-    assert "(65, 4, 3)" in errors["sigma dimension"][0]
+    # x and y stacked: the (b)/(c) kernel's pass, sigma's f(x), f(y) call
+    assert "(2, 4, 3)" in errors["check dimension"][0]
+    assert "(2, 4, 3)" in errors["sigma dimension"][0]
     for messages in errors.values():
         assert messages[0] == messages[1]
     assert helper_blocks
