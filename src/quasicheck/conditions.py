@@ -16,25 +16,26 @@ examined pairs.
 Each formula is written once, in a kernel over arrays of pairs:
 `segment_margins` yields the (a) margins of chunks of a block of pairs,
 at a shared lambda grid or at one lambda per pair. Its pair work is done
-once per block: the planes of x - y, ||x-y|| and max{f(x), f(y)} (NaN
-where either failed), where the caller may hand in ||x-y|| and f(x), f(y).
-Each chunk then fills only its segment points (one per pair and lambda)
-into a coordinate-major point buffer that every chunk of the block
-reuses, and evaluates f once on them (with x and y in the same call when
-f(x), f(y) were not handed in). `batch_margins_bc` gives the pairings,
-both premises and the shared (b)/(c) conclusion margin from one program
-pass over x and y stacked as coordinate planes, seeded with the
-directions y - x and x - y: each pairing is one directional derivative,
-and no gradient is formed; its values are f(x) and f(y).
-The per-pair worst (a) margin and sigma* reduce over the kernel's
+once per block: the planes of y and of x - y, ||x-y|| and
+max{f(x), f(y)} (NaN where either failed), where the caller may hand in
+||x-y|| and f(x), f(y). Each chunk then makes one `values` call on its
+segments, given by those planes (with x and y in the same call when
+f(x), f(y) were not handed in): the program makes each coordinate of the
+chunk's segment points just before its first use, so no chunk holds a
+buffer of its points. `batch_margins_bc` gives the pairings, both
+premises and the shared (b)/(c) conclusion margin from one program pass
+over x and y stacked as coordinate planes, seeded with the directions
+y - x and x - y: each pairing is one directional derivative, and no
+gradient is formed; its values are f(x) and f(y). The per-pair worst (a)
+margin (np.minimum over the lambdas) and sigma* reduce over the kernel's
 chunks; `verdicts_bc` gives the (b)/(c) verdict of each pair row, and
 the scalar checks `margin_a`, `check_b`, `check_c` and
 `sigma_star_segment` run the kernels on a batch of one, after checking
-that x and y have f's dimension and lie min_sep apart. Margins are
-raw; `is_violated` is the one rule that applies the tolerance, and
-`statuses` the one rule that maps a kernel row to holds, violated,
-vacuous or skipped. A condition skips a pair only when an evaluation it
-reads fails: f at x, y and the segment points for (a); f(x), f(y) and
+that x and y have f's dimension and lie min_sep apart. Margins are raw;
+`is_violated` is the one rule that applies the tolerance, and `statuses`
+the one rule that maps a kernel row to holds, violated, vacuous or
+skipped. A condition skips a pair only when an evaluation it reads
+fails: f at x, y and the segment points for (a); f(x), f(y) and
 <grad f(y), x-y> for (b); both pairings for (c). A pairing that
 overflows counts as failed.
 
@@ -42,12 +43,13 @@ overflows counts as failed.
 pairs into blocks and run each block end to end, drawn, filtered and
 scored, on one lane of `_in_lanes`. The min_sep filter gives the block's
 ||x-y||, which the kernels read; (a) takes f(x), f(y) from the (b)/(c)
-pass in `check` and from one `values` call in `sigma`. Every block goes
-to one queue, which a helper thread (given a second CPU) takes from, and
-the calling thread takes the earliest block no helper has started
-whenever the result it needs next is not done. The kernels themselves run on whichever thread
-calls them, and a block hands back only its own results, so neither
-keeps an array whose length grows with the pair count.
+pass in `check` and, in `sigma`, from one `values` call on a view of the
+drawn pairs. Every block goes to one queue, which a helper thread (given
+a second CPU) takes from, and the calling thread takes the earliest
+block no helper has started whenever the result it needs next is not
+done. The kernels themselves run on whichever thread calls them, and a
+block hands back only its own results, so neither keeps an array whose
+length grows with the pair count.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from typing import Optional
 
 import numpy as np
 
+from .expr import Segments
 from .field import ScalarField
 from .vecmath import as_vec
 
@@ -308,39 +311,17 @@ def _checked_pair(f: ScalarField, x, y, cfg: CheckConfig):
 
 
 def _separated(P: np.ndarray, cfg: CheckConfig):
-    """The pairs P (rows (x, y)) at least min_sep apart, as X, Y, the mask
-    of those kept and their ||x-y||: views of P when every pair is kept,
-    since no kernel writes into the points it is given."""
-    X, Y = P[:, 0], P[:, 1]
-    d = _plane_norm((X - Y).T, cfg.penalty_norm)
+    """The pairs P (k, 2, n) at least min_sep apart, as the pairs kept
+    (rows (x, y)), the mask of those kept and their ||x-y||: P itself when
+    every pair is kept, since no kernel writes into the points it is
+    given."""
+    d = _plane_norm((P[:, 0] - P[:, 1]).T, cfg.penalty_norm)
     keep = d >= cfg.min_sep
-    return (X, Y, keep, d) if keep.all() else (X[keep], Y[keep], keep, d[keep])
-
-
-def _stacked(X, Y) -> np.ndarray:
-    """The points x and y of the pairs X, Y (rows) as coordinate planes
-    (n, 2, k): S[j, 0] holds coordinate j of each x, S[j, 1] of each y."""
-    S = np.empty((np.shape(X)[1], 2, len(X)))
-    S[:, 0], S[:, 1] = np.transpose(X), np.transpose(Y)
-    return S
+    return (P, keep, d) if keep.all() else (P[keep], keep, d[keep])
 
 
 # ---------------------------------------------------------------------------
 # Condition (a): the defining segment inequality
-
-
-def _buffers(n: int, L: int, size: int) -> tuple:
-    """The per-chunk buffers of `segment_margins`, for chunks of up to
-    `size` pairs in R^n at L lambdas: the coordinate-major points
-    (n, L + 2, size) (x, y, then one segment point per lambda) and their
-    read-only (L + 2, size, n) view, the margins (L, size) and the flat
-    buffer of the points' finite flags ((L + 2) * size). The per-block
-    arrays (the planes of x - y, ||x-y|| and max{f(x), f(y)}) are the
-    caller's."""
-    S = np.empty((n, L + 2, size))
-    points = S.transpose(1, 2, 0)
-    points.flags.writeable = False   # f must not write into the reused buffer
-    return S, points, np.empty((L, size)), np.empty((L + 2) * size, dtype=bool)
 
 
 def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2, *,
@@ -351,24 +332,23 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2, *,
 
     `lams` has shape (L, 1) for a grid shared by all pairs or (1, N) for
     one lambda per pair. The work that does not depend on lambda is done
-    once per call (one block): the planes of x - y, ||x-y|| (unless `sep`
+    once per call (one block): the coordinate planes of y and of x - y,
+    which every chunk reads and none may write, ||x-y|| (unless `sep`
     gives it) and, when `ends` = (f(x), f(y)) is given, their max, NaN
-    where either failed. Each chunk copies in its pairs' y, fills one
-    segment point per lambda and calls f once, on the segment points
-    alone, or without `ends` on x and y as well (planes 0 and 1), so a
-    caller with no f(x), f(y) makes no second call. The points are stored
-    coordinate-major, (n, L + 2, k), in a buffer that every chunk reuses,
-    and f gets a read-only (planes, k, n) view of them in which each
-    coordinate is one contiguous plane. Yields (rows, margins (L, k),
-    ||x-y|| (k,)) per chunk of k pairs, in order, rows being the chunk's
-    slice of the pairs; a margin is NaN where an evaluation failed. The
-    margins live in a buffer that the next chunk overwrites once the
-    consumer asks for it. Parameter rows of f, one per pair, are sliced
-    as lambdas are.
+    where either failed. Each chunk makes one `values` call on its pairs'
+    slice of the planes, as `expr.Segments`: on the segment points alone,
+    or without `ends` on x and y as well (rows 0 and 1), so a caller with
+    no f(x), f(y) makes no second call. The program makes each coordinate
+    of the points just before its first use, so a chunk holds only the
+    registers live at once. Yields (rows, margins (L, k), ||x-y|| (k,))
+    per chunk of k pairs, in order, rows being the chunk's slice of the
+    pairs; a margin is NaN where an evaluation failed. The margins live
+    in a buffer that the next chunk overwrites once the consumer asks for
+    it. Parameter rows of f, one per pair, are sliced as lambdas are.
 
     Runs on the calling thread. At most SEGMENT_CHUNK // (L + 2) pairs
     are one chunk; more are cut into chunks of a LANES-th of that, so the
-    buffers of the LANES blocks that `_in_lanes` runs at once hold at most
+    chunks of the LANES blocks that `_in_lanes` runs at once hold at most
     SEGMENT_CHUNK points together. The margins depend neither on the
     chunking nor on whether `ends` and `sep` (f's values and
     `_plane_norm`'s norms) are given.
@@ -382,6 +362,8 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2, *,
     with np.errstate(all="ignore"):
         D = np.subtract(Xt, Yt, order="C")
         d = _plane_norm(D, penalty_norm) if sep is None else sep
+        Yt = np.array(Yt, order="C")
+        D.flags.writeable = Yt.flags.writeable = False
         weight = 0.5 * sigma * lams * (1.0 - lams) if sigma else None
         if ends is not None:   # NaN where f(x) or f(y) failed: so are its margins
             fx, fy = ends
@@ -389,24 +371,20 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2, *,
             failed = ~(np.isfinite(fx) & np.isfinite(fy))
             if failed.any():
                 top[failed] = np.nan
-    ride = 2 if ends is None else 0   # x and y ride in f's call, as planes 0 and 1
-    S, points, M, finite = _buffers(X.shape[1], L, step)
+    ride = 2 if ends is None else 0   # x and y ride in f's call, as rows 0 and 1
+    M = np.empty((L, step))
+    finite = np.empty((L + 2) * step, dtype=bool)
     # parameter rows are sliced only when the pairs take several chunks
     rowwise = np.ndim(f.params) == 2 and step < N
     per_pair = lams.shape[1] > 1   # one lambda per pair: sliced as the pairs
     for lo in range(0, N, step):
         rows = slice(lo, min(lo + step, N))
         k = rows.stop - lo
-        P, m, dk = S[..., :k], M[:, :k], d[rows]
+        m, dk = M[:, :k], d[rows]
         lam = lams[:, rows] if per_pair else lams
         g = replace(f, params=f.params[rows]) if rowwise else f
         with np.errstate(all="ignore"):
-            if ride:
-                P[:, 0] = Xt[:, rows]
-            P[:, 1] = Yt[:, rows]
-            np.multiply(lam, D[:, None, rows], out=P[:, 2:])
-            P[:, 2:] += P[:, 1, None]
-            v = g.values(points[2 - ride:, :k])
+            v = g.values(Segments(Yt[:, rows], D[:, rows], lam, Xt[:, rows] if ride else None))
             t = np.maximum(v[0], v[1]) if ride else top[rows]
             if sigma:
                 np.multiply(weight[:, rows] if per_pair else weight, dk, out=m)
@@ -441,21 +419,35 @@ def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
                          cfg: CheckConfig, *, ends=None, sep=None):
     """Per-pair worst condition-(a) margin over the lambda grid.
 
-    Returns (worst_margin, worst_lam, ok_mask); rows with any failed
-    evaluation have ok_mask False and NaN margin. Ties go to the first
-    lambda of the grid. `ends` = (f(x), f(y)) and `sep` = ||x-y||, when
-    the caller has them, spare the kernel that work (see
-    `segment_margins`); by default it computes them.
+    Returns (worst_margin, ok_mask); rows with any failed evaluation have
+    ok_mask False and NaN margin. A worst margin of zero has the sign of
+    the first zero of its pair's margins, as np.argmin's first smallest
+    margin has; `_worst_lambdas` gives the lambda of that margin. `ends` =
+    (f(x), f(y)) and `sep` = ||x-y||, when the caller has them, spare the
+    kernel that work (see `segment_margins`); by default it computes them.
     """
-    lams = np.asarray(cfg.lambda_grid)[:, None]
     worst = np.empty(len(X))
-    worst_lam = np.empty(len(X))
+    for rows, m, _ in segment_margins(f, X, Y, np.asarray(cfg.lambda_grid)[:, None],
+                                      cfg.sigma, cfg.penalty_norm, ends=ends, sep=sep):
+        w = np.minimum.reduce(m, axis=0, out=worst[rows])   # NaN if any is
+        zero = np.flatnonzero(w == 0)
+        if zero.size:   # np.minimum may keep a later zero of the other sign
+            w[zero] = m[np.argmax(m[:, zero] == 0, axis=0), zero]
+    return worst, ~np.isnan(worst)
+
+
+def _worst_lambdas(f: ScalarField, X, Y, cfg: CheckConfig, *, ends=None,
+                   sep=None) -> np.ndarray:
+    """Per pair, the first lambda of the grid at which its condition-(a)
+    margin is `batch_margin_a_worst`'s worst margin (its first NaN, if
+    any): an argmin over the margins of the same kernel, which depend
+    neither on the chunking nor on `ends` and `sep`."""
+    lams = np.asarray(cfg.lambda_grid)[:, None]
+    out = np.empty(len(X))
     for rows, m, _ in segment_margins(f, X, Y, lams, cfg.sigma, cfg.penalty_norm,
                                       ends=ends, sep=sep):
-        i = np.argmin(m, axis=0)   # a NaN column gives its first NaN
-        worst[rows] = m[i, np.arange(len(i))]
-        worst_lam[rows] = lams[i, 0]
-    return worst, worst_lam, ~np.isnan(worst)
+        out[rows] = lams[np.argmin(m, axis=0), 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +473,8 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     makes the slope of a non-finite value NaN). A pairing that overflows
     is not finite, so its pair is skipped.
     """
-    S = _stacked(X, Y)
+    S = np.empty((np.shape(X)[1], 2, len(X)))   # S[j, 0] holds x_j, S[j, 1] y_j
+    S[:, 0], S[:, 1] = np.transpose(X), np.transpose(Y)
     with np.errstate(all="ignore"):
         D = S[:, ::-1] - S   # planes of y - x, then of x - y
         (fx, fy), pairing = f.slopes(S.transpose(1, 2, 0), D.transpose(1, 2, 0))
@@ -606,10 +599,11 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
 
     def run(lo, k):
         """The block's sigma* and how many of its pairs pass min_sep: f(x)
-        and f(y) from one `values` call, ||x-y|| from the filter."""
-        X, Y, _, d = _separated(draw(lo, k), cfg)
-        ends = f.values(_stacked(X, Y).transpose(1, 2, 0))
-        return _sigma_star(f, X, Y, cfg, ends=ends, sep=d), len(X)
+        and f(y) from one `values` call on a (2, k, n) view of the pairs,
+        ||x-y|| from the filter."""
+        P, _, d = _separated(draw(lo, k), cfg)
+        ends = f.values(P.transpose(1, 0, 2))
+        return _sigma_star(f, P[:, 0], P[:, 1], cfg, ends=ends, sep=d), len(P)
 
     best, kept = math.inf, 0
     for block_best, block_kept in _in_lanes(run, count):

@@ -94,8 +94,10 @@ class ScalarField:
     one vector for every point, or one row per point row.
 
     The arrays values and slopes receive may be non-contiguous or read-only
-    views (of the point buffers of `segment_margins` and `batch_margins_bc`):
-    the program must not write into its input or keep it.
+    views (of the pairs drawn by `sigma_star_estimate`, of the coordinate
+    planes of `batch_margins_bc`, and of the planes of y and x - y in the
+    `expr.Segments` of every chunk of `segment_margins`): the program must
+    not write into its input or keep it.
     """
 
     name: str
@@ -121,19 +123,21 @@ class ScalarField:
             raise EvaluationError(f"{self.name}: non-finite value at {x.tolist()}")
         return v
 
-    def _points(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+    def _points(self, X, segments=False) -> np.ndarray:
+        if not (segments and isinstance(X, ex.Segments)):
+            X = np.asarray(X, dtype=float)
         if X.shape[-1:] != (self.program.n,):
             raise ValueError(f"{self.name}: points of shape {X.shape} for "
                              f"dimension {self.program.n}")
         return X
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Batch values over (..., n) points; a NaN or infinite value marks
-        an invalid point."""
+        """Batch values over (..., n) points, or over the points of the
+        segments of pairs (`expr.Segments`, whose coordinates the program
+        makes itself); a NaN or infinite value marks an invalid point."""
         T = () if self.params is None else (self.params,)
         with np.errstate(all="ignore"):
-            return self.program.value(self._points(X), *T)
+            return self.program.value(self._points(X, segments=True), *T)
 
     def grad(self, x) -> np.ndarray:
         """grad f at one point, evaluated as a batch of one."""

@@ -535,7 +535,8 @@ class HarnessReport:
 
 def _note(status, margins, X, Y, lam=None):
     """One condition on a block of pairs: its tally, and its first smallest
-    margin with that pair (None when no pair holds or is violated)."""
+    margin with that pair and lam(i) of its row i, when `lam` is given
+    (None when no pair holds or is violated)."""
     tally = np.bincount(status, minlength=len(cond.STATUSES))
     if not tally[:2].any():
         return tally, None
@@ -549,7 +550,7 @@ def _note(status, margins, X, Y, lam=None):
             return tally, None
         i = int(np.nanargmin(masked))
     return tally, (float(margins[i]), X[i].copy(), Y[i].copy(),
-                   None if lam is None else float(lam[i]))
+                   None if lam is None else float(lam(i)))
 
 
 def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
@@ -560,7 +561,9 @@ def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
     run through the (b)/(c) and (a) kernels on whichever lane takes it
     (see `conditions._in_lanes`). The block's ||x-y|| is computed once, by
     the filter, and f(x), f(y) once, by the (b)/(c) kernel's `slopes`
-    pass, whose values the (a) kernel reads. A block hands back how many
+    pass, whose values the (a) kernel reads; the lambda of the block's
+    first smallest (a) margin comes from scoring that one pair again. A
+    block hands back how many
     of its pairs any condition skipped, the counts and first smallest
     margin of each condition and, when the sink `rows` is given, its
     record: one row per pair it kept, in keys "index" (the pair's
@@ -571,7 +574,8 @@ def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
     not grow with the count.
     """
     def run(lo, k):
-        X, Y, keep, d = cond._separated(sample_pairs(sampler, lo, k), cfg)
+        P, keep, d = cond._separated(sample_pairs(sampler, lo, k), cfg)
+        X, Y = P[:, 0], P[:, 1]
         r = cond.batch_margins_bc(f, X, Y, cfg, sep=d)
         record = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"]}
         for name in "bc":
@@ -579,11 +583,16 @@ def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
                                                      r[f"ok_{name}"], cfg.tol)
         ends = r["fx"], r["fy"]
         del r   # the (a) kernel runs without the rest of the (b)/(c) results
-        record["a_margin"], lam, ok = cond.batch_margin_a_worst(f, X, Y, cfg,
-                                                                ends=ends, sep=d)
+        record["a_margin"], ok = cond.batch_margin_a_worst(f, X, Y, cfg, ends=ends, sep=d)
         record["a_status"] = cond.statuses(record["a_margin"], True, ok, cfg.tol)
         notes = {name: _note(record[f"{name}_status"], record["bc_margin"], X, Y)
                  for name in "bc"}
+
+        def lam(i):   # pair i scored alone has the block's margins, bit for bit
+            one = slice(i, i + 1)
+            return cond._worst_lambdas(f, X[one], Y[one], cfg, sep=d[one],
+                                       ends=(ends[0][one], ends[1][one]))[0]
+
         notes["a"] = _note(record["a_status"], record["a_margin"], X, Y, lam)
         # per pair, how many conditions skipped it
         skips = sum(record[f"{name}_status"] == cond.STATUSES.index(cond.SKIPPED)

@@ -321,7 +321,8 @@ def _match_closed_form(f, oracle, rng):
     X, Y = X[keep], Y[keep]
     lams = np.array(c.lambda_grid)
     seg = np.stack([oracle(X, Y, lam, c.sigma)[0] for lam in lams])
-    worst, worst_lam, ok = batch_margin_a_worst(f, X, Y, c)
+    worst, ok = batch_margin_a_worst(f, X, Y, c)
+    worst_lam = conditions._worst_lambdas(f, X, Y, c)
     assert ok.all()
     np.testing.assert_allclose(worst, seg.min(axis=0), rtol=0, atol=1e-12)
     # the reported lambda attains the worst margin
@@ -360,7 +361,8 @@ def test_scalar_checks_are_batches_of_one(rng):
     c = cfg(sigma=0.3)
     X = rng.uniform(-1, 1, size=(40, 2))
     Y = rng.uniform(-1, 1, size=(40, 2))
-    worst, worst_lam, _ = batch_margin_a_worst(f, X, Y, c)
+    worst, _ = batch_margin_a_worst(f, X, Y, c)
+    worst_lam = conditions._worst_lambdas(f, X, Y, c)
     r = batch_margins_bc(f, X, Y, c)
     for i in range(len(X)):
         assert margin_a(f, X[i], Y[i], worst_lam[i], c) == worst[i]
@@ -379,14 +381,19 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
     # stacked as (2, k, n) points, and f(x) and f(y) are its values, equal
     # to the value program's bit for bit; the (b)/(c) search objective
     # makes one pass per call as well. The harness's (a) kernel reads f(x)
-    # and f(y) from that pass and evaluates segment points only, while the
-    # (a) objective, which has no f(x), f(y), still makes one value call
+    # and f(y) from that pass and evaluates segment points only, in one
+    # value call on the block's segments (then one more for the pair of
+    # the block's first smallest margin, whose lambda it reports), while
+    # the (a) objective, which has no f(x), f(y), still makes one call
     g = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
                              DomainBox.cube(-1, 1, 2))
-    calls, duals = [], []
+    calls, duals, segments = [], [], []
 
-    def value(X):
-        calls.append(len(X))
+    def value(X):   # points, or the (rows, pairs) of segments
+        if isinstance(X, np.ndarray):
+            calls.append(len(X))
+        else:
+            segments.append(X.shape[:-1])
         return g.program.value(X)
 
     def dual(X, D):
@@ -406,12 +413,14 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
         duals.clear()
         objective(Z)
         assert calls == [] and duals == [(2, 115, 2)]
+    assert segments == []
     objective = search._MarginObjective(f, "a", cfg())
     objective(np.concatenate([Z, np.full((115, 1), 0.5)], axis=1))
-    assert calls == [3] and duals == [(2, 115, 2)]   # x, y and the segment point
-    calls.clear()
+    # x, y and the segment point
+    assert calls == [] and duals == [(2, 115, 2)] and segments == [(3, 115)]
+    segments.clear()
     implication_harness(f, cfg(), Sampler("uniform_box", 1, 100, f.domain))
-    assert calls == [63]
+    assert calls == [] and segments == [(63, 100), (63, 1)]
 
 
 def _reference_norm(diff):
@@ -455,11 +464,13 @@ def _reference_worst(M, lams):
 def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
     # neither the chunk size, the number of lanes (which sets the size of
     # the blocks and of a large block's chunks) nor f(x), f(y) and ||x-y||
-    # handed in by the caller show in a bit of the margins, worst lambdas,
-    # ok masks, sigma* or the harness's per-pair record: all match a plain
-    # pair-by-pair reference. The fields include two that fail at x or y
-    # on part of the box while the segment still evaluates, and one with a
-    # parameter row per pair (which sigma* and the harness do not take)
+    # handed in by the caller show in a bit of the margins, worst margins
+    # and their lambdas, ok masks, sigma*, the harness's per-pair record or
+    # the lambda of its (a) witness: all match a plain pair-by-pair
+    # reference (np.argmin's first smallest margin). The fields include two
+    # that fail at x or y on part of the box while the segment still
+    # evaluates, and one with a parameter row per pair (which sigma* and
+    # the harness do not take)
     c = cfg(sigma=0.5)
     family = family_by_name("perturbed_sqnorm")
     thetas = family.param_box.lower + rng.random((250, 2)) * family.param_box.widths
@@ -478,12 +489,14 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
         worst, worst_lam = _reference_worst(_reference_a(f, X, Y, grid, c.sigma), grid)
         d = np.array([_reference_norm(diff) for diff in X - Y])
         ratio = 2.0 * _reference_a(f, X, Y, grid, 0.0) / (grid * (1.0 - grid) * d * d)
-        expected = [worst, worst_lam, ~np.isnan(worst), _reference_a(f, X, Y, lam, c.sigma)[0]]
+        expected = [worst, ~np.isnan(worst), worst_lam, _reference_a(f, X, Y, lam, c.sigma)[0]]
         if not rowwise:
             expected.append(ratio[np.isfinite(ratio)].min())
             P = sample_pairs(sampler)
-            harness_worst = _reference_worst(
-                _reference_a(f, P[:, 0], P[:, 1], grid, c.sigma), grid)[0]
+            harness_worst, harness_lam = _reference_worst(
+                _reference_a(f, P[:, 0], P[:, 1], grid, c.sigma), grid)
+            first = int(np.nanargmin(harness_worst))   # the report's (a) witness
+            witness = (harness_worst[first], harness_lam[first])
         bc = batch_margins_bc(f, X, Y, c)
         for lanes in (1, 2, 3):
             monkeypatch.setattr(conditions, "LANES", lanes)
@@ -495,15 +508,17 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
                 # the margins of a chunk live until the next chunk: copy them
                 per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
                     f, X, Y, lam, c.sigma, c.penalty_norm)])
-                given = batch_margin_a_worst(f, X, Y, c, ends=(bc["fx"], bc["fy"]),
-                                             sep=bc["sep"])
-                runs = [[*batch_margin_a_worst(f, X, Y, c), per_pair], [*given[:3], per_pair]]
+                runs = [[*batch_margin_a_worst(f, X, Y, c, **given),
+                         conditions._worst_lambdas(f, X, Y, c, **given), per_pair]
+                        for given in ({}, dict(ends=(bc["fx"], bc["fy"]), sep=bc["sep"]))]
                 if not rowwise:
                     runs = [run + [sigma_star_estimate(f, np.stack([X, Y], axis=1), c)]
                             for run in runs]
                     report, record = harness_with_record(f, c, sampler)
                     assert record["index"].tolist() == list(range(sampler.count))
                     assert record["a_margin"].tobytes() == harness_worst.tobytes()
+                    a = report.worst["a"]
+                    assert (a["margin"], a["witness"]["lam"]) == witness
                 for run in runs:
                     for a, b in zip(expected, run):
                         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -513,15 +528,34 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
                 expected[3][i].tobytes()
 
 
-def test_segment_margins_points_are_read_only(rng):
-    # the kernel reuses one point buffer for every chunk: a program that
-    # wrote into its input would corrupt the chunks after it
-    def value(X):
-        X[..., 0] = 0.0
-        return np.sum(X, axis=-1)
+def test_a_worst_margin_of_zero_has_the_sign_of_the_first_zero(rng):
+    # -0.0 == 0.0, so np.minimum may keep either zero of a pair's margins;
+    # the worst margin is np.argmin's first smallest, which `check --csv`
+    # writes with its sign. 0*x1 is -0.0 at negative x1: at sigma = 0 a
+    # pair across the origin has margins of both signs of zero
+    f = make_field_from_expr("0*x1", 1, DomainBox.cube(-1, 1, 1))
+    X = rng.uniform(0.1, 1, size=(200, 1))
+    Y = -rng.uniform(0.1, 1, size=(200, 1))
+    X[::2] *= -1.0   # every other pair from x < 0 to y > 0
+    Y[::2] *= -1.0
+    grid = np.asarray(cfg().lambda_grid)[:, None]
+    M = _reference_a(f, X, Y, grid, 0.0)
+    assert (np.signbit(M) & ~np.signbit(M[:1])).any(axis=0).any()   # both signs
+    worst, ok = batch_margin_a_worst(f, X, Y, cfg())
+    assert ok.all() and not worst.any()
+    assert worst.tobytes() == _reference_worst(M, grid)[0].tobytes()
 
-    f = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
-    f = replace(f, program=replace(f.program, value=value))
+
+def test_segment_margins_points_are_read_only(rng):
+    # every chunk reads the block's planes of y and x - y: a program that
+    # wrote into them would corrupt the chunks after it
+    def value(X):
+        X.D[..., 0] = 0.0
+        X.Y[..., 0] = 0.0
+        return g.program.value(X)
+
+    g = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
+    f = replace(g, program=replace(g.program, value=value))
     X = rng.uniform(-1, 1, size=(10, 2))
     Y = rng.uniform(-1, 1, size=(10, 2))
     with pytest.raises(ValueError, match="read-only"):
@@ -538,14 +572,14 @@ def test_segment_margins_failure_on_a_helper_reaches_the_caller(
     writers = []
 
     def writing(everywhere):
-        def value(X):
+        def value(X):   # points, or segments: their planes of y
             if everywhere or threading.current_thread() is not caller:
                 writers.append(threading.current_thread())
-                X[..., 0] = 0.0
+                (X if isinstance(X, np.ndarray) else X.Y)[..., 0] = 0.0
             else:   # a helper starts its block before the caller needs it
                 time.sleep(0.05)
-            return np.sum(X, axis=-1)
-        return value
+            return f.program.value(X)
+        return replace(f.program, value=value)
 
     f = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
     pairs = Sampler("uniform_box", 3, 16, f.domain)
@@ -554,7 +588,7 @@ def test_segment_margins_failure_on_a_helper_reaches_the_caller(
     for W in (1, lanes):
         monkeypatch.setattr(conditions, "LANES", W)
         monkeypatch.setattr(conditions, "PAIR_BLOCK", 4 * W)   # blocks of 4 pairs
-        writer = replace(f, program=replace(f.program, value=writing(W == 1)))
+        writer = replace(f, program=writing(W == 1))
         for name, run in (
                 ("check write", lambda: implication_harness(writer, cfg(), pairs)),
                 ("sigma write", lambda: sigma_star_estimate(writer, pairs, cfg())),
@@ -583,10 +617,10 @@ def test_failure_on_the_callers_block_leaves_no_helper_block_running(
         if threading.current_thread() is caller:
             raise ArithmeticError("the caller's block failed")
         time.sleep(0.05)   # the helpers are still busy when it fails
-        return np.sum(X, axis=-1)
+        return g.program.value(X)
 
-    f = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
-    f = replace(f, program=replace(f.program, value=value))
+    g = make_field_from_expr("x1 + x2", 2, DomainBox.cube(-1, 1, 2))
+    f = replace(g, program=replace(g.program, value=value))
     pairs = Sampler("uniform_box", 3, 64, f.domain)
     monkeypatch.setattr(conditions, "LANES", lanes)
     monkeypatch.setattr(conditions, "PAIR_BLOCK", 4 * lanes)

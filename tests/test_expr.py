@@ -691,14 +691,127 @@ def test_parameter_free_programs_are_unchanged(rng):
     # corpus needs 382 value and 412 tangent registers (398 and 418 before),
     # and then when a tie of abs/min/max became a NaN tangent and the tie
     # flags went: abs's factor is a / |a| and min/max select NaN where
-    # a == b (472 tangent registers)
+    # a == b (472 tangent registers), and then when a^2 and the factor a^2
+    # of a^3 became numpy's square, bit for bit its power at 2, and each
+    # coordinate x_j a line that loads it (`_load`: a view of an array, or
+    # made into a register for `Segments`) just before its first read, not
+    # deleted, its register freed after its last read in a value line (479
+    # value registers)
     h = hashlib.sha256()
     cases = pinned_corpus(rng)
     for e, d in cases:
         h.update(ex.compile_expr(e, d).source.encode())
     assert "_ipow(" in ex.compile_expr(*cases[-1]).source
     assert h.hexdigest() == \
-        "5b48f5b7db4f3dcc0ec5a3aae62c0b2f3137b40f775cfe5275a612cdbea5ff2f"
+        "f6aa9702436749180604cb63bd105f3024cbf02b27ac884f08ff2f072053bb9e"
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(floats, min_size=1, max_size=40))
+def test_square_is_power_at_two_bit_for_bit(xs):
+    # a^2 lowers to numpy's square: numpy's power takes it as its shortcut
+    # at the exponent 2, so both round alike for every float, ±0, ±inf,
+    # NaN, subnormals and overflow, contiguous, strided or a point alone
+    X = np.array(xs + SPECIAL)
+    with np.errstate(all="ignore"):
+        for a in (X, X[::-1], X[::3], X[0], X[-1]):
+            assert _same_bits(np.square(a), np.power(a, 2.0))
+
+
+def test_the_pinned_corpus_squares_as_it_powers_at_two(rng):
+    # each program of the pinned corpus that squares, run again with
+    # power(a, 2.0) in place of square(a), gives the same values and slopes
+    # bit for bit, at a batch and at each point alone
+    points = np.random.default_rng(27)
+    square = re.compile(r"square\((_F\([^()]*\)|[^,()]+)")
+    squaring = 0
+    for e, d in pinned_corpus(rng):
+        prog = ex.compile_expr(e, d)
+        if "square(" not in prog.source:
+            continue
+        squaring += 1
+        namespace = dict(ex._NAMESPACE, _registers=ex._RegisterFile(256),
+                         _tangents=ex._RegisterFile(256))
+        exec(square.sub(r"power(\1, 2.0", prog.source), namespace)
+        X = points.uniform(-3, 3, size=(32, d))
+        X[::4] = np.round(X[::4])
+        D = points.normal(size=(32, d))
+        with np.errstate(all="ignore"):
+            for x, dx in [(X, D), *zip(X[:8], D[:8])]:
+                assert _same_bits(prog.value(x), namespace["value"](x))
+                for a, b in zip(prog.dual(x, dx), namespace["dual"](x, dx)):
+                    assert _same_bits(a, b)
+    assert squaring >= 5
+
+
+def segment_case(rng, n, k, ride, per_pair):
+    """`expr.Segments` of k random pairs in R^n (every third x and fourth
+    y an integer point: poles, zero bases and ties), at a grid of 5
+    lambdas or one lambda per pair, with or without x and y riding, and
+    its points made by hand (rows, k, n): [x, y,] lam * (x - y) + y."""
+    X, Y = rng.uniform(-3, 3, size=(2, k, n))
+    X[::3] = np.round(X[::3])
+    Y[::4] = np.round(Y[::4])
+    lam = rng.uniform(0.01, 0.99, size=(1, k) if per_pair else (5, 1))
+    D = np.subtract(X.T, Y.T, order="C")
+    P = lam[..., None] * D.T + Y
+    if ride:
+        P = np.concatenate([X[None], Y[None], P])
+    return ex.Segments(np.ascontiguousarray(Y.T), D, lam, X.T if ride else None), P
+
+
+def test_segments_of_the_pinned_corpus_are_their_points(rng):
+    # every program of the pinned corpus gives on segments, whose points it
+    # makes itself, what it gives on the same points as an array, bit for
+    # bit, at a grid and at one lambda per pair, with and without x and y
+    # riding; the integer points make NaN and infinite values
+    points = np.random.default_rng(28)
+    nan = inf = False
+    for e, d in pinned_corpus(rng):
+        prog = ex.compile_expr(e, d)
+        for ride in (False, True):
+            for per_pair in (False, True):
+                segments, P = segment_case(points, d, 16, ride, per_pair)
+                with np.errstate(all="ignore"):
+                    got, want = prog.value(segments), prog.value(P)
+                assert got.shape == want.shape and _same_bits(got, want), pretty_print(e)
+                nan, inf = nan or np.isnan(want).any(), inf or np.isinf(want).any()
+    assert nan and inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), k=st.sampled_from([1, 7, 64]),
+       ride=st.booleans(), per_pair=st.booleans())
+def test_segments_are_their_points(seed, n, k, ride, per_pair):
+    rng = np.random.default_rng(seed)
+    prog = ex.compile_expr(random_ast(rng, n), n)
+    segments, P = segment_case(rng, n, k, ride, per_pair)
+    with np.errstate(all="ignore"):
+        assert _same_bits(prog.value(segments), prog.value(P))
+
+
+@pytest.mark.parametrize("source,n,p", [("x1^3 + t1*x1^2 + t2*x1", 1, 2),
+                                        ("x1^2 + x2^2 + t1*sin(t2*x1*x2)", 2, 2),
+                                        ("t1^t2 + x1*0", 1, 2), ("exp(t1)", 1, 1)])
+def test_segments_take_one_parameter_row_per_pair(source, n, p, rng):
+    # a parameter row per pair broadcasts over the rows of the pair's
+    # points, and one vector over all of them, as in `value`
+    prog = ex.compile_expr(parse(source, n, p), n, p)
+    T = rng.uniform(0.5, 2.0, size=(50, p))
+    for ride in (False, True):
+        for per_pair in (False, True):
+            segments, P = segment_case(rng, n, 50, ride, per_pair)
+            with np.errstate(all="ignore"):
+                for t in (T, T[7]):
+                    assert _same_bits(prog.value(segments, t), prog.value(P, t))
+
+
+def test_value_frees_each_coordinate_after_its_last_use():
+    # catalog sqnorm squares each coordinate once: each load takes the
+    # register that the one before it freed, so two registers serve any n
+    source = catalog_field("sqnorm", 8).program.source.split("def dual")[0]
+    assert source.count("_load(") == 8
+    assert set(re.findall(r"R\[\d+\]", source)) == {"R[0]", "R[1]"}
 
 
 def test_slopes_off_ties_are_unchanged(rng):
@@ -790,7 +903,8 @@ def test_parameter_only_expressions_broadcast():
 
 def test_one_program_runs_in_two_threads_at_once(rng):
     # each thread has its own register file: two threads calling the same
-    # programs' value and dual at once get the serial results, bit for bit
+    # programs' value (on points and on segments) and dual at once get the
+    # serial results, bit for bit
     cases = []
     for _ in range(12):
         X = rng.uniform(-1, 1, size=(4096, 3))
@@ -800,8 +914,12 @@ def test_one_program_runs_in_two_threads_at_once(rng):
     T = fam.param_box.lower + rng.random((4096, fam.param_box.dim)) * fam.param_box.widths
     cases.append((fam.program, X, (T,)))
 
+    lam = np.linspace(0.1, 0.9, 7)[:, None]
+
     def run():
-        return [[prog.value(X, *T), *prog.dual(X, X[::-1], *T)] for prog, X, T in cases]
+        return [[prog.value(X, *T), *prog.dual(X, X[::-1], *T),
+                 prog.value(ex.Segments(X.T, X[::-1].T, lam, X.T), *T)]
+                for prog, X, T in cases]
 
     def bits(out):
         return [[(a.shape, a.tobytes()) for a in results] for results in out]

@@ -239,12 +239,15 @@ LAYOUT_FIELDS += list({(f.name, f.dim): f for n in (1, 2, 3, 5, 8)
 
 @pytest.mark.parametrize("f", LAYOUT_FIELDS, ids=lambda f: f"{f.name}-{f.dim}")
 def test_values_do_not_depend_on_point_layout(f, rng):
-    # segment_margins hands fields a read-only coordinate-major view
+    # batch_margins_bc hands fields a coordinate-major view, and sigma's
+    # f(x), f(y) call a (2, k, n) view of the drawn (k, 2, n) pairs
     P = f.domain.lower + rng.random((6, 40, f.dim)) * f.domain.widths
     V = np.ascontiguousarray(np.moveaxis(P, -1, 0)).transpose(1, 2, 0)
     V.flags.writeable = False
-    np.testing.assert_array_equal(f.values(V), f.values(P))
-    np.testing.assert_array_equal(f.grads(V), f.grads(P))
+    pairs = np.ascontiguousarray(P.transpose(1, 0, 2)).transpose(1, 0, 2)
+    for W in (V, pairs):
+        np.testing.assert_array_equal(f.values(W), f.values(P))
+        np.testing.assert_array_equal(f.grads(W), f.grads(P))
     # the slope pass's values are the values, bit for bit
     np.testing.assert_array_equal(f.slopes(V, V)[0], f.values(P))
 

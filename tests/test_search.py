@@ -711,9 +711,9 @@ def test_reports_do_not_depend_on_the_order_blocks_finish_in(monkeypatch):
     on_helpers = []
     g = catalog_field("const", 2)
 
-    def value(X):
+    def value(X):   # points, or segments (expr.Segments)
         if threading.current_thread() is not caller:
-            on_helpers.append(len(X))
+            on_helpers.append(X.shape)
             time.sleep(0.01)
         return g.program.value(X)
 
