@@ -18,11 +18,12 @@ Each formula is written once, in a kernel over arrays of pairs:
 at a shared lambda grid or at one lambda per pair. Its pair work is done
 once per block: the planes of y and of x - y, ||x-y|| and
 max{f(x), f(y)} (NaN where either failed), where the caller may hand in
-||x-y|| and f(x), f(y). Each chunk then makes one `values` call on its
-segments, given by those planes (with x and y in the same call when
-f(x), f(y) were not handed in): the program makes each coordinate of the
-chunk's segment points just before its first use, so no chunk holds a
-buffer of its points. `batch_margins_bc` gives the pairings, both
+f(x), f(y), the one value a kernel takes from its caller, since it
+saves a program pass per block. Each chunk then makes one `values` call
+on its segments, given by those planes (with x and y in the same call
+when f(x), f(y) were not handed in): the program makes each coordinate
+of the chunk's segment points just before its first use, so no chunk
+holds a buffer of its points. `batch_margins_bc` gives the pairings, both
 premises and the shared (b)/(c) conclusion margin from one program pass
 over x and y stacked as coordinate planes, seeded with the directions
 y - x and x - y: each pairing is one directional derivative, and no
@@ -41,10 +42,10 @@ overflows counts as failed.
 
 `sigma_star_estimate` and the implication harness (search.py) cut their
 pairs into blocks and run each block end to end, drawn, filtered and
-scored, on one lane of `_in_lanes`. The min_sep filter gives the block's
-||x-y||, which the kernels read; (a) takes f(x), f(y) from the (b)/(c)
-pass in `check` and, in `sigma`, from one `values` call on a view of the
-drawn pairs. Every block goes to one queue, which a helper thread (given
+scored, on one lane of `_in_lanes`. Each kernel computes ||x-y|| from
+its own coordinate planes; (a) takes f(x), f(y) from the (b)/(c) pass in
+`check` and, in `sigma`, from one `values` call on a view of the drawn
+pairs. Every block goes to one queue, which a helper thread (given
 a second CPU) takes from, and the calling thread takes the earliest
 block no helper has started whenever the result it needs next is not
 done. The kernels themselves run on whichever thread calls them, and a
@@ -312,12 +313,10 @@ def _checked_pair(f: ScalarField, x, y, cfg: CheckConfig):
 
 def _separated(P: np.ndarray, cfg: CheckConfig):
     """The pairs P (k, 2, n) at least min_sep apart, as the pairs kept
-    (rows (x, y)), the mask of those kept and their ||x-y||: P itself when
-    every pair is kept, since no kernel writes into the points it is
-    given."""
-    d = _plane_norm((P[:, 0] - P[:, 1]).T, cfg.penalty_norm)
-    keep = d >= cfg.min_sep
-    return (P, keep, d) if keep.all() else (P[keep], keep, d[keep])
+    (rows (x, y)) and the mask of those kept: P itself when every pair is
+    kept, since no kernel writes into the points it is given."""
+    keep = _plane_norm((P[:, 0] - P[:, 1]).T, cfg.penalty_norm) >= cfg.min_sep
+    return (P, keep) if keep.all() else (P[keep], keep)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +324,7 @@ def _separated(P: np.ndarray, cfg: CheckConfig):
 
 
 def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2, *,
-                    ends=None, sep=None):
+                    ends=None):
     """Condition-(a) margins of the pairs X, Y (rows), chunk by chunk:
 
         max{f(x), f(y)} - (sigma/2)*lam*(1-lam)*||x-y||^2 - f(y + lam*(x-y))
@@ -333,25 +332,24 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2, *,
     `lams` has shape (L, 1) for a grid shared by all pairs or (1, N) for
     one lambda per pair. The work that does not depend on lambda is done
     once per call (one block): the coordinate planes of y and of x - y,
-    which every chunk reads and none may write, ||x-y|| (unless `sep`
-    gives it) and, when `ends` = (f(x), f(y)) is given, their max, NaN
-    where either failed. Each chunk makes one `values` call on its pairs'
-    slice of the planes, as `expr.Segments`: on the segment points alone,
-    or without `ends` on x and y as well (rows 0 and 1), so a caller with
-    no f(x), f(y) makes no second call. The program makes each coordinate
-    of the points just before its first use, so a chunk holds only the
-    registers live at once. Yields (rows, margins (L, k), ||x-y|| (k,))
-    per chunk of k pairs, in order, rows being the chunk's slice of the
-    pairs; a margin is NaN where an evaluation failed. The margins live
-    in a buffer that the next chunk overwrites once the consumer asks for
-    it. Parameter rows of f, one per pair, are sliced as lambdas are.
+    which every chunk reads and none may write, ||x-y|| and, when `ends` =
+    (f(x), f(y)) is given, their max, NaN where either failed. Each chunk
+    makes one `values` call on its pairs' slice of the planes, as
+    `expr.Segments`: on the segment points alone, or without `ends` on x
+    and y as well (rows 0 and 1), so a caller with no f(x), f(y) makes no
+    second call. The program makes each coordinate of the points just
+    before its first use, so a chunk holds only the registers live at
+    once. Yields (rows, margins (L, k), ||x-y|| (k,)) per chunk of k
+    pairs, in order, rows being the chunk's slice of the pairs; a margin
+    is NaN where an evaluation failed. The margins live in a buffer that
+    the next chunk overwrites once the consumer asks for it. Parameter
+    rows of f, one per pair, are sliced as lambdas are.
 
     Runs on the calling thread. At most SEGMENT_CHUNK // (L + 2) pairs
     are one chunk; more are cut into chunks of a LANES-th of that, so the
     chunks of the LANES blocks that `_in_lanes` runs at once hold at most
     SEGMENT_CHUNK points together. The margins depend neither on the
-    chunking nor on whether `ends` and `sep` (f's values and
-    `_plane_norm`'s norms) are given.
+    chunking nor on whether `ends` (f's values) is given.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -361,7 +359,7 @@ def segment_margins(f: ScalarField, X, Y, lams, sigma: float, penalty_norm=2, *,
     Xt, Yt = X.T, Y.T
     with np.errstate(all="ignore"):
         D = np.subtract(Xt, Yt, order="C")
-        d = _plane_norm(D, penalty_norm) if sep is None else sep
+        d = _plane_norm(D, penalty_norm)
         Yt = np.array(Yt, order="C")
         D.flags.writeable = Yt.flags.writeable = False
         weight = 0.5 * sigma * lams * (1.0 - lams) if sigma else None
@@ -416,19 +414,19 @@ def margin_a(f: ScalarField, x, y, lam: float, cfg: CheckConfig) -> float:
 
 
 def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                         cfg: CheckConfig, *, ends=None, sep=None):
+                         cfg: CheckConfig, *, ends=None):
     """Per-pair worst condition-(a) margin over the lambda grid.
 
     Returns (worst_margin, ok_mask); rows with any failed evaluation have
     ok_mask False and NaN margin. A worst margin of zero has the sign of
     the first zero of its pair's margins, as np.argmin's first smallest
     margin has; `_worst_lambdas` gives the lambda of that margin. `ends` =
-    (f(x), f(y)) and `sep` = ||x-y||, when the caller has them, spare the
-    kernel that work (see `segment_margins`); by default it computes them.
+    (f(x), f(y)), when the caller has it, spares the kernel a program
+    pass over x and y (see `segment_margins`).
     """
     worst = np.empty(len(X))
     for rows, m, _ in segment_margins(f, X, Y, np.asarray(cfg.lambda_grid)[:, None],
-                                      cfg.sigma, cfg.penalty_norm, ends=ends, sep=sep):
+                                      cfg.sigma, cfg.penalty_norm, ends=ends):
         w = np.minimum.reduce(m, axis=0, out=worst[rows])   # NaN if any is
         zero = np.flatnonzero(w == 0)
         if zero.size:   # np.minimum may keep a later zero of the other sign
@@ -436,16 +434,14 @@ def batch_margin_a_worst(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     return worst, ~np.isnan(worst)
 
 
-def _worst_lambdas(f: ScalarField, X, Y, cfg: CheckConfig, *, ends=None,
-                   sep=None) -> np.ndarray:
+def _worst_lambdas(f: ScalarField, X, Y, cfg: CheckConfig) -> np.ndarray:
     """Per pair, the first lambda of the grid at which its condition-(a)
     margin is `batch_margin_a_worst`'s worst margin (its first NaN, if
     any): an argmin over the margins of the same kernel, which depend
-    neither on the chunking nor on `ends` and `sep`."""
+    neither on the chunking nor on whether f(x), f(y) are handed in."""
     lams = np.asarray(cfg.lambda_grid)[:, None]
     out = np.empty(len(X))
-    for rows, m, _ in segment_margins(f, X, Y, lams, cfg.sigma, cfg.penalty_norm,
-                                      ends=ends, sep=sep):
+    for rows, m, _ in segment_margins(f, X, Y, lams, cfg.sigma, cfg.penalty_norm):
         out[rows] = lams[np.argmin(m, axis=0), 0]
     return out
 
@@ -455,7 +451,7 @@ def _worst_lambdas(f: ScalarField, X, Y, cfg: CheckConfig, *, ends=None,
 
 
 def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
-                     cfg: CheckConfig, *, sep=None):
+                     cfg: CheckConfig):
     """Margins and premise masks for conditions (b) and (c) on pair rows.
 
     (b): premise f(x) <= f(y) - tol; (c): premise
@@ -464,8 +460,7 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
     conclusion margin -(sigma/2)*||x-y||^2 - <grad f(y), x-y>. The pairs
     are copied into coordinate planes (n, 2, k), and one `slopes` pass over
     them, seeded with the planes of y - x at x and of x - y at y, gives f
-    and both pairings; ||x-y|| is `sep` when the caller has it, else it
-    comes from the same planes (`_plane_norm`).
+    and both pairings; ||x-y|| comes from the same planes (`_plane_norm`).
 
     Returns a dict with keys fx, fy, pairing_x, pairing_y, margin,
     premise_b, premise_c, sep (||x-y||), ok_b (f(x) and the pairing at y
@@ -479,7 +474,7 @@ def batch_margins_bc(f: ScalarField, X: np.ndarray, Y: np.ndarray,
         D = S[:, ::-1] - S   # planes of y - x, then of x - y
         (fx, fy), pairing = f.slopes(S.transpose(1, 2, 0), D.transpose(1, 2, 0))
         pairing_x, pairing_y = pairing
-        d = _plane_norm(D[:, 0], cfg.penalty_norm) if sep is None else sep
+        d = _plane_norm(D[:, 0], cfg.penalty_norm)
         finite = np.isfinite(pairing)
         ok_b = np.isfinite(fx) & finite[1]   # a non-finite f(y) makes its slope NaN
         threshold = -0.5 * cfg.sigma * d * d
@@ -532,18 +527,16 @@ def check_c(f: ScalarField, x, y, cfg: CheckConfig) -> Verdict:
 # sigma* estimation
 
 
-def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig, *, ends=None,
-                sep=None) -> float:
+def _sigma_star(f: ScalarField, X, Y, cfg: CheckConfig, *, ends=None) -> float:
     """min over the pairs X, Y (rows) and the lambda grid of
     2 * (max{f(x),f(y)} - f(segment)) / (lam*(1-lam)*||x-y||^2), the
-    sigma = 0 margin scaled; +inf when no sample evaluates. `ends` and
-    `sep` are passed to `segment_margins`."""
+    sigma = 0 margin scaled; +inf when no sample evaluates. `ends` is
+    passed to `segment_margins`."""
     lams = np.asarray(cfg.lambda_grid)[:, None]
     weight = lams * (1.0 - lams)
     best = math.inf
     den = np.empty(0)
-    for _, m, d in segment_margins(f, X, Y, lams, 0.0, cfg.penalty_norm,
-                                   ends=ends, sep=sep):
+    for _, m, d in segment_margins(f, X, Y, lams, 0.0, cfg.penalty_norm, ends=ends):
         if den.size < m.size:
             den = np.empty(m.size)
         with np.errstate(all="ignore"):
@@ -599,11 +592,10 @@ def sigma_star_estimate(f: ScalarField, sampler, cfg: CheckConfig) -> float:
 
     def run(lo, k):
         """The block's sigma* and how many of its pairs pass min_sep: f(x)
-        and f(y) from one `values` call on a (2, k, n) view of the pairs,
-        ||x-y|| from the filter."""
-        P, _, d = _separated(draw(lo, k), cfg)
+        and f(y) from one `values` call on a (2, k, n) view of the pairs."""
+        P, _ = _separated(draw(lo, k), cfg)
         ends = f.values(P.transpose(1, 0, 2))
-        return _sigma_star(f, P[:, 0], P[:, 1], cfg, ends=ends, sep=d), len(P)
+        return _sigma_star(f, P[:, 0], P[:, 1], cfg, ends=ends), len(P)
 
     best, kept = math.inf, 0
     for block_best, block_kept in _in_lanes(run, count):

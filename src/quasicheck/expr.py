@@ -274,7 +274,11 @@ def parse(source: str, dimension: int, params: int = 0) -> Node:
         raise ParseError("empty expression", 0)
     tokens = tokenize(source)
     parser = _Parser(tokens, dimension, params, len(source))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:   # the parser recurses once per nesting level
+        t = parser.peek()
+        raise ParseError("expression nests too deeply", t.pos if t else parser.end) from None
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
@@ -670,7 +674,10 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
     """Lower `e` once to straight-line numpy code over points in R^n and
     parameters in R^p."""
     L = _Lowering()
-    root = L.lower(e)
+    try:
+        root = L.lower(e)
+    except RecursionError:   # the lowering recurses once per level of the tree
+        raise ValueError("expression nests too deeply to compile") from None
     if max(L.variables, default=0) > n:
         raise ValueError("expression references a variable beyond the dimension")
     if max(L.params, default=0) > p:

@@ -533,10 +533,9 @@ class HarnessReport:
         }
 
 
-def _note(status, margins, X, Y, lam=None):
+def _note(status, margins, X, Y):
     """One condition on a block of pairs: its tally, and its first smallest
-    margin with that pair and lam(i) of its row i, when `lam` is given
-    (None when no pair holds or is violated)."""
+    margin with that pair (None when no pair holds or is violated)."""
     tally = np.bincount(status, minlength=len(cond.STATUSES))
     if not tally[:2].any():
         return tally, None
@@ -549,8 +548,7 @@ def _note(status, margins, X, Y, lam=None):
         if np.isnan(masked).all():
             return tally, None
         i = int(np.nanargmin(masked))
-    return tally, (float(margins[i]), X[i].copy(), Y[i].copy(),
-                   None if lam is None else float(lam(i)))
+    return tally, (float(margins[i]), X[i].copy(), Y[i].copy())
 
 
 def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
@@ -559,48 +557,41 @@ def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
 
     The pairs go through in blocks, each drawn, filtered by min_sep and
     run through the (b)/(c) and (a) kernels on whichever lane takes it
-    (see `conditions._in_lanes`). The block's ||x-y|| is computed once, by
-    the filter, and f(x), f(y) once, by the (b)/(c) kernel's `slopes`
-    pass, whose values the (a) kernel reads; the lambda of the block's
-    first smallest (a) margin comes from scoring that one pair again. A
-    block hands back how many
-    of its pairs any condition skipped, the counts and first smallest
-    margin of each condition and, when the sink `rows` is given, its
-    record: one row per pair it kept, in keys "index" (the pair's
-    position in the sampler's stream), "a_margin", "a_status",
+    (see `conditions._in_lanes`). f(x), f(y) are computed once, by the
+    (b)/(c) kernel's `slopes` pass, whose values the (a) kernel reads. A
+    block hands back how many of its pairs any condition skipped, the
+    counts and first smallest margin of each condition and, when the sink
+    `rows` is given, its record: one row per pair it kept, in keys "index"
+    (the pair's position in the sampler's stream), "a_margin", "a_status",
     "bc_margin", "b_status" and "c_status" (status codes, see
     `conditions.statuses`). The calling thread merges the blocks in block
     order and passes each record to `rows` as it merges, so memory does
-    not grow with the count.
+    not grow with the count. The lambda of the (a) witness, the run's
+    first smallest (a) margin, comes from scoring that one pair again once
+    the blocks are merged.
     """
     def run(lo, k):
-        P, keep, d = cond._separated(sample_pairs(sampler, lo, k), cfg)
+        P, keep = cond._separated(sample_pairs(sampler, lo, k), cfg)
         X, Y = P[:, 0], P[:, 1]
-        r = cond.batch_margins_bc(f, X, Y, cfg, sep=d)
+        r = cond.batch_margins_bc(f, X, Y, cfg)
         record = {"index": lo + np.flatnonzero(keep), "bc_margin": r["margin"]}
         for name in "bc":
             record[f"{name}_status"] = cond.statuses(r["margin"], r[f"premise_{name}"],
                                                      r[f"ok_{name}"], cfg.tol)
         ends = r["fx"], r["fy"]
         del r   # the (a) kernel runs without the rest of the (b)/(c) results
-        record["a_margin"], ok = cond.batch_margin_a_worst(f, X, Y, cfg, ends=ends, sep=d)
+        record["a_margin"], ok = cond.batch_margin_a_worst(f, X, Y, cfg, ends=ends)
         record["a_status"] = cond.statuses(record["a_margin"], True, ok, cfg.tol)
-        notes = {name: _note(record[f"{name}_status"], record["bc_margin"], X, Y)
-                 for name in "bc"}
-
-        def lam(i):   # pair i scored alone has the block's margins, bit for bit
-            one = slice(i, i + 1)
-            return cond._worst_lambdas(f, X[one], Y[one], cfg, sep=d[one],
-                                       ends=(ends[0][one], ends[1][one]))[0]
-
-        notes["a"] = _note(record["a_status"], record["a_margin"], X, Y, lam)
+        notes = {name: _note(record[f"{name}_status"],
+                             record["a_margin" if name == "a" else "bc_margin"], X, Y)
+                 for name in "abc"}
         # per pair, how many conditions skipped it
         skips = sum(record[f"{name}_status"] == cond.STATUSES.index(cond.SKIPPED)
                     for name in "abc")
         return record if rows else None, int(np.count_nonzero(skips)), notes
 
     tallies = {name: np.zeros(len(cond.STATUSES), dtype=np.int64) for name in "abc"}
-    best = {}      # condition -> (margin, x, y, lam) of its first smallest margin
+    best = {}      # condition -> (margin, x, y) of its first smallest margin
     skipped = 0    # pairs that any condition skipped
     for record, skips, notes in cond._in_lanes(run, sampler.count):
         skipped += skips
@@ -616,7 +607,10 @@ def implication_harness(f: ScalarField, cfg: CheckConfig, sampler: Sampler,
     worst = {}
     for name in "abc":
         if name in best:
-            margin, x, y, lam = best[name]
+            margin, x, y = best[name]
+            # the pair scored alone has the margins it had in its block, bit for bit
+            lam = float(cond._worst_lambdas(f, x[None], y[None], cfg)[0]) \
+                if name == "a" else None
             worst[name] = {"margin": margin,
                            "witness": Witness(x=x, y=y, lam=lam).to_json()}
     tension = (counts["a"]["violated"] == 0

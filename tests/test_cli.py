@@ -169,6 +169,24 @@ def test_overflowing_literal_is_a_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["check", "--fn", "sqnorm", "--dim", "1500"],   # compiles a 1,500-deep sum
+    ["check", "--expr=" + " + ".join(["x1"] * 1200), "--dim", "1", "--box=-1:1"],
+    ["check", "--expr=" + "-" * 1200 + "x1", "--dim", "1", "--box=-1:1"],
+    ["check", "--expr=" + "x1" + "^x1" * 1200, "--dim", "1", "--box=0:1"],
+    ["check", "--expr=" + "(" * 400 + "x1" + ")" * 400, "--dim", "1", "--box=-1:1"]],
+    ids=["sqnorm_1500", "sum_1200", "neg_1200", "pow_1200", "parens_400"])
+def test_too_deep_expression_is_a_usage_error(argv, tmp_path, capsys):
+    # the parser and the compiler recurse once per nesting level: past
+    # Python's recursion limit the run ends with one error line and exit
+    # code 2, not with a traceback and the exit code of a violation
+    code, rep = run(argv + ["--pairs", "10"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and rep is None
+    assert err.startswith("error: ") and "nests too deeply" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["lemma", "--expr", "log(x1)", "--dim", "1", "--box", "0:2"],
     ["sigma", "--expr", "log(x1)", "--dim", "1", "--box=-1:0", "--pairs", "100"],
     ["gradcheck", "--expr", "log(x1)", "--dim", "1", "--box=-1:0"]],

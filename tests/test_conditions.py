@@ -376,15 +376,16 @@ def test_scalar_checks_are_batches_of_one(rng):
                 assert v.margin == r["margin"][i]
 
 
-def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
+def test_bc_kernel_takes_values_from_its_gradient_passes(monkeypatch, rng):
     # one program pass per kernel call: x and y go through one dual pass,
     # stacked as (2, k, n) points, and f(x) and f(y) are its values, equal
     # to the value program's bit for bit; the (b)/(c) search objective
     # makes one pass per call as well. The harness's (a) kernel reads f(x)
     # and f(y) from that pass and evaluates segment points only, in one
-    # value call on the block's segments (then one more for the pair of
-    # the block's first smallest margin, whose lambda it reports), while
-    # the (a) objective, which has no f(x), f(y), still makes one call
+    # value call on each block's segments; once the blocks are merged, one
+    # more call, with x and y riding, scores the pair of the report's (a)
+    # witness, whose lambda it reports. The (a) objective, which has no
+    # f(x), f(y), also makes one call with x and y riding
     g = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,
                              DomainBox.cube(-1, 1, 2))
     calls, duals, segments = [], [], []
@@ -419,8 +420,12 @@ def test_bc_kernel_takes_values_from_its_gradient_passes(rng):
     # x, y and the segment point
     assert calls == [] and duals == [(2, 115, 2)] and segments == [(3, 115)]
     segments.clear()
-    implication_harness(f, cfg(), Sampler("uniform_box", 1, 100, f.domain))
-    assert calls == [] and segments == [(63, 100), (63, 1)]
+    monkeypatch.setattr(conditions, "PAIR_BLOCK", 100)   # three blocks or more
+    size = 100 // conditions._lanes()
+    implication_harness(f, cfg(), Sampler("uniform_box", 1, 250, f.domain))
+    blocks = [(63, min(size, 250 - lo)) for lo in range(0, 250, size)]
+    assert calls == [] and sorted(segments[:-1]) == sorted(blocks)
+    assert segments[-1] == (65, 1)
 
 
 def _reference_norm(diff):
@@ -463,8 +468,8 @@ def _reference_worst(M, lams):
 
 def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
     # neither the chunk size, the number of lanes (which sets the size of
-    # the blocks and of a large block's chunks) nor f(x), f(y) and ||x-y||
-    # handed in by the caller show in a bit of the margins, worst margins
+    # the blocks and of a large block's chunks) nor f(x), f(y) handed in
+    # by the caller show in a bit of the margins, worst margins
     # and their lambdas, ok masks, sigma*, the harness's per-pair record or
     # the lambda of its (a) witness: all match a plain pair-by-pair
     # reference (np.argmin's first smallest margin). The fields include two
@@ -508,9 +513,9 @@ def test_segment_margins_chunking_is_invisible(monkeypatch, rng):
                 # the margins of a chunk live until the next chunk: copy them
                 per_pair = np.concatenate([m[0].copy() for _, m, _ in conditions.segment_margins(
                     f, X, Y, lam, c.sigma, c.penalty_norm)])
-                runs = [[*batch_margin_a_worst(f, X, Y, c, **given),
-                         conditions._worst_lambdas(f, X, Y, c, **given), per_pair]
-                        for given in ({}, dict(ends=(bc["fx"], bc["fy"]), sep=bc["sep"]))]
+                lambdas = conditions._worst_lambdas(f, X, Y, c)
+                runs = [[*batch_margin_a_worst(f, X, Y, c, **given), lambdas, per_pair]
+                        for given in ({}, dict(ends=(bc["fx"], bc["fy"])))]
                 if not rowwise:
                     runs = [run + [sigma_star_estimate(f, np.stack([X, Y], axis=1), c)]
                             for run in runs]

@@ -772,6 +772,7 @@ def test_harness_holds_one_block_at_a_time(monkeypatch):
     cfg = CheckConfig()
     one, two = (Sampler("uniform_box", 5, k * cond.PAIR_BLOCK, f.domain)
                 for k in (1, 2))
+    in_lanes = cond._in_lanes
     for lanes in (1, 2):
         monkeypatch.setattr(cond, "LANES", lanes)
         # two lanes reach their joint peak only when their chunks are live
@@ -779,16 +780,31 @@ def test_harness_holds_one_block_at_a_time(monkeypatch):
         # the same calls, and each program call holds its result until the
         # other lane's call of the same rank returns, so the reference
         # reaches that peak under any load; the two-block peak is the
-        # largest of three free runs
+        # largest of three free runs. Only the calls made inside a block
+        # are paired: the call that scores the (a) witness again once the
+        # blocks are merged has no partner
         met = threading.Barrier(lanes, timeout=60)
+        inside = threading.local()
+
+        def in_blocks(work, count):
+            def block(*args):
+                inside.block = True
+                try:
+                    return work(*args)
+                finally:
+                    inside.block = False
+            return in_lanes(block, count)
 
         def held(fn):
-            return lambda *args: (fn(*args), met.wait())[0]
+            return lambda *args: (fn(*args), getattr(inside, "block", False)
+                                  and met.wait())[0]
 
         lockstep = replace(f, program=replace(f.program, value=held(f.program.value),
                                               dual=held(f.program.dual)))
         implication_harness(f, cfg, two)   # the program's registers, once
-        reference = _traced_peak(lambda: implication_harness(lockstep, cfg, one))
+        with monkeypatch.context() as m:
+            m.setattr(cond, "_in_lanes", in_blocks)
+            reference = _traced_peak(lambda: implication_harness(lockstep, cfg, one))
         extra = max(_traced_peak(lambda: implication_harness(f, cfg, two))
                     for _ in range(3)) - reference
         assert extra <= 96 * 1024
