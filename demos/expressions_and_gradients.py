@@ -25,5 +25,6 @@ print(f"grad f({x}) = {f.grad(x)}")
 # compiled forward-mode gradients vs central differences at 100 seeded points
 rep = validate_grad(f, seed=0, count=100)
 print(f"gradient check: worst deviation {rep.max_abs_deviation:.2e} "
-      f"over {rep.points_checked} points (tolerance 1e-6: "
+      f"(relative {rep.max_rel_deviation:.2e}) over {rep.points_checked} "
+      f"points (relative tolerance 1e-6: "
       f"{'ok' if rep.passed(1e-6) else 'FAILED'})")

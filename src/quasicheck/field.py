@@ -208,17 +208,19 @@ def fd_grad(f: ScalarField, x, h: float) -> np.ndarray:
 class GradReport:
     points_checked: int
     max_abs_deviation: float
+    max_rel_deviation: float
     worst_point: np.ndarray
     step: float
     skipped: int = 0
 
     def passed(self, tol: float) -> bool:
-        return self.max_abs_deviation <= tol
+        return self.max_rel_deviation <= tol
 
     def to_json(self):
         return {
             "points_checked": self.points_checked,
             "max_abs_deviation": self.max_abs_deviation,
+            "max_rel_deviation": self.max_rel_deviation,
             "worst_point": np.asarray(self.worst_point).tolist(),
             "step": self.step,
             "skipped": self.skipped,
@@ -227,7 +229,8 @@ class GradReport:
 
 def validate_grad(f: ScalarField, seed: int, count: int = 100) -> GradReport:
     """Compare the field gradient against central differences at seeded
-    interior points; the report carries the worst deviation."""
+    interior points; the report carries the worst deviation, its point and
+    the worst relative one, max |g - g_fd| / max(1, max |g_fd|), to pass on."""
     if count < 1:
         raise ValueError("count must be >= 1")
     base_h = 1e-5 * max(1.0, float(np.max(np.abs(
@@ -236,7 +239,7 @@ def validate_grad(f: ScalarField, seed: int, count: int = 100) -> GradReport:
     rng = np.random.default_rng(seed)
     X = inner_box.lower + rng.random((count, f.dim)) * inner_box.widths
 
-    worst = -1.0
+    worst = worst_rel = -1.0
     worst_point = X[0]
     skipped = 0
     checked = 0
@@ -248,14 +251,14 @@ def validate_grad(f: ScalarField, seed: int, count: int = 100) -> GradReport:
             skipped += 1
             continue
         dev = float(np.max(np.abs(g - g_fd)))
+        worst_rel = max(worst_rel, dev / max(1.0, float(np.max(np.abs(g_fd)))))
         checked += 1
         if dev > worst:
             worst = dev
             worst_point = x
     if checked == 0:
         raise EvaluationError(f"{f.name}: all gradient-check samples were skipped")
-    return GradReport(points_checked=checked, max_abs_deviation=worst,
-                      worst_point=worst_point, step=base_h, skipped=skipped)
+    return GradReport(checked, worst, worst_rel, worst_point, base_h, skipped)
 
 
 # ---------------------------------------------------------------------------

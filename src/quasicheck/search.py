@@ -22,7 +22,8 @@ family in `open_question_search`): each round one objective call scores
 a group of sweeps of every live restart of every search, and every
 scored row is charged to its search. A group's depth depends only on
 the rows its search has scored, so with a fixed seed a larger budget
-only extends the run.
+only extends the run. A restart's state is its point, margin, decay
+count, next coordinate and sweeps run; only scored polls become points.
 """
 
 from __future__ import annotations
@@ -239,12 +240,6 @@ class _MarginObjective:
         else:
             self.lower = np.concatenate([lo, lo])
             self.upper = np.concatenate([hi, hi])
-        # the sweep order: coordinate, sign, bounds and index of each poll
-        self.coord = np.repeat(np.arange(self.nvars), 2)
-        self.sign = np.tile([1.0, -1.0], self.nvars)
-        self.poll_lower = self.lower[self.coord]
-        self.poll_upper = self.upper[self.coord]
-        self.poll_index = np.arange(2 * self.nvars)
 
     def split(self, Z: np.ndarray):
         n = self.n
@@ -255,7 +250,7 @@ class _MarginObjective:
         """The field that scores row i of search searches[i]: f, or given
         thetas, f with row i at parameter row thetas[searches[i]]."""
         return self.f if self.thetas is None else \
-            replace(self.f, params=self.thetas[searches])
+            replace(self.f, params=self.thetas.take(searches, axis=0))
 
     def __call__(self, Z: np.ndarray, searches=None) -> np.ndarray:
         """Margins of the rows Z, row i scored at `member(searches)`'s row
@@ -273,18 +268,6 @@ class _MarginObjective:
         active = (r["sep"] >= cfg.min_sep) & r[f"ok_{t}"] & r[f"premise_{t}"]
         return np.where(active, r["margin"], math.inf)
 
-    def poll_points(self, Z: np.ndarray, step: np.ndarray, j: np.ndarray):
-        """The compass polls of the points Z (one per row) in sweep order:
-        for each coordinate +step, then -step, clipped to the box. Returns
-        the polls as points, shape (rows, 2 * nvars, nvars), and the
-        pending mask: polls of coordinates j.. (j per row) that move."""
-        zc = Z[:, self.coord]
-        moved = np.minimum(np.maximum(zc + self.sign * step[:, self.coord],
-                                      self.poll_lower), self.poll_upper)
-        points = np.repeat(Z[:, None, :], self.coord.size, axis=1)
-        points[:, self.poll_index, self.coord] = moved
-        return points, (moved != zc) & (self.poll_index >= 2 * j[:, None])
-
     def witnesses(self, Z: np.ndarray, searches) -> list[Optional[Witness]]:
         """The witnesses at the points Z, row i of search searches[i],
         re-checked at once: one kernel call with each row at its member's
@@ -298,6 +281,13 @@ class _MarginObjective:
             return [Witness(x=X[i].copy(), y=Y[i].copy(), lam=float(lam[i]),
                             fx=float(fx[i]), fy=float(fy[i])) for i in range(len(Z))]
         return [v.witness for v in cond.verdicts_bc(f, X, Y, self.cfg, self.target)]
+
+
+def _decayed(T: np.ndarray, rows: int, decay: float) -> np.ndarray:
+    """The step table T grown to `rows` rows, each new row the last times `decay`."""
+    out = np.concatenate([T, np.full((rows - len(T), T.shape[1]), decay)])
+    np.multiply.accumulate(out[len(T) - 1:], axis=0, out=out[len(T) - 1:])
+    return out
 
 
 def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
@@ -324,7 +314,10 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
     would still be live. The group is one sweep deep, and one sweep deeper
     for each R * LOOKAHEAD * 2 * nvars rows its search has scored, up to
     LOOKAHEAD sweeps. In its wave's first round a slot scores only its
-    start point.
+    start point. A slot holds its point, margin, decay count c (step T[c];
+    T[0] = init_step_frac * span, each row the one before times step_decay,
+    at most max_iters + LOOKAHEAD + 1 rows), next coordinate j (j > 0: its
+    sweep improved and keeps its step) and sweeps; scored polls become points.
     """
     if not len(seeds):
         return []
@@ -337,10 +330,9 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
     N = S * R
     Z = np.zeros((N, nv))
     val = np.empty(N)
-    step = np.zeros((N, nv))
-    j = np.zeros(N, dtype=np.int64)
+    c = np.zeros(N, dtype=np.int64)         # decays: the slot's step is T[c]
+    j = np.zeros(N, dtype=np.int64)         # next coordinate of its sweep
     sweeps = np.zeros(N, dtype=np.int64)
-    improved = np.zeros(N, dtype=bool)
     live = np.zeros(N, dtype=bool)
     fresh = np.zeros(N, dtype=bool)      # start point not scored yet
     evals = np.zeros(S, dtype=np.int64)      # rows scored
@@ -348,6 +340,13 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
     running = np.ones(S, dtype=bool)
     best_val = np.full(S, math.inf)
     best_z = np.zeros((S, nv))
+    T = (budget.init_step_frac * span)[None]
+    gs = np.arange(G + 1)
+    # decays after g = 0..G sweeps without a hit (row 1: the sweep improved)
+    decays = np.stack([gs, np.maximum(gs - 1, 0)])
+    # a group's polls: each coordinate +step, then -step; their box
+    coords = np.tile(np.repeat(np.arange(nv), 2), G)
+    lower, upper = obj.lower[coords], obj.upper[coords]
 
     def open_wave(s):
         # the R start points of the wave: one draw from the search's
@@ -358,9 +357,7 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         sl = slice(s * R, s * R + R)
         Z[sl] = obj.lower + np.random.Generator(bg).random((R, nv)) * span
         val[sl] = math.inf
-        step[sl] = budget.init_step_frac * span
-        j[sl] = sweeps[sl] = 0
-        improved[sl] = False
+        c[sl] = j[sl] = sweeps[sl] = 0
         live[sl] = fresh[sl] = True
 
     def close_wave(s):
@@ -385,75 +382,75 @@ def _falsify_many(f: ScalarField, target: str, cfg: CheckConfig,
         if not running.any():
             break
         L = live.nonzero()[0]
-        ar = np.arange(L.size)
         owner = L // R
         # a group is one sweep deep, and one sweep deeper for each R * G * P
         # rows (a round of whole groups) its search has scored, up to G: the
         # rows a group scores after its hit are lost, and hits come often
         # early in a search
-        depth = np.minimum(1 + evals[owner] // (R * G * P), G)
-        # the step of each live slot after g = 0..G sweeps without a hit:
-        # the running product of the decays (a sweep that improved keeps
-        # its step); and whether the slot is still live then
-        imp = improved[L]
-        steps = np.empty((L.size, G + 1, nv))
-        steps[:, 0] = step[L]
-        steps[:, 1:] = budget.step_decay
-        steps[imp, 1] = 1.0
-        np.multiply.accumulate(steps, axis=1, out=steps)
-        alive = steps.max(axis=2) >= budget.min_step
-        alive[:, 1] |= imp
-        alive &= np.arange(G + 1) < (budget.max_iters - sweeps[L])[:, None]
-        alive[:, 0] = True
+        depth = np.minimum(1 + evals // (R * G * P), G)[owner]
+        # each live slot's decays after g = 0..G sweeps without a hit, and
+        # whether its step still moves then (the first round grows T)
+        jl, sw = j[L], sweeps[L]
+        cg = c[L][:, None] + decays.take(np.minimum(jl, 1), axis=0)
+        if cg[:, -1].max() >= len(T):   # each c < len(T), so cg < len(T) + G
+            T = _decayed(T, min(2 * len(T) + G, budget.max_iters + G + 1), budget.step_decay)
+            # each row's signed poll steps, and a last row of zero steps
+            signed = np.zeros((len(T) + 1, P))
+            np.multiply(np.tile([1.0, -1.0], nv), T[:, coords[:P]], out=signed[:-1])
+            # a decay below min_step ends a slot; its first step never does
+            moves = T.max(axis=1) >= budget.min_step
+            moves[0] = True
+        alive = moves.take(cg)
         np.logical_and.accumulate(alive, axis=1, out=alive)
-        # the group's polls: sweep 0 from coordinate j, the others whole
-        jg = np.zeros((L.size, G), dtype=np.int64)
-        jg[:, 0] = j[L]
-        cand, pending = obj.poll_points(np.repeat(Z[L], G, axis=0),
-                                        steps[:, :G].reshape(-1, nv), jg.ravel())
-        cand = cand.reshape(L.size, G * P, nv)
-        scored = alive[:, :G] & (np.arange(G) < depth[:, None])
-        pending = (pending.reshape(L.size, G, P)
-                   & scored[:, :, None]).reshape(L.size, G * P)
+        # the group's polls as the coordinates they move: sweep 0 from
+        # coordinate j, the others whole, up to the group's depth and the
+        # slot's last sweep (the unscored sweeps take zero steps)
+        scored = alive[:, :G] & (gs[:G] < np.minimum(depth, budget.max_iters - sw)[:, None])
         F = fresh[L]
-        if F.any():
-            cand[F, 0] = Z[L[F]]
-            pending[F] = False
-            pending[F, 0] = True
+        if F.any():   # a start point is poll 0 of sweep 0, unmoved, alone
+            scored[F] = False
             fresh[L] = False
+        zc = Z.take(L, axis=0)[:, coords]
+        moved = signed.take(np.where(scored, cg[:, :G], -1), axis=0).reshape(zc.shape)
+        moved = np.minimum(np.maximum(moved + zc, lower), upper)
+        pending = moved != zc
+        pending[:, :P] &= coords[:P] >= jl[:, None]
+        pending[:, 0] |= F
         # each search's polls, slot by slot, cut to the rows it has left;
         # every scored row is charged
-        cs = pending.cumsum(axis=1)
-        before = cs[:, -1].cumsum() - cs[:, -1]   # polls of the slots before
-        left = budget.max_evals - evals[owner] \
-            - (before - before[np.searchsorted(owner, owner)])
-        polls = pending & (cs <= left[:, None])
-        np.add.at(evals, owner, polls.sum(axis=1))
-        V = np.full(polls.shape, math.inf)
-        if polls.any():   # each poll is scored at its search's member
-            V[polls] = obj(cand[polls], owner[polls.nonzero()[0]])
+        polls = np.flatnonzero(pending)
+        rows = polls // (G * P)
+        searches = owner[rows]
+        charged = np.bincount(searches, minlength=S)
+        left = budget.max_evals - evals
+        if (charged > left).any():
+            keep = np.arange(polls.size) - (charged.cumsum() - charged)[searches] \
+                < left[searches]
+            polls, rows, searches = polls[keep], rows[keep], searches[keep]
+            charged = np.minimum(charged, left)
+        evals += charged
+        V = np.full(pending.shape, math.inf)
+        if polls.size:   # each scored poll becomes a point, at its search's member
+            points = Z.take(L[rows], axis=0)
+            points[np.arange(polls.size), coords[polls % (G * P)]] = moved.ravel()[polls]
+            V.ravel()[polls] = obj(points, searches)
         # the first improving poll of each slot is accepted (a start point
-        # always is); a hit in sweep m ends the m sweeps before it, and a
-        # slot without one ends the depth sweeps of its group
-        hit = V < val[L, None]
+        # always is); a hit in sweep m ends the m sweeps before it (and on
+        # the last coordinate, its own), and a miss the group's depth sweeps
+        hit = V < val[L][:, None]
         first = hit.argmax(axis=1)
-        has = hit[ar, first] | F
+        has = hit.any(axis=1) | F
         m = np.where(has, first // P, depth)
-        step[L] = steps[ar, m]
-        sweeps[L] += m
-        live[L] = alive[ar, m]
-        moved = has & ~F
-        improved[L] = moved
-        j[L] = np.where(moved, first % P // 2 + 1, 0)
+        at = np.arange(0, m.size * (G + 1), G + 1) + m
+        c[L] = cg.ravel()[at]
+        jl = np.where(has & ~F, coords[first] + 1, 0)
+        j[L] = jl % nv
+        sweeps[L] = sw = sw + m + (jl == nv)
+        live[L] = alive.ravel()[at] & (sw < budget.max_iters)
         acc = has.nonzero()[0]
-        Z[L[acc]] = cand[acc, first[acc]]
-        val[L[acc]] = V[acc, first[acc]]
-        # a hit on the last coordinate ends its sweep, which improved
-        E = L[j[L] == nv]
-        sweeps[E] += 1
-        live[E] = sweeps[E] < budget.max_iters
-        improved[E] = False
-        j[E] = 0
+        at = acc * (G * P) + first[acc]
+        Z[L[acc], coords[first[acc]]] = moved.ravel()[at]
+        val[L[acc]] = V.ravel()[at]
         if until_violation:
             # a search whose restart accepted a violated margin ends here
             for s in set(owner[acc[cond.is_violated(val[L[acc]], cfg.tol)]].tolist()):

@@ -83,6 +83,17 @@ def test_gradcheck_command(tmp_path):
     assert rep["payload"]["max_abs_deviation"] <= 1e-6
 
 
+def test_gradcheck_passes_the_exact_gradient_of_a_large_field(tmp_path):
+    # slope exactly 900: the central difference is off by about 1.5e-6, over
+    # --tol in absolute terms but about 1.7e-9 of the slope
+    code, rep = run(["gradcheck", "--expr=" + " + ".join(["x1"] * 900), "--dim", "1",
+                     "--box=-1:1"], tmp_path)
+    assert code == EXIT_OK
+    payload = rep["payload"]
+    assert payload["passed"] and payload["max_rel_deviation"] <= 1e-8
+    assert payload["max_abs_deviation"] > 1e-6
+
+
 def test_lemma_command(tmp_path):
     code, rep = run(["lemma", "--expr", "(x1-1)^2", "--dim", "1",
                      "--box", "0:2"], tmp_path)

@@ -138,11 +138,20 @@ def test_validate_grad_detects_planted_bug():
 
     buggy = replace(f, program=replace(f.program, dual=dual))
     rep = validate_grad(buggy, seed=1, count=100)
-    assert rep.max_abs_deviation > 0.1
+    assert rep.max_abs_deviation > 0.1 and rep.max_rel_deviation > 0.1
     assert not rep.passed(1e-6)
     # deviation is about ||grad f||_inf at the worst point
     expected = float(np.max(np.abs(2.0 * np.asarray(rep.worst_point))))
     assert rep.max_abs_deviation == pytest.approx(expected, rel=1e-3)
+
+
+def test_validate_grad_scales_by_the_finite_differences():
+    # an exact slope of 900 passes although its absolute deviation exceeds tol
+    f = make_field_from_expr(" + ".join(["x1"] * 900), 1, DomainBox.cube(-1, 1, 1))
+    rep = validate_grad(f, seed=1, count=100)
+    assert rep.max_abs_deviation > 1e-6
+    assert rep.passed(1e-6)
+    assert rep.to_json()["max_rel_deviation"] == rep.max_rel_deviation <= 1e-8
 
 
 def test_validate_grad_constant_field():

@@ -416,6 +416,48 @@ def test_falsify_lookahead_groups_match_sequential(target, schedule):
             _assert_same_result(res, ref)
 
 
+# schedules at the edges of the engine's step table (`search._decayed`):
+# a first step already below min_step, which ends a restart at its first
+# decay; a decay so slow that max_iters ends every restart first; and one
+# sweep per restart
+TABLE_EDGES = [dict(init_step_frac=1e-12), dict(step_decay=0.999, max_iters=5),
+               dict(max_iters=1)]
+
+
+@pytest.mark.parametrize("schedule", TABLE_EDGES,
+                         ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+@pytest.mark.parametrize("target", ["a", "b", "c"])
+def test_falsify_step_table_edges_match_sequential(monkeypatch, target, schedule):
+    rows = []
+    decayed = search._decayed
+
+    def counted(T, count, decay):
+        out = decayed(T, count, decay)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(search, "_decayed", counted)
+    cfg = CheckConfig(sigma=0.25)
+    for max_evals in (60, 300, 3000):
+        budget = SearchBudget(max_evals=max_evals, restarts=3, **schedule)
+        for seed in range(3):
+            res = falsify(EXPR_FIELD, target, cfg, budget, seed=seed)
+            ref, _ = _restart_by_restart(EXPR_FIELD, target, cfg, budget, seed)
+            _assert_same_result(res, ref)
+            assert rows and max(rows) <= budget.max_iters + search.LOOKAHEAD + 1
+            rows.clear()
+
+
+def test_step_table_is_the_repeated_decay():
+    # row c is the first step decayed c times, one product at a time
+    first = np.array([0.2, 2e-6, 0.0999999])
+    T = search._decayed(search._decayed(first[None], 3, 0.3), 7, 0.3)
+    step = first
+    for row in T:
+        assert row.tobytes() == step.tobytes()
+        step = step * 0.3
+
+
 def test_falsify_clipped_sweeps_match_sequential():
     # a step below 5.5e-17 moves no coordinate that lies in [0.5, 1], so
     # once the steps decay that far a sweep on [0.5, 1]^2 has no poll left
@@ -534,6 +576,16 @@ def test_falsify_expr_takes_at_most_90_objective_calls(tmp_path):
               "2", "--box=-1:1", "--target", "c", "--budget", "10000", "--seed",
               "1", "--out", str(tmp_path / "report.json")])
     assert len(calls) <= 90
+
+
+def test_family_search_takes_at_most_60_objective_calls(tmp_path):
+    # one engine call per phase: 49 objective calls on this command, 31 in
+    # the (c) phase and 18 in the (a) phase; the engine's per-round work is
+    # paid once per call
+    with _scored() as (calls, _):
+        main(["falsify", "--family", "param_cubic", "--budget", "100000",
+              "--param-samples", "32", "--seed", "1", "--out", str(tmp_path / "report.json")])
+    assert len(calls) <= 60
 
 
 # restarts, max_iters and seed of a search whose first wave of short
