@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -387,9 +388,16 @@ def config_flags(path) -> list:
     return flags
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call: parsing leaves no
+    state in it, so a process builds it once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         if args.config:   # explicit flags come last, so they override the file

@@ -670,9 +670,71 @@ class Program:
     dual: Callable
 
 
+def _tree_key(e: Node) -> tuple:
+    """The tree in pre-order as a flat tuple: each node's kind and what its
+    lowering reads of it, a constant as repr(float), so that 0.0 and -0.0
+    differ although their nodes compare equal. Built without recursion, so
+    a tree too deep to lower still gets a key."""
+    key, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Const):
+            key += ("c", repr(float(e.value)))
+        elif isinstance(e, (Var, Param)):
+            key += ("x" if isinstance(e, Var) else "t", str(e.index))
+        elif isinstance(e, Unary):
+            key.append("-")
+            stack.append(e.child)
+        elif isinstance(e, Binary):
+            key += ("b", e.op)
+            stack += (e.right, e.left)
+        elif isinstance(e, Call):
+            key += ("f", e.name, len(e.args))
+            stack += reversed(e.args)
+        else:
+            raise TypeError(type(e))
+    return tuple(key)
+
+
+# (tree key, n, p) -> (source, code, R, S) of the last lowerings made, the
+# oldest first: a process lowers each distinct expression once
+_LOWERED: dict = {}
+_LOWERED_MAX = 64
+_LOWERED_LOCK = threading.Lock()
+
+
 def compile_expr(e: Node, n: int, p: int = 0) -> Program:
-    """Lower `e` once to straight-line numpy code over points in R^n and
-    parameters in R^p."""
+    """Lower `e` to straight-line numpy code over points in R^n and
+    parameters in R^p. The lowering (source, code and register counts) is
+    kept for the last `_LOWERED_MAX` distinct (tree, n, p); each call makes
+    a program of its own from it, with functions and registers of its own."""
+    key = (_tree_key(e), n, p)
+    lowered = _LOWERED.get(key)
+    if lowered is None:   # a tree that fails to lower leaves no entry
+        lowered = _lower(e, n, p)
+        with _LOWERED_LOCK:   # only writers change the dict's size
+            _LOWERED[key] = lowered
+            if len(_LOWERED) > _LOWERED_MAX:
+                del _LOWERED[next(iter(_LOWERED))]
+    source, code, r, s = lowered
+
+    # value and dual each run in a namespace with register files of their
+    # own, since their calls come in shapes of their own (a block's
+    # segments, its pairs): one file shared by both made the two-lane
+    # harness slower. The functions hold their namespace as __globals__:
+    # taken out of it, they and their registers die with the program, not
+    # at the next collection of reference cycles
+    def own(name: str) -> Callable:
+        namespace = dict(_NAMESPACE, _registers=_RegisterFile(r), _tangents=_RegisterFile(s))
+        exec(code, namespace)
+        return {f: namespace.pop(f) for f in ("value", "dual")}[name]
+
+    return Program(n, p, source, own("value"), own("dual"))
+
+
+def _lower(e: Node, n: int, p: int) -> tuple:
+    """The lowering of `e`: its source, the source compiled, and the
+    register counts of R and S."""
     L = _Lowering()
     try:
         root = L.lower(e)
@@ -698,16 +760,4 @@ def compile_expr(e: Node, n: int, p: int = 0) -> Program:
     T = ", T" if p else ""
     source = "".join(f"def {name}(X{args}{T}):\n" + "".join(f"    {t}\n" for t in body)
                      for name, args, body in (("value", "", value), ("dual", ", D", dual)))
-    code = compile(source, "<quasicheck expression>", "exec")
-    # value and dual each run in a namespace with register files of their
-    # own, since their calls come in shapes of their own (a block's
-    # segments, its pairs): one file shared by both made the two-lane
-    # harness slower. The functions hold their namespace as __globals__:
-    # taken out of it, they and their registers die with the program, not
-    # at the next collection of reference cycles
-    def own(name: str) -> Callable:
-        namespace = dict(_NAMESPACE, _registers=_RegisterFile(r), _tangents=_RegisterFile(s))
-        exec(code, namespace)
-        return {f: namespace.pop(f) for f in ("value", "dual")}[name]
-
-    return Program(n, p, source, own("value"), own("dual"))
+    return source, compile(source, "<quasicheck expression>", "exec"), r, s

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quasicheck.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, UsageError,
-                            main, parse_box)
+                            build_parser, main, parse_box)
 
 
 def run(argv, tmp_path, name="report.json"):
@@ -446,6 +446,34 @@ def test_main_reads_sys_argv(tmp_path, monkeypatch):
                                       "--out", str(out)])
     assert main() == EXIT_OK
     assert json.loads(out.read_text())["payload"]["fields"][0]["dim"] == 4
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    # main parses with one parser for the process: a usage error and a
+    # --config run in between leave no state in it, so a repeated command
+    # reports what it did the first time; build_parser gives a new one
+    argv = ["falsify", "--fn", "sin", "--target", "b", "--budget", "500"]
+    first, out, cfg = tmp_path / "first.json", tmp_path / "again.json", tmp_path / "run.json"
+    code = main(argv + ["--out", str(first)])
+
+    def again():
+        assert main(argv + ["--out", str(out)]) == code
+        assert without_timestamp(out) == without_timestamp(first)
+
+    with pytest.raises(SystemExit) as e:   # argparse's own exit
+        main(argv + ["--target", "z"])
+    assert e.value.code == EXIT_USAGE
+    again()
+    # keys that the repeated command leaves at their defaults
+    cfg.write_text(json.dumps({"seed": 4, "restarts": 3, "norm": "inf", "min_sep": 1e-5}))
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) in (EXIT_OK, EXIT_VIOLATIONS)
+    assert json.loads(out.read_text())["config"]["seed"] == 4
+    again()
+    cfg.write_text(json.dumps({"seed": 4, "budget": "many"}))
+    assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+    again()
+    assert "invalid int value: 'many'" in capsys.readouterr().err
+    assert build_parser() is not build_parser()
 
 
 @pytest.mark.parametrize("flags", [

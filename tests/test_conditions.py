@@ -354,6 +354,17 @@ def test_b_premise_within_tol_is_vacuous():
     assert v.status == VACUOUS and v.witness.fx > v.witness.fy
 
 
+def test_c_premise_at_tol_exactly_is_vacuous():
+    # <grad f(x), y - x> = 2e-9 * 0.5 = 1e-9 is tol exactly, and at sigma
+    # = 0 the threshold is 0: the premise "> +tol" is strict, so it fails
+    f = make_field_from_expr("2e-9*x1", 1, DomainBox.cube(-1, 1, 1))
+    c = cfg()
+    r = batch_margins_bc(f, np.array([[0.0]]), np.array([[0.5]]), c)
+    assert r["pairing_x"][0] == c.tol and not r["premise_c"][0]
+    v = check_c(f, [0.0], [0.5], c)
+    assert v.status == VACUOUS and v.witness.pairing_x == c.tol
+
+
 def test_scalar_checks_are_batches_of_one(rng):
     # the scalar API returns exactly the kernel's row, bit for bit
     f = make_field_from_expr("x1^2 + x2^2 + 0.1*sin(3*x1)*exp(x2)", 2,

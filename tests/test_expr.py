@@ -960,3 +960,72 @@ def test_a_program_dies_with_its_last_reference():
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def _registers(prog):
+    return prog.value.__globals__["_registers"], prog.dual.__globals__["_tangents"]
+
+
+def test_compiles_of_one_tree_share_the_lowering_not_the_program():
+    e = parse("x1^2 + sin(3*x1)*exp(x2)", 2)
+    a, b = ex.compile_expr(e, 2), ex.compile_expr(parse("x1^2 + sin(3*x1)*exp(x2)", 2), 2)
+    assert a.source is b.source and a.value.__code__ is b.value.__code__
+    assert a.value is not b.value and a.dual is not b.dual
+    assert not set(map(id, _registers(a))) & set(map(id, _registers(b)))
+
+
+def test_trees_that_lower_apart_share_no_lowering():
+    # Const(0.0) == Const(-0.0) with equal hashes, yet they lower apart
+    plus, minus = (Binary("+", Var(1), Const(z)) for z in (0.0, -0.0))
+    assert plus == minus and hash(plus) == hash(minus)
+    at = np.array([[-0.0]])
+    for tree, sign in ((plus, False), (minus, True), (plus, False)):
+        prog = ex.compile_expr(tree, 1)
+        assert prog.source == ex._lower(tree, 1, 0)[0]
+        assert np.signbit(prog.value(at)).tolist() == [sign]
+    # one text at two dimensions and at two parameter counts
+    e = parse("x1 + x2", 2)
+    assert ex.compile_expr(e, 3).n == 3 and ex.compile_expr(e, 2).n == 2
+    with pytest.raises(ValueError, match="beyond the dimension"):
+        ex.compile_expr(e, 1)
+    e = parse("x1 * t1", 1, 1)
+    assert ex.compile_expr(e, 1, 2).p == 2
+    with pytest.raises(ValueError, match="beyond the count"):
+        ex.compile_expr(e, 1, 0)
+    e = parse("x1", 1)
+    for p in (0, 1, 0):
+        prog = ex.compile_expr(e, 1, p)
+        assert prog.p == p and prog.source == ex._lower(e, 1, p)[0]
+        assert ("def value(X, T)" in prog.source) == (p > 0)
+
+
+def test_a_tree_too_deep_to_lower_is_refused_each_time():
+    e = Var(1)
+    for _ in range(5000):
+        e = Unary("-", e)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nests too deeply to compile"):
+            ex.compile_expr(e, 1)
+    assert (ex._tree_key(e), 1, 0) not in ex._LOWERED
+
+
+def test_the_lowering_cache_is_bounded_and_exact(monkeypatch):
+    # past the bound the oldest lowerings go, and every program still
+    # equals one lowered afresh: its source, registers, values and slopes
+    rng = np.random.default_rng(31)
+    trees = [random_ast(rng, 2) for _ in range(ex._LOWERED_MAX + 20)]
+    trees += trees[::-1]   # the second pass meets kept and dropped entries
+    programs = [ex.compile_expr(e, 2) for e in trees]
+    assert len(ex._LOWERED) == ex._LOWERED_MAX
+    monkeypatch.setattr(ex, "_LOWERED", {})
+    monkeypatch.setattr(ex, "_LOWERED_MAX", 0)   # nothing kept
+    X, D = rng.uniform(-2, 2, size=(2, 16, 2))
+    with np.errstate(all="ignore"):
+        for e, prog in zip(trees, programs):
+            fresh = ex.compile_expr(e, 2)
+            assert not ex._LOWERED and prog.source == fresh.source
+            assert [r.file[0] for r in _registers(prog)] == \
+                [r.file[0] for r in _registers(fresh)]
+            assert _same_bits(prog.value(X), fresh.value(X))
+            for got, want in zip(prog.dual(X, D), fresh.dual(X, D)):
+                assert _same_bits(got, want)
